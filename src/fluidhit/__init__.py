@@ -69,7 +69,6 @@ from .simulator import (
     SimulationResult,
     TrajectorySample,
     estimate_hitting_time,
-    marginal_absorption_samples,
     run_to_absorption,
     simulate_trajectory,
     step,

@@ -27,6 +27,7 @@ from .chain_model import (
     decompose,
     expected_hitting_times,
     jump_matrix,
+    mean_jump_count,
     resolvent_quantities,
 )
 from .errors import (
@@ -38,6 +39,7 @@ from .errors import (
 from .fluid import crossing_time
 from .numerics import dominant_eigen
 from .phase_type import SpectralParams, spectral_params
+from .simulator import OccupancyState
 
 EULER_MASCHERONI = 0.5772156649
 
@@ -64,11 +66,14 @@ def theorem1_bound(sub, alpha, N, nu_hint=None, w_max=None) -> float:
     by one entry (single transient state, the two-state exit chain) the two
     agree. Exact crossing time keeps the bound valid at every finite N.
     """
-    res = resolvent_quantities(sub, jump_matrix(sub), alpha)
     if w_max is None:
         w_max = float(np.max(expected_hitting_times(sub)))
     t_n = crossing_time(alpha, sub, 1.0 / N, nu_hint=nu_hint).time
-    return N * (t_n + res.mean_jumps + 2.0 * w_max)
+    return _theorem1(N, t_n, mean_jump_count(jump_matrix(sub), alpha), w_max)
+
+
+def _theorem1(N, t_n, mean_jumps, w_max):
+    return N * (t_n + mean_jumps + 2.0 * w_max)
 
 
 def theorem2_asymptotic(sp: SpectralParams, N) -> float:
@@ -319,10 +324,9 @@ def assemble_report(
         max_neg_qinv = None
         notes["max_neg_qinv"] = str(exc)
     w_max = float(np.max(W))
-    theorem1 = N * (t_n + mean_jumps + 2.0 * w_max)
-
-    occupancy_total = float(alpha.alpha @ W) * N  # sum_i W(x_i) for empirical alpha
-    theorem3 = N * occupancy_total
+    theorem1 = _theorem1(N, t_n, mean_jumps, w_max)
+    # The occupancy that simulate and compare run, so the bound covers it.
+    theorem3 = theorem3_bound(W, OccupancyState.from_alpha(alpha, N))
     t_cap = theorem4_cap if theorem4_cap is not None else w_max
     theorem4 = theorem4_bound(t_cap, N)
     if theorem4_cap is not None:

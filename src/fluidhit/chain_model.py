@@ -132,7 +132,19 @@ class SubGenerator:
             Q0 = np.asarray(Q0, dtype=float)
             if np.any(np.abs(row_sums + Q0) > 1e-9 * (1.0 + np.abs(diag))):
                 raise ValueError("row sums of Q plus Q0 must vanish")
-        _check_exit_reachability(Qc, Q0)
+        # Every transient state must reach an exit along positive rates: the
+        # same reverse BFS as validate_chain, on Q's support with the exits
+        # as edges into an extra state 0.
+        keep = (coo.row != coo.col) & (coo.data > 0)
+        exits = np.flatnonzero(Q0 > 0)
+        rows = np.concatenate([coo.row[keep], exits]) + 1
+        cols = np.concatenate([coo.col[keep] + 1, np.zeros(exits.size, dtype=int)])
+        support = sp.csr_array(
+            (np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1)
+        )
+        missing = np.flatnonzero(~_states_reaching_zero(support))
+        if missing.size:
+            raise NotTransient(int(missing[0]))
         return cls(Q=Qc, Q0=Q0)
 
 
@@ -245,26 +257,6 @@ def _states_reaching_zero(P):
     reached = np.zeros(n, dtype=bool)
     reached[order] = True
     return reached
-
-
-def _check_exit_reachability(Q, Q0):
-    n = Q.shape[0]
-    Qc = Q.tocsc()
-    reached = np.zeros(n, dtype=bool)
-    frontier = [int(i) for i in np.flatnonzero(Q0 > 0)]
-    reached[frontier] = True
-    while frontier:
-        nxt = []
-        for j in frontier:
-            start, stop = Qc.indptr[j], Qc.indptr[j + 1]
-            for i in Qc.indices[start:stop]:
-                if not reached[i] and i != j:
-                    reached[i] = True
-                    nxt.append(int(i))
-        frontier = nxt
-    missing = np.flatnonzero(~reached)
-    if missing.size:
-        raise NotTransient(int(missing[0]) + 1)
 
 
 def decompose(chain: AbsorbingChain) -> SubGenerator:

@@ -138,12 +138,6 @@ def _check_tied_population(example, N):
         )
 
 
-def _initial_occupancy(example, alpha, N):
-    if example is not None:
-        return example.initial_occupancy(N)
-    return OccupancyState.from_alpha(alpha, N)
-
-
 def _emit(text, path):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -205,7 +199,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     chain, alpha, example = _resolve_chain(cfg)
     _check_tied_population(example, cfg.N)
-    initial = _initial_occupancy(example, alpha, cfg.N)
+    initial = OccupancyState.from_alpha(alpha, cfg.N)
     result = estimate_hitting_time(
         chain, initial, cfg.runs, cfg.seed, skip=cfg.skip
     )
@@ -229,17 +223,15 @@ def cmd_compare(cfg: RunConfig) -> int:
     n_values = cfg.n_list or [cfg.N]
     rows = []
     violations = []
+    chain, alpha, example = _resolve_chain(cfg)
     for N in n_values:
-        source = cfg.chain_source
-        chain, alpha, example = _resolve_chain(cfg)
-        if example is not None and example.params.get("kind") == "fig3a":
+        tied = example.params.get("population") if example else None
+        if tied is not None and tied != N:
             # The fig3a chain is tied to its population; regenerate per N.
-            source = f"fig3a:{N},{example.params['T']}"
-            example = get_example(source)
+            example = get_example(f"fig3a:{N},{example.params['T']}")
             chain, alpha = example.chain, example.default_alpha
-        _check_tied_population(example, N)
         report = _report_for(cfg, chain, alpha, example, N)
-        initial = _initial_occupancy(example, alpha, N)
+        initial = OccupancyState.from_alpha(alpha, N)
         result = estimate_hitting_time(chain, initial, cfg.runs, cfg.seed, skip=cfg.skip)
         band = 3.0 * (result.stderr or 0.0)
         ok = True
@@ -298,7 +290,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     sim_buf = io.StringIO()
     writer = csv.writer(sim_buf)
     writer.writerow(("run", "t", "fraction_absorbed"))
-    initial = _initial_occupancy(example, alpha, cfg.N)
+    initial = OccupancyState.from_alpha(alpha, cfg.N)
     for run in range(cfg.samples):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, run)))
         sample = simulate_trajectory(chain, initial, grid, rng, skip=cfg.skip)

@@ -242,16 +242,14 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
         B = sp.csr_array(np.eye(n) + np.asarray(Q, dtype=float) / lam)
     B.eliminate_zeros()
 
-    n_comp, labels = connected_components(B, directed=True, connection="strong")
-    b_diag = B.diagonal()
-    rho = 0.0
-    for comp in range(n_comp):
+    _, labels = connected_components(B, directed=True, connection="strong")
+    sizes = np.bincount(labels)
+    # Singletons in one vectorized max: a per-component scan of the labels
+    # would be quadratic on chains with ~n singleton components.
+    rho = float(B.diagonal()[sizes[labels] == 1].max(initial=0.0))
+    for comp in np.flatnonzero(sizes > 1):
         idx = np.flatnonzero(labels == comp)
-        if idx.size == 1:
-            rho = max(rho, float(b_diag[idx[0]]))
-            continue
-        sub = B[idx, :][:, idx]
-        rho = max(rho, _perron_root(sub, tol, max_iter))
+        rho = max(rho, _perron_root(B[idx, :][:, idx], tol, max_iter))
     return lam * (rho - 1.0)
 
 

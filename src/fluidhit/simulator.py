@@ -45,11 +45,6 @@ class OccupancyState:
         return cls(N=N, counts={state: N})
 
     @classmethod
-    def from_counts(cls, counts):
-        counts = list(counts)
-        return cls(N=sum(counts), counts={s: c for s, c in enumerate(counts)})
-
-    @classmethod
     def from_alpha(cls, alpha: InitialDistribution, N):
         """Deterministic largest-remainder apportionment of N chains to states."""
         probs = np.concatenate([[alpha.mass0], alpha.alpha])
@@ -60,7 +55,7 @@ class OccupancyState:
             order = np.argsort(-(raw - base), kind="stable")
             for s in order[:deficit]:
                 base[s] += 1
-        return cls(N=N, counts={s: int(c) for s, c in enumerate(base) if c})
+        return cls(N=N, counts={int(s): int(base[s]) for s in np.flatnonzero(base)})
 
     @property
     def absorbed(self):
@@ -69,12 +64,6 @@ class OccupancyState:
     @property
     def fraction_absorbed(self):
         return self.absorbed / self.N
-
-    def counts_array(self, n_states):
-        out = np.zeros(n_states, dtype=int)
-        for s, c in self.counts.items():
-            out[s] = c
-        return out
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,6 @@ class SimulationResult:
     ci95: float | None
     runs: int
     seed: int
-    skipped_steps_accounting: bool
     failed_runs: int = 0
 
     def to_json_dict(self):
@@ -189,30 +177,42 @@ def step(chain: AbsorbingChain, state: OccupancyState, rng) -> OccupancyState:
     return OccupancyState(N=N, counts=counts)
 
 
-def _absorb_run(tables, initial: OccupancyState, rng, skip, max_steps):
-    """Steps until all N chains sit in state 0; exact geometric skip optional."""
+def _run(tables, initial: OccupancyState, rng, skip, max_steps, targets=()):
+    """The select-and-move loop behind run_to_absorption and simulate_trajectory.
+
+    Runs until every chain sits in state 0 or every step index in the sorted
+    list targets has passed. Returns the steps taken and the absorbed count
+    after each target step. With skip, selections of absorbed chains are
+    drawn in one geometric jump instead of one step at a time.
+    """
     N = initial.N
     counts = {s: c for s, c in initial.counts.items() if s != 0}
     absorbed = initial.absorbed
     active = N - absorbed
+    seen = []
+    pending = iter(targets)
+    nxt = next(pending, math.inf)
+    last = targets[-1] if targets else math.inf
     steps = 0
     uni = _Uniforms(rng)
     log = math.log
     log1p = math.log1p
-    while active > 0:
+    while active > 0 and steps < last:
+        if skip and absorbed:
+            # Steps until an active chain is selected: geometric(active/N).
+            new_steps = steps + int(log(uni.next_nonzero()) / log1p(-active / N)) + 1
+        else:
+            new_steps = steps + 1
+        if new_steps > max_steps:
+            raise MaxStepsExceeded(new_steps, OccupancyState(N=N, counts={0: absorbed, **counts}))
+        # Target steps before this move see the state the last move left.
+        while nxt < new_steps:
+            seen.append(absorbed)
+            nxt = next(pending, math.inf)
+        steps = new_steps
         if skip:
-            if absorbed:
-                # Steps until an active chain is selected: geometric(active/N).
-                steps += int(log(uni.next_nonzero()) / log1p(-active / N)) + 1
-            else:
-                steps += 1
-            if steps > max_steps:
-                raise MaxStepsExceeded(steps, OccupancyState(N=N, counts={0: absorbed, **counts}))
             r = uni.next() * active
         else:
-            steps += 1
-            if steps > max_steps:
-                raise MaxStepsExceeded(steps, OccupancyState(N=N, counts={0: absorbed, **counts}))
             r = uni.next() * N
             if r < absorbed:
                 continue
@@ -224,8 +224,7 @@ def _absorb_run(tables, initial: OccupancyState, rng, skip, max_steps):
             x = s
             if r < acc:
                 break
-        tab = tables.row(x)
-        y = _pick_destination(tab, uni.next())
+        y = _pick_destination(tables.row(x), uni.next())
         if y != x:
             c = counts[x] - 1
             if c:
@@ -237,7 +236,8 @@ def _absorb_run(tables, initial: OccupancyState, rng, skip, max_steps):
                 active -= 1
             else:
                 counts[y] = counts.get(y, 0) + 1
-    return steps
+    seen.extend([absorbed] * (len(targets) - len(seen)))
+    return steps, seen
 
 
 def run_to_absorption(
@@ -252,9 +252,7 @@ def run_to_absorption(
     Raises MaxStepsExceeded (with the steps consumed and the final counts)
     when the cap is hit first.
     """
-    if initial.absorbed == initial.N:
-        return 0
-    return _absorb_run(_RowTables(chain), initial, rng, skip, max_steps)
+    return _run(_RowTables(chain), initial, rng, skip, max_steps)[0]
 
 
 def _replication_rng(seed, rep):
@@ -267,7 +265,7 @@ def _run_block(chain, initial, seed, reps, skip, max_steps):
     for rep in reps:
         rng = _replication_rng(seed, rep)
         try:
-            out.append((rep, _absorb_run(tables, initial, rng, skip, max_steps)))
+            out.append((rep, _run(tables, initial, rng, skip, max_steps)[0]))
         except MaxStepsExceeded:
             out.append((rep, None))
     return out
@@ -330,7 +328,6 @@ def estimate_hitting_time(
         ci95=ci95,
         runs=runs,
         seed=seed,
-        skipped_steps_accounting=skip,
         failed_runs=failed,
     )
 
@@ -349,93 +346,7 @@ def simulate_trajectory(
         raise ValueError("rescaled grid must be nonnegative and nondecreasing")
     N = initial.N
     targets = [int(math.floor(t * N)) for t in grid]
-    fractions = np.empty(len(targets))
-
-    tables = _RowTables(chain)
-    counts = {s: c for s, c in initial.counts.items() if s != 0}
-    absorbed = initial.absorbed
-    active = N - absorbed
-    steps = 0
-    ptr = 0
-    uni = _Uniforms(rng)
-    while ptr < len(targets) and active > 0:
-        if skip and absorbed:
-            new_steps = steps + int(
-                math.log(uni.next_nonzero()) / math.log1p(-active / N)
-            ) + 1
-        else:
-            new_steps = steps + 1
-        if new_steps > max_steps:
-            raise MaxStepsExceeded(new_steps, OccupancyState(N=N, counts={0: absorbed, **counts}))
-        while ptr < len(targets) and targets[ptr] < new_steps:
-            fractions[ptr] = absorbed / N
-            ptr += 1
-        steps = new_steps
-        if not skip:
-            r = uni.next() * N
-            if r < absorbed:
-                while ptr < len(targets) and targets[ptr] == steps:
-                    fractions[ptr] = absorbed / N
-                    ptr += 1
-                continue
-            r -= absorbed
-        else:
-            r = uni.next() * active
-        acc = 0
-        x = 0
-        for s, c in counts.items():
-            acc += c
-            x = s
-            if r < acc:
-                break
-        y = _pick_destination(tables.row(x), uni.next())
-        if y != x:
-            c = counts[x] - 1
-            if c:
-                counts[x] = c
-            else:
-                del counts[x]
-            if y == 0:
-                absorbed += 1
-                active -= 1
-            else:
-                counts[y] = counts.get(y, 0) + 1
-        while ptr < len(targets) and targets[ptr] == steps:
-            fractions[ptr] = absorbed / N
-            ptr += 1
-    while ptr < len(targets):
-        fractions[ptr] = absorbed / N
-        ptr += 1
-    return TrajectorySample(rescaled_times=grid, m0_fractions=fractions)
-
-
-def marginal_absorption_samples(
-    chain: AbsorbingChain,
-    alpha: InitialDistribution,
-    N,
-    runs,
-    rng,
-) -> np.ndarray:
-    """Absorption steps of one tagged chain inside the N-chain system.
-
-    The tagged chain is selected with probability 1/N at every step and then
-    moves by its own P-row, independently of the other chains; the waiting
-    time between selections is geometric and sampled in one shot. The sample
-    law is the discrete phase-type distribution of parameters
-    (alpha, I + Q/N): the empirical survival at k estimates
-    alpha (I + Q/N)^k 1.
-    """
-    tables = _RowTables(chain)
-    n_transient = chain.n_transient
-    cum_alpha = np.cumsum(np.concatenate([[alpha.mass0], alpha.alpha]))
-    out = np.empty(runs, dtype=np.int64)
-    for r in range(runs):
-        u = rng.random()
-        state = int(np.searchsorted(cum_alpha, u, side="right"))
-        state = min(state, n_transient)
-        steps = 0
-        while state != 0:
-            steps += int(rng.geometric(1.0 / N)) if N > 1 else 1
-            state = _pick_destination(tables.row(state), rng.random())
-        out[r] = steps
-    return out
+    _, absorbed = _run(_RowTables(chain), initial, rng, skip, max_steps, targets)
+    return TrajectorySample(
+        rescaled_times=grid, m0_fractions=np.asarray(absorbed, dtype=float) / N
+    )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fluidhit import (
+    InitialDistribution,
     OccupancyState,
     SpectralParams,
     assemble_report,
@@ -24,6 +25,7 @@ from fluidhit import (
     theorem4_bound,
     tightness_reference,
     tN_asymptotic,
+    validate_chain,
 )
 from fluidhit.errors import GammaMissing, InconsistentBounds
 
@@ -223,6 +225,16 @@ def test_assemble_report_fig3a():
     assert report.theorem3 == pytest.approx(200.0)
     assert report.lower_bounds[0][1] == pytest.approx(95.62, abs=0.01)
     assert report.w_max == pytest.approx(100.0)
+
+
+def test_assemble_report_theorem3_uses_simulated_occupancy():
+    # W = (4, 2); N = 3 with alpha = (1/2, 1/2) runs the occupancy {1: 2, 2: 1},
+    # so N sum_i W(x_i) = 3 (2*4 + 2) = 30, above N^2 (alpha @ W) = 27.
+    chain = validate_chain([[1, 0, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]])
+    alpha = InitialDistribution(alpha=np.array([0.5, 0.5]))
+    assert OccupancyState.from_alpha(alpha, 3).counts == {1: 2, 2: 1}
+    report = assemble_report(chain, alpha, 3)
+    assert report.theorem3 == 30.0
 
 
 def test_assemble_report_consistency_violation():

@@ -114,6 +114,21 @@ def test_from_matrix_requires_exit_path():
     # Conservative rows (zero exit) with no route to an exiting state.
     with pytest.raises(NotTransient):
         SubGenerator.from_matrix([[-1.0, 1.0], [1.0, -1.0]])
+    # A stored zero is not a rate: row 1 keeps an explicit 0 at column 0,
+    # so states 2 and 3 only reach each other, in either storage form.
+    Q = sp.csr_array(
+        (
+            np.array([-1.0, 0.0, -1.0, 1.0, 1.0, -1.0]),
+            np.array([0, 0, 1, 2, 1, 2]),
+            np.array([0, 1, 4, 6]),
+        ),
+        shape=(3, 3),
+    )
+    assert Q.nnz == 6
+    for form in (Q, Q.toarray()):
+        with pytest.raises(NotTransient) as exc:
+            SubGenerator.from_matrix(form)
+        assert exc.value.state == 2
 
 
 def test_jump_matrix_single_state():

@@ -6,14 +6,10 @@ import pytest
 from fluidhit import (
     InitialDistribution,
     OccupancyState,
-    PhaseType,
-    decompose,
-    discrete_survival,
     estimate_hitting_time,
     gen_fig3b,
     gen_tstage,
     harmonic_number,
-    marginal_absorption_samples,
     run_to_absorption,
     simulate_trajectory,
     step,
@@ -192,35 +188,22 @@ def test_trajectory_absorbed_tail_stays_one():
     assert sample.m0_fractions[-1] == 1.0
 
 
-def test_marginal_samples_classical_geometric():
-    chain = gen_tstage(1).chain
-    alpha = InitialDistribution.point(1, 1)
-    rng = np.random.default_rng(31)
-    samples = marginal_absorption_samples(chain, alpha, 4, 100_000, rng)
-    assert np.mean(samples) == pytest.approx(4.0, rel=0.03)
-
-
-def test_marginal_samples_tstage2_single():
-    ex = gen_tstage(2)
-    rng = np.random.default_rng(32)
-    samples = marginal_absorption_samples(ex.chain, ex.default_alpha, 1, 200, rng)
-    assert np.all(samples == 2)
-
-
-def test_marginal_samples_match_discrete_survival():
-    ex = gen_fig3b(2)
-    sub = decompose(ex.chain)
-    N = 7
-    pt = PhaseType.discrete(ex.default_alpha, sub, N)
-    rng = np.random.default_rng(33)
-    n = 40_000
-    samples = marginal_absorption_samples(ex.chain, ex.default_alpha, N, n, rng)
-    for q in range(1, 10):
-        k = int(np.quantile(samples, q / 10))
-        emp = float(np.mean(samples > k))
-        ref = discrete_survival(pt, k)
-        stderr = math.sqrt(max(ref * (1 - ref), 1e-12) / n)
-        assert abs(emp - ref) <= 3 * stderr + 1e-9
+def test_trajectory_reads_one_at_the_absorption_step():
+    # Same seed, same loop: with a grid at every step k/N the trajectory
+    # first reads 1.0 exactly at the step run_to_absorption returns.
+    for ex, N in ((gen_tstage(1), 20), (gen_tstage(2), 12), (gen_fig3b(3), 10)):
+        initial = ex.initial_occupancy(N)
+        for skip in (True, False):
+            for seed in range(20):
+                steps = run_to_absorption(
+                    ex.chain, initial, np.random.default_rng(seed), skip=skip
+                )
+                grid = np.arange(steps + N + 1) / N
+                assert np.array_equal(np.floor(grid * N), np.arange(grid.size))
+                sample = simulate_trajectory(
+                    ex.chain, initial, grid, np.random.default_rng(seed), skip=skip
+                )
+                assert int(np.argmax(sample.m0_fractions == 1.0)) == steps
 
 
 def test_classical_harmonic_mean():
