@@ -6,11 +6,15 @@ import pytest
 from fluidhit import (
     InitialDistribution,
     OccupancyState,
+    PhaseType,
+    decompose,
+    discrete_survival,
     estimate_hitting_time,
     gen_fig3b,
     gen_tstage,
     harmonic_number,
     run_to_absorption,
+    sample_absorption_step,
     simulate_trajectory,
     step,
     validate_chain,
@@ -204,6 +208,24 @@ def test_trajectory_reads_one_at_the_absorption_step():
                     ex.chain, initial, grid, np.random.default_rng(seed), skip=skip
                 )
                 assert int(np.argmax(sample.m0_fractions == 1.0)) == steps
+
+
+def test_marginal_samples_match_discrete_survival():
+    # The marginal absorption step of one chain among N, drawn by the
+    # phase-type sampler, follows the discrete survival function.
+    ex = gen_fig3b(2)
+    sub = decompose(ex.chain)
+    N = 7
+    pt = PhaseType.discrete(ex.default_alpha, sub, N)
+    rng = np.random.default_rng(33)
+    n = 40_000
+    samples = np.array([sample_absorption_step(pt, rng) for _ in range(n)])
+    for q in range(1, 10):
+        k = int(np.quantile(samples, q / 10))
+        emp = float(np.mean(samples > k))
+        ref = discrete_survival(pt, k)
+        stderr = math.sqrt(max(ref * (1 - ref), 1e-12) / n)
+        assert abs(emp - ref) <= 3 * stderr + 1e-9
 
 
 def test_classical_harmonic_mean():
