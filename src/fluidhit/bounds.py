@@ -15,7 +15,7 @@ coupon problem round out the report. Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fluid import crossing_time
 from .numerics import dominant_eigen
-from .phase_type import SpectralParams, spectral_params
+from .phase_type import SpectralParams, _fit_gamma, spectral_params
 from .simulator import OccupancyState
 
 EULER_MASCHERONI = 0.5772156649
@@ -294,17 +294,6 @@ def assemble_report(
         sp = spectral_params(
             sub,
             cluster_tol=cluster_tol,
-            estimate_gamma=estimate_gamma,
-            alpha=alpha if estimate_gamma else None,
-            nu_override=nu_override,
-            k_override=k_override,
-        )
-        nu, k, gamma = sp.nu, sp.k, sp.gamma
-    except DegenerateTail as exc:
-        notes["gamma"] = f"gamma fit failed: {exc}"
-        sp = spectral_params(
-            sub,
-            cluster_tol=cluster_tol,
             nu_override=nu_override,
             k_override=k_override,
         )
@@ -315,6 +304,12 @@ def assemble_report(
         notes["spectral"] = f"multiplicity skipped: {exc}"
         nu = -dominant_eigen(sub.Q)
         sp = None
+    if sp is not None and estimate_gamma:
+        try:
+            gamma = _fit_gamma(sub, alpha, nu, k)
+            sp = replace(sp, gamma=gamma)
+        except DegenerateTail as exc:
+            notes["gamma"] = f"gamma fit failed: {exc}"
 
     t_n = crossing_time(alpha, sub, 1.0 / N, nu_hint=nu).time
     mean_jumps = res.mean_jumps

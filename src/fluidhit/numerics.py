@@ -65,16 +65,42 @@ def solve_linear(A, b):
     return x
 
 
-def _neg_diagonal(Q):
-    if sp.issparse(Q):
-        d = -Q.diagonal()
-    else:
-        d = -np.diag(np.asarray(Q, dtype=float))
-    return np.asarray(d, dtype=float)
+def _uniformization_rate(Q):
+    d = Q.diagonal() if sp.issparse(Q) else np.diag(np.asarray(Q, dtype=float))
+    return _UNIFORMIZATION_SLACK * float(np.max(-d))
 
 
 def _poisson_log_weight(n, mu):
     return -mu + n * math.log(mu) - math.lgamma(n + 1)
+
+
+def _uniformized(Q, c):
+    """B = I + Q/c: CSR for sparse Q, a dense array otherwise."""
+    n = Q.shape[0]
+    if sp.issparse(Q):
+        return sp.csr_array(sp.eye(n, format="csr") + Q.tocsr() * (1.0 / c))
+    return np.eye(n) + np.asarray(Q, dtype=float) / c
+
+
+def _row_iterates(B, v):
+    """Yield the row iterates v, vB, vB^2, ... without end.
+
+    On a sparse B with more than 2000 states, a v with at most 1/8 of its
+    entries nonzero stays a sparse row until more than 1/4 are filled (the
+    countdown chains touch a thin band of states). Dense iterates are B^T u
+    with B^T taken once: u @ B on scipy sparse B transposes every product.
+    """
+    n = v.shape[0]
+    if sp.issparse(B) and n > 2000 and np.count_nonzero(v) <= n // 8:
+        u = sp.csr_array(v.reshape(1, -1))
+        while u.nnz <= n // 4:
+            yield u
+            u = u @ B
+        v = u.toarray().ravel()
+    Bt = B.T
+    while True:
+        yield v
+        v = Bt @ v
 
 
 def expm_action(Q, v, t, tol=1e-12):
@@ -93,57 +119,33 @@ def expm_action(Q, v, t, tol=1e-12):
     if t < 0:
         raise ValueError("t must be nonnegative")
     v = np.asarray(v, dtype=float)
-    n_states = v.shape[0]
-    if t == 0.0:
+    lam = _uniformization_rate(Q)
+    if t == 0.0 or lam <= 0.0:
+        # exp(Q 0) = I, and exp(Qt) = I for the zero generator.
         return v.copy()
-
-    diag = _neg_diagonal(Q)
-    lam = _UNIFORMIZATION_SLACK * float(np.max(diag))
-    if lam <= 0.0:
-        # Zero generator: exp(Qt) = I.
-        return v.copy()
-
-    sparse = sp.issparse(Q)
-    if sparse:
-        B = sp.eye(n_states, format="csr") + Q.tocsr() * (1.0 / lam)
-    else:
-        B = np.eye(n_states) + np.asarray(Q, dtype=float) / lam
 
     mu = lam * t
     log_space = mu > 700.0
-    # Keep the iterate sparse when the generator is large and v nearly empty;
-    # the countdown chains touch only a thin band of states.
-    use_sparse_vec = sparse and n_states > 2000 and np.count_nonzero(v) <= n_states // 8
-    if use_sparse_vec:
-        u = sp.csr_array(v.reshape(1, -1))
-        acc = sp.csr_array((1, n_states))
-    else:
-        u = v.copy()
-        acc = np.zeros(n_states)
-
-    w = math.exp(-mu) if not log_space else 0.0
-    cum = w
-    if w > 0.0:
-        acc = acc + w * u
-    n = 0
     n_cap = int(mu + 60.0 * math.sqrt(mu + 1.0) + 1000.0)
-    while cum < 1.0 - tol and n < n_cap:
-        n += 1
-        u = u @ B
-        if use_sparse_vec and u.nnz > n_states // 4:
-            u = np.asarray(u.todense()).ravel()
-            acc = np.asarray(acc.todense()).ravel()
-            use_sparse_vec = False
-        if log_space:
+    cum = 0.0
+    for n, u in enumerate(_row_iterates(_uniformized(Q, lam), v)):
+        if n == 0:
+            acc = 0.0 * u
+            w = 0.0 if log_space else math.exp(-mu)
+        elif log_space:
             lw = _poisson_log_weight(n, mu)
             w = math.exp(lw) if lw > -745.0 else 0.0
         else:
             w = w * mu / n
+        if sp.issparse(acc) and not sp.issparse(u):
+            acc = acc.toarray().ravel()
         if w > 0.0:
             acc = acc + w * u
         cum += w
+        if cum >= 1.0 - tol or n >= n_cap:
+            break
     if sp.issparse(acc):
-        acc = np.asarray(acc.todense()).ravel()
+        acc = acc.toarray().ravel()
     np.maximum(acc, 0.0, out=acc)
     return acc
 
@@ -187,25 +189,22 @@ def eigen_spectrum(A, cluster_tol=None):
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
 
-    # Transitive clustering by union-find over pairs within cluster_tol.
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= cluster_tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    # Equal values share a cluster; pairs of distinct values within tol are
+    # taken from a window over the sorted real parts (|Re a - Re b| <= tol),
+    # and the components of their graph are the transitive clusters.
+    distinct, inverse = np.unique(vals, return_inverse=True)
+    m = distinct.size
+    ends = np.searchsorted(distinct.real, distinct.real + cluster_tol, side="right")
+    counts = ends - np.arange(1, m + 1)
+    i = np.repeat(np.arange(m), counts)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    near = np.abs(distinct[i] - distinct[j]) <= cluster_tol
+    pairs = sp.coo_array((np.ones(near.sum()), (i[near], j[near])), shape=(m, m))
+    labels = connected_components(pairs, directed=False)[1][inverse]
 
     groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(vals[i])
+    for label, value in zip(labels, vals):
+        groups.setdefault(label, []).append(value)
     clustered = []
     for members in groups.values():
         mean = complex(np.mean(members))
@@ -231,36 +230,35 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
 
     Raises SlowConvergence with the current estimate once max_iter is hit.
     """
-    diag = _neg_diagonal(Q)
-    n = diag.shape[0]
-    lam = _UNIFORMIZATION_SLACK * float(np.max(diag))
+    lam = _uniformization_rate(Q)
     if lam <= 0.0:
         return 0.0
-    if sp.issparse(Q):
-        B = sp.csr_array(sp.eye(n, format="csr") + Q.tocsr() * (1.0 / lam))
-    else:
-        B = sp.csr_array(np.eye(n) + np.asarray(Q, dtype=float) / lam)
+    B = sp.csr_array(_uniformized(Q, lam))
     B.eliminate_zeros()
 
     _, labels = connected_components(B, directed=True, connection="strong")
     sizes = np.bincount(labels)
-    # Singletons in one vectorized max: a per-component scan of the labels
-    # would be quadratic on chains with ~n singleton components.
+    # Singletons in one vectorized max; the other components are diagonal
+    # blocks of B permuted by one stable sort of their labels.
     rho = float(B.diagonal()[sizes[labels] == 1].max(initial=0.0))
-    for comp in np.flatnonzero(sizes > 1):
-        idx = np.flatnonzero(labels == comp)
-        rho = max(rho, _perron_root(B[idx, :][:, idx], tol, max_iter))
+    states = np.flatnonzero(sizes[labels] > 1)
+    states = states[np.argsort(labels[states], kind="stable")]
+    B = B[states][:, states]
+    big = sizes[sizes > 1]
+    for size, end in zip(big, np.cumsum(big)):
+        block = slice(end - size, end)
+        rho = max(rho, _perron_root(B[block, block].T, tol, max_iter))
     return lam * (rho - 1.0)
 
 
-def _perron_root(B, tol, max_iter):
-    """Perron root of an irreducible nonnegative matrix with positive diagonal."""
-    m = B.shape[0]
+def _perron_root(Bt, tol, max_iter):
+    """Perron root of an irreducible nonnegative B with positive diagonal."""
+    m = Bt.shape[0]
     w = np.full(m, 1.0 / m)
     est = 1.0
     spread = math.inf
     for _ in range(max_iter):
-        wb = w @ B
+        wb = Bt @ w
         ratios = wb / w
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         est = 0.5 * (lo + hi)

@@ -12,22 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chain_model import InitialDistribution, SubGenerator
 from .errors import DegenerateTail, ScaleTooSmall
 from .fluid import crossing_time, transient_survival
-from .numerics import dominant_eigen, eigen_spectrum
+from .numerics import _row_iterates, _uniformized, dominant_eigen, eigen_spectrum
 
 # Radius base for multiplicity detection: a defective eigenvalue of
 # multiplicity m computed with backward error eta scatters over a disk of
 # radius about eta^(1/m), so the clustering radius has to grow with the
 # candidate multiplicity.
 _CLUSTER_BASE = 1e-10
-
-_SPARSE_VECTOR_MIN_STATES = 2000
 
 
 @dataclass(frozen=True)
@@ -93,32 +91,14 @@ def continuous_survival(pt: PhaseType, t) -> float:
     return transient_survival(pt.alpha, pt.sub, t)
 
 
-def _discrete_step_matrix(pt):
-    n = pt.sub.n_transient
-    return sp.csr_array(
-        sp.eye(n, format="csr") + pt.sub.Q.tocsr() * (1.0 / pt.scale)
-    )
-
-
 def discrete_survival(pt: PhaseType, k) -> float:
     """P(X >= k) = alpha (I + Q/N)^k 1 for the discrete kind."""
     if pt.scale is None:
         raise ValueError("discrete_survival needs a discrete phase type")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    B = _discrete_step_matrix(pt)
-    n = pt.sub.n_transient
-    v = pt.alpha.alpha
-    sparse_vec = n > _SPARSE_VECTOR_MIN_STATES and np.count_nonzero(v) <= n // 8
-    if sparse_vec:
-        u = sp.csr_array(v.reshape(1, -1))
-        for _ in range(int(k)):
-            u = u @ B
-        return float(u.sum())
-    u = v.copy()
-    for _ in range(int(k)):
-        u = u @ B
-    return float(np.sum(u))
+    iterates = _row_iterates(_uniformized(pt.sub.Q, pt.scale), pt.alpha.alpha)
+    return float(next(islice(iterates, int(k), None)).sum())
 
 
 def x_threshold(pt: PhaseType) -> int:
@@ -132,22 +112,12 @@ def x_threshold(pt: PhaseType) -> int:
     if pt.scale is None:
         raise ValueError("x_threshold needs a discrete phase type")
     target = 2.0 / pt.scale
-    n = pt.sub.n_transient
-    v = pt.alpha.alpha
-    surv = float(np.sum(v))
-    if surv <= target:
-        return 0
-    B = _discrete_step_matrix(pt)
-    sparse_vec = n > _SPARSE_VECTOR_MIN_STATES and np.count_nonzero(v) <= n // 8
-    u = sp.csr_array(v.reshape(1, -1)) if sparse_vec else v.copy()
-    k = 0
-    while surv > target:
-        k += 1
-        u = u @ B
-        surv = float(u.sum()) if sparse_vec else float(np.sum(u))
+    iterates = _row_iterates(_uniformized(pt.sub.Q, pt.scale), pt.alpha.alpha)
+    for k, u in enumerate(iterates):
         if k > 10**8:
             raise RuntimeError("x_threshold scan exceeded 1e8 steps")
-    return k
+        if float(u.sum()) <= target:
+            return k
 
 
 @dataclass(frozen=True)
@@ -185,13 +155,16 @@ def spectral_params(
     chains); k counts eigenvalues near -nu. With cluster_tol = None the
     counting radius grows with the candidate multiplicity m as
     ||Q|| * 1e-10^(1/m), matching how a defective eigenvalue scatters under
-    rounding; pass an explicit cluster_tol to force a fixed radius. Both
-    values can be overridden when known exactly.
+    rounding, and the mean of the m nearest eigenvalues must stay within
+    ||Q|| * 1e-10 of -nu; pass an explicit cluster_tol to force a fixed
+    radius. Both values can be overridden when known exactly.
 
     Raises DegenerateTail when a requested gamma fit finds no usable overlap
     between alpha and the dominant eigenspace.
     """
-    n = sub.n_transient
+    # The dense spectrum first: past the dense cap, DimensionTooLarge comes
+    # before the Perron iteration for nu has run.
+    dense_q = sub.dense_q() if k_override is None else None
     if nu_override is not None:
         nu = float(nu_override)
         source = "user-supplied"
@@ -203,19 +176,23 @@ def spectral_params(
         k = int(k_override)
         source = "user-supplied"
     else:
-        dense_q = sub.dense_q()
         report = eigen_spectrum(dense_q, cluster_tol=cluster_tol)
         raw = np.concatenate([[val] * mult for val, mult in report.eigenvalues])
         dists = np.abs(raw + nu)
-        norm = max(float(np.max(np.abs(dense_q).sum(axis=1))), 1.0)
         if cluster_tol is not None:
             mult = int(np.sum(dists <= cluster_tol))
         else:
-            mult = 1
-            for m in range(1, n + 1):
-                radius = norm * _CLUSTER_BASE ** (1.0 / m)
-                if int(np.sum(dists <= radius)) >= m:
-                    mult = m
+            # The m eigenvalues nearest -nu must also keep their mean within
+            # ||Q|| 1e-10 of -nu: a defective eigenvalue's scattered copies do
+            # (the trace is preserved), distinct eigenvalues far off do not.
+            norm = max(float(np.max(np.abs(dense_q).sum(axis=1))), 1.0)
+            order = np.argsort(dists, kind="stable")
+            m = np.arange(1, dists.size + 1)
+            means = np.cumsum(raw[order]) / m
+            ok = (dists[order] <= norm * _CLUSTER_BASE ** (1.0 / m)) & (
+                np.abs(means + nu) <= norm * _CLUSTER_BASE
+            )
+            mult = int(m[ok].max(initial=1))
         k = max(mult, 1) - 1
 
     gamma = None

@@ -1,9 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import fluidhit
 from fluidhit import (
     InitialDistribution,
     OccupancyState,
@@ -235,6 +237,39 @@ def test_assemble_report_theorem3_uses_simulated_occupancy():
     assert OccupancyState.from_alpha(alpha, 3).counts == {1: 2, 2: 1}
     report = assemble_report(chain, alpha, 3)
     assert report.theorem3 == 30.0
+
+
+def test_assemble_report_computes_the_spectrum_once(monkeypatch):
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    dominant = counted(fluidhit.numerics.dominant_eigen)
+    monkeypatch.setattr(fluidhit.bounds, "dominant_eigen", dominant)
+    monkeypatch.setattr(fluidhit.phase_type, "dominant_eigen", dominant)
+    monkeypatch.setattr(
+        fluidhit.phase_type, "eigen_spectrum", counted(fluidhit.numerics.eigen_spectrum)
+    )
+    # 2,501 transient states: past the dense cap, so k is skipped.
+    ex = gen_fig3a(50, 2)
+    report = assemble_report(ex.chain, ex.default_alpha, 50)
+    assert "spectral" in report.notes and report.k is None
+    assert calls == {"dominant_eigen": 1}
+
+    # Q = diag(-1/2, -1) with alpha on the fast state, as in
+    # test_gamma_degenerate_tail: the gamma fit fails, nu and k stand.
+    calls.clear()
+    chain = validate_chain([[1, 0, 0], [0.5, 0.5, 0], [1, 0, 0]])
+    alpha = InitialDistribution(alpha=np.array([0.0, 1.0]))
+    report = assemble_report(chain, alpha, 10, estimate_gamma=True)
+    assert "gamma" in report.notes and report.gamma is None
+    assert (report.nu, report.k) == (pytest.approx(0.5), 0)
+    assert calls == {"dominant_eigen": 1, "eigen_spectrum": 1}
 
 
 def test_assemble_report_consistency_violation():

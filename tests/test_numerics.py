@@ -161,6 +161,16 @@ def test_eigen_permutation_similarity_invariance():
         assert np.allclose(vals1, vals2, atol=1e-7)
 
 
+def test_eigen_clusters_transitively():
+    # The ends are 1.2 tol apart, but each neighbour is within tol.
+    tol = 1e-6
+    report = eigen_spectrum(np.diag([-1.0, -1.0 - 0.6 * tol, -1.0 - 1.2 * tol]), cluster_tol=tol)
+    assert len(report.eigenvalues) == 1
+    value, mult = report.eigenvalues[0]
+    assert mult == 3
+    assert value.real == pytest.approx(-1.0 - 0.6 * tol, abs=1e-15)
+
+
 def test_eigen_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         eigen_spectrum(sp.eye(2001, format="csr") * -1.0)
@@ -191,3 +201,13 @@ def test_dominant_matches_dense_spectrum():
         lead = dominant_eigen(sub.Q, tol=tol)
         dense = eigen_spectrum(sub.dense_q()).dominant_real
         assert abs(lead - dense) <= 10 * tol
+    # 300 two-state cycles, each its own strongly connected component.
+    m = 300
+    a, b, e = rng.uniform(0.2, 0.6, size=(3, m))
+    Q = np.zeros((2 * m, 2 * m))
+    for c in range(m):
+        i, j = 2 * c, 2 * c + 1
+        Q[i, j], Q[j, i] = a[c], b[c]
+        Q[i, i], Q[j, j] = -(a[c] + e[c]), -(b[c] + 0.5 * e[c])
+    lead = dominant_eigen(sp.csr_array(Q), tol=tol)
+    assert abs(lead - np.max(np.linalg.eigvals(Q).real)) <= 10 * tol

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fluidhit import (
     InitialDistribution,
@@ -11,6 +12,7 @@ from fluidhit import (
     crossing_time,
     decompose,
     discrete_survival,
+    expm_action,
     gen_fig3a,
     gen_fig3b,
     gen_tstage,
@@ -76,6 +78,31 @@ def test_x_threshold_matches_naive_scan():
     assert discrete_survival(pt, value - 1) > target
 
 
+def test_sparse_row_switch_matches_dense_matrix():
+    # 2001 states: the first iterate is a sparse row (1 state of 2001), the
+    # second fills 601 > 2001/4 states and is stepped densely from there.
+    n, N = 2001, 20
+    Q = sp.lil_array((n, n))
+    Q.setdiag(-1.0)
+    Q[0, 1:602] = 1.0 / 601
+    for i in range(1, n - 1):
+        Q[i, i + 1] = 0.5
+    sub = SubGenerator.from_matrix(sp.csr_array(Q))
+    alpha = InitialDistribution(alpha=np.eye(n)[0])
+    pt = PhaseType.discrete(alpha, sub, N)
+
+    B = np.eye(n) + Q.toarray() / N
+    dense = [alpha.alpha]
+    while dense[-1].sum() > 2.0 / N:
+        dense.append(dense[-1] @ B)
+    assert x_threshold(pt) == len(dense) - 1
+    for k in (1, 2, 7, len(dense) - 1):
+        assert discrete_survival(pt, k) == pytest.approx(dense[k].sum(), rel=1e-12)
+    for t in (0.5, 3.0):
+        got = expm_action(sub.Q, alpha.alpha, t)
+        assert got == pytest.approx(expm_action(Q.toarray(), alpha.alpha, t), rel=1e-12, abs=1e-15)
+
+
 def test_spectral_tstage():
     for T in (1, 2, 3, 4, 5):
         sp = spectral_params(decompose(gen_tstage(T).chain))
@@ -108,6 +135,22 @@ def test_gamma_fit_pure_exponential():
     assert sp.nu == pytest.approx(1.0, abs=1e-9)
     assert sp.k == 0
     assert sp.gamma == pytest.approx(1.0, rel=0.05)
+
+
+def test_spectral_simple_root_of_dense_random_chain():
+    # Every row of the dense random block sums to 1 - nu, so Q 1 = -nu 1 and
+    # the survival is exactly exp(-nu t); -nu is a simple eigenvalue and the
+    # other 59 lie far from it.
+    S, nu = 60, 2.0 / 61
+    rng = np.random.default_rng(501)
+    T = rng.exponential(size=(S, S))
+    T *= (1.0 - nu) / T.sum(axis=1, keepdims=True)
+    sub = SubGenerator.from_matrix(T - np.eye(S))
+    alpha = InitialDistribution(alpha=np.full(S, 1.0 / S))
+    sp = spectral_params(sub, estimate_gamma=True, alpha=alpha)
+    assert sp.nu == pytest.approx(nu, rel=1e-9)
+    assert sp.k == 0
+    assert sp.gamma == pytest.approx(nu, rel=1e-6)
 
 
 def test_gamma_degenerate_tail():
