@@ -11,7 +11,6 @@ from .bounds import (
     theorem3_bound,
     theorem3_uniform_cap,
     theorem4_bound,
-    tightness_reference,
     tN_asymptotic,
 )
 from .chain_model import (

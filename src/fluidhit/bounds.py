@@ -8,8 +8,9 @@ Upper bounds:
 Trend-only values (never asserted as certified bounds):
   theorem2  (1/nu) N log N + (k/nu) N log log N, leading terms only;
   t_N       (1/nu)(log(gamma N) + k log log N - k log nu) when gamma known.
-Reference values for the two tightness chains and for the multi-collection
-coupon problem round out the report. Natural logarithms throughout.
+The multi-collection coupon bound rounds out the module; the reference
+values of the named chains belong to their generators (examples). Natural
+logarithms throughout.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -117,25 +117,6 @@ def theorem4_bound(T, N) -> float:
     return T * N * math.log(N) + 2.0 * N * T + 1.0
 
 
-class TightnessReference(NamedTuple):
-    kind: str  # "lower" or "exact"
-    value: float
-
-
-def tightness_reference(example, N, T) -> TightnessReference:
-    """Reference formulas for the two tightness chains.
-
-    "fig3a": lower bound N^3 (T-1) (1 - (1 - 1/N^2)^N) on E[T_N];
-    "fig3b": exact E[T_N] = N T H_N.
-    """
-    if example == "fig3a":
-        hit = -math.expm1(N * math.log1p(-1.0 / (N * N)))
-        return TightnessReference("lower", N**3 * (T - 1) * hit)
-    if example == "fig3b":
-        return TightnessReference("exact", N * T * harmonic_number(N))
-    raise ValueError(f"unknown tightness example {example!r}")
-
-
 def coupon_bound(T, N) -> float:
     """Bound for collecting T copies of each of N coupons:
     N ln N + (T-1) N ln ln N + (T+2) N."""
@@ -201,7 +182,7 @@ class BoundReport:
         if self.theorem4 is not None:
             out["theorem4"] = entry(
                 self.theorem4,
-                self.notes.get("theorem4", "finite-N upper bound, T = max W"),
+                "finite-N upper bound, T = max W",
                 "T N ln N + 2 N T + 1",
             )
         if self.theorem2_asymptotic is not None:
@@ -226,9 +207,8 @@ class BoundReport:
             out[f"lower_{name}"] = entry(value, "lower bound", name)
         if self.exact is not None:
             out["exact"] = entry(self.exact, "closed form", "exact E[T_N]")
-        for key, note in self.notes.items():
-            if key not in ("theorem4",):
-                out.setdefault("notes", {})[key] = note
+        if self.notes:
+            out["notes"] = dict(self.notes)
         return out
 
     CSV_FIELDS = (
@@ -274,7 +254,6 @@ def assemble_report(
     cluster_tol=None,
     nu_override=None,
     k_override=None,
-    theorem4_cap=None,
 ) -> BoundReport:
     """Compute every applicable bound; failures degrade per entry.
 
@@ -302,7 +281,7 @@ def assemble_report(
         # The multiplicity needs the dense spectrum, but nu is still cheap
         # through the Perron route on the sparse matrix.
         notes["spectral"] = f"multiplicity skipped: {exc}"
-        nu = -dominant_eigen(sub.Q)
+        nu = float(nu_override) if nu_override is not None else -dominant_eigen(sub.Q)
         sp = None
     if sp is not None and estimate_gamma:
         try:
@@ -322,10 +301,7 @@ def assemble_report(
     theorem1 = _theorem1(N, t_n, mean_jumps, w_max)
     # The occupancy that simulate and compare run, so the bound covers it.
     theorem3 = theorem3_bound(W, OccupancyState.from_alpha(alpha, N))
-    t_cap = theorem4_cap if theorem4_cap is not None else w_max
-    theorem4 = theorem4_bound(t_cap, N)
-    if theorem4_cap is not None:
-        notes["theorem4"] = f"user-supplied cap T = {theorem4_cap}"
+    theorem4 = theorem4_bound(w_max, N)
 
     if sp is not None and N >= 3:
         theorem2 = theorem2_asymptotic(sp, N)

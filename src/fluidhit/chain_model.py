@@ -24,10 +24,9 @@ from .errors import (
     NotTransient,
     SingularSystem,
 )
-from .numerics import solve_linear
+from .numerics import DENSE_CAP, solve_linear
 
 ROW_SUM_TOL = 1e-12
-DENSE_CAP = 2000
 
 
 def _as_csr(matrix):

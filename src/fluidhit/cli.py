@@ -15,43 +15,17 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .chain_model import decompose, load_chain_spec
 from .errors import ChainValidationError, FluidhitError
-from .examples import get_example
+from .examples import NamedExample, get_example
 from .fluid import crossing_time, fluid_trajectory
 from .simulator import OccupancyState, estimate_hitting_time, simulate_trajectory
 
 _NAMED_PREFIXES = ("classical", "tstage", "fig3a", "fig3b")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    chain_source: str
-    N: int = 100
-    runs: int = 1000
-    seed: int = 0
-    tol: float | None = None
-    output_format: str | None = None
-    output_path: str | None = None
-    n_list: list | None = None
-    samples: int = 1
-    grid: tuple | None = None
-    skip: bool = True
-    k_override: int | None = None
-    nu_override: float | None = None
-    estimate_gamma: bool = False
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("--N must be at least 1")
-        if self.runs < 1:
-            raise ValueError("--runs must be at least 1")
 
 
 def _positive_int(text):
@@ -120,22 +94,12 @@ def _is_named(source):
     return head in _NAMED_PREFIXES and not os.path.exists(source)
 
 
-def _resolve_chain(cfg: RunConfig):
-    """Returns (chain, alpha, example-or-None)."""
-    if _is_named(cfg.chain_source):
-        example = get_example(cfg.chain_source)
-        return example.chain, example.default_alpha, example
-    chain, alpha = load_chain_spec(cfg.chain_source)
-    return chain, alpha, None
-
-
-def _check_tied_population(example, N):
-    tied = example.params.get("population") if example else None
-    if tied is not None and N != tied:
-        raise FluidhitError(
-            f"{example.name} is generated for N = {tied}; pass --N {tied} "
-            f"or regenerate with fig3a:{N},{example.params['T']}"
-        )
+def _resolve_example(source) -> NamedExample:
+    """A named example, or a JSON chain file wrapped as one (no reference values)."""
+    if _is_named(source):
+        return get_example(source)
+    chain, alpha = load_chain_spec(source)
+    return NamedExample(name=source, chain=chain, default_alpha=alpha)
 
 
 def _emit(text, path):
@@ -150,30 +114,21 @@ def _json_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    try:
-        chain, _, _ = _resolve_chain(cfg)
-    except ChainValidationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    print(f"OK: {chain.size} states, absorbing state 0")
+def cmd_validate(cfg) -> int:
+    example = _resolve_example(cfg.chain_source)
+    print(f"OK: {example.chain.size} states, absorbing state 0")
     return 0
 
 
-def _report_for(cfg, chain, alpha, example, N):
-    exact = example.exact_mean(N) if example else None
-    lower = []
-    if example is not None:
-        lb = example.lower_bound(N)
-        if lb is not None:
-            lower.append((example.params["kind"], lb))
+def _report_for(cfg, example, N):
+    lower = example.lower_bound(N)
     return bounds_mod.assemble_report(
-        chain,
-        alpha,
+        example.chain,
+        example.default_alpha,
         N,
-        name=example.name if example else cfg.chain_source,
-        exact=exact,
-        lower_bounds=lower,
+        name=example.name,
+        exact=example.exact_mean(N),
+        lower_bounds=[] if lower is None else [(example.params["kind"], lower)],
         estimate_gamma=cfg.estimate_gamma,
         cluster_tol=cfg.tol,
         nu_override=cfg.nu_override,
@@ -181,10 +136,10 @@ def _report_for(cfg, chain, alpha, example, N):
     )
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    chain, alpha, example = _resolve_chain(cfg)
-    _check_tied_population(example, cfg.N)
-    report = _report_for(cfg, chain, alpha, example, cfg.N)
+def cmd_analyze(cfg) -> int:
+    example = _resolve_example(cfg.chain_source)
+    example.check_population(cfg.N)
+    report = _report_for(cfg, example, cfg.N)
     if cfg.output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -196,15 +151,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    chain, alpha, example = _resolve_chain(cfg)
-    _check_tied_population(example, cfg.N)
-    initial = OccupancyState.from_alpha(alpha, cfg.N)
+def cmd_simulate(cfg) -> int:
+    example = _resolve_example(cfg.chain_source)
+    example.check_population(cfg.N)
+    initial = OccupancyState.from_alpha(example.default_alpha, cfg.N)
     result = estimate_hitting_time(
-        chain, initial, cfg.runs, cfg.seed, skip=cfg.skip
+        example.chain, initial, cfg.runs, cfg.seed, skip=cfg.skip
     )
     payload = result.to_json_dict()
-    exact = example.exact_mean(cfg.N) if example else None
+    exact = example.exact_mean(cfg.N)
     if exact is not None:
         payload["exact_mean"] = exact
         payload["relative_error"] = result.mean / exact - 1.0
@@ -219,20 +174,18 @@ COMPARE_HEADER = (
 )
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg) -> int:
     n_values = cfg.n_list or [cfg.N]
     rows = []
     violations = []
-    chain, alpha, example = _resolve_chain(cfg)
+    example = _resolve_example(cfg.chain_source)
     for N in n_values:
-        tied = example.params.get("population") if example else None
-        if tied is not None and tied != N:
-            # The fig3a chain is tied to its population; regenerate per N.
-            example = get_example(f"fig3a:{N},{example.params['T']}")
-            chain, alpha = example.chain, example.default_alpha
-        report = _report_for(cfg, chain, alpha, example, N)
-        initial = OccupancyState.from_alpha(alpha, N)
-        result = estimate_hitting_time(chain, initial, cfg.runs, cfg.seed, skip=cfg.skip)
+        example = example.for_population(N)
+        report = _report_for(cfg, example, N)
+        initial = OccupancyState.from_alpha(example.default_alpha, N)
+        result = estimate_hitting_time(
+            example.chain, initial, cfg.runs, cfg.seed, skip=cfg.skip
+        )
         band = 3.0 * (result.stderr or 0.0)
         ok = True
         for _, upper in report.upper_bounds():
@@ -268,9 +221,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_trajectory(cfg: RunConfig) -> int:
-    chain, alpha, example = _resolve_chain(cfg)
-    _check_tied_population(example, cfg.N)
+def cmd_trajectory(cfg) -> int:
+    example = _resolve_example(cfg.chain_source)
+    example.check_population(cfg.N)
+    chain, alpha = example.chain, example.default_alpha
     sub = decompose(chain)
     if cfg.grid is not None:
         tmax, steps = cfg.grid
@@ -311,7 +265,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg) -> int:
     if not _is_named(cfg.chain_source):
         raise FluidhitError("gen needs a named example (classical, tstage:T, ...)")
     example = get_example(cfg.chain_source)
@@ -322,7 +276,6 @@ def cmd_gen(cfg: RunConfig) -> int:
         spec["P"] = [[float(v) for v in row] for row in chain.dense()]
     else:
         entries = []
-        P = chain.P
         for i in range(n):
             cols, probs = chain.row(i)
             if len(cols):
@@ -352,8 +305,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(**vars(args))
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except ChainValidationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1

@@ -18,38 +18,42 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import harmonic_number, theorem4_bound, tightness_reference
+from .bounds import harmonic_number, theorem4_bound
 from .chain_model import AbsorbingChain, InitialDistribution, validate_chain
-from .errors import ChainValidationError, SizeTooLarge
-from .simulator import OccupancyState
+from .errors import ChainValidationError, FluidhitError, SizeTooLarge
 
 FIG3A_STATE_CAP = 10**7
 
 
 @dataclass(frozen=True)
 class NamedExample:
-    """A generated chain plus its canonical start state and reference values."""
+    """A chain, its default start distribution and its reference values.
+
+    params holds what a generator knows about its chain ("kind", "T" and,
+    for fig3a, the "population" it is built for); a chain read from a file
+    has none, so it has no closed form and no population tie.
+    """
 
     name: str
     chain: AbsorbingChain
     default_alpha: InitialDistribution
-    start_state: int
-    known_values: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
-    def initial_occupancy(self, N) -> OccupancyState:
-        """All N chains at the default start state.
-
-        The fig3a chain is built for one specific population size and
-        refuses any other N.
-        """
+    def check_population(self, N):
+        """Raise FluidhitError if the chain is built for a population other than N."""
         tied = self.params.get("population")
         if tied is not None and N != tied:
-            raise ValueError(
-                f"{self.name} was generated for N = {tied}; regenerate it "
-                f"instead of simulating with N = {N}"
+            raise FluidhitError(
+                f"{self.name} is generated for N = {tied}; pass --N {tied} "
+                f"or regenerate with fig3a:{N},{self.params['T']}"
             )
-        return OccupancyState.all_in(self.start_state, N)
+
+    def for_population(self, N) -> NamedExample:
+        """This example, regenerated for N if it is tied to another population."""
+        tied = self.params.get("population")
+        if tied is None or tied == N:
+            return self
+        return gen_fig3a(N, self.params["T"])
 
     def exact_mean(self, N):
         """Closed-form E[T_N] when one is known, else None."""
@@ -61,13 +65,15 @@ class NamedExample:
         return None
 
     def lower_bound(self, N):
-        """Known lower bound on E[T_N] when one is known, else None."""
-        if self.params.get("kind") == "fig3a":
-            tied = self.params["population"]
-            if N != tied:
-                raise ValueError(f"{self.name} is tied to N = {tied}")
-            return tightness_reference("fig3a", N, self.params["T"]).value
-        return None
+        """Known lower bound on E[T_N] when one is known, else None.
+
+        fig3a: N^3 (T-1) (1 - (1 - 1/N^2)^N), for its own population only.
+        """
+        if self.params.get("kind") != "fig3a":
+            return None
+        self.check_population(N)
+        hit = -math.expm1(N * math.log1p(-1.0 / (N * N)))
+        return N**3 * (self.params["T"] - 1) * hit
 
 
 def gen_tstage(T: int) -> NamedExample:
@@ -85,14 +91,6 @@ def gen_tstage(T: int) -> NamedExample:
         name=name,
         chain=chain,
         default_alpha=InitialDistribution.point(T, T),
-        start_state=T,
-        known_values={
-            "nu": 1.0,
-            "k": T - 1,
-            "w_max": float(T),
-            "mean_jumps": float(T),
-            "max_neg_qinv": 1.0,
-        },
         params={"kind": kind, "T": T},
     )
 
@@ -129,15 +127,6 @@ def gen_fig3a(N: int, T: int) -> NamedExample:
         name=f"fig3a:{N},{T}",
         chain=chain,
         default_alpha=InitialDistribution.point(start, D + 1),
-        start_state=start,
-        known_values={
-            "nu": 1.0,
-            "w_start": float(T),
-            "w_max": float(D),
-            "theorem3_cap": float(T) * N * N,
-            "mean_jumps": float(T),
-            "max_neg_qinv": 1.0,
-        },
         params={"kind": "fig3a", "population": N, "T": T},
     )
 
@@ -152,14 +141,6 @@ def gen_fig3b(T: float) -> NamedExample:
         name=f"fig3b:{T:g}",
         chain=chain,
         default_alpha=InitialDistribution.point(1, 1),
-        start_state=1,
-        known_values={
-            "nu": 1.0 / T,
-            "k": 0,
-            "w_max": float(T),
-            "mean_jumps": 1.0,
-            "max_neg_qinv": float(T),
-        },
         params={"kind": "fig3b", "T": T},
     )
 

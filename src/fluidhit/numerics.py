@@ -26,7 +26,8 @@ from .errors import (
     SlowConvergence,
 )
 
-DENSE_EIGEN_CAP = 2000
+# Largest transient state count densified: dense Q, its inverse, its spectrum.
+DENSE_CAP = 2000
 
 # Lambda is set to 1.05 * max(-Q_ii) so that I + Q/Lambda keeps a strictly
 # positive diagonal even for rows with -Q_ii at the maximum.
@@ -174,9 +175,9 @@ def eigen_spectrum(A, cluster_tol=None):
     (use dominant_eigen for the leading eigenvalue of big sparse matrices).
     """
     n = A.shape[0]
-    if n > DENSE_EIGEN_CAP:
+    if n > DENSE_CAP:
         raise DimensionTooLarge(
-            f"dense eigensolve capped at {DENSE_EIGEN_CAP} states (got {n}); "
+            f"dense eigensolve capped at {DENSE_CAP} states (got {n}); "
             "use dominant_eigen instead"
         )
     if sp.issparse(A):

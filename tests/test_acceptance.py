@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fluidhit import (
+    OccupancyState,
     PhaseType,
     crossing_time,
     decompose,
@@ -50,7 +51,8 @@ def _report(num, ok, detail):
 def test_criterion_01_classical_exactness():
     ex = gen_classical()
     start = time.perf_counter()
-    res = estimate_hitting_time(ex.chain, ex.initial_occupancy(50), 20000, seed=101)
+    initial = OccupancyState.from_alpha(ex.default_alpha, 50)
+    res = estimate_hitting_time(ex.chain, initial, 20000, seed=101)
     elapsed = time.perf_counter() - start
     exact = 50 * harmonic_number(50)
     rel = abs(res.mean - exact) / exact
@@ -62,7 +64,8 @@ def test_criterion_01_classical_exactness():
 def test_criterion_02_fig3b_exactness():
     ex = gen_fig3b(3)
     start = time.perf_counter()
-    res = estimate_hitting_time(ex.chain, ex.initial_occupancy(20), 20000, seed=102)
+    initial = OccupancyState.from_alpha(ex.default_alpha, 20)
+    res = estimate_hitting_time(ex.chain, initial, 20000, seed=102)
     elapsed = time.perf_counter() - start
     exact = 20 * 3 * harmonic_number(20)
     rel = abs(res.mean - exact) / exact
@@ -79,13 +82,12 @@ def test_criterion_03_bound_dominance():
         for ex in cases:
             sub = decompose(ex.chain)
             W = expected_hitting_times(sub)
-            res = estimate_hitting_time(
-                ex.chain, ex.initial_occupancy(N), runs, seed=103
-            )
+            initial = OccupancyState.from_alpha(ex.default_alpha, N)
+            res = estimate_hitting_time(ex.chain, initial, runs, seed=103)
             floor = res.mean - 3 * res.stderr
             ceil = res.mean + 3 * res.stderr
             t1 = theorem1_bound(sub, ex.default_alpha, N, w_max=float(W.max()))
-            t3 = theorem3_bound(W, ex.initial_occupancy(N))
+            t3 = theorem3_bound(W, initial)
             t4 = theorem4_bound(float(W.max()), N)
             for nm, val in (("theorem1", t1), ("theorem3", t3), ("theorem4", t4)):
                 if val < floor:
@@ -175,12 +177,14 @@ def test_criterion_07_spectral_correctness():
 def test_criterion_08_theorem2_trend():
     N = 10**4
     ex = gen_classical()
-    res = estimate_hitting_time(ex.chain, ex.initial_occupancy(N), 2000, seed=108)
+    initial = OccupancyState.from_alpha(ex.default_alpha, N)
+    res = estimate_hitting_time(ex.chain, initial, 2000, seed=108)
     ratio1 = res.mean / (N * math.log(N))
     ok1 = 0.95 <= ratio1 <= 1.15
 
     ex2 = gen_tstage(2)
-    res2 = estimate_hitting_time(ex2.chain, ex2.initial_occupancy(N), 400, seed=109)
+    initial2 = OccupancyState.from_alpha(ex2.default_alpha, N)
+    res2 = estimate_hitting_time(ex2.chain, initial2, 400, seed=109)
     ratio2 = (res2.mean - N * math.log(N)) / (N * math.log(math.log(N)))
     ok2 = 0.3 <= ratio2 <= 2.5
     _report(8, ok1 and ok2,
@@ -192,10 +196,11 @@ def _median_sup_distance(ex, N, runs, seed):
     sub = decompose(ex.chain)
     grid = np.linspace(0.0, math.log(N) + 2.0, 120)
     fluid_vals = fluid_trajectory(ex.default_alpha, sub, grid).m0_values
+    initial = OccupancyState.from_alpha(ex.default_alpha, N)
     sups = []
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        sample = simulate_trajectory(ex.chain, ex.initial_occupancy(N), grid, rng)
+        sample = simulate_trajectory(ex.chain, initial, grid, rng)
         sups.append(float(np.max(np.abs(sample.m0_fractions - fluid_vals))))
     return float(np.median(sups))
 
@@ -219,12 +224,10 @@ def test_criterion_10_brute_force_equivalence():
         dense = ex.chain.dense()
         n_states = ex.chain.size
         for N in populations:
-            counts = [0] * n_states
-            counts[ex.start_state] = N
+            initial = OccupancyState.from_alpha(ex.default_alpha, N)
+            counts = [initial.counts.get(s, 0) for s in range(n_states)]
             exact = exact_occupancy_mean_hitting(dense, counts)
-            res = estimate_hitting_time(
-                ex.chain, ex.initial_occupancy(N), 20000, seed=112
-            )
+            res = estimate_hitting_time(ex.chain, initial, 20000, seed=112)
             slack = 3 * (res.stderr or 0.0)
             if abs(res.mean - exact) > slack:
                 failures.append(
@@ -232,10 +235,9 @@ def test_criterion_10_brute_force_equivalence():
                 )
 
     ex = gen_classical()
-    on = estimate_hitting_time(ex.chain, ex.initial_occupancy(10), 10**4, seed=113,
-                               skip=True)
-    off = estimate_hitting_time(ex.chain, ex.initial_occupancy(10), 10**4, seed=114,
-                                skip=False)
+    initial = OccupancyState.from_alpha(ex.default_alpha, 10)
+    on = estimate_hitting_time(ex.chain, initial, 10**4, seed=113, skip=True)
+    off = estimate_hitting_time(ex.chain, initial, 10**4, seed=114, skip=False)
     ks = ks_two_sample_stat(on.samples, off.samples)
     critical = 1.628 * math.sqrt(2.0 / 10**4)  # two-sample KS at the 1% level
     if ks > critical:
@@ -251,8 +253,8 @@ def test_criterion_11_proof_inequality_replays():
     for ex, N in ((gen_classical(), 50), (gen_fig3b(2), 20)):
         sub = decompose(ex.chain)
         pt = PhaseType.discrete(ex.default_alpha, sub, N)
-        res = estimate_hitting_time(ex.chain, ex.initial_occupancy(N), 20000,
-                                    seed=115)
+        initial = OccupancyState.from_alpha(ex.default_alpha, N)
+        res = estimate_hitting_time(ex.chain, initial, 20000, seed=115)
         samples = np.asarray(res.samples)
         for q in range(1, 10):
             k = int(np.quantile(samples, q / 10))

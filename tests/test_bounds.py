@@ -25,7 +25,6 @@ from fluidhit import (
     theorem3_bound,
     theorem3_uniform_cap,
     theorem4_bound,
-    tightness_reference,
     tN_asymptotic,
     validate_chain,
 )
@@ -128,7 +127,7 @@ def test_theorem3_fig3a_cap():
     N, T = 4, 3
     ex = gen_fig3a(N, T)
     W = expected_hitting_times(decompose(ex.chain))
-    occ = ex.initial_occupancy(N)
+    occ = OccupancyState.from_alpha(ex.default_alpha, N)
     assert theorem3_bound(W, occ) == pytest.approx(T * N * N)
     assert theorem3_uniform_cap(T, N) == T * N * N
 
@@ -139,10 +138,9 @@ def test_theorem4_values():
 
 
 def test_tightness_fig3b():
-    ref = tightness_reference("fig3b", 2, 1)
-    assert ref.kind == "exact"
-    assert ref.value == pytest.approx(3.0)
-    assert tightness_reference("fig3b", 1, 5).value == pytest.approx(5.0)
+    assert gen_fig3b(1).exact_mean(2) == pytest.approx(3.0)
+    assert gen_fig3b(5).exact_mean(1) == pytest.approx(5.0)
+    assert gen_fig3b(5).lower_bound(1) is None
 
 
 def test_tightness_fig3b_brute_force_cross_check():
@@ -150,14 +148,14 @@ def test_tightness_fig3b_brute_force_cross_check():
     T, N = 2, 2
     ex = gen_fig3b(T)
     exact = exact_occupancy_mean_hitting(ex.chain.dense(), [0, N])
-    assert tightness_reference("fig3b", N, T).value == pytest.approx(exact)
+    assert ex.exact_mean(N) == pytest.approx(exact)
 
 
 def test_tightness_fig3a():
-    ref = tightness_reference("fig3a", 10, 2)
-    assert ref.kind == "lower"
-    assert ref.value == pytest.approx(1000 * (1 - 0.99**10))
-    assert ref.value == pytest.approx(95.62, abs=0.01)
+    ex = gen_fig3a(10, 2)
+    assert ex.exact_mean(10) is None
+    assert ex.lower_bound(10) == pytest.approx(1000 * (1 - 0.99**10))
+    assert ex.lower_bound(10) == pytest.approx(95.62, abs=0.01)
 
 
 def test_coupon_bound_values():
@@ -270,6 +268,23 @@ def test_assemble_report_computes_the_spectrum_once(monkeypatch):
     assert "gamma" in report.notes and report.gamma is None
     assert (report.nu, report.k) == (pytest.approx(0.5), 0)
     assert calls == {"dominant_eigen": 1, "eigen_spectrum": 1}
+
+
+def test_assemble_report_keeps_nu_override_past_the_dense_cap(monkeypatch):
+    calls = Counter()
+
+    def dominant(*args, **kwargs):
+        calls["dominant_eigen"] += 1
+        return fluidhit.numerics.dominant_eigen(*args, **kwargs)
+
+    monkeypatch.setattr(fluidhit.bounds, "dominant_eigen", dominant)
+    monkeypatch.setattr(fluidhit.phase_type, "dominant_eigen", dominant)
+    # 2,501 transient states: spectral_params raises DimensionTooLarge.
+    ex = gen_fig3a(50, 2)
+    report = assemble_report(ex.chain, ex.default_alpha, 50, nu_override=0.5)
+    assert "spectral" in report.notes
+    assert report.nu == 0.5
+    assert calls["dominant_eigen"] == 0
 
 
 def test_assemble_report_consistency_violation():

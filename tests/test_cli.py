@@ -105,12 +105,31 @@ def test_simulate_single_run_null_stderr(capsys):
     assert payload["ci95"] is None
 
 
-def test_simulate_fig3a_population_mismatch(capsys):
+@pytest.mark.parametrize("command", ["analyze", "simulate", "trajectory"])
+def test_simulate_fig3a_population_mismatch(capsys, command):
     code, _, err = run_cli(
-        capsys, "simulate", "--chain", "fig3a:10,2", "--N", "20", "--runs", "10"
+        capsys, command, "--chain", "fig3a:10,2", "--N", "20", "--runs", "10"
     )
     assert code == 1
     assert "N = 10" in err
+
+
+def test_json_chain_has_no_reference_values(tmp_path, capsys):
+    # The fig3b:2 matrix read from a file: a chain without a closed form.
+    path = tmp_path / "exit-half.json"
+    path.write_text('{"states": 2, "P": [[1, 0], [0.5, 0.5]], "alpha": [1]}')
+    code, out, _ = run_cli(capsys, "analyze", "--chain", str(path), "--N", "20")
+    assert code == 0
+    report = json.loads(out)
+    assert report["instance"]["name"] == str(path)
+    assert "exact" not in report
+    assert not any(key.startswith("lower_") for key in report)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--chain", str(path), "--N", "20", "--runs", "50"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert "exact_mean" not in payload and "relative_error" not in payload
 
 
 def test_compare_header_and_trend(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fluidhit import (
+    OccupancyState,
     decompose,
     erlang_m0,
     expected_hitting_times,
@@ -20,7 +21,7 @@ from fluidhit import (
     theorem4_bound,
     validate_chain,
 )
-from fluidhit.errors import SizeTooLarge
+from fluidhit.errors import FluidhitError, SizeTooLarge
 
 
 def test_tstage1_is_classical():
@@ -70,10 +71,19 @@ def test_fig3a_smallest_instance():
 
 def test_fig3a_population_mismatch_refused():
     ex = gen_fig3a(4, 2)
-    with pytest.raises(ValueError):
-        ex.initial_occupancy(5)
-    occ = ex.initial_occupancy(4)
-    assert occ.counts == {ex.start_state: 4}
+    hint = "N = 4; pass --N 4 or regenerate with fig3a:5,2"
+    for refuse in (ex.check_population, ex.lower_bound):
+        with pytest.raises(FluidhitError, match=hint):
+            refuse(5)
+    ex.check_population(4)
+    start = ex.chain.size - 1
+    assert OccupancyState.from_alpha(ex.default_alpha, 4).counts == {start: 4}
+    assert ex.for_population(4) is ex
+    assert ex.for_population(5).name == "fig3a:5,2"
+    assert ex.for_population(5).lower_bound(5) > 0
+    for untied in (gen_tstage(3), gen_fig3b(2)):
+        untied.check_population(5)
+        assert untied.for_population(5) is untied
 
 
 def test_fig3a_size_guard():

@@ -117,8 +117,7 @@ def test_matches_rk4_oracle_on_example_chains():
     for ex in cases:
         sub = decompose(ex.chain)
         fluid_vals = fluid_trajectory(ex.default_alpha, sub, grid).m0_values
-        full0 = np.zeros(ex.chain.size)
-        full0[ex.start_state] = 1.0
+        full0 = np.concatenate([[ex.default_alpha.mass0], ex.default_alpha.alpha])
         oracle = rk4_fluid_m0(ex.chain.dense(), full0, grid)
         assert np.max(np.abs(fluid_vals - oracle)) < 1e-8
 

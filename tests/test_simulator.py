@@ -196,7 +196,7 @@ def test_trajectory_reads_one_at_the_absorption_step():
     # Same seed, same loop: with a grid at every step k/N the trajectory
     # first reads 1.0 exactly at the step run_to_absorption returns.
     for ex, N in ((gen_tstage(1), 20), (gen_tstage(2), 12), (gen_fig3b(3), 10)):
-        initial = ex.initial_occupancy(N)
+        initial = OccupancyState.from_alpha(ex.default_alpha, N)
         for skip in (True, False):
             for seed in range(20):
                 steps = run_to_absorption(
