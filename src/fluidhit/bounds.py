@@ -135,7 +135,7 @@ class BoundReport:
     N: int
     theorem1: float
     theorem3: float
-    theorem4: float | None
+    theorem4: float
     theorem2_asymptotic: float | None
     tn_asymptotic: float | None
     lower_bounds: tuple
@@ -150,10 +150,11 @@ class BoundReport:
     notes: dict = field(default_factory=dict)
 
     def upper_bounds(self):
-        out = [("theorem1", self.theorem1), ("theorem3", self.theorem3)]
-        if self.theorem4 is not None:
-            out.append(("theorem4", self.theorem4))
-        return out
+        return [
+            ("theorem1", self.theorem1),
+            ("theorem3", self.theorem3),
+            ("theorem4", self.theorem4),
+        ]
 
     def to_json_dict(self):
         def entry(value, provenance, formula):
@@ -179,12 +180,11 @@ class BoundReport:
             out["max_neg_qinv"] = entry(
                 self.max_neg_qinv, "resolvent maximum", "max_jk (-Q)^-1_jk"
             )
-        if self.theorem4 is not None:
-            out["theorem4"] = entry(
-                self.theorem4,
-                "finite-N upper bound, T = max W",
-                "T N ln N + 2 N T + 1",
-            )
+        out["theorem4"] = entry(
+            self.theorem4,
+            "finite-N upper bound, T = max W",
+            "T N ln N + 2 N T + 1",
+        )
         if self.theorem2_asymptotic is not None:
             out["theorem2_asymptotic"] = entry(
                 self.theorem2_asymptotic,

@@ -24,9 +24,11 @@ from .errors import (
     NotTransient,
     SingularSystem,
 )
-from .numerics import DENSE_CAP, solve_linear
+from .numerics import DENSE_CAP, _strong_blocks, solve_linear
 
 ROW_SUM_TOL = 1e-12
+# Entries per stacked inverse of equal-size resolvent blocks (32 MB).
+_STACK_ENTRIES = 1 << 22
 
 
 def _as_csr(matrix):
@@ -195,9 +197,9 @@ class InitialDistribution:
 def validate_chain(matrix) -> AbsorbingChain:
     """Validate a transition matrix and wrap it as an AbsorbingChain.
 
-    Checks row sums (tolerance 1e-12), entry range, absorption of state 0
-    and reachability of state 0 from every other state (graph reachability
-    on the support of P, checked exactly).
+    Checks that entries are finite, row sums (tolerance 1e-12), entry range,
+    absorption of state 0 and reachability of state 0 from every other state
+    (graph reachability on the support of P, checked exactly).
     """
     P, representation = _as_csr(matrix)
     n = P.shape[0]
@@ -205,6 +207,14 @@ def validate_chain(matrix) -> AbsorbingChain:
         raise ValueError("need at least two states (one absorbing, one transient)")
 
     data = P.data
+    finite = np.isfinite(data)
+    if not finite.all():
+        coo = P.tocoo()
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NotStochastic(
+            int(coo.row[bad]),
+            f"entry P[{coo.row[bad]}][{coo.col[bad]}] = {coo.data[bad]} is not finite",
+        )
     if data.size:
         low, high = float(np.min(data)), float(np.max(data))
         if low < -ROW_SUM_TOL or high > 1.0 + ROW_SUM_TOL:
@@ -371,28 +381,44 @@ def mean_jump_count(jm: JumpMatrix, alpha: InitialDistribution) -> float:
 def _max_fundamental_entry(sub: SubGenerator) -> float:
     """max_{j,k} of (-Q)^-1, which is entrywise nonnegative.
 
-    The maximum sits on the diagonal ((-Q)^-1_{jk} = P_j(hit k) * (-Q)^-1_{kk}),
-    but the dense path takes the max over everything anyway. The sparse path
-    factorizes once and sweeps the inverse in column blocks; the sweep is
-    O(states^2), so it is capped.
+    (-Q)^-1_jk = P_j(hit k) (-Q)^-1_kk puts the maximum on the diagonal, and
+    a return to k never leaves k's strongly connected component C, so
+    (-Q)^-1_kk = (-Q_C)^-1_kk. A singleton component contributes 1/(-Q_kk);
+    components of equal size up to DENSE_CAP are inverted in stacks of
+    dense blocks; a larger component is factorized once and its inverse
+    swept in column blocks, which is quadratic in its size and capped at
+    150,000 states.
     """
-    n = sub.n_transient
-    if n <= DENSE_CAP:
-        inv = np.linalg.inv(-sub.dense_q())
-        return float(np.max(inv))
-    if n > 150_000:
-        raise DimensionTooLarge(
-            f"resolvent-entry sweep is quadratic and capped at 150000 states (got {n})"
-        )
-    lu = spla.splu(sp.csc_matrix(-sub.Q))
-    best = 0.0
-    block = 256
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rhs = np.zeros((n, stop - start))
-        rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        cols = lu.solve(rhs)
-        best = max(best, float(np.max(cols)))
+    singleton, states, sizes = _strong_blocks(sub.Q)
+    best = float(np.max(-1.0 / sub.Q.diagonal()[singleton], initial=0.0))
+    A = -sub.Q[states][:, states]
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes[sizes <= DENSE_CAP]):
+        firsts = starts[sizes == size]
+        per = max(1, _STACK_ENTRIES // (size * size))
+        for chunk in range(0, firsts.size, per):
+            idx = (firsts[chunk:chunk + per, None] + np.arange(size)).ravel()
+            coo = A[idx][:, idx].tocoo()
+            keep = coo.row // size == coo.col // size
+            row, col = coo.row[keep], coo.col[keep]
+            stack = np.zeros((idx.size // size, size, size))
+            stack[row // size, row % size, col % size] = coo.data[keep]
+            diag = np.diagonal(np.linalg.inv(stack), axis1=1, axis2=2)
+            best = max(best, float(np.max(diag)))
+
+    for start, size in zip(starts[sizes > DENSE_CAP], sizes[sizes > DENSE_CAP]):
+        if size > 150_000:
+            raise DimensionTooLarge(
+                "resolvent-entry sweep is quadratic and capped at 150000 states "
+                f"per strongly connected component (got {size})"
+            )
+        lu = spla.splu(sp.csc_matrix(A[start:start + size, start:start + size]))
+        for first in range(0, size, 256):
+            stop = min(first + 256, size)
+            rhs = np.zeros((size, stop - first))
+            rhs[np.arange(first, stop), np.arange(stop - first)] = 1.0
+            cols = lu.solve(rhs)
+            best = max(best, float(np.max(cols[first:stop].diagonal())))
     return best
 
 

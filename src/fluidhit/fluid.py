@@ -9,6 +9,7 @@ integrating the full ODE and reuses the uniformized exponential action.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,11 +67,18 @@ class CrossingResult(NamedTuple):
 def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     """First time the transient mass drops to epsilon (m0 reaches 1 - epsilon).
 
-    Brackets the level by doubling from 1/nu_hint (or 1), then bisects; the
-    survival is strictly decreasing on the bracket so the crossing is unique.
-    Returns (0, already_below=True) when the mass already starts at or below
-    epsilon. For the level of the hitting-time theorems call with
-    epsilon = 1/N.
+    Brackets the level by doubling from 1/nu_hint (or 1), then narrows the
+    bracket by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
+    f(t) = log(S(t) / epsilon), which is nearly linear in t; the survival S
+    is strictly decreasing, so the crossing is unique. An interpolated probe
+    stays tol/2 inside the bracket. A probe falls back to the midpoint when
+    f is -inf at an end (the survival underflowed to 0) or when the bracket
+    failed to halve over the last two probes, so the bracket halves at
+    least every third probe; smooth survivals take about 10 probes where
+    bisection took 47. Stops at a 1e-13 relative bracket (at most 120
+    probes) and returns its midpoint. Returns (0, already_below=True) when
+    the mass already starts at or below epsilon. For the level of the
+    hitting-time theorems call with epsilon = 1/N.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -78,26 +86,55 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     if start_mass <= epsilon:
         return CrossingResult(0.0, True)
 
+    def excess(s):
+        # log(s / epsilon), not log(s) - log(epsilon): near the root the
+        # difference of two logs cancels to 0 and the interpolation stalls.
+        return math.log(s / epsilon) if s > 0.0 else -math.inf
+
+    t_lo, f_lo = 0.0, excess(start_mass)
     t_hi = 1.0 / nu_hint if nu_hint else 1.0
-    t_lo = 0.0
-    while transient_survival(alpha, sub, t_hi) > epsilon:
-        t_lo = t_hi
+    while (s := transient_survival(alpha, sub, t_hi)) > epsilon:
+        t_lo, f_lo = t_hi, excess(s)
         t_hi *= 2.0
         if t_hi > _DOUBLING_CAP:
             raise BracketingFailure(
                 f"survival still above {epsilon} at t = {t_lo}; doubling cap reached"
             )
+    f_hi = excess(s)
 
-    # Bisect to a 1e-13 relative bracket; the survival is strictly
-    # decreasing there, so the midpoint meets |survival - epsilon| within
-    # 1e-9 * epsilon with orders of magnitude to spare.
+    # Invariant: S(t_lo) > epsilon >= S(t_hi). At a 1e-13 relative bracket
+    # the midpoint meets |survival - epsilon| within 1e-9 * epsilon with
+    # orders of magnitude to spare.
+    widths = [math.inf, math.inf]  # bracket widths before the last two probes
+    last_moved_lo = None  # which end the last interpolated probe replaced
     for _ in range(120):
-        if (t_hi - t_lo) <= 1e-13 * max(t_hi, 1.0):
+        width = t_hi - t_lo
+        tol = 1e-13 * max(t_hi, 1.0)
+        if width <= tol:
             break
-        t_mid = 0.5 * (t_lo + t_hi)
-        s = transient_survival(alpha, sub, t_mid)
-        if s > epsilon:
-            t_lo = t_mid
+        drop = f_lo - f_hi
+        interpolated = 0.0 < drop < math.inf and width <= 0.5 * widths[0]
+        if interpolated:
+            # Keep the probe at least tol/2 inside, so that an end already
+            # at the root closes the bracket instead of rounding onto it.
+            t = t_lo + width * (f_lo / drop)
+            t = min(max(t, t_lo + 0.5 * tol), t_hi - 0.5 * tol)
         else:
-            t_hi = t_mid
+            t = 0.5 * (t_lo + t_hi)
+        widths = [widths[1], width]
+        s = transient_survival(alpha, sub, t)
+        moved_lo = s > epsilon
+        if moved_lo:
+            t_lo, f_lo = t, excess(s)
+        else:
+            t_hi, f_hi = t, excess(s)
+        if interpolated:
+            # Illinois: an end kept by two interpolated probes in a row has
+            # its f halved, which pulls the next probe past the root.
+            if moved_lo == last_moved_lo:
+                if moved_lo:
+                    f_hi *= 0.5
+                else:
+                    f_lo *= 0.5
+            last_moved_lo = moved_lo
     return CrossingResult(0.5 * (t_lo + t_hi), False)

@@ -237,19 +237,30 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     B = sp.csr_array(_uniformized(Q, lam))
     B.eliminate_zeros()
 
-    _, labels = connected_components(B, directed=True, connection="strong")
-    sizes = np.bincount(labels)
-    # Singletons in one vectorized max; the other components are diagonal
-    # blocks of B permuted by one stable sort of their labels.
-    rho = float(B.diagonal()[sizes[labels] == 1].max(initial=0.0))
-    states = np.flatnonzero(sizes[labels] > 1)
-    states = states[np.argsort(labels[states], kind="stable")]
+    # Singletons in one vectorized max, the other components block by block.
+    singleton, states, sizes = _strong_blocks(B)
+    rho = float(B.diagonal()[singleton].max(initial=0.0))
     B = B[states][:, states]
-    big = sizes[sizes > 1]
-    for size, end in zip(big, np.cumsum(big)):
+    for size, end in zip(sizes, np.cumsum(sizes)):
         block = slice(end - size, end)
         rho = max(rho, _perron_root(B[block, block].T, tol, max_iter))
     return lam * (rho - 1.0)
+
+
+def _strong_blocks(A):
+    """Strongly connected components of A's support as diagonal blocks.
+
+    Returns the mask of states that form a component alone, the other
+    states stably sorted by component label (so each component is a
+    contiguous block of A[states][:, states]), and those components' sizes
+    in block order.
+    """
+    _, labels = connected_components(A, directed=True, connection="strong")
+    sizes = np.bincount(labels)
+    singleton = sizes[labels] == 1
+    states = np.flatnonzero(~singleton)
+    states = states[np.argsort(labels[states], kind="stable")]
+    return singleton, states, sizes[sizes > 1]
 
 
 def _perron_root(Bt, tol, max_iter):

@@ -209,8 +209,8 @@ def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
         raise DegenerateTail(
             "initial transient mass already below the fit window"
         )
-    t_hi = crossing_time(alpha, sub, hi_level).time
-    t_lo = crossing_time(alpha, sub, lo_level).time
+    t_hi = crossing_time(alpha, sub, hi_level, nu_hint=nu).time
+    t_lo = crossing_time(alpha, sub, lo_level, nu_hint=nu).time
     ts = np.geomspace(t_hi, t_lo, 5)
     s = np.array([transient_survival(alpha, sub, t) for t in ts])
     basis = ts**k * np.exp(-nu * ts)

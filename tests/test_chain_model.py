@@ -253,6 +253,62 @@ def test_max_fundamental_entry_sits_on_diagonal():
         assert np.max(inv) == pytest.approx(np.max(np.diag(inv)))
 
 
+def test_resolvent_maximum_over_two_state_cycles():
+    # 2,000 two-state cycles on shuffled states: state a stays with
+    # probability x_a and moves to its partner with y_a, so a cycle's block
+    # of (-Q)^-1 has diagonal (1 - x_b, 1 - x_a) / det.
+    rng = np.random.default_rng(71)
+    m = 2000
+    x = rng.uniform(0.0, 0.45, size=(m, 2))
+    y = rng.uniform(0.0, 0.45, size=(m, 2))
+    states = rng.permutation(2 * m).reshape(m, 2) + 1
+    partner = states[:, ::-1]
+    rows = np.concatenate([[0], states.ravel(), states.ravel(), states.ravel()])
+    cols = np.concatenate([[0], states.ravel(), partner.ravel(), np.zeros(2 * m, int)])
+    vals = np.concatenate([[1.0], x.ravel(), y.ravel(), 1.0 - x.ravel() - y.ravel()])
+    P = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(2 * m + 1, 2 * m + 1)))
+    sub = decompose(validate_chain(P))
+    det = (1.0 - x[:, 0]) * (1.0 - x[:, 1]) - y[:, 0] * y[:, 1]
+    expected = np.max(np.maximum(1.0 - x[:, 0], 1.0 - x[:, 1]) / det)
+    res = resolvent_quantities(sub, jump_matrix(sub), InitialDistribution.uniform(2 * m))
+    assert res.max_neg_qinv == pytest.approx(expected, rel=1e-12)
+
+
+def test_resolvent_maximum_of_a_ring_past_the_dense_cap():
+    # One strongly connected ring of 2,100 states, each moving on with
+    # probability 1 - p: the diagonal of (-Q)^-1 is 1 / (1 - (1 - p)^n).
+    n, p = 2100, 1e-3
+    ring = np.arange(1, n + 1)
+    rows = np.concatenate([[0], ring, ring])
+    cols = np.concatenate([[0], np.roll(ring, -1), np.zeros(n, int)])
+    vals = np.concatenate([[1.0], np.full(n, 1.0 - p), np.full(n, p)])
+    P = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n + 1, n + 1)))
+    sub = decompose(validate_chain(P))
+    res = resolvent_quantities(sub, jump_matrix(sub), InitialDistribution.point(1, n))
+    assert res.max_neg_qinv == pytest.approx(1.0 / (1.0 - (1.0 - p) ** n), rel=1e-12)
+
+
+def test_resolvent_maximum_past_the_old_sweep_cap():
+    # fig3a(400, 2) has 160,001 transient states, all strongly connected
+    # components singletons with -Q_kk = 1.
+    ex = gen_fig3a(400, 2)
+    sub = decompose(ex.chain)
+    res = resolvent_quantities(sub, jump_matrix(sub), ex.default_alpha)
+    assert sub.n_transient == 160_001
+    assert res.max_neg_qinv == 1.0
+
+
+def test_validate_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotStochastic) as exc:
+            validate_chain([[1, 0], [bad, bad]])
+        assert exc.value.row == 1
+    P = sp.csr_array(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, np.nan]]))
+    with pytest.raises(NotStochastic) as exc:
+        validate_chain(P)
+    assert exc.value.row == 2
+
+
 def test_initial_distribution_validation():
     with pytest.raises(ValueError):
         InitialDistribution(alpha=np.array([0.5, 0.2]))  # sums to 0.7

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,16 @@ def test_validate_domain_failure_names_row(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", "--chain", str(path))
     assert code == 1
     assert "row 1" in err
+
+
+def test_validate_rejects_nan_entries(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"states": 2, "P": [[1, 0], [NaN, NaN]]}')
+    code, out, err = run_cli(capsys, "validate", "--chain", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("FAIL: row 1")
+    assert "not finite" in err
 
 
 def test_validate_parse_failure(tmp_path, capsys):
@@ -267,3 +281,17 @@ def test_json_outputs_round_trip_sorted(capsys):
     assert code == 0
     payload = json.loads(out)
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_import_loads_no_optimize_or_integrate():
+    # Either submodule adds a quarter second or more to every CLI start.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys, fluidhit; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import fluidhit
 from fluidhit import (
     InitialDistribution,
     crossing_time,
     decompose,
     fluid_m0,
     fluid_trajectory,
+    gen_fig3a,
     gen_tstage,
     random_chain,
     transient_survival,
+    validate_chain,
 )
 
 from oracles import erlang_crossing, rk4_fluid_m0
@@ -74,6 +77,77 @@ def test_crossing_monotone_in_epsilon():
         for eps in (0.2, 0.1, 0.01, 0.001)
     ]
     assert np.all(np.diff(times) > 0)
+
+
+def _constant_exit_chain(S=8, exit_prob=0.2, seed=61):
+    """Dense random chain whose every transient row exits with exit_prob,
+    so its survival from any start is exactly exp(-exit_prob t)."""
+    rng = np.random.default_rng(seed)
+    M = rng.exponential(size=(S, S))
+    P = np.zeros((S + 1, S + 1))
+    P[0, 0] = 1.0
+    P[1:, 0] = exit_prob
+    P[1:, 1:] = (1.0 - exit_prob) * M / M.sum(axis=1, keepdims=True)
+    return InitialDistribution.uniform(S), decompose(validate_chain(P))
+
+
+def _named_start(ex):
+    return ex.default_alpha, decompose(ex.chain)
+
+
+# fig3a:100,2 runs only at epsilon = 1/N: its survival sits on a plateau at
+# 1/N^2 = 1e-4 until t is about 10^4, so 1e-4 ties the plateau (the side of
+# each probe is decided by rounding) and 1e-8 crosses near t = 10^4, which
+# takes 15 doubling probes.
+_PROBE_CASES = [
+    ("tstage:3", lambda: _named_start(gen_tstage(3)), eps) for eps in (1e-2, 1e-4, 1e-8)
+] + [
+    ("constant-exit", _constant_exit_chain, eps) for eps in (1e-2, 1e-4, 1e-8)
+] + [("fig3a:100,2", lambda: _named_start(gen_fig3a(100, 2)), 1e-2)]
+
+
+@pytest.mark.parametrize(
+    "build, epsilon",
+    [case[1:] for case in _PROBE_CASES],
+    ids=[f"{case[0]}-{case[2]:g}" for case in _PROBE_CASES],
+)
+def test_crossing_needs_few_survival_evaluations(monkeypatch, build, epsilon):
+    alpha, sub = build()
+    probes = []
+
+    def counted(*args, **kwargs):
+        probes.append(args[2])
+        return transient_survival(*args, **kwargs)
+
+    monkeypatch.setattr(fluidhit.fluid, "transient_survival", counted)
+    crossing_time(alpha, sub, epsilon)
+    assert len(probes) <= 20
+
+
+@pytest.mark.parametrize("epsilon", (1e-2, 1e-4, 1e-8))
+def test_crossing_matches_closed_forms(epsilon):
+    alpha, sub = _named_start(gen_tstage(3))
+    got = crossing_time(alpha, sub, epsilon).time
+    assert got == pytest.approx(erlang_crossing(3, epsilon), rel=1e-12, abs=0)
+    alpha, sub = _constant_exit_chain()
+    got = crossing_time(alpha, sub, epsilon).time
+    assert got == pytest.approx(math.log(1.0 / epsilon) / 0.2, rel=1e-12, abs=0)
+
+
+def test_crossing_through_underflowed_survival(monkeypatch):
+    # exp(-t) underflows to 0 past t = 745, inside the doubling bracket
+    # [512, 1024] of the level 1e-300, whose crossing is 300 ln 10.
+    alpha, sub = _classical()
+    values = []
+
+    def recorded(*args, **kwargs):
+        values.append(transient_survival(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(fluidhit.fluid, "transient_survival", recorded)
+    got = crossing_time(alpha, sub, 1e-300).time
+    assert 0.0 in values
+    assert got == pytest.approx(300.0 * math.log(10.0), rel=1e-12, abs=0)
 
 
 def test_trajectory_classical_points():
