@@ -27,8 +27,6 @@ from .errors import (
 from .numerics import DENSE_CAP, _strong_blocks, solve_linear
 
 ROW_SUM_TOL = 1e-12
-# Entries per stacked inverse of equal-size resolvent blocks (32 MB).
-_STACK_ENTRIES = 1 << 22
 
 
 def _as_csr(matrix):
@@ -384,35 +382,24 @@ def _max_fundamental_entry(sub: SubGenerator) -> float:
     (-Q)^-1_jk = P_j(hit k) (-Q)^-1_kk puts the maximum on the diagonal, and
     a return to k never leaves k's strongly connected component C, so
     (-Q)^-1_kk = (-Q_C)^-1_kk. A singleton component contributes 1/(-Q_kk);
-    components of equal size up to DENSE_CAP are inverted in stacks of
-    dense blocks; a larger component is factorized once and its inverse
-    swept in column blocks, which is quadratic in its size and capped at
-    150,000 states.
+    a component up to DENSE_CAP states is inverted densely; a larger one is
+    factorized once and its inverse swept in column blocks, which is
+    quadratic in its size and capped at 150,000 states.
     """
     singleton, states, sizes = _strong_blocks(sub.Q)
     best = float(np.max(-1.0 / sub.Q.diagonal()[singleton], initial=0.0))
     A = -sub.Q[states][:, states]
-    starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes[sizes <= DENSE_CAP]):
-        firsts = starts[sizes == size]
-        per = max(1, _STACK_ENTRIES // (size * size))
-        for chunk in range(0, firsts.size, per):
-            idx = (firsts[chunk:chunk + per, None] + np.arange(size)).ravel()
-            coo = A[idx][:, idx].tocoo()
-            keep = coo.row // size == coo.col // size
-            row, col = coo.row[keep], coo.col[keep]
-            stack = np.zeros((idx.size // size, size, size))
-            stack[row // size, row % size, col % size] = coo.data[keep]
-            diag = np.diagonal(np.linalg.inv(stack), axis1=1, axis2=2)
-            best = max(best, float(np.max(diag)))
-
-    for start, size in zip(starts[sizes > DENSE_CAP], sizes[sizes > DENSE_CAP]):
+    for size, end in zip(sizes, np.cumsum(sizes)):
+        block = A[end - size:end, end - size:end]
+        if size <= DENSE_CAP:
+            best = max(best, float(np.max(np.linalg.inv(block.toarray()).diagonal())))
+            continue
         if size > 150_000:
             raise DimensionTooLarge(
                 "resolvent-entry sweep is quadratic and capped at 150000 states "
                 f"per strongly connected component (got {size})"
             )
-        lu = spla.splu(sp.csc_matrix(A[start:start + size, start:start + size]))
+        lu = spla.splu(sp.csc_matrix(block))
         for first in range(0, size, 256):
             stop = min(first + 256, size)
             rhs = np.zeros((size, stop - first))

@@ -74,9 +74,10 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     stays tol/2 inside the bracket. A probe falls back to the midpoint when
     f is -inf at an end (the survival underflowed to 0) or when the bracket
     failed to halve over the last two probes, so the bracket halves at
-    least every third probe; smooth survivals take about 10 probes where
-    bisection took 47. Stops at a 1e-13 relative bracket (at most 120
-    probes) and returns its midpoint. Returns (0, already_below=True) when
+    least every third probe: the worst case is three probes per halving of
+    bisection (about 130 from a doubled bracket), where smooth survivals
+    take about 10 and bisection took 47. Stops at a 1e-13 relative bracket
+    and returns its midpoint. Returns (0, already_below=True) when
     the mass already starts at or below epsilon. For the level of the
     hitting-time theorems call with epsilon = 1/N.
     """
@@ -104,10 +105,13 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
 
     # Invariant: S(t_lo) > epsilon >= S(t_hi). At a 1e-13 relative bracket
     # the midpoint meets |survival - epsilon| within 1e-9 * epsilon with
-    # orders of magnitude to spare.
+    # orders of magnitude to spare. The stopping width never falls below
+    # 1e-13 * max(t_lo, 1) and the bracket halves at least every third
+    # probe, so three probes per halving always reach it.
+    halvings = math.ceil(math.log2((t_hi - t_lo) / (1e-13 * max(t_lo, 1.0))))
     widths = [math.inf, math.inf]  # bracket widths before the last two probes
     last_moved_lo = None  # which end the last interpolated probe replaced
-    for _ in range(120):
+    for _ in range(3 * max(halvings, 0)):
         width = t_hi - t_lo
         tol = 1e-13 * max(t_hi, 1.0)
         if width <= tol:
