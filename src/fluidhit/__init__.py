@@ -16,11 +16,9 @@ from .bounds import (
 from .chain_model import (
     AbsorbingChain,
     InitialDistribution,
-    JumpMatrix,
     SubGenerator,
     decompose,
     expected_hitting_times,
-    jump_matrix,
     load_chain_spec,
     mean_jump_count,
     reassemble,

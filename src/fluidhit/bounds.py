@@ -26,7 +26,6 @@ from .chain_model import (
     InitialDistribution,
     decompose,
     expected_hitting_times,
-    jump_matrix,
     mean_jump_count,
     resolvent_quantities,
 )
@@ -69,7 +68,7 @@ def theorem1_bound(sub, alpha, N, nu_hint=None, w_max=None) -> float:
     if w_max is None:
         w_max = float(np.max(expected_hitting_times(sub)))
     t_n = crossing_time(alpha, sub, 1.0 / N, nu_hint=nu_hint).time
-    return _theorem1(N, t_n, mean_jump_count(jump_matrix(sub), alpha), w_max)
+    return _theorem1(N, t_n, mean_jump_count(sub, alpha), w_max)
 
 
 def _theorem1(N, t_n, mean_jumps, w_max):
@@ -262,9 +261,8 @@ def assemble_report(
     InconsistentBounds if any lower bound exceeds any certified upper bound.
     """
     sub = decompose(chain)
-    jm = jump_matrix(sub)
     W = expected_hitting_times(sub)
-    res = resolvent_quantities(sub, jm, alpha)
+    res = resolvent_quantities(sub, alpha)
     notes = {}
 
     nu = k = gamma = None

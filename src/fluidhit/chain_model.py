@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +71,41 @@ class AbsorbingChain:
         """Column indices and probabilities of row i (nonzero entries)."""
         start, stop = self.P.indptr[i], self.P.indptr[i + 1]
         return self.P.indices[start:stop], self.P.data[start:stop]
+
+    @cached_property
+    def _destinations(self):
+        """Destination draws from P's rows, shared by every run on this chain."""
+        return _Destinations(self.P)
+
+
+class _Destinations:
+    """Destination draws from the rows of a CSR matrix of probabilities.
+
+    A row's table (column indices, cumulative probabilities) is built on its
+    first draw, so a run pays only for the rows it visits.
+    """
+
+    __slots__ = ("_matrix", "_rows")
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+        self._rows = {}
+
+    def draw(self, i, w):
+        """First column of row i whose cumulative probability reaches w.
+
+        The row's last column when rounding leaves the total below w.
+        """
+        tab = self._rows.get(i)
+        if tab is None:
+            start, stop = self._matrix.indptr[i], self._matrix.indptr[i + 1]
+            cols = tuple(int(c) for c in self._matrix.indices[start:stop])
+            tab = self._rows[i] = (cols, tuple(np.cumsum(self._matrix.data[start:stop])))
+        cols, cum = tab
+        for j, c in enumerate(cum):
+            if w <= c:
+                return cols[j]
+        return cols[-1]
 
 
 @dataclass(frozen=True)
@@ -145,17 +181,6 @@ class SubGenerator:
         if missing.size:
             raise NotTransient(int(missing[0]))
         return cls(Q=Qc, Q0=Q0)
-
-
-@dataclass(frozen=True)
-class JumpMatrix:
-    """Embedded-jump transition matrix R_ij = -Q_ij / Q_ii, zero diagonal."""
-
-    R: sp.csr_array
-
-    @property
-    def n_transient(self):
-        return self.R.shape[0]
 
 
 @dataclass(frozen=True)
@@ -299,16 +324,18 @@ def reassemble(sub: SubGenerator) -> sp.csr_array:
     return out
 
 
-def jump_matrix(sub: SubGenerator) -> JumpMatrix:
-    """R_ij = -Q_ij / Q_ii for i != j, R_ii = 0."""
-    Q = sub.Q.tocoo()
-    off = Q.row != Q.col
-    scale = -1.0 / sub.Q.diagonal()
-    data = Q.data[off] * scale[Q.row[off]]
-    R = sp.csr_array(
-        sp.coo_array((data, (Q.row[off], Q.col[off])), shape=Q.shape)
-    )
-    return JumpMatrix(R=R)
+def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:
+    """x with (-Q) x = rhs, for a positive rhs (so x is positive too)."""
+    try:
+        if sub.n_transient <= DENSE_CAP:
+            x = solve_linear(-sub.dense_q(), rhs)
+        else:
+            x = spla.spsolve(sp.csc_matrix(-sub.Q), rhs)
+    except Exception as exc:  # pragma: no cover - validated chains never hit this
+        raise SingularSystem(f"hitting-time system is singular: {exc}") from exc
+    if np.any(~np.isfinite(x)) or np.any(x <= 0):
+        raise SingularSystem("hitting-time solve produced nonpositive entries")
+    return np.asarray(x, dtype=float)
 
 
 def expected_hitting_times(sub: SubGenerator) -> np.ndarray:
@@ -317,31 +344,19 @@ def expected_hitting_times(sub: SubGenerator) -> np.ndarray:
     Entry i-1 is the expected number of steps to reach 0 from state i; all
     entries are >= 1.
     """
-    n = sub.n_transient
-    ones = np.ones(n)
-    try:
-        if n <= DENSE_CAP:
-            W = solve_linear(-sub.dense_q(), ones)
-        else:
-            W = spla.spsolve(sp.csc_matrix(-sub.Q), ones)
-    except Exception as exc:  # pragma: no cover - validated chains never hit this
-        raise SingularSystem(f"hitting-time system is singular: {exc}") from exc
-    if np.any(~np.isfinite(W)) or np.any(W <= 0):
-        raise SingularSystem("hitting-time solve produced nonpositive entries")
-    return np.asarray(W, dtype=float)
+    return _solve_neg_q(sub, np.ones(sub.n_transient))
 
 
 class ResolventQuantities:
-    """Lazy pair (max of (-Q)^-1 entries, expected jump count before absorption).
+    """The max of (-Q)^-1 entries and the expected jump count, each on first access.
 
-    The two members have very different costs on large sparse chains, so each
-    is computed on first access: the threshold-vs-crossing inequality check
-    only ever needs the jump count.
+    No bound uses max_neg_qinv since theorem1 switched to max_x W; the class
+    stays while the report still carries that value and perfbench's tracer
+    wraps the max_neg_qinv property.
     """
 
-    def __init__(self, sub: SubGenerator, jm: JumpMatrix, alpha: InitialDistribution):
+    def __init__(self, sub: SubGenerator, alpha: InitialDistribution):
         self._sub = sub
-        self._jm = jm
         self._alpha = alpha
         self._max_neg_qinv = None
         self._mean_jumps = None
@@ -355,25 +370,23 @@ class ResolventQuantities:
     @property
     def mean_jumps(self) -> float:
         if self._mean_jumps is None:
-            self._mean_jumps = mean_jump_count(self._jm, self._alpha)
+            self._mean_jumps = mean_jump_count(self._sub, self._alpha)
         return self._mean_jumps
 
 
-def resolvent_quantities(sub, jm, alpha) -> ResolventQuantities:
+def resolvent_quantities(sub, alpha) -> ResolventQuantities:
     """Quantities entering the finite-N hitting-time bound."""
-    return ResolventQuantities(sub, jm, alpha)
+    return ResolventQuantities(sub, alpha)
 
 
-def mean_jump_count(jm: JumpMatrix, alpha: InitialDistribution) -> float:
-    """alpha (I - R)^-1 1: expected number of jumps before absorption."""
-    n = jm.n_transient
-    ones = np.ones(n)
-    A = sp.eye(n, format="csr") - jm.R
-    if n <= DENSE_CAP:
-        u = solve_linear(np.asarray(A.todense()), ones)
-    else:
-        u = spla.spsolve(sp.csc_matrix(A), ones)
-    return float(alpha.alpha @ u)
+def mean_jump_count(sub: SubGenerator, alpha: InitialDistribution) -> float:
+    """alpha (I - R)^-1 1: expected number of jumps before absorption.
+
+    The embedded jump matrix R_ij = -Q_ij / Q_ii satisfies I - R = D^-1 (-Q)
+    with d = -diag(Q), so this is alpha (-Q)^-1 d: the hitting-time system
+    with right-hand side d instead of 1.
+    """
+    return float(alpha.alpha @ _solve_neg_q(sub, -sub.Q.diagonal()))
 
 
 def _max_fundamental_entry(sub: SubGenerator) -> float:

@@ -77,7 +77,11 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     least every third probe: the worst case is three probes per halving of
     bisection (about 130 from a doubled bracket), where smooth survivals
     take about 10 and bisection took 47. Stops at a 1e-13 relative bracket
-    and returns its midpoint. Returns (0, already_below=True) when
+    and returns its midpoint, or earlier once both ends read the level to
+    within 1e-14 in log(S / epsilon), a few times the survival's rounding
+    and truncation error: on a plateau of the survival at epsilon every time
+    in between is a crossing to working accuracy, and further probes would
+    only chase rounding noise. Returns (0, already_below=True) when
     the mass already starts at or below epsilon. For the level of the
     hitting-time theorems call with epsilon = 1/N.
     """
@@ -114,7 +118,7 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     for _ in range(3 * max(halvings, 0)):
         width = t_hi - t_lo
         tol = 1e-13 * max(t_hi, 1.0)
-        if width <= tol:
+        if width <= tol or max(f_lo, -f_hi) <= 1e-14:
             break
         drop = f_lo - f_hi
         interpolated = 0.0 < drop < math.inf and width <= 0.5 * widths[0]

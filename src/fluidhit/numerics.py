@@ -109,9 +109,13 @@ def expm_action(Q, v, t, tol=1e-12):
 
     With Lambda >= max(-Q_ii), exp(Qt) = sum_n Pois(n; Lambda t) (I + Q/Lambda)^n.
     Every term is nonnegative, so the result is nonnegative entrywise and the
-    truncation error is bounded by the remaining Poisson tail mass times
-    ||v||_1. Weights switch to log-space once Lambda*t exceeds 700 to dodge
-    underflow of exp(-Lambda t).
+    truncation error is at most the remaining Poisson tail mass times
+    ||v||_1. The sum stops at the first n past the mean mu = Lambda t whose
+    weight certifies that tail below tol: w_{k+1}/w_k = mu/(k+1) decreases,
+    so the weights after n sum to at most w_n mu / (n + 1 - mu) (Fox & Glynn,
+    CACM 31, 1988). Weights switch to log-space once mu exceeds 700 to dodge
+    underflow of exp(-mu), and the sum is then divided by the summed
+    weights, which cancels the common rounding drift of the lgamma terms.
 
     Raises NonConvergent if tol below 1e-15 is requested.
     """
@@ -127,8 +131,7 @@ def expm_action(Q, v, t, tol=1e-12):
 
     mu = lam * t
     log_space = mu > 700.0
-    n_cap = int(mu + 60.0 * math.sqrt(mu + 1.0) + 1000.0)
-    cum = 0.0
+    total = 0.0
     for n, u in enumerate(_row_iterates(_uniformized(Q, lam), v)):
         if n == 0:
             acc = 0.0 * u
@@ -142,11 +145,13 @@ def expm_action(Q, v, t, tol=1e-12):
             acc = acc.toarray().ravel()
         if w > 0.0:
             acc = acc + w * u
-        cum += w
-        if cum >= 1.0 - tol or n >= n_cap:
+        total += w
+        if n + 1 > mu and w * mu / (n + 1 - mu) <= tol:
             break
     if sp.issparse(acc):
         acc = acc.toarray().ravel()
+    if log_space:
+        acc = acc / total
     np.maximum(acc, 0.0, out=acc)
     return acc
 

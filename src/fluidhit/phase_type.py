@@ -15,8 +15,9 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
+import scipy.sparse as sp
 
-from .chain_model import InitialDistribution, SubGenerator
+from .chain_model import InitialDistribution, SubGenerator, _Destinations
 from .errors import DegenerateTail, ScaleTooSmall
 from .fluid import crossing_time, transient_survival
 from .numerics import _row_iterates, _uniformized, dominant_eigen, eigen_spectrum
@@ -61,27 +62,23 @@ class PhaseType:
         return cls(alpha=alpha, sub=sub, scale=int(N))
 
     @cached_property
-    def _jump_rows(self):
-        """Per-state jump distribution: (leave prob uses -Q_ii separately,
-        cumulative jump probabilities, targets; target -1 encodes exit to 0)."""
-        Q = self.sub.Q.tocsr()
-        diag = Q.diagonal()
-        rows = []
-        for i in range(Q.shape[0]):
-            start, stop = Q.indptr[i], Q.indptr[i + 1]
-            cols, vals = [], []
-            for idx in range(start, stop):
-                j = int(Q.indices[idx])
-                if j == i:
-                    continue
-                cols.append(j)
-                vals.append(Q.data[idx] / -diag[i])
-            exit_p = self.sub.Q0[i] / -diag[i]
-            cols.append(-1)
-            vals.append(exit_p)
-            cum = np.cumsum(vals)
-            rows.append((tuple(cols), tuple(cum)))
-        return rows
+    def _jump_chain(self):
+        """Destination draws of the jump chain [offdiag(Q) | Q0] / -diag(Q).
+
+        Column n (past the n transient states) is the exit to state 0.
+        """
+        Q = self.sub.Q
+        n = Q.shape[0]
+        d = -Q.diagonal()
+        row = np.repeat(np.arange(n), np.diff(Q.indptr))
+        off = Q.indices != row
+        moves = row[off]
+        # Each row's exit follows its moves: a stable sort keeps Q's order.
+        order = np.argsort(np.concatenate([moves, np.arange(n)]), kind="stable")
+        cols = np.concatenate([Q.indices[off], np.full(n, n)])[order]
+        vals = np.concatenate([Q.data[off] / d[moves], self.sub.Q0 / d])[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(moves, minlength=n) + 1)])
+        return _Destinations(sp.csr_array((vals, cols, indptr), shape=(n, n + 1)))
 
 
 def continuous_survival(pt: PhaseType, t) -> float:
@@ -275,17 +272,10 @@ def sample_absorption_step(pt: PhaseType, rng) -> int:
             break
 
     diag = pt.sub.Q.diagonal()
+    draw = pt._jump_chain.draw
+    exit_column = pt.sub.n_transient
     steps = 0
-    while True:
-        p_leave = -diag[state] / pt.scale
-        steps += int(rng.geometric(p_leave))
-        cols, cum = pt._jump_rows[state]
-        w = rng.random()
-        nxt = cols[-1]
-        for j, c in enumerate(cum):
-            if w <= c:
-                nxt = cols[j]
-                break
-        if nxt == -1:
-            return steps
-        state = nxt
+    while state != exit_column:
+        steps += int(rng.geometric(-diag[state] / pt.scale))
+        state = draw(state, rng.random())
+    return steps

@@ -125,32 +125,6 @@ class _Uniforms:
         return u
 
 
-class _RowTables:
-    """Lazy per-state destination tables (columns, cumulative probabilities)."""
-
-    __slots__ = ("_chain", "_rows")
-
-    def __init__(self, chain: AbsorbingChain):
-        self._chain = chain
-        self._rows = {}
-
-    def row(self, state):
-        tab = self._rows.get(state)
-        if tab is None:
-            cols, probs = self._chain.row(state)
-            tab = (tuple(int(c) for c in cols), tuple(np.cumsum(probs)))
-            self._rows[state] = tab
-        return tab
-
-
-def _pick_destination(tab, w):
-    cols, cum = tab
-    for j, c in enumerate(cum):
-        if w <= c:
-            return cols[j]
-    return cols[-1]
-
-
 def step(chain: AbsorbingChain, state: OccupancyState, rng) -> OccupancyState:
     """One exact scheduler step: pick a chain uniformly, move it by one P-row.
 
@@ -166,9 +140,7 @@ def step(chain: AbsorbingChain, state: OccupancyState, rng) -> OccupancyState:
         x = s
         if r < acc:
             break
-    cols, probs = chain.row(x)
-    w = rng.random()
-    y = _pick_destination((tuple(cols), tuple(np.cumsum(probs))), w)
+    y = chain._destinations.draw(x, rng.random())
     if y == x:
         return state
     counts = dict(state.counts)
@@ -177,7 +149,7 @@ def step(chain: AbsorbingChain, state: OccupancyState, rng) -> OccupancyState:
     return OccupancyState(N=N, counts=counts)
 
 
-def _run(tables, initial: OccupancyState, rng, skip, max_steps, targets=()):
+def _run(chain, initial: OccupancyState, rng, skip, max_steps, targets=()):
     """The select-and-move loop behind run_to_absorption and simulate_trajectory.
 
     Runs until every chain sits in state 0 or every step index in the sorted
@@ -195,6 +167,7 @@ def _run(tables, initial: OccupancyState, rng, skip, max_steps, targets=()):
     last = targets[-1] if targets else math.inf
     steps = 0
     uni = _Uniforms(rng)
+    draw = chain._destinations.draw
     log = math.log
     log1p = math.log1p
     while active > 0 and steps < last:
@@ -224,7 +197,7 @@ def _run(tables, initial: OccupancyState, rng, skip, max_steps, targets=()):
             x = s
             if r < acc:
                 break
-        y = _pick_destination(tables.row(x), uni.next())
+        y = draw(x, uni.next())
         if y != x:
             c = counts[x] - 1
             if c:
@@ -252,7 +225,7 @@ def run_to_absorption(
     Raises MaxStepsExceeded (with the steps consumed and the final counts)
     when the cap is hit first.
     """
-    return _run(_RowTables(chain), initial, rng, skip, max_steps)[0]
+    return _run(chain, initial, rng, skip, max_steps)[0]
 
 
 def _replication_rng(seed, rep):
@@ -260,12 +233,11 @@ def _replication_rng(seed, rep):
 
 
 def _run_block(chain, initial, seed, reps, skip, max_steps):
-    tables = _RowTables(chain)
     out = []
     for rep in reps:
         rng = _replication_rng(seed, rep)
         try:
-            out.append((rep, _run(tables, initial, rng, skip, max_steps)[0]))
+            out.append((rep, _run(chain, initial, rng, skip, max_steps)[0]))
         except MaxStepsExceeded:
             out.append((rep, None))
     return out
@@ -346,7 +318,7 @@ def simulate_trajectory(
         raise ValueError("rescaled grid must be nonnegative and nondecreasing")
     N = initial.N
     targets = [int(math.floor(t * N)) for t in grid]
-    _, absorbed = _run(_RowTables(chain), initial, rng, skip, max_steps, targets)
+    _, absorbed = _run(chain, initial, rng, skip, max_steps, targets)
     return TrajectorySample(
         rescaled_times=grid, m0_fractions=np.asarray(absorbed, dtype=float) / N
     )

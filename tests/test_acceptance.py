@@ -27,7 +27,6 @@ from fluidhit import (
     gen_fig3b,
     gen_tstage,
     harmonic_number,
-    jump_matrix,
     mean_jump_count,
     random_chain,
     simulate_trajectory,
@@ -137,7 +136,7 @@ def test_criterion_06_threshold_inequality():
         cases = [gen_classical(), gen_tstage(3), gen_fig3b(2), gen_fig3a(N, 2)]
         for ex in cases:
             sub = decompose(ex.chain)
-            mj = mean_jump_count(jump_matrix(sub), ex.default_alpha)
+            mj = mean_jump_count(sub, ex.default_alpha)
             t_n = crossing_time(ex.default_alpha, sub, 1.0 / N).time
             x_n = x_threshold(PhaseType.discrete(ex.default_alpha, sub, N))
             if x_n > N * (t_n + mj):

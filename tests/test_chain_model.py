@@ -10,7 +10,6 @@ from fluidhit import (
     gen_fig3a,
     gen_fig3b,
     gen_tstage,
-    jump_matrix,
     load_chain_spec,
     mean_jump_count,
     random_chain,
@@ -131,41 +130,6 @@ def test_from_matrix_requires_exit_path():
         assert exc.value.state == 2
 
 
-def test_jump_matrix_single_state():
-    sub = decompose(validate_chain([[1, 0], [1, 0]]))
-    assert jump_matrix(sub).R.todense() == pytest.approx(np.array([[0.0]]))
-
-
-def test_jump_matrix_tstage3_subdiagonal():
-    R = jump_matrix(decompose(gen_tstage(3).chain)).R.todense()
-    expected = np.zeros((3, 3))
-    expected[1, 0] = 1.0
-    expected[2, 1] = 1.0
-    assert R == pytest.approx(expected)
-
-
-def test_jump_matrix_from_rate_matrix():
-    sub = SubGenerator.from_matrix([[-2.0, 1.0], [1.0, -3.0]])
-    R = jump_matrix(sub).R.todense()
-    assert R == pytest.approx(np.array([[0.0, 0.5], [1.0 / 3.0, 0.0]]))
-
-
-def test_jump_matrix_scaling_invariance():
-    # R depends only on the ratios -Q_ij/Q_ii, so row scaling cancels.
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        chain = random_chain(rng, 4)
-        sub = decompose(chain)
-        Q = sub.dense_q()
-        scales = rng.uniform(0.5, 5.0, size=4)
-        scaled = SubGenerator.from_matrix(
-            np.diag(scales) @ Q, Q0=scales * sub.Q0
-        )
-        assert jump_matrix(scaled).R.todense() == pytest.approx(
-            jump_matrix(sub).R.todense()
-        )
-
-
 def test_hitting_times_tstage3():
     W = expected_hitting_times(decompose(gen_tstage(3).chain))
     assert W == pytest.approx([1.0, 2.0, 3.0])
@@ -205,14 +169,14 @@ def test_fundamental_matrix_nonnegative():
 
 def test_resolvent_classical():
     sub = decompose(validate_chain([[1, 0], [1, 0]]))
-    res = resolvent_quantities(sub, jump_matrix(sub), InitialDistribution.point(1, 1))
+    res = resolvent_quantities(sub, InitialDistribution.point(1, 1))
     assert res.max_neg_qinv == pytest.approx(1.0)
     assert res.mean_jumps == pytest.approx(1.0)
 
 
 def test_resolvent_tstage3():
     sub = decompose(gen_tstage(3).chain)
-    res = resolvent_quantities(sub, jump_matrix(sub), InitialDistribution.point(3, 3))
+    res = resolvent_quantities(sub, InitialDistribution.point(3, 3))
     assert res.max_neg_qinv == pytest.approx(1.0)
     assert res.mean_jumps == pytest.approx(3.0)
 
@@ -220,28 +184,57 @@ def test_resolvent_tstage3():
 def test_resolvent_fig3b():
     T = 3
     sub = decompose(gen_fig3b(T).chain)
-    res = resolvent_quantities(sub, jump_matrix(sub), InitialDistribution.point(1, 1))
+    res = resolvent_quantities(sub, InitialDistribution.point(1, 1))
     assert res.max_neg_qinv == pytest.approx(float(T))
     assert res.mean_jumps == pytest.approx(1.0)
 
 
 def test_mean_jumps_matches_brute_force_on_acyclic_chains():
-    # Acyclic chains of up to 4 transient states: upper-triangular moves only.
+    # Acyclic chains of up to 4 transient states: moves to lower states
+    # only, with self-loops on every other chain. A self-loop is no jump,
+    # so the oracle walks R_ij = P_ij / (1 - P_ii) built from P itself, and
+    # with P_ii > 0 the count differs from the hitting time alpha W.
     rng = np.random.default_rng(23)
-    for _ in range(10):
+    for trial in range(20):
         S = int(rng.integers(1, 5))
         P = np.zeros((S + 1, S + 1))
         P[0, 0] = 1.0
         for i in range(1, S + 1):
-            w = rng.exponential(size=i)  # moves to states 0..i-1 only
-            P[i, :i] = w / w.sum()
-        chain = validate_chain(P)
-        sub = decompose(chain)
-        jm = jump_matrix(sub)
-        expected = brute_jump_counts(jm.R.todense())
+            w = rng.exponential(size=i + 1)  # moves to states 0..i-1, stay at i
+            if trial % 2 == 0:
+                w[i] = 0.0
+            P[i, : i + 1] = w / w.sum()
+        stay = np.diag(P)[1:]
+        R = P[1:, 1:] / (1.0 - stay)[:, None]
+        np.fill_diagonal(R, 0.0)
+        expected = brute_jump_counts(R)
+        sub = decompose(validate_chain(P))
+        W = expected_hitting_times(sub)
         for start in range(1, S + 1):
             alpha = InitialDistribution.point(start, S)
-            assert mean_jump_count(jm, alpha) == pytest.approx(expected[start - 1])
+            assert mean_jump_count(sub, alpha) == pytest.approx(expected[start - 1])
+            if stay[start - 1] > 0.0:
+                assert mean_jump_count(sub, alpha) < W[start - 1] * (1 - 1e-9)
+
+
+def test_mean_jumps_invariant_under_rate_scaling():
+    # The jump chain depends only on the ratios -Q_ij/Q_ii, so scaling row i
+    # of Q and Q0 by c_i leaves the jump count alone while W changes.
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        chain = random_chain(rng, 4)
+        sub = decompose(chain)
+        scales = rng.uniform(0.5, 5.0, size=4)
+        scaled = SubGenerator.from_matrix(
+            np.diag(scales) @ sub.dense_q(), Q0=scales * sub.Q0
+        )
+        alpha = InitialDistribution(alpha=rng.dirichlet(np.ones(4)))
+        assert mean_jump_count(scaled, alpha) == pytest.approx(
+            mean_jump_count(sub, alpha), rel=1e-12
+        )
+        assert alpha.alpha @ expected_hitting_times(scaled) != pytest.approx(
+            alpha.alpha @ expected_hitting_times(sub)
+        )
 
 
 def test_max_fundamental_entry_sits_on_diagonal():
@@ -270,7 +263,7 @@ def test_resolvent_maximum_over_two_state_cycles():
     sub = decompose(validate_chain(P))
     det = (1.0 - x[:, 0]) * (1.0 - x[:, 1]) - y[:, 0] * y[:, 1]
     expected = np.max(np.maximum(1.0 - x[:, 0], 1.0 - x[:, 1]) / det)
-    res = resolvent_quantities(sub, jump_matrix(sub), InitialDistribution.uniform(2 * m))
+    res = resolvent_quantities(sub, InitialDistribution.uniform(2 * m))
     assert res.max_neg_qinv == pytest.approx(expected, rel=1e-12)
 
 
@@ -284,7 +277,7 @@ def test_resolvent_maximum_of_a_ring_past_the_dense_cap():
     vals = np.concatenate([[1.0], np.full(n, 1.0 - p), np.full(n, p)])
     P = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n + 1, n + 1)))
     sub = decompose(validate_chain(P))
-    res = resolvent_quantities(sub, jump_matrix(sub), InitialDistribution.point(1, n))
+    res = resolvent_quantities(sub, InitialDistribution.point(1, n))
     assert res.max_neg_qinv == pytest.approx(1.0 / (1.0 - (1.0 - p) ** n), rel=1e-12)
 
 
@@ -293,7 +286,7 @@ def test_resolvent_maximum_past_the_old_sweep_cap():
     # components singletons with -Q_kk = 1.
     ex = gen_fig3a(400, 2)
     sub = decompose(ex.chain)
-    res = resolvent_quantities(sub, jump_matrix(sub), ex.default_alpha)
+    res = resolvent_quantities(sub, ex.default_alpha)
     assert sub.n_transient == 160_001
     assert res.max_neg_qinv == 1.0
 

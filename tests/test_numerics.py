@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from fluidhit import (
     decompose,
@@ -14,6 +15,7 @@ from fluidhit import (
     random_chain,
     solve_linear,
 )
+from fluidhit import numerics
 from fluidhit.errors import DimensionTooLarge, NonConvergent, SingularMatrix
 
 
@@ -71,6 +73,37 @@ def test_expm_large_time_log_space_weights():
     # Lambda * t beyond 700 exercises the log-space weight path.
     out = expm_action(np.array([[-1.0]]), np.array([1.0]), 800.0)
     assert out[0] == pytest.approx(math.exp(-800.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("mu", [32.2, 738.0, 2000.0, 1e4, 1e5])
+def test_expm_stops_on_certified_poisson_tail(monkeypatch, mu):
+    # At tol = 1e-15 the summed weights can round below 1 - tol, so a stop
+    # on that sum ran to a cap far past the mean (1,377 terms at mu = 32.2);
+    # the certified tail bound stops within a few standard deviations.
+    iterates = numerics._row_iterates
+    terms = []
+
+    def counting(B, v):
+        for u in iterates(B, v):
+            terms.append(None)
+            yield u
+
+    monkeypatch.setattr(numerics, "_row_iterates", counting)
+    Q = np.array([[-1.0]])
+    out = expm_action(Q, np.array([1.0]), mu / numerics._uniformization_rate(Q), tol=1e-15)
+    assert len(terms) <= mu + 10.0 * math.sqrt(mu) + 30.0
+    assert 0.0 <= out[0] <= 1.0
+
+
+@pytest.mark.parametrize("t", [500.0, 1e4, 9.5e4])
+def test_expm_slow_decay_matches_expm_multiply(t):
+    # Dominant eigenvalue about -5e-6: at t = 9.5e4 the survival is still
+    # 0.62 while Lambda t is 1e5, deep in the log-space weights.
+    Q = np.array([[-1.0, 1.0 - 1e-5], [1.0, -1.0]])
+    v = np.array([0.3, 0.7])
+    got = expm_action(Q, v, t, tol=1e-15)
+    ref = expm_multiply(Q.T * t, v)
+    assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 def test_expm_nonnegative_and_mass_decreasing():

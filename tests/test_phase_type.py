@@ -16,7 +16,6 @@ from fluidhit import (
     gen_fig3a,
     gen_fig3b,
     gen_tstage,
-    jump_matrix,
     mean_jump_count,
     sample_absorption_step,
     spectral_params,
@@ -208,6 +207,46 @@ def test_sampler_survival_matches_discrete_survival():
         assert abs(emp - ref) <= 3 * stderr + 1e-9
 
 
+def test_sampler_on_rate_matrix_matches_discrete_survival():
+    # No transition matrix behind Q: rates above 1 and an explicit exit
+    # vector, so the jump chain divides by -Q_ii != 1 and exits are drawn
+    # from Q0 alone.
+    Q = np.array([[-3.0, 1.0, 0.5], [0.0, -2.5, 2.0], [0.5, 0.0, -1.5]])
+    sub = SubGenerator.from_matrix(Q, Q0=[1.5, 0.5, 1.0])
+    pt = PhaseType.discrete(InitialDistribution(alpha=np.array([0.5, 0.3, 0.2])), sub, 4)
+    rng = np.random.default_rng(5)
+    n = 40_000
+    samples = np.array([sample_absorption_step(pt, rng) for _ in range(n)])
+    for q in range(1, 10):
+        k = int(np.quantile(samples, q / 10))
+        emp = float(np.mean(samples > k))
+        ref = discrete_survival(pt, k)
+        stderr = math.sqrt(max(ref * (1 - ref), 1e-12) / n)
+        assert abs(emp - ref) <= 3 * stderr + 1e-9
+
+
+def test_jump_chain_rows_match_a_per_state_loop():
+    # The vectorized jump chain against the per-state loop it replaced:
+    # each row lists Q's off-diagonal entries in stored order, then the
+    # exit in column n, every value divided by -Q_ii; equal bit for bit.
+    unsorted = sp.csr_array(
+        (np.array([0.5, -2.0, -1.0, 0.5]), np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
+        shape=(2, 2),
+    )
+    subs = [decompose(gen_fig3a(4, 2).chain), decompose(gen_fig3b(3).chain),
+            SubGenerator.from_matrix(unsorted)]
+    for sub in subs:
+        n = sub.n_transient
+        table = PhaseType.discrete(InitialDistribution.uniform(n), sub, 10)._jump_chain
+        Q, d = sub.Q, -sub.Q.diagonal()
+        for i in range(n):
+            entries = [(int(Q.indices[k]), Q.data[k] / d[i])
+                       for k in range(Q.indptr[i], Q.indptr[i + 1]) if Q.indices[k] != i]
+            entries.append((n, sub.Q0[i] / d[i]))
+            row = table._matrix[[i]]
+            assert list(zip(row.indices.tolist(), row.data.tolist())) == entries
+
+
 def test_sampler_mass_at_zero():
     ex = gen_tstage(1)
     alpha = InitialDistribution(alpha=np.array([0.0]), mass0=1.0)
@@ -240,8 +279,7 @@ def test_threshold_crossing_jump_inequality_small_cases():
     # x_N <= N (t_N + mean jumps): spot checks ahead of the acceptance sweep.
     for ex in (gen_tstage(1), gen_tstage(3), gen_fig3b(2), gen_fig3a(10, 2)):
         sub = decompose(ex.chain)
-        jm = jump_matrix(sub)
-        mj = mean_jump_count(jm, ex.default_alpha)
+        mj = mean_jump_count(sub, ex.default_alpha)
         for N in (10, 100):
             t_n = crossing_time(ex.default_alpha, sub, 1.0 / N).time
             x_n = x_threshold(PhaseType.discrete(ex.default_alpha, sub, N))
