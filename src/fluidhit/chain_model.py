@@ -25,7 +25,7 @@ from .errors import (
     NotTransient,
     SingularSystem,
 )
-from .numerics import DENSE_CAP, _strong_blocks, solve_linear
+from .numerics import DENSE_CAP, _dense_buffer, _strong_blocks, solve_linear
 
 ROW_SUM_TOL = 1e-12
 
@@ -138,7 +138,7 @@ class SubGenerator:
                 f"refusing to densify a {self.n_transient}-state sub-generator "
                 f"(cap {DENSE_CAP})"
             )
-        return np.asarray(self.Q.todense())
+        return self.Q.toarray(out=_dense_buffer(self.Q.shape))
 
     @classmethod
     def from_matrix(cls, Q, Q0=None):
@@ -328,7 +328,7 @@ def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:
     """x with (-Q) x = rhs, for a positive rhs (so x is positive too)."""
     try:
         if sub.n_transient <= DENSE_CAP:
-            x = solve_linear(-sub.dense_q(), rhs)
+            x = solve_linear((-sub.Q).toarray(out=_dense_buffer(sub.Q.shape)), rhs)
         else:
             x = spla.spsolve(sp.csc_matrix(-sub.Q), rhs)
     except Exception as exc:  # pragma: no cover - validated chains never hit this

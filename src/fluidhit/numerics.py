@@ -11,12 +11,14 @@ matrix I + Q/Lambda.
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import eigvals, lu_factor, lu_solve
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -34,6 +36,20 @@ DENSE_CAP = 2000
 _UNIFORMIZATION_SLACK = 1.05
 
 _MIN_EXPM_TOL = 1e-15
+_SPARE_MAPS = []  # maps released by arrays of _dense_buffer
+
+
+def _dense_buffer(shape, order="C"):
+    """Array for n x n work; from 1 MiB on, a private map reused once all its views are freed."""
+    size = math.prod(shape)
+    if 8 * size < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(shape, order=order)
+    # Not the heap: glibc's reuse of freed 20 MB blocks there made peak memory vary by run.
+    if not _SPARE_MAPS or len(buf := _SPARE_MAPS.pop()) != 8 * size:
+        buf = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        buf.madvise(mmap.MADV_HUGEPAGE)  # as numpy asks for its own large arrays
+    weakref.finalize(flat := np.frombuffer(buf, dtype=float, count=size), _SPARE_MAPS.append, buf)
+    return flat.reshape(shape, order=order)
 
 
 def solve_linear(A, b):
@@ -47,10 +63,12 @@ def solve_linear(A, b):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    norm = np.max(np.abs(A).sum(axis=1)) if A.size else 0.0
+    norm = np.max(np.abs(A, out=_dense_buffer(A.shape)).sum(axis=1)) if A.size else 0.0
+    lu = _dense_buffer(A.shape, order="F")  # factored in place, not copied
+    lu[...] = A
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lu, piv = lu_factor(A)
+        lu, piv = lu_factor(lu, overwrite_a=True)
     pivots = np.abs(np.diag(lu))
     if norm == 0.0 or np.min(pivots) < 1e-14 * norm:
         raise SingularMatrix(
@@ -185,13 +203,14 @@ def eigen_spectrum(A, cluster_tol=None):
             f"dense eigensolve capped at {DENSE_CAP} states (got {n}); "
             "use dominant_eigen instead"
         )
-    if sp.issparse(A):
-        A = np.asarray(A.todense())
-    A = np.asarray(A, dtype=float)
-    norm = np.max(np.abs(A).sum(axis=1)) if n else 0.0
+    A = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
+    norm = np.max(np.abs(A, out=_dense_buffer(A.shape)).sum(axis=1)) if n else 0.0
     if cluster_tol is None:
         cluster_tol = 1e-7 * max(norm, 1.0)
-    vals = np.linalg.eigvals(A)
+    work = _dense_buffer(A.shape, order="F")  # LAPACK's eigenvalue sweep works in place
+    work[...] = A
+    vals = eigvals(work, overwrite_a=True)
+    vals = vals if vals.imag.any() else vals.real  # as np.linalg.eigvals returns them
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
 

@@ -182,7 +182,7 @@ def spectral_params(
             # The m eigenvalues nearest -nu must also keep their mean within
             # ||Q|| 1e-10 of -nu: a defective eigenvalue's scattered copies do
             # (the trace is preserved), distinct eigenvalues far off do not.
-            norm = max(float(np.max(np.abs(dense_q).sum(axis=1))), 1.0)
+            norm = max(float(np.max(np.abs(dense_q, out=dense_q).sum(axis=1))), 1.0)
             order = np.argsort(dists, kind="stable")
             m = np.arange(1, dists.size + 1)
             means = np.cumsum(raw[order]) / m

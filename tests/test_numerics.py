@@ -1,4 +1,5 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -244,3 +245,46 @@ def test_dominant_matches_dense_spectrum():
         Q[i, i], Q[j, j] = -(a[c] + e[c]), -(b[c] + 0.5 * e[c])
     lead = dominant_eigen(sp.csr_array(Q), tol=tol)
     assert abs(lead - np.max(np.linalg.eigvals(Q).real)) <= 10 * tol
+
+
+needs_maps = pytest.mark.skipif(
+    not hasattr(mmap, "MADV_HUGEPAGE"), reason="dense buffers come from numpy on this platform"
+)
+
+
+@needs_maps
+def test_dense_buffer_reused_only_after_every_view_is_freed():
+    first = numerics._dense_buffer((400, 400))
+    assert isinstance(first.base.base, memoryview)  # a map, not the heap
+    view = first.T[::2]
+    first[...] = 1.0
+    del first
+    # The view still holds the map, so a new buffer must get other memory.
+    second = numerics._dense_buffer((400, 400))
+    second[...] = 2.0
+    assert np.all(view == 1.0)
+    del view, second
+    again = numerics._dense_buffer((400, 400), order="F")
+    assert again.flags.f_contiguous and again.flags.writeable
+    small = numerics._dense_buffer((3, 3))
+    assert small.base is None
+
+
+@needs_maps
+def test_dense_work_in_maps_matches_numpy_on_the_heap(monkeypatch):
+    # 400 states make a 1.28 MB matrix, past the size that goes to a map.
+    sub = decompose(random_chain(np.random.default_rng(5), 400, density=0.05))
+    Q = sub.dense_q()
+    assert isinstance(Q.base.base, memoryview)
+    plain = np.asarray(sub.Q.todense())
+    assert np.array_equal(Q, plain)
+    b = np.ones(400)
+    lu = numerics.lu_factor(-plain)
+    assert np.array_equal(solve_linear(-Q, b), numerics.lu_solve(lu, b))
+    # SciPy's LAPACK build may round differently from NumPy's.
+    report = eigen_spectrum(Q)
+    monkeypatch.setattr(numerics, "eigvals", lambda a, overwrite_a: np.linalg.eigvals(plain))
+    heap = eigen_spectrum(plain)
+    assert [m for _, m in report.eigenvalues] == [m for _, m in heap.eigenvalues]
+    assert np.allclose([v for v, _ in report.eigenvalues], [v for v, _ in heap.eigenvalues],
+                       rtol=0, atol=1e-12)
