@@ -10,6 +10,7 @@ chain) stay linear in storage.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,14 +83,16 @@ class _Destinations:
     """Destination draws from the rows of a CSR matrix of probabilities.
 
     A row's table (column indices, cumulative probabilities) is built on its
-    first draw, so a run pays only for the rows it visits.
+    first draw, so a run pays only for the rows it visits. draw_many builds
+    the cumulative sums of all rows at once, on its first call.
     """
 
-    __slots__ = ("_matrix", "_rows")
+    __slots__ = ("_matrix", "_rows", "_flat")
 
     def __init__(self, matrix):
         self._matrix = matrix
         self._rows = {}
+        self._flat = None
 
     def draw(self, i, w):
         """First column of row i whose cumulative probability reaches w.
@@ -106,6 +109,56 @@ class _Destinations:
             if w <= c:
                 return cols[j]
         return cols[-1]
+
+    def draw_many(self, rows, w):
+        """draw(rows[k], w[k]) for every k, by the same rule and sums."""
+        if self._flat is None:
+            self._flat = self._row_cumsums()
+        cols, cum, first, last = self._flat
+        pos = first[rows]
+        end = last[rows]
+        # Step each pending entry to its row's next column, as draw does.
+        todo = np.flatnonzero((cum[pos] < w) & (pos < end))
+        while todo.size:
+            pos[todo] += 1
+            at = pos[todo]
+            todo = todo[(cum[at] < w[todo]) & (at < end[todo])]
+        return cols[pos]
+
+    def _row_cumsums(self):
+        """Every row's running sum, added in np.cumsum's order (bit for bit).
+
+        Pass k adds entry k of each row longer than k; rows are visited
+        longest first so each pass touches only a prefix, O(nnz) in all.
+        """
+        indptr = self._matrix.indptr
+        cum = np.array(self._matrix.data, dtype=float)
+        lengths = np.diff(indptr)
+        longest_first = np.argsort(-lengths, kind="stable")
+        starts = indptr[:-1][longest_first]
+        ordered = lengths[longest_first]
+        for k in range(1, int(ordered[0]) if ordered.size else 0):
+            at = starts[: np.searchsorted(-ordered, -k)] + k
+            cum[at] += cum[at - 1]
+        cols = np.asarray(self._matrix.indices, dtype=np.int64)
+        return cols, cum, indptr[:-1].astype(np.int64), indptr[1:].astype(np.int64) - 1
+
+
+def _walk_to_exit(state, rates, draw, exit_column, rng, budget=math.inf):
+    """Steps one chain takes from a transient state until it exits.
+
+    The sojourn in state x is geometric with success rates[x], drawn in one
+    shot; draw(x, u) then picks the next state. rng is a numpy Generator or
+    anything with its random() and geometric(p). Stops early, with a count
+    above budget, as soon as the count passes budget.
+    """
+    steps = 0
+    while state != exit_column:
+        steps += int(rng.geometric(rates[state]))
+        if steps > budget:
+            break
+        state = draw(state, rng.random())
+    return steps
 
 
 @dataclass(frozen=True)
@@ -131,6 +184,25 @@ class SubGenerator:
     def max_exit_rate(self):
         """max_i(-Q_ii)."""
         return float(np.max(-self.Q.diagonal()))
+
+    @cached_property
+    def _jump_chain(self):
+        """Destination draws of the jump chain [offdiag(Q) | Q0] / -diag(Q).
+
+        Column n (past the n transient states) is the exit to state 0.
+        """
+        Q = self.Q
+        n = Q.shape[0]
+        d = -Q.diagonal()
+        row = np.repeat(np.arange(n), np.diff(Q.indptr))
+        off = Q.indices != row
+        moves = row[off]
+        # Each row's exit follows its moves: a stable sort keeps Q's order.
+        order = np.argsort(np.concatenate([moves, np.arange(n)]), kind="stable")
+        cols = np.concatenate([Q.indices[off], np.full(n, n)])[order]
+        vals = np.concatenate([Q.data[off] / d[moves], self.Q0 / d])[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(moves, minlength=n) + 1)])
+        return _Destinations(sp.csr_array((vals, cols, indptr), shape=(n, n + 1)))
 
     def dense_q(self):
         if self.n_transient > DENSE_CAP:

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
-import scipy.sparse as sp
 
-from .chain_model import InitialDistribution, SubGenerator, _Destinations
+from .chain_model import InitialDistribution, SubGenerator, _walk_to_exit
 from .errors import DegenerateTail, ScaleTooSmall
 from .fluid import crossing_time, transient_survival
 from .numerics import _row_iterates, _uniformized, dominant_eigen, eigen_spectrum
@@ -60,25 +58,6 @@ class PhaseType:
     @classmethod
     def discrete(cls, alpha, sub, N):
         return cls(alpha=alpha, sub=sub, scale=int(N))
-
-    @cached_property
-    def _jump_chain(self):
-        """Destination draws of the jump chain [offdiag(Q) | Q0] / -diag(Q).
-
-        Column n (past the n transient states) is the exit to state 0.
-        """
-        Q = self.sub.Q
-        n = Q.shape[0]
-        d = -Q.diagonal()
-        row = np.repeat(np.arange(n), np.diff(Q.indptr))
-        off = Q.indices != row
-        moves = row[off]
-        # Each row's exit follows its moves: a stable sort keeps Q's order.
-        order = np.argsort(np.concatenate([moves, np.arange(n)]), kind="stable")
-        cols = np.concatenate([Q.indices[off], np.full(n, n)])[order]
-        vals = np.concatenate([Q.data[off] / d[moves], self.sub.Q0 / d])[order]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(moves, minlength=n) + 1)])
-        return _Destinations(sp.csr_array((vals, cols, indptr), shape=(n, n + 1)))
 
 
 def continuous_survival(pt: PhaseType, t) -> float:
@@ -271,11 +250,5 @@ def sample_absorption_step(pt: PhaseType, rng) -> int:
             state = i
             break
 
-    diag = pt.sub.Q.diagonal()
-    draw = pt._jump_chain.draw
-    exit_column = pt.sub.n_transient
-    steps = 0
-    while state != exit_column:
-        steps += int(rng.geometric(-diag[state] / pt.scale))
-        state = draw(state, rng.random())
-    return steps
+    rates = -pt.sub.Q.diagonal() / pt.scale
+    return _walk_to_exit(state, rates, pt.sub._jump_chain.draw, pt.sub.n_transient, rng)

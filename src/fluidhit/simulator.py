@@ -1,12 +1,32 @@
-"""Monte Carlo simulation of the N-chain system via its occupancy process.
+"""Monte Carlo simulation of the N-chain system.
 
-The N labeled chains are exchangeable, so the vector of per-state counts is
-a Markov chain with the same law for the hitting time and the absorbed
-fraction; memory is O(occupied states) instead of O(N). Selecting an
-already-absorbed chain is a self-loop, so the run length between selections
-of active chains is geometric and can be sampled in one shot without
-changing the distribution of anything observable (the skip is exact, not an
-approximation).
+The scheduler picks one of the N chains uniformly at random per step and
+moves it by one row of P; T_N is the first step at which all N chains sit
+in state 0.
+
+estimate_hitting_time samples T_N exactly by Poissonization (as for the
+coupon collector: Flajolet, Gardy & Thimonier, Discrete Appl. Math. 39,
+1992). Run the scheduler on a rate-1 Poisson clock: chain j is then picked
+at rate 1/N independently of the others, and absorbs after K_j of its own
+P-steps at time A_j ~ Gamma(K_j, scale N). With tau = max_j A_j, given
+the A_j the picks of chain j in (A_j, tau] are independent Poisson counts
+of mean (tau - A_j) / N, so
+
+    T_N = sum_j K_j + Poisson(sum_j (tau - A_j) / N)
+
+in law. The K_j come from walking all chains' jump chains at once: the
+sojourn in state x is geometric with success 1 - P_xx, and one table lookup
+per round draws every destination. No Python work is done per scheduler
+step; only the last few unabsorbed chains are walked one at a time.
+
+The reference stepper (estimate_hitting_time with skip=False, and
+run_to_absorption, simulate_trajectory and step) runs the occupancy
+process, the vector of per-state counts. The N labeled chains are
+exchangeable, so the counts are a Markov chain with the same law for the
+hitting time and the absorbed fraction; memory is O(occupied states)
+instead of O(N). With skip, selections of absorbed chains (self-loops of
+the occupancy process) are drawn in one geometric jump, which changes the
+distribution of nothing observable.
 """
 
 from __future__ import annotations
@@ -15,13 +35,21 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .chain_model import AbsorbingChain, InitialDistribution
+from .chain_model import AbsorbingChain, InitialDistribution, _walk_to_exit, decompose
 from .errors import MaxStepsExceeded
 
 DEFAULT_MAX_STEPS = 10**9
+
+# The Poissonized sampler moves its unabsorbed chains in vectorized jump
+# rounds while more than this many remain, then walks the rest one chain at
+# a time. A round costs about 24 us of numpy calls whatever its size, a
+# scalar jump 1.5-3 us, so below about this many chains the scalar walk is
+# the cheaper way to finish (per-run times are flat from 8 to 24).
+_SCALAR_TAIL = 16
 
 
 @dataclass(frozen=True)
@@ -100,7 +128,11 @@ class TrajectorySample:
 
 
 class _Uniforms:
-    """Buffered uniforms: amortizes the numpy call overhead over blocks."""
+    """Buffered uniforms: amortizes the numpy call overhead over blocks.
+
+    random() and geometric(p) stand in for a numpy Generator's methods of
+    the same names, with a stream of their own.
+    """
 
     __slots__ = ("_rng", "_buf", "_i", "_n")
 
@@ -110,7 +142,7 @@ class _Uniforms:
         self._n = block
         self._i = 0
 
-    def next(self):
+    def random(self):
         i = self._i
         if i >= self._n:
             self._buf = self._rng.random(self._n)
@@ -118,11 +150,14 @@ class _Uniforms:
         self._i = i + 1
         return self._buf[i]
 
-    def next_nonzero(self):
-        u = self.next()
+    def geometric(self, p):
+        """Trials up to the first success of probability p, by inversion."""
+        if p >= 1.0:
+            return 1
+        u = self.random()
         while u <= 0.0:
-            u = self.next()
-        return u
+            u = self.random()
+        return int(math.log(u) / math.log1p(-p)) + 1
 
 
 def step(chain: AbsorbingChain, state: OccupancyState, rng) -> OccupancyState:
@@ -168,12 +203,10 @@ def _run(chain, initial: OccupancyState, rng, skip, max_steps, targets=()):
     steps = 0
     uni = _Uniforms(rng)
     draw = chain._destinations.draw
-    log = math.log
-    log1p = math.log1p
     while active > 0 and steps < last:
         if skip and absorbed:
             # Steps until an active chain is selected: geometric(active/N).
-            new_steps = steps + int(log(uni.next_nonzero()) / log1p(-active / N)) + 1
+            new_steps = steps + uni.geometric(active / N)
         else:
             new_steps = steps + 1
         if new_steps > max_steps:
@@ -184,9 +217,9 @@ def _run(chain, initial: OccupancyState, rng, skip, max_steps, targets=()):
             nxt = next(pending, math.inf)
         steps = new_steps
         if skip:
-            r = uni.next() * active
+            r = uni.random() * active
         else:
-            r = uni.next() * N
+            r = uni.random() * N
             if r < absorbed:
                 continue
             r -= absorbed
@@ -197,7 +230,7 @@ def _run(chain, initial: OccupancyState, rng, skip, max_steps, targets=()):
             x = s
             if r < acc:
                 break
-        y = draw(x, uni.next())
+        y = draw(x, uni.random())
         if y != x:
             c = counts[x] - 1
             if c:
@@ -232,15 +265,79 @@ def _replication_rng(seed, rep):
     return np.random.default_rng(np.random.SeedSequence((seed, rep)))
 
 
-def _run_block(chain, initial, seed, reps, skip, max_steps):
-    out = []
-    for rep in reps:
-        rng = _replication_rng(seed, rep)
-        try:
-            out.append((rep, _run(chain, initial, rng, skip, max_steps)[0]))
-        except MaxStepsExceeded:
-            out.append((rep, None))
-    return out
+class _Poissonized:
+    """T_N by the Poissonization identity of the module docstring.
+
+    Holds what every replication shares: the jump table, the geometric
+    success 1 - P_xx per transient state and the start state of each
+    unabsorbed chain. Calling it with a generator returns one sample of
+    T_N, or None when the sample would exceed max_steps.
+    """
+
+    def __init__(self, chain, initial: OccupancyState, max_steps):
+        sub = decompose(chain)
+        self._table = sub._jump_chain
+        self._rates = -sub.Q.diagonal()
+        with np.errstate(divide="ignore"):
+            # -inf where P_xx = 0, which makes every sojourn there 1 step.
+            self._log_stay = np.log1p(-self._rates)
+        self._exit = sub.n_transient
+        self._N = initial.N
+        self._absorbed = initial.absorbed
+        active = [(s, c) for s, c in initial.counts.items() if s != 0]
+        self._starts = np.repeat(
+            np.array([s - 1 for s, _ in active], dtype=np.int64), [c for _, c in active]
+        )
+        self._max_steps = max_steps
+
+    def __call__(self, rng):
+        states = self._starts
+        chains = np.arange(states.size)
+        jumps = np.zeros(states.size, dtype=np.int64)
+        total = 0
+        while chains.size > _SCALAR_TAIL:
+            u = rng.random((2, chains.size))
+            # Geometric sojourns by inversion, the rule of _Uniforms.geometric.
+            sojourns = (np.log(1.0 - u[0]) / self._log_stay[states]).astype(np.int64) + 1
+            jumps[chains] += sojourns
+            total += int(sojourns.sum())
+            # T_N >= sum_j K_j, so the run already fails.
+            if total > self._max_steps:
+                return None
+            states = self._table.draw_many(states, u[1])
+            alive = states != self._exit
+            chains, states = chains[alive], states[alive]
+        if chains.size:
+            uniforms = _Uniforms(rng, block=64)
+            draw = self._table.draw
+            for j, x in zip(chains.tolist(), states.tolist()):
+                budget = self._max_steps - total
+                k = _walk_to_exit(x, self._rates, draw, self._exit, uniforms, budget)
+                total += k
+                if total > self._max_steps:
+                    return None
+                jumps[j] += k
+        if jumps.size > _SCALAR_TAIL:
+            finish = rng.gamma(jumps, self._N)
+        else:
+            # Below the tail size scalar draws beat the array call's set-up.
+            finish = np.array([rng.standard_gamma(k) for k in jumps.tolist()]) * self._N
+        tau = float(finish.max(initial=0.0))
+        late = float(np.sum(tau - finish)) + self._absorbed * tau
+        steps = total + int(rng.poisson(late / self._N))
+        return steps if steps <= self._max_steps else None
+
+
+def _stepped(chain, initial, max_steps, rng):
+    """T_N from the reference stepper, or None past max_steps."""
+    try:
+        return _run(chain, initial, rng, False, max_steps)[0]
+    except MaxStepsExceeded:
+        return None
+
+
+def _run_block(sample, seed, reps):
+    return [(rep, sample(_replication_rng(seed, rep))) for rep in reps]
 
 
 def estimate_hitting_time(
@@ -254,31 +351,34 @@ def estimate_hitting_time(
 ) -> SimulationResult:
     """Independent replications of the absorption time.
 
-    Replication r draws from a generator seeded with the pair (seed, r), so
-    results do not depend on scheduling order and the same arguments always
-    reproduce the same samples. Replications hitting max_steps are excluded
-    from the statistics and counted in failed_runs. Set workers (or the
-    FLUIDHIT_THREADS environment variable) above 1 to run replications in
-    parallel processes.
+    With skip (the default) each sample comes from the Poissonized sampler;
+    skip=False runs the per-event reference stepper instead, for checking
+    one against the other. Replication r draws from a generator seeded with
+    the pair (seed, r), so results do not depend on scheduling order and
+    the same arguments always reproduce the same samples. Replications whose
+    absorption step exceeds max_steps are excluded from the statistics and
+    counted in failed_runs. Set workers (or the FLUIDHIT_THREADS environment
+    variable) above 1 to run replications in parallel processes.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if workers is None:
         workers = int(os.environ.get("FLUIDHIT_THREADS", "1") or 1)
+    if skip:
+        sample = _Poissonized(chain, initial, max_steps)
+    else:
+        sample = partial(_stepped, chain, initial, max_steps)
     reps = list(range(runs))
     if workers > 1 and runs > 1:
         chunk = (runs + workers - 1) // workers
         blocks = [reps[i : i + chunk] for i in range(0, runs, chunk)]
         results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_block, chain, initial, seed, block, skip, max_steps)
-                for block in blocks
-            ]
+            futures = [pool.submit(_run_block, sample, seed, block) for block in blocks]
             for fut in futures:
                 results.extend(fut.result())
     else:
-        results = _run_block(chain, initial, seed, reps, skip, max_steps)
+        results = _run_block(sample, seed, reps)
 
     results.sort(key=lambda pair: pair[0])
     samples = [steps for _, steps in results if steps is not None]

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fluidhit import (
     OccupancyState,
@@ -172,7 +171,6 @@ def test_criterion_07_spectral_correctness():
                         f"power-vs-dense gap {worst:.2e} (<= 1e-7) on 50 random chains")
 
 
-@pytest.mark.slow
 def test_criterion_08_theorem2_trend():
     N = 10**4
     ex = gen_classical()

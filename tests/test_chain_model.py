@@ -17,6 +17,7 @@ from fluidhit import (
     resolvent_quantities,
     validate_chain,
 )
+from fluidhit.chain_model import _Destinations
 from fluidhit.errors import NotAbsorbing, NotStochastic, NotTransient
 
 from oracles import brute_jump_counts
@@ -346,3 +347,30 @@ def test_load_chain_spec_errors():
         load_chain_spec({"states": 2})
     with pytest.raises(ValueError):
         load_chain_spec({"states": 1, "P": [[1.0]]})
+
+
+def test_vectorized_destination_draws_match_draw_bit_for_bit():
+    # One table, two readers: draw_many must pick the very column draw picks
+    # for every (row, u), including u just below 1 and a row whose running
+    # sum rounds below 1 (seven entries of 1/7 add up to 1 - 2^-52), where
+    # the rule falls back to the row's last column.
+    sevenths = sp.csr_array(np.array([[1.0 / 7.0] * 7, [0.5, 0.5, 0, 0, 0, 0, 0]]))
+    below = np.cumsum(sevenths.data[:7])[-1]
+    assert below < np.nextafter(1.0, 0.0)
+    tables = [
+        decompose(random_chain(np.random.default_rng(31), 12, density=0.6))._jump_chain,
+        decompose(gen_fig3a(4, 2).chain)._jump_chain,
+        random_chain(np.random.default_rng(32), 9)._destinations,
+        _Destinations(sevenths),
+    ]
+    rng = np.random.default_rng(33)
+    for table in tables:
+        rows = rng.integers(0, table._matrix.shape[0], 10**4)
+        u = rng.random(10**4)
+        u[:50] = np.nextafter(1.0, 0.0)
+        u[50:100] = below
+        u[100:150] = 0.0
+        got = table.draw_many(rows, u)
+        assert got.tolist() == [table.draw(int(i), w) for i, w in zip(rows, u)]
+    last = tables[-1].draw_many(np.array([0]), np.array([np.nextafter(1.0, 0.0)]))
+    assert last.tolist() == [6]

@@ -191,6 +191,25 @@ def test_compare_fig3a_regenerates_per_population(capsys):
     assert all(row[-1] == "True" for row in rows[1:])
 
 
+def test_compare_single_run_has_no_band_to_violate(capsys):
+    # One completed run has no standard error, and a single sample above a
+    # bound on the mean is no violation: within_bands is empty, exit 0.
+    for seed in range(41):
+        code, out, err = run_cli(
+            capsys, "compare", "--chain", "classical", "--N-list", "100",
+            "--runs", "1", "--seed", str(seed),
+        )
+        assert code == 0, err
+        row = list(csv.reader(io.StringIO(out)))[1]
+        assert row[5] == "" and row[-1] == ""
+    code, out, _ = run_cli(
+        capsys, "compare", "--chain", "classical", "--N-list", "100",
+        "--runs", "1", "--seed", "2", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)[0]["within_bands"] is None
+
+
 def test_trajectory_files(tmp_path, capsys):
     out_base = tmp_path / "traj"
     code, _, _ = run_cli(

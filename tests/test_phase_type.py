@@ -237,7 +237,7 @@ def test_jump_chain_rows_match_a_per_state_loop():
             SubGenerator.from_matrix(unsorted)]
     for sub in subs:
         n = sub.n_transient
-        table = PhaseType.discrete(InitialDistribution.uniform(n), sub, 10)._jump_chain
+        table = sub._jump_chain
         Q, d = sub.Q, -sub.Q.diagonal()
         for i in range(n):
             entries = [(int(Q.indices[k]), Q.data[k] / d[i])

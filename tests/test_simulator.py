@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fluidhit import (
     InitialDistribution,
@@ -12,16 +13,20 @@ from fluidhit import (
     estimate_hitting_time,
     gen_fig3b,
     gen_tstage,
+    get_example,
     harmonic_number,
+    random_chain,
     run_to_absorption,
     sample_absorption_step,
     simulate_trajectory,
     step,
     validate_chain,
 )
+from fluidhit import simulator
+from fluidhit.chain_model import _Destinations
 from fluidhit.errors import MaxStepsExceeded
 
-from oracles import exact_occupancy_mean_hitting
+from oracles import exact_occupancy_mean_hitting, ks_two_sample_stat
 
 
 def test_occupancy_state_validation():
@@ -271,3 +276,106 @@ def test_absorbed_count_never_decreases():
         occ = step(chain, occ, rng)
         assert occ.absorbed >= prev
         prev = occ.absorbed
+
+
+def _self_loop_chain():
+    # Seeded 4-state chain whose three transient states all have self-loops.
+    chain = random_chain(np.random.default_rng(47), 3)
+    assert np.all(chain.P.diagonal()[1:] > 0.1)
+    return chain
+
+
+# A start over three transient states with a fifth of the chains already
+# in state 0 (no named start puts chains there).
+_SPREAD_ALPHA = InitialDistribution(alpha=np.array([0.3, 0.25, 0.25]), mass0=0.2)
+
+
+@pytest.mark.parametrize("name", ["fig3b:2", "tstage:2", "self-loops"])
+def test_poissonized_sampler_matches_stepper_in_law(name):
+    # Two disjoint samplers of T_N: the Poissonization identity against the
+    # per-event stepper, by a two-sample KS test at the 1% level.
+    if name == "self-loops":
+        chain, alpha = _self_loop_chain(), _SPREAD_ALPHA
+    else:
+        ex = get_example(name)
+        chain, alpha = ex.chain, ex.default_alpha
+    n = 3000
+    initial = OccupancyState.from_alpha(alpha, 30)
+    poissonized = estimate_hitting_time(chain, initial, n, seed=201)
+    stepped = estimate_hitting_time(chain, initial, n, seed=202, skip=False)
+    ks = ks_two_sample_stat(poissonized.samples, stepped.samples)
+    assert ks <= 1.628 * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("tail", [0, simulator._SCALAR_TAIL])
+def test_poissonized_mean_on_partly_absorbed_start(monkeypatch, tail):
+    # With tail 0 every jump goes through the vectorized rounds; with the
+    # default the four chains are walked one at a time.
+    monkeypatch.setattr(simulator, "_SCALAR_TAIL", tail)
+    chain = _self_loop_chain()
+    initial = OccupancyState.from_alpha(_SPREAD_ALPHA, 4)
+    assert initial.counts == {0: 1, 1: 1, 2: 1, 3: 1}
+    counts = [initial.counts.get(s, 0) for s in range(4)]
+    exact = exact_occupancy_mean_hitting(chain.dense(), counts)
+    res = estimate_hitting_time(chain, initial, 10000, seed=203)
+    assert abs(res.mean - exact) <= 3 * res.stderr
+
+
+def _countdown(depth):
+    states = np.arange(depth + 1)
+    P = sp.csr_array(
+        (np.ones(depth + 1), (states, np.maximum(states - 1, 0))),
+        shape=(depth + 1, depth + 1),
+    )
+    return validate_chain(P)
+
+
+@pytest.mark.parametrize("N", [1, 40])
+def test_poissonized_walk_stops_once_past_max_steps(monkeypatch, N):
+    # T_N >= sum_j K_j, so the walk may stop as soon as the jumps counted
+    # pass max_steps: about max_steps jump rounds, not the 10^6 of a full
+    # walk down the countdown.
+    depth, max_steps, runs = 10**6, 1000, 2
+    chain = _countdown(depth)
+    rounds = []
+    for name in ("draw", "draw_many"):
+        def counted(self, *args, _inner=getattr(_Destinations, name)):
+            rounds.append(name)
+            return _inner(self, *args)
+
+        monkeypatch.setattr(_Destinations, name, counted)
+    with pytest.raises(MaxStepsExceeded):
+        estimate_hitting_time(
+            chain, OccupancyState.all_in(depth, N), runs, seed=0, max_steps=max_steps
+        )
+    assert 0 < len(rounds) <= runs * max_steps
+
+
+def test_reference_paths_reproduce_recorded_samples():
+    # The stepper, the trajectory sampler and the phase-type walk keep their
+    # draws: these samples were recorded before the Poissonized sampler
+    # replaced the default path of estimate_hitting_time.
+    chain = _self_loop_chain()
+    pt = PhaseType.discrete(_SPREAD_ALPHA, decompose(chain), 5)
+    rng = np.random.default_rng(34)
+    assert [sample_absorption_step(pt, rng) for _ in range(16)] == [
+        0, 19, 8, 18, 81, 73, 64, 56, 18, 64, 24, 10, 28, 155, 0, 71
+    ]
+    initial = OccupancyState(N=6, counts={0: 1, 1: 2, 3: 3})
+    recorded = {
+        True: ([39, 122, 68, 49, 51, 129, 84, 150],
+               [1, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5] + [6] * 20),
+        False: ([64, 262, 100, 120, 144, 174, 79, 89],
+                [1, 1, 3] + [5] * 12 + [6] * 16),
+    }
+    for skip, (steps, absorbed) in recorded.items():
+        assert [
+            run_to_absorption(chain, initial, np.random.default_rng(s), skip=skip)
+            for s in range(8)
+        ] == steps
+        sample = simulate_trajectory(
+            chain, initial, np.arange(31) * 2.0, np.random.default_rng(5), skip=skip
+        )
+        assert (sample.m0_fractions * 6).round().astype(int).tolist() == absorbed
+    res = estimate_hitting_time(chain, initial, 12, seed=3, skip=False)
+    assert list(res.samples) == [120, 256, 118, 42, 56, 163, 111, 128, 131, 40, 62, 77]
