@@ -66,9 +66,7 @@ from .simulator import (
     SimulationResult,
     TrajectorySample,
     estimate_hitting_time,
-    run_to_absorption,
     simulate_trajectory,
-    step,
 )
 
 __version__ = "0.1.0"

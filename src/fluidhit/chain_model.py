@@ -74,9 +74,9 @@ class AbsorbingChain:
         return self.P.indices[start:stop], self.P.data[start:stop]
 
     @cached_property
-    def _destinations(self):
-        """Destination draws from P's rows, shared by every run on this chain."""
-        return _Destinations(self.P)
+    def _sub(self):
+        """decompose(self), shared by every simulated run on this chain."""
+        return decompose(self)
 
 
 class _Destinations:

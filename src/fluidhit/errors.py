@@ -82,7 +82,11 @@ class BracketingFailure(FluidhitError):
 
 
 class MaxStepsExceeded(FluidhitError):
-    """A simulation run hit its step cap before absorbing; carries partial info."""
+    """A simulation run passed its step cap before absorbing.
+
+    The simulator raises it with the cap as steps and the start occupancy
+    as state.
+    """
 
     def __init__(self, steps, state):
         self.steps = steps

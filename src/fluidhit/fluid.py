@@ -43,11 +43,18 @@ class FluidTrajectory:
     transient_mass: np.ndarray
 
 
+def _time_grid(values):
+    """values as a float array, checked finite, nonnegative and nondecreasing."""
+    grid = np.asarray(values, dtype=float)
+    ok = np.all(np.isfinite(grid)) and np.all(grid[:1] >= 0) and np.all(np.diff(grid) >= 0)
+    if not ok:
+        raise ValueError("time grid must be finite, nonnegative and nondecreasing")
+    return grid
+
+
 def fluid_trajectory(alpha, sub, time_grid) -> FluidTrajectory:
-    """Evaluate the fluid curve on an increasing nonnegative grid."""
-    grid = np.asarray(time_grid, dtype=float)
-    if grid.size and (np.any(np.diff(grid) < 0) or grid[0] < 0):
-        raise ValueError("time grid must be nonnegative and nondecreasing")
+    """Evaluate the fluid curve on a finite, nonnegative, nondecreasing grid."""
+    grid = _time_grid(time_grid)
     survival = np.array([transient_survival(alpha, sub, t) for t in grid])
     return FluidTrajectory(
         time_grid=grid,

@@ -135,12 +135,13 @@ def expm_action(Q, v, t, tol=1e-12):
     underflow of exp(-mu), and the sum is then divided by the summed
     weights, which cancels the common rounding drift of the lgamma terms.
 
-    Raises NonConvergent if tol below 1e-15 is requested.
+    Raises NonConvergent if tol below 1e-15 is requested, and ValueError
+    for a negative or non-finite t (the stop test never holds at inf or nan).
     """
     if tol < _MIN_EXPM_TOL:
         raise NonConvergent(f"tolerance {tol:.1e} below the {_MIN_EXPM_TOL:.0e} cap")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
     lam = _uniformization_rate(Q)
     if t == 0.0 or lam <= 0.0:

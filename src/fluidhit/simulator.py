@@ -2,45 +2,45 @@
 
 The scheduler picks one of the N chains uniformly at random per step and
 moves it by one row of P; T_N is the first step at which all N chains sit
-in state 0.
+in state 0, and M^N(n) is the number of absorbed chains after step n.
 
-estimate_hitting_time samples T_N exactly by Poissonization (as for the
-coupon collector: Flajolet, Gardy & Thimonier, Discrete Appl. Math. 39,
-1992). Run the scheduler on a rate-1 Poisson clock: chain j is then picked
-at rate 1/N independently of the others, and absorbs after K_j of its own
-P-steps at time A_j ~ Gamma(K_j, scale N). With tau = max_j A_j, given
-the A_j the picks of chain j in (A_j, tau] are independent Poisson counts
-of mean (tau - A_j) / N, so
+Both are sampled exactly by Poissonization (as for the coupon collector:
+Flajolet, Gardy & Thimonier, Discrete Appl. Math. 39, 1992). Run the
+scheduler on a rate-1 Poisson clock: chain j is then picked at rate 1/N
+independently of the others, and absorbs after K_j of its own P-steps at
+time A_j ~ Gamma(K_j, scale N). The K_j come from walking all chains' jump
+chains at once: the sojourn in state x is geometric with success 1 - P_xx,
+and one table lookup per round draws every destination. No Python work is
+done per scheduler step; only the last few unabsorbed chains are walked one
+at a time.
+
+For T_N alone: with tau = max_j A_j, given the A_j the picks of chain j in
+(A_j, tau] are independent Poisson counts of mean (tau - A_j) / N, so
 
     T_N = sum_j K_j + Poisson(sum_j (tau - A_j) / N)
 
-in law. The K_j come from walking all chains' jump chains at once: the
-sojourn in state x is geometric with success 1 - P_xx, and one table lookup
-per round draws every destination. No Python work is done per scheduler
-step; only the last few unabsorbed chains are walked one at a time.
+in law (a chain absorbed from the start adds tau / N). For the whole path:
+given A_j, the first K_j - 1 picks of chain j are uniform on [0, A_j], and
+between consecutive absorption times the a chains already in state 0 are
+picked Poisson(a gap / N) times. The m-th absorption in time order is thus
+scheduler step
 
-The reference stepper (estimate_hitting_time with skip=False, and
-run_to_absorption, simulate_trajectory and step) runs the occupancy
-process, the vector of per-state counts. The N labeled chains are
-exchangeable, so the counts are a Markov chain with the same law for the
-hitting time and the absorbed fraction; memory is O(occupied states)
-instead of O(N). With skip, selections of absorbed chains (self-loops of
-the occupancy process) are drawn in one geometric jump, which changes the
-distribution of nothing observable.
+    S_m = m + #{picks before absorption, earlier than A_(m)}
+            + #{picks of absorbed chains up to A_(m)},
+
+and M^N(n) is the start's absorbed count plus #{m : S_m <= n}.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .chain_model import AbsorbingChain, InitialDistribution, _walk_to_exit, decompose
+from .chain_model import AbsorbingChain, InitialDistribution, _walk_to_exit
 from .errors import MaxStepsExceeded
+from .fluid import _time_grid
 
 DEFAULT_MAX_STEPS = 10**9
 
@@ -160,122 +160,27 @@ class _Uniforms:
         return int(math.log(u) / math.log1p(-p)) + 1
 
 
-def step(chain: AbsorbingChain, state: OccupancyState, rng) -> OccupancyState:
-    """One exact scheduler step: pick a chain uniformly, move it by one P-row.
-
-    Picking a chain in state x has probability counts[x]/N; picking an
-    absorbed or self-looping chain leaves the occupancy unchanged.
-    """
-    N = state.N
-    r = rng.random() * N
-    acc = 0
-    x = next(iter(state.counts))
-    for s, c in state.counts.items():
-        acc += c
-        x = s
-        if r < acc:
-            break
-    y = chain._destinations.draw(x, rng.random())
-    if y == x:
-        return state
-    counts = dict(state.counts)
-    counts[x] -= 1
-    counts[y] = counts.get(y, 0) + 1
-    return OccupancyState(N=N, counts=counts)
-
-
-def _run(chain, initial: OccupancyState, rng, skip, max_steps, targets=()):
-    """The select-and-move loop behind run_to_absorption and simulate_trajectory.
-
-    Runs until every chain sits in state 0 or every step index in the sorted
-    list targets has passed. Returns the steps taken and the absorbed count
-    after each target step. With skip, selections of absorbed chains are
-    drawn in one geometric jump instead of one step at a time.
-    """
-    N = initial.N
-    counts = {s: c for s, c in initial.counts.items() if s != 0}
-    absorbed = initial.absorbed
-    active = N - absorbed
-    seen = []
-    pending = iter(targets)
-    nxt = next(pending, math.inf)
-    last = targets[-1] if targets else math.inf
-    steps = 0
-    uni = _Uniforms(rng)
-    draw = chain._destinations.draw
-    while active > 0 and steps < last:
-        if skip and absorbed:
-            # Steps until an active chain is selected: geometric(active/N).
-            new_steps = steps + uni.geometric(active / N)
-        else:
-            new_steps = steps + 1
-        if new_steps > max_steps:
-            raise MaxStepsExceeded(new_steps, OccupancyState(N=N, counts={0: absorbed, **counts}))
-        # Target steps before this move see the state the last move left.
-        while nxt < new_steps:
-            seen.append(absorbed)
-            nxt = next(pending, math.inf)
-        steps = new_steps
-        if skip:
-            r = uni.random() * active
-        else:
-            r = uni.random() * N
-            if r < absorbed:
-                continue
-            r -= absorbed
-        acc = 0
-        x = 0
-        for s, c in counts.items():
-            acc += c
-            x = s
-            if r < acc:
-                break
-        y = draw(x, uni.random())
-        if y != x:
-            c = counts[x] - 1
-            if c:
-                counts[x] = c
-            else:
-                del counts[x]
-            if y == 0:
-                absorbed += 1
-                active -= 1
-            else:
-                counts[y] = counts.get(y, 0) + 1
-    seen.extend([absorbed] * (len(targets) - len(seen)))
-    return steps, seen
-
-
-def run_to_absorption(
-    chain: AbsorbingChain,
-    initial: OccupancyState,
-    rng,
-    max_steps=DEFAULT_MAX_STEPS,
-    skip=True,
-) -> int:
-    """First step index at which every chain occupies state 0.
-
-    Raises MaxStepsExceeded (with the steps consumed and the final counts)
-    when the cap is hit first.
-    """
-    return _run(chain, initial, rng, skip, max_steps)[0]
-
-
 def _replication_rng(seed, rep):
     return np.random.default_rng(np.random.SeedSequence((seed, rep)))
 
 
 class _Poissonized:
-    """T_N by the Poissonization identity of the module docstring.
+    """The Poissonized sampler of the module docstring for one start.
 
     Holds what every replication shares: the jump table, the geometric
     success 1 - P_xx per transient state and the start state of each
     unabsorbed chain. Calling it with a generator returns one sample of
-    T_N, or None when the sample would exceed max_steps.
+    T_N, absorption_steps the steps S_m of one run; either returns None
+    when the run's T_N would exceed max_steps.
     """
 
     def __init__(self, chain, initial: OccupancyState, max_steps):
-        sub = decompose(chain)
+        sub = chain._sub
+        top = max(initial.counts, default=0)
+        if top > sub.n_transient:
+            raise ValueError(
+                f"start state {top} is not a state of the chain (states 0..{sub.n_transient})"
+            )
         self._table = sub._jump_chain
         self._rates = -sub.Q.diagonal()
         with np.errstate(divide="ignore"):
@@ -290,7 +195,9 @@ class _Poissonized:
         )
         self._max_steps = max_steps
 
-    def __call__(self, rng):
+    def _absorptions(self, rng):
+        """(K_j, sum_j K_j, A_j) over the unabsorbed chains, or None once
+        sum_j K_j passes max_steps (T_N >= sum_j K_j, so the run fails)."""
         states = self._starts
         chains = np.arange(states.size)
         jumps = np.zeros(states.size, dtype=np.int64)
@@ -301,7 +208,6 @@ class _Poissonized:
             sojourns = (np.log(1.0 - u[0]) / self._log_stay[states]).astype(np.int64) + 1
             jumps[chains] += sojourns
             total += int(sojourns.sum())
-            # T_N >= sum_j K_j, so the run already fails.
             if total > self._max_steps:
                 return None
             states = self._table.draw_many(states, u[1])
@@ -322,22 +228,32 @@ class _Poissonized:
         else:
             # Below the tail size scalar draws beat the array call's set-up.
             finish = np.array([rng.standard_gamma(k) for k in jumps.tolist()]) * self._N
+        return jumps, total, finish
+
+    def __call__(self, rng):
+        drawn = self._absorptions(rng)
+        if drawn is None:
+            return None
+        _, total, finish = drawn
         tau = float(finish.max(initial=0.0))
         late = float(np.sum(tau - finish)) + self._absorbed * tau
         steps = total + int(rng.poisson(late / self._N))
         return steps if steps <= self._max_steps else None
 
-
-def _stepped(chain, initial, max_steps, rng):
-    """T_N from the reference stepper, or None past max_steps."""
-    try:
-        return _run(chain, initial, rng, False, max_steps)[0]
-    except MaxStepsExceeded:
-        return None
-
-
-def _run_block(sample, seed, reps):
-    return [(rep, sample(_replication_rng(seed, rep))) for rep in reps]
+    def absorption_steps(self, rng):
+        """The increasing steps S_m at which one run's unabsorbed chains absorb."""
+        drawn = self._absorptions(rng)
+        if drawn is None:
+            return None
+        jumps, total, finish = drawn
+        times = np.sort(finish)
+        early = np.sort(rng.random(total - jumps.size) * np.repeat(finish, jumps - 1))
+        absorbed = self._absorbed + np.arange(times.size)
+        late = rng.poisson(absorbed * np.diff(times, prepend=0.0) / self._N)
+        steps = np.arange(1, times.size + 1) + np.searchsorted(early, times) + np.cumsum(late)
+        if steps.size and steps[-1] > self._max_steps:
+            return None
+        return steps
 
 
 def estimate_hitting_time(
@@ -345,43 +261,20 @@ def estimate_hitting_time(
     initial: OccupancyState,
     runs,
     seed,
-    skip=True,
     max_steps=DEFAULT_MAX_STEPS,
-    workers=None,
 ) -> SimulationResult:
-    """Independent replications of the absorption time.
+    """Independent replications of the absorption time T_N.
 
-    With skip (the default) each sample comes from the Poissonized sampler;
-    skip=False runs the per-event reference stepper instead, for checking
-    one against the other. Replication r draws from a generator seeded with
-    the pair (seed, r), so results do not depend on scheduling order and
-    the same arguments always reproduce the same samples. Replications whose
-    absorption step exceeds max_steps are excluded from the statistics and
-    counted in failed_runs. Set workers (or the FLUIDHIT_THREADS environment
-    variable) above 1 to run replications in parallel processes.
+    Replication r draws from a generator seeded with the pair (seed, r), so
+    the same arguments always reproduce the same samples. Replications
+    whose absorption step exceeds max_steps are excluded from the
+    statistics and counted in failed_runs.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if workers is None:
-        workers = int(os.environ.get("FLUIDHIT_THREADS", "1") or 1)
-    if skip:
-        sample = _Poissonized(chain, initial, max_steps)
-    else:
-        sample = partial(_stepped, chain, initial, max_steps)
-    reps = list(range(runs))
-    if workers > 1 and runs > 1:
-        chunk = (runs + workers - 1) // workers
-        blocks = [reps[i : i + chunk] for i in range(0, runs, chunk)]
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, sample, seed, block) for block in blocks]
-            for fut in futures:
-                results.extend(fut.result())
-    else:
-        results = _run_block(sample, seed, reps)
-
-    results.sort(key=lambda pair: pair[0])
-    samples = [steps for _, steps in results if steps is not None]
+    sample = _Poissonized(chain, initial, max_steps)
+    drawn = (sample(_replication_rng(seed, rep)) for rep in range(runs))
+    samples = [steps for steps in drawn if steps is not None]
     failed = runs - len(samples)
     if not samples:
         raise MaxStepsExceeded(max_steps, initial)
@@ -409,16 +302,17 @@ def simulate_trajectory(
     initial: OccupancyState,
     rescaled_grid,
     rng,
-    skip=True,
     max_steps=DEFAULT_MAX_STEPS,
 ) -> TrajectorySample:
-    """Absorbed fraction of a single run at steps floor(tN) for grid times t."""
-    grid = np.asarray(rescaled_grid, dtype=float)
-    if grid.size and (np.any(np.diff(grid) < 0) or grid[0] < 0):
-        raise ValueError("rescaled grid must be nonnegative and nondecreasing")
+    """Absorbed fraction of a single run at steps floor(tN) for grid times t.
+
+    Raises MaxStepsExceeded when the run's T_N exceeds max_steps, the rule
+    by which estimate_hitting_time counts a run as failed.
+    """
+    grid = _time_grid(rescaled_grid)
+    steps = _Poissonized(chain, initial, max_steps).absorption_steps(rng)
+    if steps is None:
+        raise MaxStepsExceeded(max_steps, initial)
     N = initial.N
-    targets = [int(math.floor(t * N)) for t in grid]
-    _, absorbed = _run(chain, initial, rng, skip, max_steps, targets)
-    return TrajectorySample(
-        rescaled_times=grid, m0_fractions=np.asarray(absorbed, dtype=float) / N
-    )
+    absorbed = initial.absorbed + np.searchsorted(steps, np.floor(grid * N), side="right")
+    return TrajectorySample(rescaled_times=grid, m0_fractions=absorbed / N)

@@ -3,8 +3,9 @@
 Each routine computes a reference value along a path disjoint from the
 library implementation it checks: a fixed-step Runge-Kutta integrator for
 the fluid ODE, a full enumeration of the occupancy Markov chain for exact
-absorption expectations, memoized path recursion for jump counts, and a
-scalar root finder for Erlang crossing times.
+absorption expectations, memoized path recursion for jump counts, a
+scalar root finder for Erlang crossing times, and a per-event stepper of
+the occupancy process for hitting times and trajectories.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+
+from fluidhit import AbsorbingChain, OccupancyState, TrajectorySample
+from fluidhit.chain_model import _Destinations
+from fluidhit.errors import MaxStepsExceeded
+from fluidhit.simulator import DEFAULT_MAX_STEPS, _replication_rng, _Uniforms
 
 
 def rk4_fluid_m0(P_dense, initial_full, t_grid, h=0.01):
@@ -54,29 +60,18 @@ def occupancy_states(N, n_states):
     return out
 
 
-def exact_occupancy_mean_hitting(P_dense, initial_counts):
-    """Exact E[T_N] by solving the absorption system of the occupancy chain.
+def occupancy_transitions(P_dense, N):
+    """Occupancy vectors of N chains and the one-step transition matrix.
 
-    Enumerates every occupancy vector, builds the one-step transition
-    probabilities (pick state x with probability counts[x]/N, then move by
-    row x of P), and solves E[c] = 1 + sum_c' p(c -> c') E[c'] with E = 0 at
-    the all-absorbed state. Only viable at desk scale (N <= 4, S <= 3).
+    Pick state x with probability counts[x]/N, then move by row x of P.
+    Only viable at desk scale (N <= 4, S <= 3).
     """
     P = np.asarray(P_dense, dtype=float)
     n_states = P.shape[0]
-    N = sum(initial_counts)
     states = occupancy_states(N, n_states)
     index = {c: i for i, c in enumerate(states)}
-    n = len(states)
-    A = np.eye(n)
-    b = np.ones(n)
-    done = tuple([N] + [0] * (n_states - 1))
+    T = np.zeros((len(states), len(states)))
     for c, i in index.items():
-        if c == done:
-            A[i, :] = 0.0
-            A[i, i] = 1.0
-            b[i] = 0.0
-            continue
         for x in range(n_states):
             if c[x] == 0:
                 continue
@@ -92,9 +87,47 @@ def exact_occupancy_mean_hitting(P_dense, initial_counts):
                     dest[x] -= 1
                     dest[y] += 1
                     dest = tuple(dest)
-                A[i, index[dest]] -= pick * p
+                T[i, index[dest]] += pick * p
+    return states, index, T
+
+
+def exact_occupancy_mean_hitting(P_dense, initial_counts):
+    """Exact E[T_N] by solving the absorption system of the occupancy chain.
+
+    Solves E[c] = 1 + sum_c' p(c -> c') E[c'] with E = 0 at the
+    all-absorbed state, over every occupancy vector.
+    """
+    N = sum(initial_counts)
+    states, index, T = occupancy_transitions(P_dense, N)
+    A = np.eye(len(states)) - T
+    b = np.ones(len(states))
+    done = index[tuple([N] + [0] * (len(initial_counts) - 1))]
+    A[done, :] = 0.0
+    A[done, done] = 1.0
+    b[done] = 0.0
     sol = np.linalg.solve(A, b)
     return sol[index[tuple(initial_counts)]]
+
+
+def exact_occupancy_absorbed_law(P_dense, initial_counts, steps):
+    """Exact law of the absorbed count after each step in sorted steps.
+
+    Row k is P(M(steps[k]) = a) for a = 0..N, by pushing the start's
+    point mass through the occupancy transition matrix.
+    """
+    N = sum(initial_counts)
+    states, index, T = occupancy_transitions(P_dense, N)
+    absorbed = np.array([c[0] for c in states])
+    dist = np.zeros(len(states))
+    dist[index[tuple(initial_counts)]] = 1.0
+    out = []
+    done = 0
+    for n in steps:
+        for _ in range(n - done):
+            dist = dist @ T
+        done = n
+        out.append(np.bincount(absorbed, weights=dist, minlength=N + 1))
+    return np.array(out)
 
 
 def brute_jump_counts(R_dense):
@@ -152,3 +185,147 @@ def ks_two_sample_stat(a, b):
     cdf_a = np.searchsorted(a, grid, side="right") / len(a)
     cdf_b = np.searchsorted(b, grid, side="right") / len(b)
     return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+# The per-event reference stepper of the occupancy process, the vector of
+# per-state counts. The N labeled chains are exchangeable, so the counts
+# are a Markov chain with the same law for the hitting time and the
+# absorbed fraction; memory is O(occupied states) instead of O(N). With
+# skip, selections of absorbed chains (self-loops of the occupancy process)
+# are drawn in one geometric jump, which changes the distribution of
+# nothing observable. It shares no sampling code with the library's
+# Poissonized sampler, only the destination-table class and the buffered
+# uniforms, so its draws stay those of the stepper the library once ran.
+
+
+def _destinations(chain):
+    """Destination draws from P's rows, built once per chain object."""
+    return chain.__dict__.setdefault("_stepper_destinations", _Destinations(chain.P))
+
+
+def step(chain: AbsorbingChain, state: OccupancyState, rng) -> OccupancyState:
+    """One exact scheduler step: pick a chain uniformly, move it by one P-row.
+
+    Picking a chain in state x has probability counts[x]/N; picking an
+    absorbed or self-looping chain leaves the occupancy unchanged.
+    """
+    N = state.N
+    r = rng.random() * N
+    acc = 0
+    x = next(iter(state.counts))
+    for s, c in state.counts.items():
+        acc += c
+        x = s
+        if r < acc:
+            break
+    y = _destinations(chain).draw(x, rng.random())
+    if y == x:
+        return state
+    counts = dict(state.counts)
+    counts[x] -= 1
+    counts[y] = counts.get(y, 0) + 1
+    return OccupancyState(N=N, counts=counts)
+
+
+def _run(chain, initial: OccupancyState, rng, skip, max_steps, targets=()):
+    """The select-and-move loop behind run_to_absorption and stepped_trajectory.
+
+    Runs until every chain sits in state 0 or every step index in the sorted
+    list targets has passed. Returns the steps taken and the absorbed count
+    after each target step. With skip, selections of absorbed chains are
+    drawn in one geometric jump instead of one step at a time.
+    """
+    N = initial.N
+    counts = {s: c for s, c in initial.counts.items() if s != 0}
+    absorbed = initial.absorbed
+    active = N - absorbed
+    seen = []
+    pending = iter(targets)
+    nxt = next(pending, math.inf)
+    last = targets[-1] if targets else math.inf
+    steps = 0
+    uni = _Uniforms(rng)
+    draw = _destinations(chain).draw
+    while active > 0 and steps < last:
+        if skip and absorbed:
+            # Steps until an active chain is selected: geometric(active/N).
+            new_steps = steps + uni.geometric(active / N)
+        else:
+            new_steps = steps + 1
+        if new_steps > max_steps:
+            raise MaxStepsExceeded(new_steps, OccupancyState(N=N, counts={0: absorbed, **counts}))
+        # Target steps before this move see the state the last move left.
+        while nxt < new_steps:
+            seen.append(absorbed)
+            nxt = next(pending, math.inf)
+        steps = new_steps
+        if skip:
+            r = uni.random() * active
+        else:
+            r = uni.random() * N
+            if r < absorbed:
+                continue
+            r -= absorbed
+        acc = 0
+        x = 0
+        for s, c in counts.items():
+            acc += c
+            x = s
+            if r < acc:
+                break
+        y = draw(x, uni.random())
+        if y != x:
+            c = counts[x] - 1
+            if c:
+                counts[x] = c
+            else:
+                del counts[x]
+            if y == 0:
+                absorbed += 1
+                active -= 1
+            else:
+                counts[y] = counts.get(y, 0) + 1
+    seen.extend([absorbed] * (len(targets) - len(seen)))
+    return steps, seen
+
+
+def run_to_absorption(
+    chain: AbsorbingChain,
+    initial: OccupancyState,
+    rng,
+    max_steps=DEFAULT_MAX_STEPS,
+    skip=True,
+) -> int:
+    """First step index at which every chain occupies state 0.
+
+    Raises MaxStepsExceeded (with the steps consumed and the final counts)
+    when the cap is hit first.
+    """
+    return _run(chain, initial, rng, skip, max_steps)[0]
+
+
+
+def stepped_hitting_times(chain, initial, runs, seed, max_steps=DEFAULT_MAX_STEPS):
+    """T_N of replications 0..runs-1 without skip, seeded as the library seeds.
+
+    Replications past max_steps are left out, as the library leaves out
+    failed runs.
+    """
+    samples = []
+    for rep in range(runs):
+        try:
+            samples.append(_run(chain, initial, _replication_rng(seed, rep), False, max_steps)[0])
+        except MaxStepsExceeded:
+            pass
+    return samples
+
+
+def stepped_trajectory(chain, initial, rescaled_grid, rng, skip=True, max_steps=DEFAULT_MAX_STEPS):
+    """Absorbed fraction of one stepped run at steps floor(tN) for grid times t."""
+    grid = np.asarray(rescaled_grid, dtype=float)
+    N = initial.N
+    targets = [int(math.floor(t * N)) for t in grid]
+    _, absorbed = _run(chain, initial, rng, skip, max_steps, targets)
+    return TrajectorySample(
+        rescaled_times=grid, m0_fractions=np.asarray(absorbed, dtype=float) / N
+    )

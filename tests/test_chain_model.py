@@ -360,7 +360,7 @@ def test_vectorized_destination_draws_match_draw_bit_for_bit():
     tables = [
         decompose(random_chain(np.random.default_rng(31), 12, density=0.6))._jump_chain,
         decompose(gen_fig3a(4, 2).chain)._jump_chain,
-        random_chain(np.random.default_rng(32), 9)._destinations,
+        _Destinations(random_chain(np.random.default_rng(32), 9).P),
         _Destinations(sevenths),
     ]
     rng = np.random.default_rng(33)

@@ -240,6 +240,14 @@ def test_trajectory_stdout_streams(capsys):
     assert "# samples" in out
 
 
+@pytest.mark.parametrize("tmax", ["inf", "nan"])
+def test_trajectory_rejects_non_finite_grid(capsys, tmax):
+    with pytest.raises(SystemExit) as exc:
+        main(["trajectory", "--chain", "classical", "--N", "10", "--grid", f"{tmax}:4"])
+    assert exc.value.code == 2
+    assert "bad grid" in capsys.readouterr().err
+
+
 def test_gen_round_trip(tmp_path, capsys):
     spec_path = tmp_path / "tstage.json"
     code, _, _ = run_cli(
@@ -303,12 +311,14 @@ def test_json_outputs_round_trip_sorted(capsys):
 
 
 def test_import_loads_no_optimize_or_integrate():
-    # Either submodule adds a quarter second or more to every CLI start.
+    # Either scipy submodule adds a quarter second or more to every CLI
+    # start; the simulator runs in one process, so multiprocessing has no use.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = (
         "import sys, fluidhit; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'])))"
+        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate']) "
+        "or m.split('.')[0] == 'multiprocessing'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -223,3 +223,17 @@ def test_survival_rejects_negative_time():
     alpha, sub = _classical()
     with pytest.raises(ValueError):
         transient_survival(alpha, sub, -1.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_survival_rejects_non_finite_time(t):
+    alpha, sub = _classical()
+    with pytest.raises(ValueError):
+        transient_survival(alpha, sub, t)
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, math.inf], [math.nan]])
+def test_trajectory_rejects_non_finite_grid(grid):
+    alpha, sub = _classical()
+    with pytest.raises(ValueError, match="finite"):
+        fluid_trajectory(alpha, sub, grid)

@@ -70,6 +70,13 @@ def test_expm_refuses_tiny_tolerance():
         expm_action(np.array([[-1.0]]), np.array([1.0]), 1.0, tol=1e-16)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+def test_expm_refuses_non_finite_or_negative_time(t):
+    # At inf or nan the certified stop n + 1 > mu never holds.
+    with pytest.raises(ValueError):
+        expm_action(np.array([[-1.0]]), np.array([1.0]), t)
+
+
 def test_expm_large_time_log_space_weights():
     # Lambda * t beyond 700 exercises the log-space weight path.
     out = expm_action(np.array([[-1.0]]), np.array([1.0]), 800.0)

@@ -16,17 +16,27 @@ from fluidhit import (
     get_example,
     harmonic_number,
     random_chain,
-    run_to_absorption,
     sample_absorption_step,
     simulate_trajectory,
-    step,
     validate_chain,
 )
 from fluidhit import simulator
 from fluidhit.chain_model import _Destinations
 from fluidhit.errors import MaxStepsExceeded
+from fluidhit.simulator import _replication_rng
 
-from oracles import exact_occupancy_mean_hitting, ks_two_sample_stat
+from oracles import (
+    exact_occupancy_absorbed_law,
+    exact_occupancy_mean_hitting,
+    ks_two_sample_stat,
+    run_to_absorption,
+    step,
+    stepped_hitting_times,
+    stepped_trajectory,
+)
+
+# Two-sample Kolmogorov-Smirnov critical value at the 1% level, over sqrt(2/n).
+_KS_1PCT = 1.628
 
 
 def test_occupancy_state_validation():
@@ -125,14 +135,6 @@ def test_estimate_reproducible_and_order_insensitive():
     assert c.samples != a.samples
 
 
-def test_estimate_parallel_matches_serial():
-    chain = gen_fig3b(2).chain
-    initial = OccupancyState.all_in(1, 8)
-    serial = estimate_hitting_time(chain, initial, 64, seed=5, workers=1)
-    parallel = estimate_hitting_time(chain, initial, 64, seed=5, workers=3)
-    assert serial.samples == parallel.samples
-
-
 def test_estimate_single_run_has_no_stderr():
     chain = gen_tstage(1).chain
     res = estimate_hitting_time(chain, OccupancyState.all_in(1, 5), 1, seed=0)
@@ -156,13 +158,14 @@ def test_estimate_counts_failed_runs():
 
 
 def test_skip_off_matches_oracle_exactly():
-    # The naive stepping path against the occupancy linear system.
+    # The stepper without skip against the occupancy linear system.
     ex = gen_fig3b(2)
     exact = exact_occupancy_mean_hitting(ex.chain.dense(), [0, 2])
-    res = estimate_hitting_time(
-        ex.chain, OccupancyState.all_in(1, 2), 20000, seed=17, skip=False
+    samples = np.asarray(
+        stepped_hitting_times(ex.chain, OccupancyState.all_in(1, 2), 20000, seed=17)
     )
-    assert abs(res.mean - exact) <= 3 * res.stderr
+    stderr = samples.std(ddof=1) / math.sqrt(samples.size)
+    assert abs(samples.mean() - exact) <= 3 * stderr
 
 
 def test_trajectory_basics():
@@ -198,8 +201,8 @@ def test_trajectory_absorbed_tail_stays_one():
 
 
 def test_trajectory_reads_one_at_the_absorption_step():
-    # Same seed, same loop: with a grid at every step k/N the trajectory
-    # first reads 1.0 exactly at the step run_to_absorption returns.
+    # Same seed, same stepper loop: with a grid at every step k/N the
+    # trajectory first reads 1.0 exactly at the step run_to_absorption returns.
     for ex, N in ((gen_tstage(1), 20), (gen_tstage(2), 12), (gen_fig3b(3), 10)):
         initial = OccupancyState.from_alpha(ex.default_alpha, N)
         for skip in (True, False):
@@ -209,10 +212,55 @@ def test_trajectory_reads_one_at_the_absorption_step():
                 )
                 grid = np.arange(steps + N + 1) / N
                 assert np.array_equal(np.floor(grid * N), np.arange(grid.size))
-                sample = simulate_trajectory(
+                sample = stepped_trajectory(
                     ex.chain, initial, grid, np.random.default_rng(seed), skip=skip
                 )
                 assert int(np.argmax(sample.m0_fractions == 1.0)) == steps
+
+
+def test_trajectory_moves_one_chain_per_step_and_absorbs_at_t_n():
+    # On a grid at every step the Poissonized path changes by at most one
+    # chain per step, and its first all-absorbed step is T_N in law.
+    ex = gen_tstage(2)
+    N, n = 12, 2000
+    initial = OccupancyState.from_alpha(ex.default_alpha, N)
+    grid = np.arange(30 * N + 1) / N
+    first = []
+    for rep in range(n):
+        sample = simulate_trajectory(ex.chain, initial, grid, _replication_rng(7, rep))
+        counts = np.round(sample.m0_fractions * N).astype(int)
+        assert set(np.diff(counts).tolist()) <= {0, 1}
+        assert counts[0] == 0 and counts[-1] == N
+        first.append(int(np.argmax(counts == N)))
+    direct = estimate_hitting_time(ex.chain, initial, n, seed=8)
+    assert ks_two_sample_stat(first, direct.samples) <= _KS_1PCT * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, math.inf], [1.0, 0.5], [-1.0]])
+def test_trajectory_rejects_bad_grids(grid):
+    chain = gen_tstage(1).chain
+    with pytest.raises(ValueError, match="grid"):
+        simulate_trajectory(chain, OccupancyState.all_in(1, 3), grid, np.random.default_rng(0))
+
+
+def test_start_state_outside_the_chain_is_a_value_error():
+    chain = gen_tstage(1).chain
+    initial = OccupancyState(N=3, counts={7: 3})
+    with pytest.raises(ValueError, match="start state 7"):
+        estimate_hitting_time(chain, initial, 5, seed=0)
+    with pytest.raises(ValueError, match="start state 7"):
+        simulate_trajectory(chain, initial, [0.0, 1.0], np.random.default_rng(0))
+
+
+def test_trajectory_raises_with_the_cap_and_the_start():
+    # Four chains need at least four steps, so T_N always passes a cap of
+    # 3, even when the grid asks for step 0 alone.
+    chain = gen_fig3b(2).chain
+    initial = OccupancyState.all_in(1, 4)
+    with pytest.raises(MaxStepsExceeded) as exc:
+        simulate_trajectory(chain, initial, [0.0], np.random.default_rng(0), max_steps=3)
+    assert exc.value.steps == 3
+    assert exc.value.state == initial
 
 
 def test_marginal_samples_match_discrete_survival():
@@ -256,15 +304,6 @@ def test_step_transition_frequency_fig3b():
     assert abs(p_hat - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
 
-def test_workers_env_variable(monkeypatch):
-    chain = gen_fig3b(2).chain
-    initial = OccupancyState.all_in(1, 6)
-    base = estimate_hitting_time(chain, initial, 32, seed=2)
-    monkeypatch.setenv("FLUIDHIT_THREADS", "2")
-    with_env = estimate_hitting_time(chain, initial, 32, seed=2)
-    assert with_env.samples == base.samples
-
-
 def test_absorbed_count_never_decreases():
     chain = validate_chain(
         [[1.0, 0.0, 0.0], [0.3, 0.2, 0.5], [0.1, 0.6, 0.3]]
@@ -302,9 +341,33 @@ def test_poissonized_sampler_matches_stepper_in_law(name):
     n = 3000
     initial = OccupancyState.from_alpha(alpha, 30)
     poissonized = estimate_hitting_time(chain, initial, n, seed=201)
-    stepped = estimate_hitting_time(chain, initial, n, seed=202, skip=False)
-    ks = ks_two_sample_stat(poissonized.samples, stepped.samples)
-    assert ks <= 1.628 * math.sqrt(2.0 / n)
+    stepped = stepped_hitting_times(chain, initial, n, seed=202)
+    ks = ks_two_sample_stat(poissonized.samples, stepped)
+    assert ks <= _KS_1PCT * math.sqrt(2.0 / n)
+
+
+@pytest.mark.parametrize("name,N", [("tstage:2", 30), ("fig3b:3", 20), ("self-loops", 30)])
+def test_trajectory_matches_stepper_in_law(name, N):
+    # The Poissonized trajectory against the stepper's, by a two-sample KS
+    # test of the absorbed count at eight fixed steps up to 12N.
+    if name == "self-loops":
+        chain, alpha = _self_loop_chain(), _SPREAD_ALPHA
+    else:
+        ex = get_example(name)
+        chain, alpha = ex.chain, ex.default_alpha
+    n = 3000
+    initial = OccupancyState.from_alpha(alpha, N)
+    grid = np.linspace(1.5, 12.0, 8)
+    sampled = np.array([
+        simulate_trajectory(chain, initial, grid, _replication_rng(204, rep)).m0_fractions
+        for rep in range(n)
+    ])
+    stepped = np.array([
+        stepped_trajectory(chain, initial, grid, _replication_rng(205, rep)).m0_fractions
+        for rep in range(n)
+    ])
+    worst = max(ks_two_sample_stat(sampled[:, i], stepped[:, i]) for i in range(grid.size))
+    assert worst <= _KS_1PCT * math.sqrt(2.0 / n)
 
 
 @pytest.mark.parametrize("tail", [0, simulator._SCALAR_TAIL])
@@ -319,6 +382,25 @@ def test_poissonized_mean_on_partly_absorbed_start(monkeypatch, tail):
     exact = exact_occupancy_mean_hitting(chain.dense(), counts)
     res = estimate_hitting_time(chain, initial, 10000, seed=203)
     assert abs(res.mean - exact) <= 3 * res.stderr
+
+
+def test_trajectory_law_on_partly_absorbed_start():
+    # The absorbed count at fixed steps against its exact law, pushed
+    # through the occupancy chain of four chains, one of them absorbed.
+    chain = _self_loop_chain()
+    initial = OccupancyState.from_alpha(_SPREAD_ALPHA, 4)
+    steps = [2, 5, 10, 20, 40, 80]
+    law = exact_occupancy_absorbed_law(chain.dense(), [1, 1, 1, 1], steps)
+    values = np.arange(5)
+    mean = law @ values
+    sd = np.sqrt(law @ values**2 - mean**2)
+    n = 10000
+    grid = np.array(steps) / 4
+    counts = np.array([
+        simulate_trajectory(chain, initial, grid, _replication_rng(206, rep)).m0_fractions
+        for rep in range(n)
+    ]) * 4
+    assert np.all(np.abs(counts.mean(axis=0) - mean) <= 3 * sd / math.sqrt(n))
 
 
 def _countdown(depth):
@@ -352,9 +434,9 @@ def test_poissonized_walk_stops_once_past_max_steps(monkeypatch, N):
 
 
 def test_reference_paths_reproduce_recorded_samples():
-    # The stepper, the trajectory sampler and the phase-type walk keep their
+    # The stepper (now the oracle's) and the phase-type walk keep their
     # draws: these samples were recorded before the Poissonized sampler
-    # replaced the default path of estimate_hitting_time.
+    # replaced the stepper in the library.
     chain = _self_loop_chain()
     pt = PhaseType.discrete(_SPREAD_ALPHA, decompose(chain), 5)
     rng = np.random.default_rng(34)
@@ -373,9 +455,9 @@ def test_reference_paths_reproduce_recorded_samples():
             run_to_absorption(chain, initial, np.random.default_rng(s), skip=skip)
             for s in range(8)
         ] == steps
-        sample = simulate_trajectory(
+        sample = stepped_trajectory(
             chain, initial, np.arange(31) * 2.0, np.random.default_rng(5), skip=skip
         )
         assert (sample.m0_fractions * 6).round().astype(int).tolist() == absorbed
-    res = estimate_hitting_time(chain, initial, 12, seed=3, skip=False)
-    assert list(res.samples) == [120, 256, 118, 42, 56, 163, 111, 128, 131, 40, 62, 77]
+    samples = stepped_hitting_times(chain, initial, 12, seed=3)
+    assert samples == [120, 256, 118, 42, 56, 163, 111, 128, 131, 40, 62, 77]
