@@ -41,7 +41,7 @@ class SingularSystem(SingularMatrix):
 
 
 class NonConvergent(FluidhitError):
-    """A series evaluation refused the requested tolerance."""
+    """A series refused its tolerance or term budget, or a search its step cap."""
 
 
 class DimensionTooLarge(FluidhitError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain_model import InitialDistribution, SubGenerator
 from .errors import BracketingFailure
-from .numerics import expm_action
+from .numerics import _SurvivalSeries, expm_action
 
 _DOUBLING_CAP = 1e6
 
@@ -74,6 +74,24 @@ class CrossingResult(NamedTuple):
 def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     """First time the transient mass drops to epsilon (m0 reaches 1 - epsilon).
 
+    Every probe reads one survival series s_j = alpha B^j 1 with
+    B = I + Q/Lambda (numerics._SurvivalSeries): B is built once, and a
+    probe at t weights the s_j by Poisson(Lambda t) probabilities, stepping
+    the row iterate only past the terms earlier probes already summed.
+    Returns (0, already_below=True) when the mass already starts at or
+    below epsilon. For the level of the hitting-time theorems call with
+    epsilon = 1/N.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if alpha.transient_mass <= epsilon:
+        return CrossingResult(0.0, True)
+    return _crossing(_SurvivalSeries(sub.Q, alpha.alpha), epsilon, nu_hint)
+
+
+def _crossing(series, epsilon, nu_hint=None) -> CrossingResult:
+    """Root of series.continuous(t) = epsilon for a series starting above epsilon.
+
     Brackets the level by doubling from 1/nu_hint (or 1), then narrows the
     bracket by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
     f(t) = log(S(t) / epsilon), which is nearly linear in t; the survival S
@@ -88,24 +106,16 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     within 1e-14 in log(S / epsilon), a few times the survival's rounding
     and truncation error: on a plateau of the survival at epsilon every time
     in between is a crossing to working accuracy, and further probes would
-    only chase rounding noise. Returns (0, already_below=True) when
-    the mass already starts at or below epsilon. For the level of the
-    hitting-time theorems call with epsilon = 1/N.
+    only chase rounding noise.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    start_mass = alpha.transient_mass
-    if start_mass <= epsilon:
-        return CrossingResult(0.0, True)
-
     def excess(s):
         # log(s / epsilon), not log(s) - log(epsilon): near the root the
         # difference of two logs cancels to 0 and the interpolation stalls.
         return math.log(s / epsilon) if s > 0.0 else -math.inf
 
-    t_lo, f_lo = 0.0, excess(start_mass)
+    t_lo, f_lo = 0.0, excess(series.continuous(0.0))
     t_hi = 1.0 / nu_hint if nu_hint else 1.0
-    while (s := transient_survival(alpha, sub, t_hi)) > epsilon:
+    while (s := series.continuous(t_hi)) > epsilon:
         t_lo, f_lo = t_hi, excess(s)
         t_hi *= 2.0
         if t_hi > _DOUBLING_CAP:
@@ -137,7 +147,7 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
         else:
             t = 0.5 * (t_lo + t_hi)
         widths = [widths[1], width]
-        s = transient_survival(alpha, sub, t)
+        s = series.continuous(t)
         moved_lo = s > epsilon
         if moved_lo:
             t_lo, f_lo = t, excess(s)

@@ -14,6 +14,7 @@ import math
 import mmap
 import warnings
 import weakref
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ DENSE_CAP = 2000
 _UNIFORMIZATION_SLACK = 1.05
 
 _MIN_EXPM_TOL = 1e-15
+
+# Largest Poisson or binomial mean a survival series accepts: the sum takes
+# about that many terms, each a sparse vector-matrix product.
+TERM_BUDGET = 1e7
+
 _SPARE_MAPS = []  # maps released by arrays of _dense_buffer
 
 
@@ -89,10 +95,6 @@ def _uniformization_rate(Q):
     return _UNIFORMIZATION_SLACK * float(np.max(-d))
 
 
-def _poisson_log_weight(n, mu):
-    return -mu + n * math.log(mu) - math.lgamma(n + 1)
-
-
 def _uniformized(Q, c):
     """B = I + Q/c: CSR for sparse Q, a dense array otherwise."""
     n = Q.shape[0]
@@ -122,21 +124,91 @@ def _row_iterates(B, v):
         v = Bt @ v
 
 
+def _poisson_weights(rate, t, tol):
+    """Poisson(rate t) weights w_0, ..., w_n, cut at the certified stop.
+
+    w_{k+1}/w_k = mu/(k+1) decreases, so the weights after n sum to at most
+    w_n mu / (n + 1 - mu) once n + 1 > mu; the cut is the first such n with
+    that bound below tol (Fox & Glynn, CACM 31, 1988). Weights switch to
+    log-space once mu exceeds 700 to dodge underflow of exp(-mu), and are
+    then divided by their sum, which cancels the common rounding drift of
+    the lgamma terms. Raises NonConvergent when mu = rate t exceeds
+    TERM_BUDGET: the sum would take about mu terms.
+    """
+    mu = rate * t
+    if mu > TERM_BUDGET:
+        raise NonConvergent(
+            f"Poisson mean Lambda t = {mu:.3g} (t = {t:.6g}, Lambda = {rate:.6g}) "
+            f"exceeds the series term budget {TERM_BUDGET:.0e}"
+        )
+    log_space = mu > 700.0
+    log_mu = math.log(mu) if log_space else 0.0
+    w = 0.0 if log_space else math.exp(-mu)
+    weights = array("d", [w])
+    n = 0
+    while not (n + 1 > mu and w * mu / (n + 1 - mu) <= tol):
+        n += 1
+        if log_space:
+            lw = n * log_mu - mu - math.lgamma(n + 1)
+            w = math.exp(lw) if lw > -745.0 else 0.0
+        else:
+            w = w * mu / n
+        weights.append(w)
+    weights = np.frombuffer(weights)
+    return weights / weights.sum() if log_space else weights
+
+
+def _binomial_weights(k, p, tol):
+    """Binomial(k, p) weights as (j0, w) with w[i] the weight of j0 + i.
+
+    Built outward from the mode m = floor((k + 1) p) by the exact ratios
+    w_{j+1}/w_j = (k - j) p / ((j + 1)(1 - p)), then divided by their sum.
+    Below the mode they run until they underflow to 0; above it, where the
+    ratios decrease below 1, they stop once w_n r_n / (1 - r_n) bounds the
+    rest of the mass below tol times the sum so far. Per-term lgamma
+    differences would carry the rounding of lgamma(k) (about 1e-9 relative
+    at k = 4e5) into every weight.
+    """
+    if k == 0 or p == 0.0:
+        return 0, np.ones(1)
+    if p == 1.0:
+        return k, np.ones(1)
+    odds = p / (1.0 - p)
+    m = min(k, math.floor((k + 1) * p))
+    below = []
+    w, j = 1.0, m
+    while j > 0:
+        w *= j / ((k - j + 1) * odds)
+        if w == 0.0:
+            break
+        below.append(w)
+        j -= 1
+    total = 1.0 + math.fsum(below)
+    above = [1.0]
+    w, j = 1.0, m
+    while j < k:
+        r = (k - j) / (j + 1) * odds
+        if r < 1.0 and w * r / (1.0 - r) <= tol * total:
+            break
+        w *= r
+        above.append(w)
+        total += w
+        j += 1
+    weights = np.array(below[::-1] + above)
+    return m - len(below), weights / weights.sum()
+
+
 def expm_action(Q, v, t, tol=1e-12):
     """Evaluate the row-vector action v * exp(Q t) by uniformization.
 
     With Lambda >= max(-Q_ii), exp(Qt) = sum_n Pois(n; Lambda t) (I + Q/Lambda)^n.
     Every term is nonnegative, so the result is nonnegative entrywise and the
     truncation error is at most the remaining Poisson tail mass times
-    ||v||_1. The sum stops at the first n past the mean mu = Lambda t whose
-    weight certifies that tail below tol: w_{k+1}/w_k = mu/(k+1) decreases,
-    so the weights after n sum to at most w_n mu / (n + 1 - mu) (Fox & Glynn,
-    CACM 31, 1988). Weights switch to log-space once mu exceeds 700 to dodge
-    underflow of exp(-mu), and the sum is then divided by the summed
-    weights, which cancels the common rounding drift of the lgamma terms.
+    ||v||_1, certified below tol by _poisson_weights.
 
-    Raises NonConvergent if tol below 1e-15 is requested, and ValueError
-    for a negative or non-finite t (the stop test never holds at inf or nan).
+    Raises NonConvergent if tol below 1e-15 is requested or Lambda t exceeds
+    TERM_BUDGET, and ValueError for a negative or non-finite t (the stop
+    test never holds at inf or nan).
     """
     if tol < _MIN_EXPM_TOL:
         raise NonConvergent(f"tolerance {tol:.1e} below the {_MIN_EXPM_TOL:.0e} cap")
@@ -148,31 +220,67 @@ def expm_action(Q, v, t, tol=1e-12):
         # exp(Q 0) = I, and exp(Qt) = I for the zero generator.
         return v.copy()
 
-    mu = lam * t
-    log_space = mu > 700.0
-    total = 0.0
-    for n, u in enumerate(_row_iterates(_uniformized(Q, lam), v)):
-        if n == 0:
+    weights = _poisson_weights(lam, t, tol)
+    acc = None
+    for w, u in zip(weights, _row_iterates(_uniformized(Q, lam), v)):
+        if acc is None:
             acc = 0.0 * u
-            w = 0.0 if log_space else math.exp(-mu)
-        elif log_space:
-            lw = _poisson_log_weight(n, mu)
-            w = math.exp(lw) if lw > -745.0 else 0.0
-        else:
-            w = w * mu / n
         if sp.issparse(acc) and not sp.issparse(u):
             acc = acc.toarray().ravel()
         if w > 0.0:
             acc = acc + w * u
-        total += w
-        if n + 1 > mu and w * mu / (n + 1 - mu) <= tol:
-            break
     if sp.issparse(acc):
         acc = acc.toarray().ravel()
-    if log_space:
-        acc = acc / total
     np.maximum(acc, 0.0, out=acc)
     return acc
+
+
+class _SurvivalSeries:
+    """The scalars s_j = v B^j 1 with B = I + Q/c, extended on demand.
+
+    B is built once and its row iterates are stepped only as far as a
+    requested sum needs, one n-vector alive at a time; only the sums s_j
+    are kept. c > 0 defaults to the uniformization rate of expm_action.
+    continuous(t) = v exp(Qt) 1 for any c >= max(-Q_ii); discrete(k, N) =
+    v (I + Q/N)^k 1 needs c <= N, so that its binomial weights are
+    probabilities. The number of terms a value needs is about c t or
+    k c / N, however many values are read.
+    """
+
+    def __init__(self, Q, v, c=None):
+        self.c = _uniformization_rate(Q) if c is None else float(c)
+        v = np.asarray(v, dtype=float)
+        self._sums = array("d", [v.sum()])
+        self._iterates = _row_iterates(_uniformized(Q, self.c), v)
+        next(self._iterates)  # v itself, already summed
+
+    def _terms(self, stop):
+        """s_0, ..., s_{stop-1} as an array."""
+        while len(self._sums) < stop:
+            self._sums.append(float(next(self._iterates).sum()))
+        return np.frombuffer(self._sums, count=stop).copy()  # a view would pin _sums
+
+    def continuous(self, t, tol=1e-15):
+        """v exp(Qt) 1, the Poisson(ct)-weighted sum of the s_j."""
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"t must be finite and nonnegative, got {t}")
+        if t == 0.0:
+            return self._sums[0]
+        weights = _poisson_weights(self.c, t, tol)
+        return float(weights @ self._terms(weights.size))
+
+    def discrete(self, k, N, tol=1e-15):
+        """v (I + Q/N)^k 1, the Binomial(k, c/N)-weighted sum of the s_j."""
+        p = self.c / N
+        if p > 1.0:
+            raise ValueError(f"discrete survival needs N >= c, got N = {N}, c = {self.c}")
+        if k * p > TERM_BUDGET:
+            raise NonConvergent(
+                f"binomial mean k c/N = {k * p:.3g} (k = {k}, N = {N}, c = {self.c:.6g}) "
+                f"exceeds the series term budget {TERM_BUDGET:.0e}"
+            )
+        j0, weights = _binomial_weights(k, p, tol)
+        return float(weights @ self._terms(j0 + weights.size)[j0:])
 
 
 @dataclass(frozen=True)

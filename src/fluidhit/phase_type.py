@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .chain_model import InitialDistribution, SubGenerator, _walk_to_exit
-from .errors import DegenerateTail, ScaleTooSmall
-from .fluid import crossing_time, transient_survival
-from .numerics import _row_iterates, _uniformized, dominant_eigen, eigen_spectrum
+from .errors import DegenerateTail, NonConvergent, ScaleTooSmall
+from .fluid import _crossing, transient_survival
+from .numerics import _SurvivalSeries, dominant_eigen, eigen_spectrum
+
+# x_threshold gallops over k = 1, 2, 4, ...; past 2^53 consecutive step
+# counts are no longer distinct floats.
+_GALLOP_CAP = 2**53
 
 # Radius base for multiplicity detection: a defective eigenvalue of
 # multiplicity m computed with backward error eta scatters over a disk of
@@ -67,33 +70,56 @@ def continuous_survival(pt: PhaseType, t) -> float:
     return transient_survival(pt.alpha, pt.sub, t)
 
 
+def _discrete_series(pt: PhaseType) -> _SurvivalSeries:
+    """The survival series of a discrete phase type, with c = max(-Q_ii) <= N."""
+    return _SurvivalSeries(pt.sub.Q, pt.alpha.alpha, pt.sub.max_exit_rate)
+
+
 def discrete_survival(pt: PhaseType, k) -> float:
     """P(X >= k) = alpha (I + Q/N)^k 1 for the discrete kind."""
     if pt.scale is None:
         raise ValueError("discrete_survival needs a discrete phase type")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    iterates = _row_iterates(_uniformized(pt.sub.Q, pt.scale), pt.alpha.alpha)
-    return float(next(islice(iterates, int(k), None)).sum())
+    return _discrete_series(pt).discrete(int(k), pt.scale)
 
 
 def x_threshold(pt: PhaseType) -> int:
     """Smallest k with alpha (I + Q/N)^k 1 <= 2/N.
 
-    The survival sequence is monotone and only forward iteration is
-    available, so a direct monotone scan finds the threshold with one
-    vector-matrix product per step. Always finite: the spectral radius of
-    I + Q/N is below 1.
+    The survival is nonincreasing in k, so a gallop over k = 1, 2, 4, ...
+    brackets the threshold and an integer bisection closes the bracket. All
+    evaluations read one survival series (numerics._SurvivalSeries with
+    c = max(-Q_ii)): the survival at k is the Binomial(k, c/N)-weighted sum
+    of s_j = alpha B^j 1, so the row iterate is stepped about 2 k c/N times
+    in all, not k times. Raises NonConvergent when the survival is still
+    above 2/N at k = 2^53.
     """
     if pt.scale is None:
         raise ValueError("x_threshold needs a discrete phase type")
     target = 2.0 / pt.scale
-    iterates = _row_iterates(_uniformized(pt.sub.Q, pt.scale), pt.alpha.alpha)
-    for k, u in enumerate(iterates):
-        if k > 10**8:
-            raise RuntimeError("x_threshold scan exceeded 1e8 steps")
-        if float(u.sum()) <= target:
-            return k
+    series = _discrete_series(pt)
+
+    def above(k):
+        return series.discrete(k, pt.scale) > target
+
+    if not above(0):
+        return 0
+    lo, hi = 0, 1  # above(lo) holds, above(hi) is to be found false
+    while above(hi):
+        lo, hi = hi, 2 * hi
+        if hi > _GALLOP_CAP:
+            raise NonConvergent(
+                f"survival still above 2/N = {target:.3g} at k = {lo}; "
+                f"x_threshold gallop capped at 2^53"
+            )
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -185,8 +211,9 @@ def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
         raise DegenerateTail(
             "initial transient mass already below the fit window"
         )
-    t_hi = crossing_time(alpha, sub, hi_level, nu_hint=nu).time
-    t_lo = crossing_time(alpha, sub, lo_level, nu_hint=nu).time
+    series = _SurvivalSeries(sub.Q, alpha.alpha)
+    t_hi = _crossing(series, hi_level, nu_hint=nu).time
+    t_lo = _crossing(series, lo_level, nu_hint=nu).time
     ts = np.geomspace(t_hi, t_lo, 5)
     s = np.array([transient_survival(alpha, sub, t) for t in ts])
     basis = ts**k * np.exp(-nu * ts)

@@ -4,8 +4,9 @@ Each routine computes a reference value along a path disjoint from the
 library implementation it checks: a fixed-step Runge-Kutta integrator for
 the fluid ODE, a full enumeration of the occupancy Markov chain for exact
 absorption expectations, memoized path recursion for jump counts, a
-scalar root finder for Erlang crossing times, and a per-event stepper of
-the occupancy process for hitting times and trajectories.
+scalar root finder for Erlang crossing times, a step-by-step scan for the
+discrete threshold x_N, and a per-event stepper of the occupancy process
+for hitting times and trajectories.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import brentq
+from scipy.sparse.csgraph import dijkstra
 
 from fluidhit import AbsorbingChain, OccupancyState, TrajectorySample
 from fluidhit.chain_model import _Destinations
@@ -168,6 +171,33 @@ def erlang_survival(T, t):
 def erlang_crossing(T, epsilon, hi=1000.0):
     """Scalar root of erlang_survival(T, t) = epsilon via Brent's method."""
     return brentq(lambda t: erlang_survival(T, t) - epsilon, 0.0, hi, xtol=1e-12)
+
+
+def threshold_scan(Q, alpha, N, max_steps):
+    """Smallest k <= max_steps with alpha (I + Q/N)^k 1 <= 2/N, one step per k.
+
+    Mass that starts on alpha's support reaches only states within k
+    transitions in k steps, so the scan runs on the states within max_steps
+    transitions alone (the countdown chains then stay small). Raises
+    AssertionError when the survival is still above 2/N at max_steps.
+    """
+    Q = sp.csr_array(Q)
+    alpha = np.asarray(alpha, dtype=float)
+    hops = dijkstra(abs(Q), indices=np.flatnonzero(alpha), min_only=True, unweighted=True,
+                    limit=max_steps)
+    keep = np.flatnonzero(np.isfinite(hops))
+    n = keep.size
+    # Column form: Bt @ v steps the row vector v by one multiplication with I + Q/N.
+    Bt = (sp.eye(n, format="csr") + Q[keep][:, keep] / N).T.tocsr()
+    if n <= 500:  # a small dense product costs less than scipy's sparse call
+        Bt = Bt.toarray()
+    v = alpha[keep]
+    target = 2.0 / N
+    for k in range(max_steps + 1):
+        if v.sum() <= target:
+            return k
+        v = Bt @ v
+    raise AssertionError(f"survival still above 2/N after {max_steps} steps")
 
 
 def empirical_survival(samples, k):

@@ -311,16 +311,30 @@ def test_json_outputs_round_trip_sorted(capsys):
 
 
 def test_import_loads_no_optimize_or_integrate():
-    # Either scipy submodule adds a quarter second or more to every CLI
-    # start; the simulator runs in one process, so multiprocessing has no use.
+    # Each of scipy's optimize, integrate, special and stats adds tens of
+    # milliseconds to a second to every CLI start; the simulator runs in
+    # one process, so multiprocessing has no use.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = (
         "import sys, fluidhit; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate']) "
+        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'integrate'], "
+        "['scipy', 'special'], ['scipy', 'stats']) "
         "or m.split('.')[0] == 'multiprocessing'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_trajectory_refuses_a_huge_finite_grid_at_once():
+    # The fluid curve at t = 2.5e307 would need about 2.6e307 series terms.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["trajectory", "--chain", "classical", "--N", "10", "--grid", "1e308:4"]
+    done = subprocess.run(
+        [sys.executable, "-m", "fluidhit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 1
+    assert "term budget" in done.stderr

@@ -110,6 +110,19 @@ _PROBE_CASES = [
 ]
 
 
+def _record_series(monkeypatch):
+    """(t, value) of every survival-series evaluation from here on."""
+    calls = []
+    continuous = fluidhit.numerics._SurvivalSeries.continuous
+
+    def recorded(self, t, *args, **kwargs):
+        calls.append((t, continuous(self, t, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fluidhit.numerics._SurvivalSeries, "continuous", recorded)
+    return calls
+
+
 @pytest.mark.parametrize(
     "build, epsilon",
     [case[1:] for case in _PROBE_CASES],
@@ -117,20 +130,30 @@ _PROBE_CASES = [
 )
 def test_crossing_needs_few_survival_evaluations(monkeypatch, build, epsilon):
     alpha, sub = build()
-    probes = []
-
-    def counted(*args, **kwargs):
-        probes.append(args[2])
-        return transient_survival(*args, **kwargs)
-
-    monkeypatch.setattr(fluidhit.fluid, "transient_survival", counted)
+    calls = _record_series(monkeypatch)
     crossing_time(alpha, sub, epsilon)
-    # Without a hint the doubling probes 1, 2, 4, ... and no later probe
-    # can be the next power of two, which lies outside the bracket.
+    # t = 0 reads s_0 = alpha 1, no sum. Without a hint the doubling probes
+    # 1, 2, 4, ... and no later probe can be the next power of two, which
+    # lies outside the bracket.
+    probes = [t for t, _ in calls if t > 0.0]
     doubling = 0
     while doubling < len(probes) and probes[doubling] == 2.0**doubling:
         doubling += 1
     assert len(probes) - doubling <= 20
+
+
+def test_crossing_builds_the_uniformized_matrix_once(monkeypatch):
+    alpha, sub = _named_start(gen_fig3a(10, 2))
+    built = []
+    uniformized = fluidhit.numerics._uniformized
+
+    def counted(*args):
+        built.append(args)
+        return uniformized(*args)
+
+    monkeypatch.setattr(fluidhit.numerics, "_uniformized", counted)
+    crossing_time(alpha, sub, 1e-8)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("epsilon", (1e-2, 1e-4, 1e-8))
@@ -147,15 +170,9 @@ def test_crossing_through_underflowed_survival(monkeypatch):
     # exp(-t) underflows to 0 past t = 745, inside the doubling bracket
     # [512, 1024] of the level 1e-300, whose crossing is 300 ln 10.
     alpha, sub = _classical()
-    values = []
-
-    def recorded(*args, **kwargs):
-        values.append(transient_survival(*args, **kwargs))
-        return values[-1]
-
-    monkeypatch.setattr(fluidhit.fluid, "transient_survival", recorded)
+    calls = _record_series(monkeypatch)
     got = crossing_time(alpha, sub, 1e-300).time
-    assert 0.0 in values
+    assert 0.0 in [value for _, value in calls]
     assert got == pytest.approx(300.0 * math.log(10.0), rel=1e-12, abs=0)
 
 

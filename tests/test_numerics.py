@@ -150,6 +150,58 @@ def test_expm_sparse_matches_dense():
     assert sparse == pytest.approx(dense)
 
 
+def test_expm_refuses_a_poisson_mean_past_the_term_budget():
+    # Lambda t = 1.05e308 would take about that many terms.
+    with pytest.raises(NonConvergent, match="budget") as exc:
+        expm_action(np.array([[-1.0]]), np.array([1.0]), 1e308)
+    assert "t = 1e+308" in str(exc.value) and "Lambda = 1.05" in str(exc.value)
+
+
+def _random_series_case(rng):
+    """A random chain with self-loops and a random start, as (sub, v)."""
+    S = int(rng.integers(1, 11))
+    sub = decompose(random_chain(rng, S))
+    return sub, rng.dirichlet(np.ones(S))
+
+
+def test_series_continuous_matches_expm_multiply():
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        sub, v = _random_series_case(rng)
+        series = numerics._SurvivalSeries(sub.Q, v)
+        ones = np.ones(v.size)
+        # Out of order: later reads reuse and extend the terms of earlier ones.
+        for t in rng.permutation([0.0, 0.3, 2.0, 9.0, 40.0]):
+            ref = float(v @ expm_multiply(sub.dense_q() * t, ones))
+            assert series.continuous(t) == pytest.approx(ref, rel=1e-10, abs=1e-15)
+
+
+def test_series_discrete_matches_dense_powers():
+    # N from max(-Q_ii) up: with the 1.05 uniformization slack, every N
+    # below 1.05 max(-Q_ii) would give binomial weights of success c/N > 1.
+    rng = np.random.default_rng(73)
+    for _ in range(50):
+        sub, v = _random_series_case(rng)
+        c = float(np.max(-sub.Q.diagonal()))
+        series = numerics._SurvivalSeries(sub.Q, v, c)
+        for N in (c, c * rng.uniform(1.0, 1.05), c * 1.05 * (1 - 1e-12), 3.0 * c, 1e3 * c):
+            step = np.eye(v.size) + sub.dense_q() / N
+            for k in (0, 1, 6, 50, 400):
+                ref = float(v @ np.linalg.matrix_power(step, k) @ np.ones(v.size))
+                assert series.discrete(k, N) == pytest.approx(ref, rel=1e-10, abs=1e-15)
+
+
+def test_series_refuses_means_past_the_term_budget():
+    series = numerics._SurvivalSeries(np.array([[-1.0]]), np.array([1.0]), 1.0)
+    with pytest.raises(NonConvergent, match="budget"):
+        series.continuous(1e8)
+    with pytest.raises(NonConvergent, match="budget"):
+        series.discrete(10**9, 10.0)
+    # B = 0 here, so the survival (1 - 1/N)^k is the binomial weight of j = 0,
+    # reached from the mode 10 by the weight ratios.
+    assert series.discrete(10**7, 1e6) == pytest.approx(math.exp(1e7 * math.log1p(-1e-6)), rel=1e-13)
+
+
 def test_eigen_tstage3_triple_eigenvalue():
     report = eigen_spectrum(decompose(gen_tstage(3).chain).dense_q())
     assert len(report.eigenvalues) == 1

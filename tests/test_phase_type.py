@@ -13,6 +13,7 @@ from fluidhit import (
     decompose,
     discrete_survival,
     expm_action,
+    gen_classical,
     gen_fig3a,
     gen_fig3b,
     gen_tstage,
@@ -22,7 +23,9 @@ from fluidhit import (
     stochastic_order_check,
     x_threshold,
 )
-from fluidhit.errors import DegenerateTail, ScaleTooSmall
+from fluidhit.errors import DegenerateTail, NonConvergent, ScaleTooSmall
+
+from oracles import threshold_scan
 
 
 def _classical_pt(N=None):
@@ -75,6 +78,40 @@ def test_x_threshold_matches_naive_scan():
     target = 2.0 / 25
     assert discrete_survival(pt, value) <= target
     assert discrete_survival(pt, value - 1) > target
+
+
+# The acceptance sweep's cases (criterion 6), and a threshold 397,669 steps out.
+_THRESHOLD_CASES = [
+    (f"{name}-N{N}", build, N)
+    for N in (10, 100, 1000)
+    for name, build in (
+        ("classical", lambda N: gen_classical()),
+        ("tstage:3", lambda N: gen_tstage(3)),
+        ("fig3b:2", lambda N: gen_fig3b(2)),
+        (f"fig3a:{N},2", lambda N: gen_fig3a(N, 2)),
+    )
+] + [("tstage:20-N10000", lambda N: gen_tstage(20), 10**4)]
+
+
+@pytest.mark.parametrize(
+    "build, N", [case[1:] for case in _THRESHOLD_CASES], ids=[case[0] for case in _THRESHOLD_CASES]
+)
+def test_x_threshold_matches_oracle_scan(build, N):
+    ex = build(N)
+    sub = decompose(ex.chain)
+    x = x_threshold(PhaseType.discrete(ex.default_alpha, sub, N))
+    # The scan is exact up to its horizon and raises beyond it.
+    assert x == threshold_scan(sub.Q, ex.default_alpha.alpha, N, 2 * x + 10)
+    if ex.name == "tstage:20" and N == 10**4:
+        assert x == 397_669
+
+
+def test_x_threshold_gallop_cap_raises_typed_error():
+    # B = I + Q/c is 0 here, and (1 - 1e-21)^k stays above 2/N far past 2^53.
+    sub = SubGenerator.from_matrix([[-1e-20]])
+    pt = PhaseType.discrete(InitialDistribution(alpha=np.array([1.0])), sub, 10)
+    with pytest.raises(NonConvergent, match="2\\^53"):
+        x_threshold(pt)
 
 
 def test_sparse_row_switch_matches_dense_matrix():
