@@ -118,9 +118,9 @@ def gen_fig3a(N: int, T: int) -> NamedExample:
             f"fig3a would need {D + 2} states (cap {FIG3A_STATE_CAP + 2})"
         )
     start = D + 1
-    rows = [0] + list(range(1, D + 1)) + [start, start]
-    cols = [0] + list(range(0, D)) + [D, 0]
-    vals = [1.0] + [1.0] * D + [1.0 / (N * N), 1.0 - 1.0 / (N * N)]
+    rows = np.concatenate([[0], np.arange(1, D + 1), [start, start]])
+    cols = np.concatenate([[0], np.arange(D), [D, 0]])
+    vals = np.concatenate([[1.0], np.ones(D), [1.0 / (N * N), 1.0 - 1.0 / (N * N)]])
     P = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(D + 2, D + 2)))
     chain = validate_chain(P)
     return NamedExample(

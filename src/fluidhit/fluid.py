@@ -92,7 +92,9 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
 def _crossing(series, epsilon, nu_hint=None) -> CrossingResult:
     """Root of series.continuous(t) = epsilon for a series starting above epsilon.
 
-    Brackets the level by doubling from 1/nu_hint (or 1), then narrows the
+    Brackets the level by doubling from 1/nu_hint (or 1), clamped to the
+    smaller of _DOUBLING_CAP and the series' time limit (BracketingFailure
+    when the survival is still above epsilon there), then narrows the
     bracket by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
     f(t) = log(S(t) / epsilon), which is nearly linear in t; the survival S
     is strictly decreasing, so the crossing is unique. An interpolated probe
@@ -114,14 +116,16 @@ def _crossing(series, epsilon, nu_hint=None) -> CrossingResult:
         return math.log(s / epsilon) if s > 0.0 else -math.inf
 
     t_lo, f_lo = 0.0, excess(series.continuous(0.0))
-    t_hi = 1.0 / nu_hint if nu_hint else 1.0
+    t_max = min(_DOUBLING_CAP, series.time_limit())
+    t_hi = min(1.0 / nu_hint if nu_hint else 1.0, t_max)
     while (s := series.continuous(t_hi)) > epsilon:
-        t_lo, f_lo = t_hi, excess(s)
-        t_hi *= 2.0
-        if t_hi > _DOUBLING_CAP:
+        if t_hi == t_max:
             raise BracketingFailure(
-                f"survival still above {epsilon} at t = {t_lo}; doubling cap reached"
+                f"survival still above {epsilon} at t = {t_hi:.6g}, where the doubling "
+                f"stops (the cap {_DOUBLING_CAP:.0e} or the series' time limit)"
             )
+        t_lo, f_lo = t_hi, excess(s)
+        t_hi = min(2.0 * t_hi, t_max)
     f_hi = excess(s)
 
     # Invariant: S(t_lo) > epsilon >= S(t_hi). At a 1e-13 relative bracket

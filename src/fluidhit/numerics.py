@@ -16,6 +16,7 @@ import warnings
 import weakref
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,27 +98,60 @@ def _uniformization_rate(Q):
 
 def _uniformized(Q, c):
     """B = I + Q/c: CSR for sparse Q, a dense array otherwise."""
-    n = Q.shape[0]
     if sp.issparse(Q):
-        return sp.csr_array(sp.eye(n, format="csr") + Q.tocsr() * (1.0 / c))
-    return np.eye(n) + np.asarray(Q, dtype=float) / c
+        B = sp.csr_array(Q, dtype=float, copy=True)
+        B.data *= 1.0 / c
+        with warnings.catch_warnings():
+            # Only a diagonal entry Q does not store is inserted.
+            warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+            B.setdiag(B.diagonal() + 1.0)
+        return B
+    return np.eye(Q.shape[0]) + np.asarray(Q, dtype=float) / c
+
+
+class _SparseRow(NamedTuple):
+    """A row vector by its distinct nonzero columns and their values."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def sum(self):
+        return self.vals.sum()
+
+    def step(self, B):
+        """The row u B for a CSR matrix B, gathered from the rows of B that u touches.
+
+        Products are summed per column in the order of u's columns, as in a
+        sparse product, but without its work array of B's width: on a thin
+        row of a 10^6-state B that array costs about 1.5 ms per step.
+        """
+        starts = B.indptr[self.cols]
+        counts = B.indptr[self.cols + 1] - starts
+        pos = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        cols, inverse = np.unique(B.indices[pos], return_inverse=True)
+        sums = np.bincount(inverse, weights=np.repeat(self.vals, counts) * B.data[pos])
+        keep = sums != 0.0
+        return _SparseRow(cols[keep], sums[keep])
 
 
 def _row_iterates(B, v):
     """Yield the row iterates v, vB, vB^2, ... without end.
 
     On a sparse B with more than 2000 states, a v with at most 1/8 of its
-    entries nonzero stays a sparse row until more than 1/4 are filled (the
-    countdown chains touch a thin band of states). Dense iterates are B^T u
-    with B^T taken once: u @ B on scipy sparse B transposes every product.
+    entries nonzero is stepped as a _SparseRow until more than 1/4 are
+    filled (the countdown chains touch a thin band of states). Dense
+    iterates are B^T u with B^T taken once: u @ B on scipy sparse B
+    transposes every product.
     """
     n = v.shape[0]
     if sp.issparse(B) and n > 2000 and np.count_nonzero(v) <= n // 8:
-        u = sp.csr_array(v.reshape(1, -1))
-        while u.nnz <= n // 4:
+        cols = np.flatnonzero(v)
+        u = _SparseRow(cols, v[cols])
+        while u.cols.size <= n // 4:
             yield u
-            u = u @ B
-        v = u.toarray().ravel()
+            u = u.step(B)
+        v = np.zeros(n)
+        v[u.cols] = u.vals
     Bt = B.T
     while True:
         yield v
@@ -132,11 +166,12 @@ def _poisson_weights(rate, t, tol):
     that bound below tol (Fox & Glynn, CACM 31, 1988). Weights switch to
     log-space once mu exceeds 700 to dodge underflow of exp(-mu), and are
     then divided by their sum, which cancels the common rounding drift of
-    the lgamma terms. Raises NonConvergent when mu = rate t exceeds
-    TERM_BUDGET: the sum would take about mu terms.
+    the lgamma terms. Raises NonConvergent when t exceeds
+    TERM_BUDGET / rate, so that mu stays within the budget: the sum takes
+    about mu terms.
     """
     mu = rate * t
-    if mu > TERM_BUDGET:
+    if t > TERM_BUDGET / rate:
         raise NonConvergent(
             f"Poisson mean Lambda t = {mu:.3g} (t = {t:.6g}, Lambda = {rate:.6g}) "
             f"exceeds the series term budget {TERM_BUDGET:.0e}"
@@ -221,16 +256,14 @@ def expm_action(Q, v, t, tol=1e-12):
         return v.copy()
 
     weights = _poisson_weights(lam, t, tol)
-    acc = None
+    acc = np.zeros(v.shape[0])
     for w, u in zip(weights, _row_iterates(_uniformized(Q, lam), v)):
-        if acc is None:
-            acc = 0.0 * u
-        if sp.issparse(acc) and not sp.issparse(u):
-            acc = acc.toarray().ravel()
-        if w > 0.0:
-            acc = acc + w * u
-    if sp.issparse(acc):
-        acc = acc.toarray().ravel()
+        if w == 0.0:
+            continue
+        if isinstance(u, _SparseRow):
+            acc[u.cols] += w * u.vals
+        else:
+            acc += w * u
     np.maximum(acc, 0.0, out=acc)
     return acc
 
@@ -260,26 +293,34 @@ class _SurvivalSeries:
             self._sums.append(float(next(self._iterates).sum()))
         return np.frombuffer(self._sums, count=stop).copy()  # a view would pin _sums
 
-    def continuous(self, t, tol=1e-15):
+    def time_limit(self):
+        """Largest t that continuous accepts: c t within TERM_BUDGET."""
+        return TERM_BUDGET / self.c
+
+    def step_limit(self, N):
+        """Largest k that discrete accepts at N: k c/N within TERM_BUDGET."""
+        return math.floor(TERM_BUDGET / (self.c / N))
+
+    def continuous(self, t):
         """v exp(Qt) 1, the Poisson(ct)-weighted sum of the s_j."""
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"t must be finite and nonnegative, got {t}")
         if t == 0.0:
             return self._sums[0]
-        weights = _poisson_weights(self.c, t, tol)
+        weights = _poisson_weights(self.c, t, _MIN_EXPM_TOL)
         return float(weights @ self._terms(weights.size))
 
-    def discrete(self, k, N, tol=1e-15):
+    def discrete(self, k, N):
         """v (I + Q/N)^k 1, the Binomial(k, c/N)-weighted sum of the s_j."""
         p = self.c / N
         if p > 1.0:
             raise ValueError(f"discrete survival needs N >= c, got N = {N}, c = {self.c}")
-        if k * p > TERM_BUDGET:
+        if k > self.step_limit(N):
             raise NonConvergent(
                 f"binomial mean k c/N = {k * p:.3g} (k = {k}, N = {N}, c = {self.c:.6g}) "
                 f"exceeds the series term budget {TERM_BUDGET:.0e}"
             )
-        j0, weights = _binomial_weights(k, p, tol)
+        j0, weights = _binomial_weights(k, p, _MIN_EXPM_TOL)
         return float(weights @ self._terms(j0 + weights.size)[j0:])
 
 

@@ -92,8 +92,9 @@ def x_threshold(pt: PhaseType) -> int:
     evaluations read one survival series (numerics._SurvivalSeries with
     c = max(-Q_ii)): the survival at k is the Binomial(k, c/N)-weighted sum
     of s_j = alpha B^j 1, so the row iterate is stepped about 2 k c/N times
-    in all, not k times. Raises NonConvergent when the survival is still
-    above 2/N at k = 2^53.
+    in all, not k times. The gallop is clamped to the smaller of 2^53 and
+    the series' step limit, and raises NonConvergent when the survival is
+    still above 2/N there.
     """
     if pt.scale is None:
         raise ValueError("x_threshold needs a discrete phase type")
@@ -105,14 +106,15 @@ def x_threshold(pt: PhaseType) -> int:
 
     if not above(0):
         return 0
+    k_max = min(series.step_limit(pt.scale), _GALLOP_CAP)
     lo, hi = 0, 1  # above(lo) holds, above(hi) is to be found false
     while above(hi):
-        lo, hi = hi, 2 * hi
-        if hi > _GALLOP_CAP:
+        if hi == k_max:
             raise NonConvergent(
-                f"survival still above 2/N = {target:.3g} at k = {lo}; "
-                f"x_threshold gallop capped at 2^53"
+                f"survival still above 2/N = {target:.3g} at k = {k_max}, where the "
+                f"x_threshold gallop stops (2^53 or the series term budget)"
             )
+        lo, hi = hi, min(2 * hi, k_max)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):

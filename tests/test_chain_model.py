@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from fluidhit import (
     InitialDistribution,
@@ -18,9 +19,36 @@ from fluidhit import (
     validate_chain,
 )
 from fluidhit.chain_model import _Destinations
+from fluidhit.numerics import DENSE_CAP
 from fluidhit.errors import NotAbsorbing, NotStochastic, NotTransient
 
 from oracles import brute_jump_counts
+
+
+@pytest.mark.parametrize("shape", ["lower", "upper", "ring"])
+def test_hitting_times_of_sparse_chains_past_the_dense_cap(shape):
+    # Triangular -Q is solved by substitution, the ring by LU.
+    n = DENSE_CAP + 100
+    rng = np.random.default_rng(23)
+    exits = rng.uniform(0.5, 2.0, n)
+    moves = rng.uniform(0.0, 0.4, n)
+    idx = np.arange(n)
+    nxt = {"lower": idx - 1, "upper": idx + 1, "ring": (idx + 1) % n}[shape]
+    keep = (nxt >= 0) & (nxt < n)
+    Q = sp.csr_array(
+        sp.coo_array(
+            (np.concatenate([-exits, moves[keep]]), (np.concatenate([idx, idx[keep]]),
+                                                     np.concatenate([idx, nxt[keep]]))),
+            shape=(n, n),
+        )
+    )
+    sub = SubGenerator.from_matrix(Q)
+    alpha = InitialDistribution(alpha=rng.dirichlet(np.ones(n)))
+    neg_q = sp.csc_array(-Q)
+    want = spsolve(neg_q, np.ones(n))
+    assert expected_hitting_times(sub) == pytest.approx(want, rel=1e-12, abs=0)
+    jumps = alpha.alpha @ spsolve(neg_q, exits)
+    assert mean_jump_count(sub, alpha) == pytest.approx(jumps, rel=1e-12, abs=0)
 
 
 def test_validate_classical_collector():

@@ -17,6 +17,8 @@ from fluidhit import (
     validate_chain,
 )
 
+from fluidhit.errors import BracketingFailure
+
 from oracles import erlang_crossing, rk4_fluid_m0
 
 
@@ -174,6 +176,20 @@ def test_crossing_through_underflowed_survival(monkeypatch):
     got = crossing_time(alpha, sub, 1e-300).time
     assert 0.0 in [value for _, value in calls]
     assert got == pytest.approx(300.0 * math.log(10.0), rel=1e-12, abs=0)
+
+
+def test_crossing_reaches_the_term_budget(monkeypatch):
+    # The budget admits times up to 1.01 t_N, short of the doubling's next
+    # end 16 > t_N, so the bracket's end has to be clamped to the budget.
+    alpha, sub = _named_start(gen_tstage(3))
+    want = crossing_time(alpha, sub, 1e-4).time
+    c = fluidhit.numerics._uniformization_rate(sub.Q)
+    assert 8.0 < want < 16.0 / 1.01
+    monkeypatch.setattr(fluidhit.numerics, "TERM_BUDGET", 1.01 * c * want)
+    assert crossing_time(alpha, sub, 1e-4).time == pytest.approx(want, rel=1e-12, abs=0)
+    monkeypatch.setattr(fluidhit.numerics, "TERM_BUDGET", 0.99 * c * want)
+    with pytest.raises(BracketingFailure, match="time limit"):
+        crossing_time(alpha, sub, 1e-4)
 
 
 def test_trajectory_classical_points():

@@ -150,6 +150,21 @@ def test_expm_sparse_matches_dense():
     assert sparse == pytest.approx(dense)
 
 
+def test_sparse_row_step_matches_sparse_product():
+    rng = np.random.default_rng(17)
+    n = 3000
+    rows, cols = rng.integers(0, n, 6000), rng.integers(0, n, 6000)
+    B = sp.csr_array(sp.coo_array((rng.random(6000), (rows, cols)), shape=(n, n)))
+    support = np.sort(rng.choice(n, 40, replace=False))
+    vals = rng.random(40)
+    want = (sp.csr_array((vals, support, [0, 40]), shape=(1, n)) @ B).toarray().ravel()
+    got = numerics._SparseRow(support, vals).step(B)
+    assert np.array_equal(got.cols, np.flatnonzero(want))
+    assert got.vals == pytest.approx(want[got.cols], rel=1e-15, abs=0)
+    empty = numerics._SparseRow(support[:0], vals[:0]).step(B)
+    assert empty.cols.size == 0 and empty.sum() == 0.0
+
+
 def test_expm_refuses_a_poisson_mean_past_the_term_budget():
     # Lambda t = 1.05e308 would take about that many terms.
     with pytest.raises(NonConvergent, match="budget") as exc:

@@ -23,6 +23,7 @@ from fluidhit import (
     stochastic_order_check,
     x_threshold,
 )
+from fluidhit import numerics
 from fluidhit.errors import DegenerateTail, NonConvergent, ScaleTooSmall
 
 from oracles import threshold_scan
@@ -73,8 +74,10 @@ def test_x_threshold_examples():
 
 def test_x_threshold_matches_naive_scan():
     ex = gen_tstage(3)
-    pt = PhaseType.discrete(ex.default_alpha, decompose(ex.chain), 25)
+    sub = decompose(ex.chain)
+    pt = PhaseType.discrete(ex.default_alpha, sub, 25)
     value = x_threshold(pt)
+    assert value == threshold_scan(sub.Q, ex.default_alpha.alpha, 25, 2 * value + 10)
     target = 2.0 / 25
     assert discrete_survival(pt, value) <= target
     assert discrete_survival(pt, value - 1) > target
@@ -111,6 +114,22 @@ def test_x_threshold_gallop_cap_raises_typed_error():
     sub = SubGenerator.from_matrix([[-1e-20]])
     pt = PhaseType.discrete(InitialDistribution(alpha=np.array([1.0])), sub, 10)
     with pytest.raises(NonConvergent, match="2\\^53"):
+        x_threshold(pt)
+
+
+def test_x_threshold_reaches_the_term_budget(monkeypatch):
+    # The budget admits k up to x_N, below the power of two that brackets
+    # x_N, so the gallop has to clamp its last step to the budget.
+    ex = gen_tstage(3)
+    sub = decompose(ex.chain)
+    pt = PhaseType.discrete(ex.default_alpha, sub, 25)
+    x = x_threshold(pt)
+    p = sub.max_exit_rate / 25
+    assert x < 1 << (x - 1).bit_length()
+    monkeypatch.setattr(numerics, "TERM_BUDGET", (x + 0.5) * p)
+    assert x_threshold(pt) == x
+    monkeypatch.setattr(numerics, "TERM_BUDGET", (x - 0.5) * p)
+    with pytest.raises(NonConvergent, match="budget"):
         x_threshold(pt)
 
 
