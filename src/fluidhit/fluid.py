@@ -75,9 +75,10 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     """First time the transient mass drops to epsilon (m0 reaches 1 - epsilon).
 
     Every probe reads one survival series s_j = alpha B^j 1 with
-    B = I + Q/Lambda (numerics._SurvivalSeries): B is built once, and a
-    probe at t weights the s_j by Poisson(Lambda t) probabilities, stepping
-    the row iterate only past the terms earlier probes already summed.
+    B = I + Q/c and c = max(-Q_ii) (numerics._SurvivalSeries): B is built
+    once, and a probe at t weights the s_j by Poisson(c t) probabilities,
+    stepping the row iterate only past the terms earlier probes already
+    summed.
     Returns (0, already_below=True) when the mass already starts at or
     below epsilon. For the level of the hitting-time theorems call with
     epsilon = 1/N.

@@ -3,13 +3,16 @@
 All routines act on plain numpy arrays or scipy sparse matrices. Matrices
 with the sub-generator sign pattern (negative diagonal, nonnegative
 off-diagonal, row sums <= 0) get special treatment: the exponential action
-is evaluated by uniformization, which preserves nonnegativity exactly, and
-the dominant eigenvalue is found through the Perron root of the nonnegative
-matrix I + Q/Lambda.
+and the survival series are evaluated by uniformization with the one rate
+c = max(-Q_ii), which preserves nonnegativity exactly, their Poisson and
+binomial weights come from one window around the mode (_weights), and the
+dominant eigenvalue is found through the Perron root of the nonnegative
+matrix I + Q/Lambda, where Lambda = 1.05 c keeps the diagonal positive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import warnings
@@ -32,10 +35,6 @@ from .errors import (
 
 # Largest transient state count densified: dense Q, its inverse, its spectrum.
 DENSE_CAP = 2000
-
-# Lambda is set to 1.05 * max(-Q_ii) so that I + Q/Lambda keeps a strictly
-# positive diagonal even for rows with -Q_ii at the maximum.
-_UNIFORMIZATION_SLACK = 1.05
 
 _MIN_EXPM_TOL = 1e-15
 
@@ -91,11 +90,6 @@ def solve_linear(A, b):
     return x
 
 
-def _uniformization_rate(Q):
-    d = Q.diagonal() if sp.issparse(Q) else np.diag(np.asarray(Q, dtype=float))
-    return _UNIFORMIZATION_SLACK * float(np.max(-d))
-
-
 def _uniformized(Q, c):
     """B = I + Q/c: CSR for sparse Q, a dense array otherwise."""
     if sp.issparse(Q):
@@ -137,14 +131,15 @@ class _SparseRow(NamedTuple):
 def _row_iterates(B, v):
     """Yield the row iterates v, vB, vB^2, ... without end.
 
-    On a sparse B with more than 2000 states, a v with at most 1/8 of its
-    entries nonzero is stepped as a _SparseRow until more than 1/4 are
-    filled (the countdown chains touch a thin band of states). Dense
-    iterates are B^T u with B^T taken once: u @ B on scipy sparse B
-    transposes every product.
+    On a sparse B with more than 20,000 stored entries, a v with at most
+    1/8 of its entries nonzero is stepped as a _SparseRow until more than
+    1/4 are filled (the countdown chains touch a thin band of states).
+    Dense iterates are B^T u with B^T taken once: u @ B on scipy sparse B
+    transposes every product. A dense step costs about nnz(B), a sparse-row
+    step about 50 us on any B: the two tie near 20,000 entries.
     """
     n = v.shape[0]
-    if sp.issparse(B) and n > 2000 and np.count_nonzero(v) <= n // 8:
+    if sp.issparse(B) and B.nnz > 20_000 and np.count_nonzero(v) <= n // 8:
         cols = np.flatnonzero(v)
         u = _SparseRow(cols, v[cols])
         while u.cols.size <= n // 4:
@@ -158,108 +153,99 @@ def _row_iterates(B, v):
         v = Bt @ v
 
 
-def _poisson_weights(rate, t, tol):
-    """Poisson(rate t) weights w_0, ..., w_n, cut at the certified stop.
+def _weights(tol, *, rate=None, t=None, k=None, p=None):
+    """Poisson(rate t) or Binomial(k, p) weights as (j0, w), w[i] the weight of j0 + i.
 
-    w_{k+1}/w_k = mu/(k+1) decreases, so the weights after n sum to at most
-    w_n mu / (n + 1 - mu) once n + 1 > mu; the cut is the first such n with
-    that bound below tol (Fox & Glynn, CACM 31, 1988). Weights switch to
-    log-space once mu exceeds 700 to dodge underflow of exp(-mu), and are
-    then divided by their sum, which cancels the common rounding drift of
-    the lgamma terms. Raises NonConvergent when t exceeds
-    TERM_BUDGET / rate, so that mu stays within the budget: the sum takes
-    about mu terms.
+    From the mode, whose weight is set to 1, the weights are built outward
+    by cumprod of their exact ratios (for Poisson(mu): mu/(j+1) up, j/mu
+    down) and divided by their sum. Away from the mode the ratios r fall,
+    so the mass beyond a weight w is at most w r / (1 - r) (Fox & Glynn,
+    CACM 31, 1988). Above the mode the window stops where that bound is
+    within tol of the total; below it, where it is within the smallest
+    normal float, as the terms s_j these weights sum grow towards j = 0 (a
+    survival of 1e-300 at c t = 690 lies wholly below the mode). The window
+    starts 38 standard deviations below the mode and 12 above it and
+    doubles until both cuts fall inside: products of subnormal floats, far
+    past a cut, are slow. Raises NonConvergent when t exceeds
+    TERM_BUDGET / rate: the sum takes about rate t terms.
     """
-    mu = rate * t
-    if t > TERM_BUDGET / rate:
-        raise NonConvergent(
-            f"Poisson mean Lambda t = {mu:.3g} (t = {t:.6g}, Lambda = {rate:.6g}) "
-            f"exceeds the series term budget {TERM_BUDGET:.0e}"
-        )
-    log_space = mu > 700.0
-    log_mu = math.log(mu) if log_space else 0.0
-    w = 0.0 if log_space else math.exp(-mu)
-    weights = array("d", [w])
-    n = 0
-    while not (n + 1 > mu and w * mu / (n + 1 - mu) <= tol):
-        n += 1
-        if log_space:
-            lw = n * log_mu - mu - math.lgamma(n + 1)
-            w = math.exp(lw) if lw > -745.0 else 0.0
-        else:
-            w = w * mu / n
-        weights.append(w)
-    weights = np.frombuffer(weights)
-    return weights / weights.sum() if log_space else weights
+    if k is None:
+        mu = rate * t
+        if t > TERM_BUDGET / rate:
+            raise NonConvergent(
+                f"Poisson mean Lambda t = {mu:.3g} (t = {t:.6g}, Lambda = {rate:.6g}) "
+                f"exceeds the series term budget {TERM_BUDGET:.0e}"
+            )
+        if mu == 0.0:
+            return 0, np.ones(1)
+        mode, end, sd = math.floor(mu), math.inf, math.sqrt(mu)
 
+        def up(j):
+            return mu / (j + 1)
 
-def _binomial_weights(k, p, tol):
-    """Binomial(k, p) weights as (j0, w) with w[i] the weight of j0 + i.
+        def down(j):
+            return j / mu
+    else:
+        if p == 0.0 or p == 1.0:
+            return (k if p == 1.0 else 0), np.ones(1)
+        odds = p / (1.0 - p)
+        mode, end, sd = min(k, math.floor((k + 1) * p)), k, math.sqrt(k * p * (1.0 - p))
 
-    Built outward from the mode m = floor((k + 1) p) by the exact ratios
-    w_{j+1}/w_j = (k - j) p / ((j + 1)(1 - p)), then divided by their sum.
-    Below the mode they run until they underflow to 0; above it, where the
-    ratios decrease below 1, they stop once w_n r_n / (1 - r_n) bounds the
-    rest of the mass below tol times the sum so far. Per-term lgamma
-    differences would carry the rounding of lgamma(k) (about 1e-9 relative
-    at k = 4e5) into every weight.
-    """
-    if k == 0 or p == 0.0:
-        return 0, np.ones(1)
-    if p == 1.0:
-        return k, np.ones(1)
-    odds = p / (1.0 - p)
-    m = min(k, math.floor((k + 1) * p))
-    below = []
-    w, j = 1.0, m
-    while j > 0:
-        w *= j / ((k - j + 1) * odds)
-        if w == 0.0:
+        def up(j):
+            return (k - j) / (j + 1) * odds
+
+        def down(j):
+            return j / ((k - j + 1) * odds)
+
+    below, above = 32 + math.ceil(38.0 * sd), 32 + math.ceil(12.0 * sd)
+    while True:
+        sides = []
+        for j, ratio in (
+            # Float indices: exact below 2^53, and no int64 overflow for a huge k.
+            (np.arange(mode, max(mode - below, 0) - 1, -1, dtype=float), down),
+            (np.arange(mode, min(mode + above, end) + 1, dtype=float), up),
+        ):
+            r = ratio(j)  # r[i] leads from the weight of j[i] to the next one out
+            sides.append((np.cumprod(np.concatenate(([1.0], r[:-1]))), r))
+        total = sides[0][0].sum() + sides[1][0].sum() - 1.0
+        # The support's ends stop a side too: there r = 0.
+        tols = (np.finfo(float).tiny, tol)
+        cuts = [w * r <= side_tol * total * (1.0 - r) for (w, r), side_tol in zip(sides, tols)]
+        if cuts[0].any() and cuts[1].any():
             break
-        below.append(w)
-        j -= 1
-    total = 1.0 + math.fsum(below)
-    above = [1.0]
-    w, j = 1.0, m
-    while j < k:
-        r = (k - j) / (j + 1) * odds
-        if r < 1.0 and w * r / (1.0 - r) <= tol * total:
-            break
-        w *= r
-        above.append(w)
-        total += w
-        j += 1
-    weights = np.array(below[::-1] + above)
-    return m - len(below), weights / weights.sum()
+        below, above = 2 * below, 2 * above
+    lo, hi = (int(np.argmax(cut)) for cut in cuts)
+    w = np.concatenate((sides[0][0][lo:0:-1], sides[1][0][: hi + 1]))
+    return mode - lo, w / w.sum()
 
 
 def expm_action(Q, v, t, tol=1e-12):
     """Evaluate the row-vector action v * exp(Q t) by uniformization.
 
-    With Lambda >= max(-Q_ii), exp(Qt) = sum_n Pois(n; Lambda t) (I + Q/Lambda)^n.
-    Every term is nonnegative, so the result is nonnegative entrywise and the
-    truncation error is at most the remaining Poisson tail mass times
-    ||v||_1, certified below tol by _poisson_weights.
+    With c = max(-Q_ii), exp(Qt) = sum_n Pois(n; c t) (I + Q/c)^n. Every
+    term is nonnegative, so the result is nonnegative entrywise. The sum
+    runs over the window of _weights, skipping the iterates below it; the
+    mass left out above it is at most tol, so the truncation error is at
+    most tol ||v||_1.
 
-    Raises NonConvergent if tol below 1e-15 is requested or Lambda t exceeds
-    TERM_BUDGET, and ValueError for a negative or non-finite t (the stop
-    test never holds at inf or nan).
+    Raises NonConvergent if tol below 1e-15 is requested or c t exceeds
+    TERM_BUDGET, and ValueError for a negative or non-finite t (the window
+    never closes at inf or nan).
     """
     if tol < _MIN_EXPM_TOL:
         raise NonConvergent(f"tolerance {tol:.1e} below the {_MIN_EXPM_TOL:.0e} cap")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
-    lam = _uniformization_rate(Q)
-    if t == 0.0 or lam <= 0.0:
+    c = float(np.max(-Q.diagonal()))
+    if t == 0.0 or c <= 0.0:
         # exp(Q 0) = I, and exp(Qt) = I for the zero generator.
         return v.copy()
 
-    weights = _poisson_weights(lam, t, tol)
+    j0, weights = _weights(tol, rate=c, t=t)
     acc = np.zeros(v.shape[0])
-    for w, u in zip(weights, _row_iterates(_uniformized(Q, lam), v)):
-        if w == 0.0:
-            continue
+    iterates = itertools.islice(_row_iterates(_uniformized(Q, c), v), j0, None)
+    for w, u in zip(weights, iterates):
         if isinstance(u, _SparseRow):
             acc[u.cols] += w * u.vals
         else:
@@ -269,29 +255,31 @@ def expm_action(Q, v, t, tol=1e-12):
 
 
 class _SurvivalSeries:
-    """The scalars s_j = v B^j 1 with B = I + Q/c, extended on demand.
+    """The scalars s_j = v B^j 1 with B = I + Q/c and c = max(-Q_ii), extended on demand.
 
     B is built once and its row iterates are stepped only as far as a
     requested sum needs, one n-vector alive at a time; only the sums s_j
-    are kept. c > 0 defaults to the uniformization rate of expm_action.
-    continuous(t) = v exp(Qt) 1 for any c >= max(-Q_ii); discrete(k, N) =
-    v (I + Q/N)^k 1 needs c <= N, so that its binomial weights are
-    probabilities. The number of terms a value needs is about c t or
-    k c / N, however many values are read.
+    are kept. continuous(t) = v exp(Qt) 1 and discrete(k, N) =
+    v (I + Q/N)^k 1, which needs N >= c so that its binomial weights are
+    probabilities; both weight the s_j over the window of _weights. The
+    number of terms a value needs is about c t or k c / N, however many
+    values are read.
     """
 
-    def __init__(self, Q, v, c=None):
-        self.c = _uniformization_rate(Q) if c is None else float(c)
+    def __init__(self, Q, v):
+        self.c = float(np.max(-Q.diagonal()))
         v = np.asarray(v, dtype=float)
         self._sums = array("d", [v.sum()])
         self._iterates = _row_iterates(_uniformized(Q, self.c), v)
         next(self._iterates)  # v itself, already summed
 
-    def _terms(self, stop):
-        """s_0, ..., s_{stop-1} as an array."""
+    def _weighted(self, j0, weights):
+        """sum_i weights[i] s_{j0+i}, stepping the iterates as far as needed."""
+        stop = j0 + weights.size
         while len(self._sums) < stop:
             self._sums.append(float(next(self._iterates).sum()))
-        return np.frombuffer(self._sums, count=stop).copy()  # a view would pin _sums
+        # The view is released on return; a live one would block append.
+        return float(weights @ np.frombuffer(self._sums, count=stop)[j0:])
 
     def time_limit(self):
         """Largest t that continuous accepts: c t within TERM_BUDGET."""
@@ -305,10 +293,7 @@ class _SurvivalSeries:
         """v exp(Qt) 1, the Poisson(ct)-weighted sum of the s_j."""
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"t must be finite and nonnegative, got {t}")
-        if t == 0.0:
-            return self._sums[0]
-        weights = _poisson_weights(self.c, t, _MIN_EXPM_TOL)
-        return float(weights @ self._terms(weights.size))
+        return self._weighted(*_weights(_MIN_EXPM_TOL, rate=self.c, t=t))
 
     def discrete(self, k, N):
         """v (I + Q/N)^k 1, the Binomial(k, c/N)-weighted sum of the s_j."""
@@ -320,8 +305,7 @@ class _SurvivalSeries:
                 f"binomial mean k c/N = {k * p:.3g} (k = {k}, N = {N}, c = {self.c:.6g}) "
                 f"exceeds the series term budget {TERM_BUDGET:.0e}"
             )
-        j0, weights = _binomial_weights(k, p, _MIN_EXPM_TOL)
-        return float(weights @ self._terms(j0 + weights.size)[j0:])
+        return self._weighted(*_weights(_MIN_EXPM_TOL, k=k, p=p))
 
 
 @dataclass(frozen=True)
@@ -394,31 +378,47 @@ def eigen_spectrum(A, cluster_tol=None):
 def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     """Eigenvalue of Q with the greatest real part, via the Perron root.
 
-    Writes Q = Lambda (B - I) with B = I + Q/Lambda nonnegative; the greatest
-    real part of the spectrum then equals Lambda (rho(B) - 1) with rho(B) the
-    Perron root, which is real. rho(B) is the maximum over the strongly
-    connected components of B's support graph: singleton components
-    contribute their diagonal entry exactly, and each nontrivial component is
-    irreducible with positive diagonal (hence primitive), so power iteration
-    converges geometrically with the Collatz-Wielandt bracket certifying
-    min/max ratios around the root.
+    Writes Q = Lambda (B - I) with B = I + Q/Lambda nonnegative; the
+    greatest real part of the spectrum then equals Lambda (rho(B) - 1) with
+    rho(B) the Perron root, which is real. Lambda = 1.05 max(-Q_ii), not the
+    series' c = max(-Q_ii): the slack keeps B's diagonal positive, so each
+    nontrivial strongly connected component of B's support is primitive.
+    rho(B) is the maximum over the components: singletons contribute their
+    diagonal entry exactly, and one power iteration runs on the others at
+    once, on the block-diagonal restriction of B to them, each block scaled
+    by its own maximum. A block's Collatz-Wielandt min and max ratios
+    bracket its root, so their largest values (with the singletons') bracket
+    rho(B); the iteration stops once that bracket is within tol.
 
     Raises SlowConvergence with the current estimate once max_iter is hit.
     """
-    lam = _uniformization_rate(Q)
+    lam = 1.05 * float(np.max(-Q.diagonal()))
     if lam <= 0.0:
         return 0.0
     B = sp.csr_array(_uniformized(Q, lam))
     B.eliminate_zeros()
 
-    # Singletons in one vectorized max, the other components block by block.
     singleton, states, sizes = _strong_blocks(B)
     rho = float(B.diagonal()[singleton].max(initial=0.0))
-    B = B[states][:, states]
-    for size, end in zip(sizes, np.cumsum(sizes)):
-        block = slice(end - size, end)
-        rho = max(rho, _perron_root(B[block, block].T, tol, max_iter))
-    return lam * (rho - 1.0)
+    if not sizes.size:
+        return lam * (rho - 1.0)
+    starts = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(sizes.size), sizes)
+    inner = sp.coo_array(B[states][:, states])
+    same = block[inner.row] == block[inner.col]  # drops the edges between components
+    Bt = sp.csr_array((inner.data[same], (inner.col[same], inner.row[same])), shape=inner.shape)
+    w = np.ones(states.size)
+    est, spread = 1.0, math.inf
+    for _ in range(max_iter):
+        wb = Bt @ w
+        ratios = wb / w
+        lo = max(rho, float(np.minimum.reduceat(ratios, starts).max()))
+        hi = max(rho, float(np.maximum.reduceat(ratios, starts).max()))
+        est, spread = 0.5 * (lo + hi), hi - lo
+        if spread <= tol * max(est, 1e-300):
+            return lam * (est - 1.0)
+        w = wb / np.maximum.reduceat(wb, starts)[block]
+    raise SlowConvergence(est, spread, max_iter)
 
 
 def _strong_blocks(A):
@@ -435,21 +435,3 @@ def _strong_blocks(A):
     states = np.flatnonzero(~singleton)
     states = states[np.argsort(labels[states], kind="stable")]
     return singleton, states, sizes[sizes > 1]
-
-
-def _perron_root(Bt, tol, max_iter):
-    """Perron root of an irreducible nonnegative B with positive diagonal."""
-    m = Bt.shape[0]
-    w = np.full(m, 1.0 / m)
-    est = 1.0
-    spread = math.inf
-    for _ in range(max_iter):
-        wb = Bt @ w
-        ratios = wb / w
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        est = 0.5 * (lo + hi)
-        spread = hi - lo
-        if spread <= tol * max(est, 1e-300):
-            return est
-        w = wb / np.max(wb)
-    raise SlowConvergence(est, spread, max_iter)

@@ -70,18 +70,13 @@ def continuous_survival(pt: PhaseType, t) -> float:
     return transient_survival(pt.alpha, pt.sub, t)
 
 
-def _discrete_series(pt: PhaseType) -> _SurvivalSeries:
-    """The survival series of a discrete phase type, with c = max(-Q_ii) <= N."""
-    return _SurvivalSeries(pt.sub.Q, pt.alpha.alpha, pt.sub.max_exit_rate)
-
-
 def discrete_survival(pt: PhaseType, k) -> float:
     """P(X >= k) = alpha (I + Q/N)^k 1 for the discrete kind."""
     if pt.scale is None:
         raise ValueError("discrete_survival needs a discrete phase type")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _discrete_series(pt).discrete(int(k), pt.scale)
+    return _SurvivalSeries(pt.sub.Q, pt.alpha.alpha).discrete(int(k), pt.scale)
 
 
 def x_threshold(pt: PhaseType) -> int:
@@ -99,7 +94,7 @@ def x_threshold(pt: PhaseType) -> int:
     if pt.scale is None:
         raise ValueError("x_threshold needs a discrete phase type")
     target = 2.0 / pt.scale
-    series = _discrete_series(pt)
+    series = _SurvivalSeries(pt.sub.Q, pt.alpha.alpha)
 
     def above(k):
         return series.discrete(k, pt.scale) > target
@@ -208,7 +203,13 @@ def spectral_params(
 
 
 def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
-    """Least-squares gamma over 5 log-spaced points where survival is tiny."""
+    """Least-squares gamma over 5 log-spaced points where survival is tiny.
+
+    The points lie between the crossings of 1e-4 and 1e-8, so gamma is an
+    average of nu S(t) / (t^k e^{-nu t}) there. For k >= 1 that ratio has
+    not settled, and the fit overstates gamma: by 8%, 15%, 21% and 27% on
+    tstage(2) to tstage(5), whose gamma is 1/(T-1)!.
+    """
     if alpha.transient_mass <= hi_level:
         raise DegenerateTail(
             "initial transient mass already below the fit window"

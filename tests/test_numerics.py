@@ -1,5 +1,7 @@
 import math
 import mmap
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from fluidhit import (
     solve_linear,
 )
 from fluidhit import numerics
-from fluidhit.errors import DimensionTooLarge, NonConvergent, SingularMatrix
+from fluidhit.errors import DimensionTooLarge, NonConvergent, SingularMatrix, SlowConvergence
 
 
 def test_solve_identity():
@@ -78,7 +80,8 @@ def test_expm_refuses_non_finite_or_negative_time(t):
 
 
 def test_expm_large_time_log_space_weights():
-    # Lambda * t beyond 700 exercises the log-space weight path.
+    # c t = 800: exp(-800) underflows, so the weights must be built relative
+    # to the mode and normalized by their sum.
     out = expm_action(np.array([[-1.0]]), np.array([1.0]), 800.0)
     assert out[0] == pytest.approx(math.exp(-800.0), rel=1e-8)
 
@@ -98,7 +101,7 @@ def test_expm_stops_on_certified_poisson_tail(monkeypatch, mu):
 
     monkeypatch.setattr(numerics, "_row_iterates", counting)
     Q = np.array([[-1.0]])
-    out = expm_action(Q, np.array([1.0]), mu / numerics._uniformization_rate(Q), tol=1e-15)
+    out = expm_action(Q, np.array([1.0]), mu / -Q[0, 0], tol=1e-15)  # c = max(-Q_ii)
     assert len(terms) <= mu + 10.0 * math.sqrt(mu) + 30.0
     assert 0.0 <= out[0] <= 1.0
 
@@ -106,7 +109,7 @@ def test_expm_stops_on_certified_poisson_tail(monkeypatch, mu):
 @pytest.mark.parametrize("t", [500.0, 1e4, 9.5e4])
 def test_expm_slow_decay_matches_expm_multiply(t):
     # Dominant eigenvalue about -5e-6: at t = 9.5e4 the survival is still
-    # 0.62 while Lambda t is 1e5, deep in the log-space weights.
+    # 0.62 while c t is 9.5e4, far past the underflow of exp(-c t).
     Q = np.array([[-1.0, 1.0 - 1e-5], [1.0, -1.0]])
     v = np.array([0.3, 0.7])
     got = expm_action(Q, v, t, tol=1e-15)
@@ -166,10 +169,10 @@ def test_sparse_row_step_matches_sparse_product():
 
 
 def test_expm_refuses_a_poisson_mean_past_the_term_budget():
-    # Lambda t = 1.05e308 would take about that many terms.
+    # c t = 1e308 would take about that many terms.
     with pytest.raises(NonConvergent, match="budget") as exc:
         expm_action(np.array([[-1.0]]), np.array([1.0]), 1e308)
-    assert "t = 1e+308" in str(exc.value) and "Lambda = 1.05" in str(exc.value)
+    assert "t = 1e+308" in str(exc.value) and "Lambda = 1)" in str(exc.value)
 
 
 def _random_series_case(rng):
@@ -192,13 +195,12 @@ def test_series_continuous_matches_expm_multiply():
 
 
 def test_series_discrete_matches_dense_powers():
-    # N from max(-Q_ii) up: with the 1.05 uniformization slack, every N
-    # below 1.05 max(-Q_ii) would give binomial weights of success c/N > 1.
+    # N from c = max(-Q_ii) up, where the binomial success c/N reaches 1.
     rng = np.random.default_rng(73)
     for _ in range(50):
         sub, v = _random_series_case(rng)
         c = float(np.max(-sub.Q.diagonal()))
-        series = numerics._SurvivalSeries(sub.Q, v, c)
+        series = numerics._SurvivalSeries(sub.Q, v)
         for N in (c, c * rng.uniform(1.0, 1.05), c * 1.05 * (1 - 1e-12), 3.0 * c, 1e3 * c):
             step = np.eye(v.size) + sub.dense_q() / N
             for k in (0, 1, 6, 50, 400):
@@ -207,7 +209,7 @@ def test_series_discrete_matches_dense_powers():
 
 
 def test_series_refuses_means_past_the_term_budget():
-    series = numerics._SurvivalSeries(np.array([[-1.0]]), np.array([1.0]), 1.0)
+    series = numerics._SurvivalSeries(np.array([[-1.0]]), np.array([1.0]))
     with pytest.raises(NonConvergent, match="budget"):
         series.continuous(1e8)
     with pytest.raises(NonConvergent, match="budget"):
@@ -215,6 +217,117 @@ def test_series_refuses_means_past_the_term_budget():
     # B = 0 here, so the survival (1 - 1/N)^k is the binomial weight of j = 0,
     # reached from the mode 10 by the weight ratios.
     assert series.discrete(10**7, 1e6) == pytest.approx(math.exp(1e7 * math.log1p(-1e-6)), rel=1e-13)
+
+
+# Upper tolerance of the series' weights, and the share of the mass below
+# the mode a window may leave out (the smallest normal float).
+_TOL = 1e-15
+_TINY = np.finfo(float).tiny
+
+
+def _law(mu=None, k=None, p=None):
+    """(weights, mode, up, down) of Poisson(mu) or Binomial(k, p), the ratios
+    as functions of Fraction or Decimal arguments."""
+    if k is None:
+        return numerics._weights(_TOL, rate=1.0, t=mu), math.floor(mu), (
+            lambda j, x: x / (j + 1)), (lambda j, x: j / x)
+    return numerics._weights(_TOL, k=k, p=p), min(k, math.floor((k + 1) * p)), (
+        lambda j, x: (k - j) * x / (j + 1)), (lambda j, x: j / ((k - j + 1) * x))
+
+
+def _check_window(got, want, below, above):
+    """got against the reference weights of its window, and the reference
+    masses left out below and above it (all relative to the law's total)."""
+    j0, w = got
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(w - want)) <= 1e-15
+    big = want > 1e-10
+    assert np.max(np.abs(w[big] - want[big]) / want[big]) <= 1e-14
+    assert below <= _TINY and above <= _TOL
+
+
+@pytest.mark.parametrize(
+    "law",
+    [{"mu": mu} for mu in (1e-6, 0.3, 1.0, 5.5, 21.0, 33.7)]
+    + [{"k": k, "p": p} for k, p in ((0, 0.4), (1, 0.5), (7, 0.3), (20, 0.05), (45, 0.5), (60, 0.9))],
+)
+def test_weights_match_exact_rational_weights(law):
+    # The float parameter is a rational number; the law's weights relative to
+    # the mode are then exact Fractions over the whole support (for Poisson,
+    # far enough past the window that the rest is below 1e-100).
+    (j0, w), mode, up, down = _law(**law)
+    x = Fraction(law["mu"]) if "k" not in law else Fraction(law["p"]) / (1 - Fraction(law["p"]))
+    last = law["k"] if "k" in law else j0 + w.size + 200
+    rel = {mode: Fraction(1)}
+    for j in range(mode, last):
+        rel[j + 1] = rel[j] * up(j, x)
+    for j in range(mode, 0, -1):
+        rel[j - 1] = rel[j] * down(j, x)
+    total = sum(rel.values())
+    window = [rel[j] for j in range(j0, j0 + w.size)]
+    kept = sum(window)
+    want = np.array([float(v / kept) for v in window])
+    below = float(sum(rel[j] for j in range(j0)) / total)
+    above = float(sum(rel[j] for j in range(j0 + w.size, last + 1)) / total)
+    _check_window((j0, w), want, below, above)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [{"mu": mu} for mu in (700.0, 1e4, 1e5, 1e6)]
+    + [{"k": k, "p": p} for k, p in ((4 * 10**5, 0.3), (10**6, 0.999), (10**7, 1e-4), (10**7, 0.5))],
+)
+def test_weights_match_decimal_recurrence(law):
+    # The same ratios from the mode in 40-digit decimal, outward until the
+    # terms no longer change the masses left out at 40 digits. The binomial
+    # odds are the float p / (1 - p) of the kernel: its rounding moves a
+    # weight x terms from the mode by about x ulps, 2e-13 relative at
+    # Binomial(4e5, 0.3)'s 1e-10 weights.
+    (j0, w), mode, up, down = _law(**law)
+    end = j0 + w.size - 1
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(law["mu"]) if "k" not in law else Decimal(law["p"] / (1 - law["p"]))
+        masses = []
+        for step, ratio, stop in ((1, up, law.get("k", math.inf)), (-1, down, 0)):
+            window, outside, rel, j = [], Decimal(0), Decimal(1), mode
+            while True:
+                if j0 <= j <= end:
+                    window.append(rel)
+                else:
+                    outside += rel
+                    if rel <= outside * Decimal("1e-40"):
+                        break
+                if j == stop:
+                    break
+                rel *= ratio(j, x)
+                j += step
+            masses.append((window, outside))
+        (up_w, above), (down_w, below) = masses
+        window = down_w[:0:-1] + up_w
+        kept = sum(window)
+        want = np.array([float(v / kept) for v in window])
+        total = kept + above + below
+        _check_window((j0, w), want, float(below / total), float(above / total))
+
+
+def test_weights_upper_cut_is_the_first_certified_term():
+    # The upper cut is the first n > mu - 1 with w_n mu / (n + 1 - mu) <= tol
+    # (Fox & Glynn's bound on the Poisson mass past n).
+    for mu in (32.2, 738.0, 1e5):
+        j0, w = numerics._weights(_TOL, rate=1.0, t=mu)
+        n = j0 + w.size - 1
+        assert w[-1] * mu / (n + 1 - mu) <= _TOL < w[-2] * mu / (n - mu)
+    j0, w = numerics._weights(_TOL, rate=1.0, t=1e5)
+    assert j0 + w.size == 102_523  # the term count README quotes
+
+
+def test_weights_of_degenerate_laws():
+    assert [(j0, w.tolist()) for j0, w in (
+        numerics._weights(_TOL, rate=1.0, t=1e-320 * 1e-10),
+        numerics._weights(_TOL, k=9, p=0.0),
+        numerics._weights(_TOL, k=9, p=1.0),
+    )] == [(0, [1.0]), (0, [1.0]), (9, [1.0])]
 
 
 def test_eigen_tstage3_triple_eigenvalue():
@@ -319,6 +432,45 @@ def test_dominant_matches_dense_spectrum():
         Q[i, i], Q[j, j] = -(a[c] + e[c]), -(b[c] + 0.5 * e[c])
     lead = dominant_eigen(sp.csr_array(Q), tol=tol)
     assert abs(lead - np.max(np.linalg.eigvals(Q).real)) <= 10 * tol
+
+
+@pytest.mark.parametrize("seed, top_singleton", [(43, False), (44, False), (45, True)])
+def test_dominant_matches_dense_eigvals_on_linked_cycles(seed, top_singleton):
+    # 150 cycles of 2 to 4 states and 60 single states, shuffled, with edges
+    # from each component to later ones only: every cycle is its own strongly
+    # connected component, the power iteration runs on all cycles at once,
+    # and the edges between them must stay out of it.
+    rng = np.random.default_rng(seed)
+    sizes = np.concatenate([rng.integers(2, 5, 150), np.ones(60, dtype=int)])
+    sizes = sizes[rng.permutation(sizes.size)]
+    n = int(sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    Q = np.zeros((n, n))
+    for start, size in zip(starts, sizes):
+        states = np.arange(start, start + size)
+        if size > 1:
+            Q[states, np.roll(states, -1)] = rng.uniform(0.2, 1.0, size)
+        for i in states:
+            if start + size < n:
+                Q[i, rng.integers(start + size, n, 2)] += rng.uniform(0.0, 0.5, 2)
+    Q[np.diag_indices(n)] = -(Q.sum(axis=1) + rng.uniform(0.05, 0.5, n))
+    if top_singleton:
+        # Every row of a cycle sums to at most -0.05, so its roots lie below
+        # that; a single state left only at rate 0.01 holds the top root.
+        single = starts[sizes == 1][0]
+        Q[single] = 0.0
+        Q[single, single] = -0.01
+    tol = 1e-10
+    lead = dominant_eigen(sp.csr_array(Q), tol=tol)
+    assert abs(lead - np.max(np.linalg.eigvals(Q).real)) <= 10 * tol
+
+
+def test_dominant_reports_slow_convergence():
+    Q = np.array([[-1.0, 0.5], [0.25, -1.0]])
+    with pytest.raises(SlowConvergence) as exc:
+        dominant_eigen(Q, max_iter=2)
+    assert exc.value.iterations == 2
+    assert exc.value.residual > 0.0
 
 
 needs_maps = pytest.mark.skipif(

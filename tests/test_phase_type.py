@@ -134,15 +134,18 @@ def test_x_threshold_reaches_the_term_budget(monkeypatch):
 
 
 def test_sparse_row_switch_matches_dense_matrix():
-    # 2001 states: the first iterate is a sparse row (1 state of 2001), the
-    # second fills 601 > 2001/4 states and is stepped densely from there.
+    # 2001 states, each stepping to up to 10 next ones, so that B stores
+    # more than 20,000 entries: the first iterate is a sparse row (1 state
+    # of 2001), the second fills 601 > 2001/4 states and is stepped densely
+    # from there.
     n, N = 2001, 20
     Q = sp.lil_array((n, n))
     Q.setdiag(-1.0)
     Q[0, 1:602] = 1.0 / 601
     for i in range(1, n - 1):
-        Q[i, i + 1] = 0.5
+        Q[i, i + 1:i + 11] = 0.5 / len(range(i + 1, min(i + 11, n)))
     sub = SubGenerator.from_matrix(sp.csr_array(Q))
+    assert sub.Q.nnz > 20_000
     alpha = InitialDistribution(alpha=np.eye(n)[0])
     pt = PhaseType.discrete(alpha, sub, N)
 
