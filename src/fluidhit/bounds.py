@@ -276,8 +276,9 @@ def assemble_report(
         )
         nu, k = sp.nu, sp.k
     except DimensionTooLarge as exc:
-        # The multiplicity needs the dense spectrum, but nu is still cheap
-        # through the Perron route on the sparse matrix.
+        # The multiplicity needs a dense eigensolve of each strongly connected
+        # class, and one is past the cap; nu is still cheap through the Perron
+        # route on the sparse matrix.
         notes["spectral"] = f"multiplicity skipped: {exc}"
         nu = float(nu_override) if nu_override is not None else -dominant_eigen(sub.Q)
         sp = None

@@ -8,6 +8,10 @@ c = max(-Q_ii), which preserves nonnegativity exactly, their Poisson and
 binomial weights come from one window around the mode (_weights), and the
 dominant eigenvalue is found through the Perron root of the nonnegative
 matrix I + Q/Lambda, where Lambda = 1.05 c keeps the diagonal positive.
+Both eigenvalue routines work on the strongly connected classes of the
+matrix's support (_strong_blocks): the full spectrum is the union of the
+diagonal blocks' spectra, exact on the diagonal for classes of one state,
+so DENSE_CAP bounds the largest class rather than the matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from .errors import (
     SlowConvergence,
 )
 
-# Largest transient state count densified: dense Q, its inverse, its spectrum.
+# Largest transient state count densified (dense Q, its inverse), and the
+# largest strongly connected class whose spectrum is computed densely.
 DENSE_CAP = 2000
 
 _MIN_EXPM_TOL = 1e-15
@@ -324,26 +329,30 @@ class EigenReport:
 
 
 def eigen_spectrum(A, cluster_tol=None):
-    """Full dense eigenvalue set with multiplicity clustering.
+    """All eigenvalues of a square A (dense or sparse), clustered into multiplicities.
 
-    Eigenvalues within cluster_tol (default 1e-7 * ||A||_inf) of each other
-    are merged transitively and their multiplicities summed; each cluster is
-    reported at its mean. Raises DimensionTooLarge beyond 2000 states
-    (use dominant_eigen for the leading eigenvalue of big sparse matrices).
+    A is block-triangular over the strongly connected classes of its
+    support, so its spectrum is the union of the diagonal blocks' spectra.
+    A class of one state contributes its diagonal entry exactly; the blocks
+    of the other classes go to LAPACK, those of equal size stacked into one
+    call. Eigenvalues within cluster_tol (default 1e-7 * ||A||_inf) of each
+    other are merged transitively and their multiplicities summed; each
+    cluster is reported at its mean. Raises DimensionTooLarge when one class
+    has more than DENSE_CAP states (use dominant_eigen for the leading
+    eigenvalue then).
     """
-    n = A.shape[0]
-    if n > DENSE_CAP:
+    A = sp.csr_array(A, dtype=float, copy=True)
+    A.eliminate_zeros()
+    singleton, states, sizes = _strong_blocks(A)
+    if sizes.size and sizes.max() > DENSE_CAP:
         raise DimensionTooLarge(
-            f"dense eigensolve capped at {DENSE_CAP} states (got {n}); "
-            "use dominant_eigen instead"
+            f"dense eigensolve capped at {DENSE_CAP} states per strongly connected "
+            f"class (got {sizes.max()}); use dominant_eigen instead"
         )
-    A = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
-    norm = np.max(np.abs(A, out=_dense_buffer(A.shape)).sum(axis=1)) if n else 0.0
+    norm = float(abs(A).sum(axis=1).max(initial=0.0))
     if cluster_tol is None:
         cluster_tol = 1e-7 * max(norm, 1.0)
-    work = _dense_buffer(A.shape, order="F")  # LAPACK's eigenvalue sweep works in place
-    work[...] = A
-    vals = eigvals(work, overwrite_a=True)
+    vals = np.concatenate([A.diagonal()[singleton], *_block_eigvals(A, states, sizes)])
     vals = vals if vals.imag.any() else vals.real  # as np.linalg.eigvals returns them
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
@@ -361,18 +370,46 @@ def eigen_spectrum(A, cluster_tol=None):
     pairs = sp.coo_array((np.ones(near.sum()), (i[near], j[near])), shape=(m, m))
     labels = connected_components(pairs, directed=False)[1][inverse]
 
-    groups = {}
-    for label, value in zip(labels, vals):
-        groups.setdefault(label, []).append(value)
-    clustered = []
-    for members in groups.values():
-        mean = complex(np.mean(members))
-        if abs(mean.imag) <= cluster_tol:
-            mean = complex(mean.real, 0.0)
-        clustered.append((mean, len(members)))
-    clustered.sort(key=lambda p: (-p[0].real, p[0].imag))
+    mults = np.bincount(labels)
+    means = (np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)) / mults
+    means.imag[np.abs(means.imag) <= cluster_tol] = 0.0
+    # By decreasing real part, then imaginary part, then first member in vals.
+    first = np.unique(labels, return_index=True)[1]
+    order = np.lexsort((first, means.imag, -means.real))
+    clustered = tuple(zip(means[order].tolist(), mults[order].tolist()))
     dominant = clustered[0][0].real if clustered else float("-inf")
-    return EigenReport(eigenvalues=tuple(clustered), dominant_real=dominant, tolerance=cluster_tol)
+    return EigenReport(eigenvalues=clustered, dominant_real=dominant, tolerance=cluster_tol)
+
+
+def _block_eigvals(A, states, sizes):
+    """Eigenvalues of the diagonal blocks A[states][:, states] of sizes, in arrays.
+
+    Blocks of equal size are stacked into one eigvals call, in chunks of at
+    most DENSE_CAP^2 entries, so the dense work never exceeds one matrix at
+    the cap.
+    """
+    if not sizes.size:
+        return []
+    # Blocks by increasing size: states of equal-size classes become contiguous.
+    by_size = np.argsort(np.repeat(sizes, sizes), kind="stable")
+    states, sizes = states[by_size], np.sort(sizes, kind="stable")
+    block = np.repeat(np.arange(sizes.size), sizes)
+    local = np.arange(states.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    inner = sp.coo_array(A[states][:, states])  # row-major, so block ids never decrease
+    same = block[inner.row] == block[inner.col]  # drops the edges between classes
+    row, col, data = inner.row[same], inner.col[same], inner.data[same]
+    entry_block = block[row]
+    parts = []
+    for size in np.unique(sizes):
+        first, stop = np.searchsorted(sizes, [size, size + 1])
+        per_call = max(1, DENSE_CAP**2 // size**2)
+        for lo in range(first, stop, per_call):
+            hi = min(lo + per_call, stop)
+            a, b = np.searchsorted(entry_block, [lo, hi])
+            stack = np.zeros((hi - lo, size, size))
+            stack[entry_block[a:b] - lo, local[row[a:b]], local[col[a:b]]] = data[a:b]
+            parts.append(eigvals(stack, overwrite_a=True).ravel())
+    return parts
 
 
 def dominant_eigen(Q, tol=1e-10, max_iter=200000):

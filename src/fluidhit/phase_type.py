@@ -151,7 +151,10 @@ def spectral_params(
     """Compute (nu, k) and optionally fit gamma from the survival tail.
 
     nu comes from the Perron-based dominant eigenvalue (robust for defective
-    chains); k counts eigenvalues near -nu. With cluster_tol = None the
+    chains); k counts eigenvalues near -nu. They come from eigen_spectrum
+    on the sparse Q, class by class: a strongly connected class of one state
+    gives its diagonal entry exactly, and DimensionTooLarge is raised only
+    when one class has more than DENSE_CAP states. With cluster_tol = None the
     counting radius grows with the candidate multiplicity m as
     ||Q|| * 1e-10^(1/m), matching how a defective eigenvalue scatters under
     rounding, and the mean of the m nearest eigenvalues must stay within
@@ -161,9 +164,9 @@ def spectral_params(
     Raises DegenerateTail when a requested gamma fit finds no usable overlap
     between alpha and the dominant eigenspace.
     """
-    # The dense spectrum first: past the dense cap, DimensionTooLarge comes
-    # before the Perron iteration for nu has run.
-    dense_q = sub.dense_q() if k_override is None else None
+    # The spectrum first: a strongly connected class past the dense cap
+    # raises DimensionTooLarge before the Perron iteration for nu has run.
+    report = eigen_spectrum(sub.Q, cluster_tol=cluster_tol) if k_override is None else None
     if nu_override is not None:
         nu = float(nu_override)
         source = "user-supplied"
@@ -175,8 +178,8 @@ def spectral_params(
         k = int(k_override)
         source = "user-supplied"
     else:
-        report = eigen_spectrum(dense_q, cluster_tol=cluster_tol)
-        raw = np.concatenate([[val] * mult for val, mult in report.eigenvalues])
+        values, mults = zip(*report.eigenvalues)
+        raw = np.repeat(values, mults)
         dists = np.abs(raw + nu)
         if cluster_tol is not None:
             mult = int(np.sum(dists <= cluster_tol))
@@ -184,7 +187,7 @@ def spectral_params(
             # The m eigenvalues nearest -nu must also keep their mean within
             # ||Q|| 1e-10 of -nu: a defective eigenvalue's scattered copies do
             # (the trace is preserved), distinct eigenvalues far off do not.
-            norm = max(float(np.max(np.abs(dense_q, out=dense_q).sum(axis=1))), 1.0)
+            norm = max(float(abs(sub.Q).sum(axis=1).max()), 1.0)
             order = np.argsort(dists, kind="stable")
             m = np.arange(1, dists.size + 1)
             means = np.cumsum(raw[order]) / m

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fluidhit
 from fluidhit import (
@@ -29,6 +30,7 @@ from fluidhit import (
     validate_chain,
 )
 from fluidhit.errors import GammaMissing, InconsistentBounds
+from fluidhit.numerics import DENSE_CAP
 
 from oracles import erlang_crossing, exact_occupancy_mean_hitting
 
@@ -237,6 +239,25 @@ def test_assemble_report_theorem3_uses_simulated_occupancy():
     assert report.theorem3 == 30.0
 
 
+def _big_class_chain(n=DENSE_CAP + 1):
+    """n transient states in one strongly connected class, left only from state 1.
+
+    State i moves on to i + 1 with probability 0.9 and otherwise returns to
+    1 (state n always returns), and state 1 exits to 0 instead of returning.
+    The returns keep the Perron iteration for nu short, and the forward moves
+    keep its vector, about 0.9^i at state i, clear of underflow.
+    """
+    i = np.arange(1, n + 1)
+    rows = np.concatenate([i, i[:-1]])
+    cols = np.concatenate([np.where(i == 1, 0, 1), i[:-1] + 1])
+    probs = np.concatenate([np.where(i == n, 1.0, 0.1), np.full(n - 1, 0.9)])
+    P = sp.csr_array((np.append(probs, 1.0), (np.append(rows, 0), np.append(cols, 0))),
+                     shape=(n + 1, n + 1))
+    alpha = np.zeros(n)
+    alpha[0] = 1.0
+    return validate_chain(P), InitialDistribution(alpha=alpha)
+
+
 def test_assemble_report_computes_the_spectrum_once(monkeypatch):
     calls = Counter()
 
@@ -253,11 +274,12 @@ def test_assemble_report_computes_the_spectrum_once(monkeypatch):
     monkeypatch.setattr(
         fluidhit.phase_type, "eigen_spectrum", counted(fluidhit.numerics.eigen_spectrum)
     )
-    # 2,501 transient states: past the dense cap, so k is skipped.
-    ex = gen_fig3a(50, 2)
-    report = assemble_report(ex.chain, ex.default_alpha, 50)
+    # One strongly connected class past the dense cap, so k is skipped: the
+    # spectrum raises inside eigen_spectrum and nu is computed once.
+    chain, alpha = _big_class_chain()
+    report = assemble_report(chain, alpha, 50)
     assert "spectral" in report.notes and report.k is None
-    assert calls == {"dominant_eigen": 1}
+    assert calls == {"dominant_eigen": 1, "eigen_spectrum": 1}
 
     # Q = diag(-1/2, -1) with alpha on the fast state, as in
     # test_gamma_degenerate_tail: the gamma fit fails, nu and k stand.
@@ -279,12 +301,22 @@ def test_assemble_report_keeps_nu_override_past_the_dense_cap(monkeypatch):
 
     monkeypatch.setattr(fluidhit.bounds, "dominant_eigen", dominant)
     monkeypatch.setattr(fluidhit.phase_type, "dominant_eigen", dominant)
-    # 2,501 transient states: spectral_params raises DimensionTooLarge.
-    ex = gen_fig3a(50, 2)
-    report = assemble_report(ex.chain, ex.default_alpha, 50, nu_override=0.5)
+    # One class past the dense cap: spectral_params raises DimensionTooLarge.
+    chain, alpha = _big_class_chain()
+    report = assemble_report(chain, alpha, 50, nu_override=0.5)
     assert "spectral" in report.notes
     assert report.nu == 0.5
     assert calls["dominant_eigen"] == 0
+
+
+def test_assemble_report_reads_k_past_the_dense_cap_from_singleton_classes():
+    # fig3a(50, 2) has 2,501 transient states, each its own class: -Q is
+    # triangular and every eigenvalue is an exact diagonal entry -1.
+    ex = gen_fig3a(50, 2)
+    report = assemble_report(ex.chain, ex.default_alpha, 50)
+    assert "spectral" not in report.notes
+    assert (report.nu, report.k) == (pytest.approx(1.0), 2500)
+    assert report.theorem2_asymptotic is not None
 
 
 def test_assemble_report_consistency_violation():

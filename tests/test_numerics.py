@@ -1,11 +1,13 @@
 import math
 import mmap
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import expm_multiply
 
 from fluidhit import (
@@ -13,10 +15,12 @@ from fluidhit import (
     dominant_eigen,
     eigen_spectrum,
     expm_action,
+    gen_fig3a,
     gen_fig3b,
     gen_tstage,
     random_chain,
     solve_linear,
+    spectral_params,
 )
 from fluidhit import numerics
 from fluidhit.errors import DimensionTooLarge, NonConvergent, SingularMatrix, SlowConvergence
@@ -392,9 +396,139 @@ def test_eigen_clusters_transitively():
     assert value.real == pytest.approx(-1.0 - 0.6 * tol, abs=1e-15)
 
 
+def test_eigen_clusters_match_a_grouping_loop():
+    # Eigenvalues known exactly: diagonal entries, and a +- |b| i from the
+    # blocks [[a, b], [-b, a]]. Equal values, chains within tol, and complex
+    # pairs within tol of the real axis or of each other.
+    rng = np.random.default_rng(71)
+    tol = 1e-6
+    reals = np.concatenate([
+        np.repeat([-1.0, -2.0, -0.5], [4, 3, 2]),
+        -1.0 - tol * np.array([0.3, 0.6, 0.9]),
+        rng.uniform(-3.0, -0.1, 20),
+    ])
+    pairs = [(-1.0, 0.5), (-1.0, 0.5 + 0.4 * tol), (-2.0, 1e-9), (-0.7, 1.0)]
+    n = reals.size + 2 * len(pairs)
+    Q = np.zeros((n, n))
+    Q[np.arange(reals.size), np.arange(reals.size)] = reals
+    for i, (a, b) in zip(range(reals.size, n, 2), pairs):
+        Q[i:i + 2, i:i + 2] = [[a, b], [-b, a]]
+    perm = rng.permutation(n)
+    report = eigen_spectrum(Q[perm][:, perm], cluster_tol=tol)
+
+    vals = np.concatenate([reals, [complex(a, s * b) for a, b in pairs for s in (1, -1)]])
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    label = list(range(n))  # union-find over every pair within tol
+
+    def root(i):
+        while label[i] != i:
+            i = label[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) <= tol:
+                label[root(j)] = root(i)
+    groups = {}
+    for i, value in enumerate(vals):
+        groups.setdefault(root(i), []).append(value)
+    want = []
+    for members in groups.values():
+        mean = complex(np.mean(members))
+        want.append((complex(mean.real, 0.0) if abs(mean.imag) <= tol else mean, len(members)))
+    want.sort(key=lambda p: (-p[0].real, p[0].imag))
+
+    assert [m for _, m in report.eigenvalues] == [m for _, m in want]
+    got, ref = (np.array([v for v, _ in r]) for r in (report.eigenvalues, want))
+    assert np.allclose(got, ref, rtol=0, atol=1e-15)
+    assert len(want) < n - 10  # the case does merge
+
+
 def test_eigen_dimension_cap():
+    # The cap bounds one strongly connected class: here a 2,001-state cycle
+    # with one exit. 2,001 single-state classes are read off the diagonal.
+    n = numerics.DENSE_CAP + 1
+    cycle = sp.csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+    exit_ = sp.csr_array(([0.5], ([0], [0])), shape=(n, n))
     with pytest.raises(DimensionTooLarge):
-        eigen_spectrum(sp.eye(2001, format="csr") * -1.0)
+        eigen_spectrum(cycle - sp.eye_array(n) - exit_)
+    report = eigen_spectrum(sp.eye(n, format="csr") * -1.0)
+    assert report.eigenvalues == ((-1.0, n),)
+
+
+def _same_multiset(a, b, tol):
+    """Whether the complex values a and b pair up one to one within tol."""
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return a.size == b.size and np.max(np.abs(a[rows] - b[cols]), initial=0.0) <= tol
+
+
+def _raw_spectrum(report):
+    return np.repeat([v for v, _ in report.eigenvalues], [m for _, m in report.eigenvalues])
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53, 54])
+def test_eigen_spectrum_of_permuted_reducible_chains_matches_numpy(seed):
+    # Several nontrivial classes and single states, edges only from earlier
+    # classes to later ones, then the states shuffled: the class blocks are
+    # scattered over Q and eigen_spectrum must find them itself.
+    rng = np.random.default_rng(seed)
+    sizes = np.concatenate([rng.integers(2, 7, 8), rng.integers(2, 4, 4), np.ones(15, dtype=int)])
+    sizes = sizes[rng.permutation(sizes.size)]
+    n = int(sizes.sum())
+    Q = np.zeros((n, n))
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        states = np.arange(start, start + size)
+        if size > 1:
+            Q[states, np.roll(states, -1)] = rng.uniform(0.2, 1.0, size)
+            Q[rng.choice(states, size), rng.choice(states, size)] += rng.uniform(0.0, 0.5, size)
+        if start + size < n:
+            Q[states, rng.integers(start + size, n, size)] += rng.uniform(0.0, 0.5, size)
+    Q[np.diag_indices(n)] = 0.0
+    Q[np.diag_indices(n)] = -(Q.sum(axis=1) + rng.uniform(0.05, 1.0, n))
+    perm = rng.permutation(n)
+    Q = Q[perm][:, perm]
+    want = np.linalg.eigvals(Q)
+    for A in (Q, sp.csr_array(Q)):
+        report = eigen_spectrum(A, cluster_tol=1e-13)
+        assert _same_multiset(_raw_spectrum(report), want, 1e-9)
+
+
+@pytest.mark.parametrize("name, example", [("tstage:5", gen_tstage(5)), ("fig3a:10,2", gen_fig3a(10, 2))])
+def test_eigen_spectrum_of_triangular_q_makes_no_lapack_call(monkeypatch, name, example):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"LAPACK eigvals called on {name}")
+
+    monkeypatch.setattr(numerics, "eigvals", refuse)
+    sub = decompose(example.chain)
+    report = eigen_spectrum(sub.Q)
+    assert report.eigenvalues == ((-1.0, sub.n_transient),)
+    assert spectral_params(sub).k == sub.n_transient - 1
+
+
+def test_eigen_spectrum_of_many_small_classes_is_batched(monkeypatch):
+    # 8,000 two-state cycles (16,000 states): one stacked eigvals call.
+    stacks, eigvals = [], numerics.eigvals
+
+    def recorded(a, **kwargs):
+        stacks.append(a.shape)
+        return eigvals(a, **kwargs)
+
+    monkeypatch.setattr(numerics, "eigvals", recorded)
+    rng = np.random.default_rng(61)
+    m = 8000
+    a, b, e = rng.uniform(0.2, 0.6, size=(3, m))
+    blocks = np.stack([np.stack([-(a + e), a], axis=1), np.stack([b, -(b + 0.5 * e)], axis=1)], axis=1)
+    Q = sp.block_diag(blocks, format="csr")
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        report = eigen_spectrum(Q, cluster_tol=0.0)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5
+    assert stacks == [(8000, 2, 2)] * 3
+    want = np.linalg.eigvals(blocks).ravel()
+    assert np.allclose(np.sort(_raw_spectrum(report).real), np.sort(want.real), rtol=0, atol=1e-12)
+    assert not want.imag.any()
 
 
 def test_dominant_scalar():
@@ -422,6 +556,10 @@ def test_dominant_matches_dense_spectrum():
         lead = dominant_eigen(sub.Q, tol=tol)
         dense = eigen_spectrum(sub.dense_q()).dominant_real
         assert abs(lead - dense) <= 10 * tol
+        # numpy on the dense Q shares no code with the class-by-class paths.
+        plain = np.max(np.linalg.eigvals(sub.dense_q()).real)
+        assert abs(lead - plain) <= 10 * tol
+        assert abs(dense - plain) <= 10 * tol
     # 300 two-state cycles, each its own strongly connected component.
     m = 300
     a, b, e = rng.uniform(0.2, 0.6, size=(3, m))
