@@ -499,11 +499,11 @@ def _max_fundamental_entry(sub: SubGenerator) -> float:
     factorized once and its inverse swept in column blocks, which is
     quadratic in its size and capped at 150,000 states.
     """
-    singleton, states, sizes = _strong_blocks(sub.Q)
-    best = float(np.max(-1.0 / sub.Q.diagonal()[singleton], initial=0.0))
-    A = -sub.Q[states][:, states]
-    for size, end in zip(sizes, np.cumsum(sizes)):
-        block = A[end - size:end, end - size:end]
+    blocks = _strong_blocks(sub.Q)
+    best = float(np.max(-1.0 / sub.Q.diagonal()[blocks.singleton], initial=0.0))
+    for start, end in blocks.spans():
+        block = -blocks.inner[start:end, start:end]
+        size = end - start
         if size <= DENSE_CAP:
             best = max(best, float(np.max(np.linalg.inv(block.toarray()).diagonal())))
             continue

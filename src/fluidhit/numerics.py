@@ -38,7 +38,9 @@ from .errors import (
 )
 
 # Largest transient state count densified (dense Q, its inverse), and the
-# largest strongly connected class whose spectrum is computed densely.
+# largest strongly connected class whose spectrum is computed densely. The
+# spectrum's dense work grows with the sum of the class sizes cubed, which
+# this cap does not bound: 50 classes of 1,900 states are 50 dense solves.
 DENSE_CAP = 2000
 
 _MIN_EXPM_TOL = 1e-15
@@ -333,26 +335,30 @@ def eigen_spectrum(A, cluster_tol=None):
 
     A is block-triangular over the strongly connected classes of its
     support, so its spectrum is the union of the diagonal blocks' spectra.
-    A class of one state contributes its diagonal entry exactly; the blocks
-    of the other classes go to LAPACK, those of equal size stacked into one
-    call. Eigenvalues within cluster_tol (default 1e-7 * ||A||_inf) of each
-    other are merged transitively and their multiplicities summed; each
-    cluster is reported at its mean. Raises DimensionTooLarge when one class
-    has more than DENSE_CAP states (use dominant_eigen for the leading
-    eigenvalue then).
+    A class of one state contributes its diagonal entry exactly; the block
+    of each other class goes to LAPACK. Eigenvalues within cluster_tol
+    (default 1e-7 * ||A||_inf) of each other are merged transitively and
+    their multiplicities summed; each cluster is reported at its mean.
+    Raises DimensionTooLarge when one class has more than DENSE_CAP states
+    (use dominant_eigen for the leading eigenvalue then). The dense work
+    grows with the sum of the classes' sizes cubed, which the cap does not
+    bound.
     """
     A = sp.csr_array(A, dtype=float, copy=True)
     A.eliminate_zeros()
-    singleton, states, sizes = _strong_blocks(A)
-    if sizes.size and sizes.max() > DENSE_CAP:
+    blocks = _strong_blocks(A)
+    if blocks.sizes.size and blocks.sizes.max() > DENSE_CAP:
         raise DimensionTooLarge(
             f"dense eigensolve capped at {DENSE_CAP} states per strongly connected "
-            f"class (got {sizes.max()}); use dominant_eigen instead"
+            f"class (got {blocks.sizes.max()}); use dominant_eigen instead"
         )
-    norm = float(abs(A).sum(axis=1).max(initial=0.0))
+    norm = float(np.max(np.asarray(abs(A).sum(axis=1)), initial=0.0))
     if cluster_tol is None:
         cluster_tol = 1e-7 * max(norm, 1.0)
-    vals = np.concatenate([A.diagonal()[singleton], *_block_eigvals(A, states, sizes)])
+    vals = np.concatenate([
+        A.diagonal()[blocks.singleton],
+        *(eigvals(blocks.inner[a:b, a:b].toarray(), overwrite_a=True) for a, b in blocks.spans()),
+    ])
     vals = vals if vals.imag.any() else vals.real  # as np.linalg.eigvals returns them
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
@@ -381,37 +387,6 @@ def eigen_spectrum(A, cluster_tol=None):
     return EigenReport(eigenvalues=clustered, dominant_real=dominant, tolerance=cluster_tol)
 
 
-def _block_eigvals(A, states, sizes):
-    """Eigenvalues of the diagonal blocks A[states][:, states] of sizes, in arrays.
-
-    Blocks of equal size are stacked into one eigvals call, in chunks of at
-    most DENSE_CAP^2 entries, so the dense work never exceeds one matrix at
-    the cap.
-    """
-    if not sizes.size:
-        return []
-    # Blocks by increasing size: states of equal-size classes become contiguous.
-    by_size = np.argsort(np.repeat(sizes, sizes), kind="stable")
-    states, sizes = states[by_size], np.sort(sizes, kind="stable")
-    block = np.repeat(np.arange(sizes.size), sizes)
-    local = np.arange(states.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    inner = sp.coo_array(A[states][:, states])  # row-major, so block ids never decrease
-    same = block[inner.row] == block[inner.col]  # drops the edges between classes
-    row, col, data = inner.row[same], inner.col[same], inner.data[same]
-    entry_block = block[row]
-    parts = []
-    for size in np.unique(sizes):
-        first, stop = np.searchsorted(sizes, [size, size + 1])
-        per_call = max(1, DENSE_CAP**2 // size**2)
-        for lo in range(first, stop, per_call):
-            hi = min(lo + per_call, stop)
-            a, b = np.searchsorted(entry_block, [lo, hi])
-            stack = np.zeros((hi - lo, size, size))
-            stack[entry_block[a:b] - lo, local[row[a:b]], local[col[a:b]]] = data[a:b]
-            parts.append(eigvals(stack, overwrite_a=True).ravel())
-    return parts
-
-
 def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     """Eigenvalue of Q with the greatest real part, via the Perron root.
 
@@ -435,16 +410,14 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     B = sp.csr_array(_uniformized(Q, lam))
     B.eliminate_zeros()
 
-    singleton, states, sizes = _strong_blocks(B)
-    rho = float(B.diagonal()[singleton].max(initial=0.0))
-    if not sizes.size:
+    blocks = _strong_blocks(B)
+    rho = float(B.diagonal()[blocks.singleton].max(initial=0.0))
+    if not blocks.sizes.size:
         return lam * (rho - 1.0)
-    starts = np.cumsum(sizes) - sizes
-    block = np.repeat(np.arange(sizes.size), sizes)
-    inner = sp.coo_array(B[states][:, states])
-    same = block[inner.row] == block[inner.col]  # drops the edges between components
-    Bt = sp.csr_array((inner.data[same], (inner.col[same], inner.row[same])), shape=inner.shape)
-    w = np.ones(states.size)
+    starts = np.cumsum(blocks.sizes) - blocks.sizes
+    block = np.repeat(np.arange(blocks.sizes.size), blocks.sizes)
+    Bt = sp.csr_array(blocks.inner.T)
+    w = np.ones(blocks.states.size)
     est, spread = 1.0, math.inf
     for _ in range(max_iter):
         wb = Bt @ w
@@ -458,17 +431,35 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     raise SlowConvergence(est, spread, max_iter)
 
 
-def _strong_blocks(A):
-    """Strongly connected components of A's support as diagonal blocks.
+class _Blocks(NamedTuple):
+    """The strongly connected classes of a matrix's support (see _strong_blocks)."""
 
-    Returns the mask of states that form a component alone, the other
-    states stably sorted by component label (so each component is a
-    contiguous block of A[states][:, states]), and those components' sizes
-    in block order.
+    singleton: np.ndarray  # mask of the states that form a class alone
+    states: np.ndarray  # the other states, grouped by class
+    sizes: np.ndarray  # the sizes of their classes, in block order
+    inner: sp.csr_array  # A[states][:, states] without the entries between classes
+
+    def spans(self):
+        """(start, stop) of each class's block in inner."""
+        stops = np.cumsum(self.sizes)
+        return zip((stops - self.sizes).tolist(), stops.tolist())
+
+
+def _strong_blocks(A):
+    """Strongly connected classes of a sparse A's support, as diagonal blocks.
+
+    The states that form a class alone are masked out; the others are
+    stably sorted by class label, so each class is a contiguous block of
+    A[states][:, states], and inner keeps only the entries within a block.
     """
     _, labels = connected_components(A, directed=True, connection="strong")
     sizes = np.bincount(labels)
     singleton = sizes[labels] == 1
     states = np.flatnonzero(~singleton)
     states = states[np.argsort(labels[states], kind="stable")]
-    return singleton, states, sizes[sizes > 1]
+    sizes = sizes[sizes > 1]
+    block = np.repeat(np.arange(sizes.size), sizes)
+    inner = sp.coo_array(sp.csr_array(A)[states][:, states])
+    same = block[inner.row] == block[inner.col]  # drops the entries between classes
+    inner = sp.csr_array((inner.data[same], (inner.row[same], inner.col[same])), shape=inner.shape)
+    return _Blocks(singleton, states, sizes, inner)
