@@ -26,7 +26,7 @@ from .errors import (
     NotTransient,
     SingularSystem,
 )
-from .numerics import DENSE_CAP, _dense_buffer, _strong_blocks, solve_linear
+from .numerics import DENSE_CAP, _strong_blocks, _triangular_solver, solve_linear
 
 ROW_SUM_TOL = 1e-12
 
@@ -210,7 +210,7 @@ class SubGenerator:
                 f"refusing to densify a {self.n_transient}-state sub-generator "
                 f"(cap {DENSE_CAP})"
             )
-        return self.Q.toarray(out=_dense_buffer(self.Q.shape))
+        return self.Q.toarray()
 
     @classmethod
     def from_matrix(cls, Q, Q0=None):
@@ -399,14 +399,16 @@ def reassemble(sub: SubGenerator) -> sp.csr_array:
 def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:
     """x with (-Q) x = rhs, for a positive rhs (so x is positive too).
 
-    Past the dense cap, a triangular -Q (every chain whose transient states
-    only count down, as the countdown examples do) is solved by substitution;
-    an LU factorization of the 10^6-state fig3a(1000, 2) took three times
-    as long.
+    A triangular -Q (every chain whose transient states only count down, as
+    the countdown examples do) is solved by substitution at any size, with
+    no dense matrix. Up to the dense cap the sparse -Q goes to solve_linear,
+    which densifies and LU-factorizes only a non-triangular one; past it,
+    _solve_sparse keeps it sparse (an LU factorization of the 10^6-state
+    fig3a(1000, 2) took three times as long as the substitution).
     """
     try:
         if sub.n_transient <= DENSE_CAP:
-            x = solve_linear((-sub.Q).toarray(out=_dense_buffer(sub.Q.shape)), rhs)
+            x = solve_linear(-sub.Q, rhs)
         else:
             x = _solve_sparse(-sub.Q, rhs)
     except Exception as exc:  # pragma: no cover - validated chains never hit this
@@ -417,25 +419,15 @@ def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:
 
 
 def _solve_sparse(A, rhs):
-    """x with A x = rhs; a triangular A is solved by substitution.
+    """x with A x = rhs: by substitution for a triangular A, by SuperLU otherwise.
 
-    A triangular A is first scaled by its diagonal, row by row, so that the
-    substitution runs on a unit diagonal (half the time of letting
-    spsolve_triangular rescale it by a sparse product).
+    A triangular A is overwritten (see numerics._triangular_solver).
     """
-    A = sp.csr_array(A, dtype=float, copy=True)
-    counts = np.diff(A.indptr)
-    rows = np.repeat(np.arange(A.shape[0]), counts)
-    lower = bool(np.all(A.indices <= rows))
-    if not (lower or np.all(A.indices >= rows)):
+    A = sp.csr_array(A, dtype=float)
+    solve = _triangular_solver(A)
+    if solve is None:
         return spla.spsolve(sp.csc_matrix(A), rhs)
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
-        raise SingularSystem("zero pivot on the diagonal of a triangular system")
-    A.data /= np.repeat(diag, counts)
-    return spla.spsolve_triangular(
-        A, rhs / diag, lower=lower, unit_diagonal=True, overwrite_A=True, overwrite_b=True
-    )
+    return solve(rhs)
 
 
 def expected_hitting_times(sub: SubGenerator) -> np.ndarray:

@@ -11,16 +11,15 @@ matrix I + Q/Lambda, where Lambda = 1.05 c keeps the diagonal positive.
 Both eigenvalue routines work on the strongly connected classes of the
 matrix's support (_strong_blocks): the full spectrum is the union of the
 diagonal blocks' spectra, exact on the diagonal for classes of one state,
-so DENSE_CAP bounds the largest class rather than the matrix.
+so DENSE_CAP bounds the largest class rather than the matrix. A sparse
+triangular linear system is solved by substitution, any other by a dense LU.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import mmap
 import warnings
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvals, lu_factor, lu_solve
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import (
     DimensionTooLarge,
@@ -49,52 +49,76 @@ _MIN_EXPM_TOL = 1e-15
 # about that many terms, each a sparse vector-matrix product.
 TERM_BUDGET = 1e7
 
-_SPARE_MAPS = []  # maps released by arrays of _dense_buffer
-
-
-def _dense_buffer(shape, order="C"):
-    """Array for n x n work; from 1 MiB on, a private map reused once all its views are freed."""
-    size = math.prod(shape)
-    if 8 * size < 1 << 20 or not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.empty(shape, order=order)
-    # Not the heap: glibc's reuse of freed 20 MB blocks there made peak memory vary by run.
-    if not _SPARE_MAPS or len(buf := _SPARE_MAPS.pop()) != 8 * size:
-        buf = mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        buf.madvise(mmap.MADV_HUGEPAGE)  # as numpy asks for its own large arrays
-    weakref.finalize(flat := np.frombuffer(buf, dtype=float, count=size), _SPARE_MAPS.append, buf)
-    return flat.reshape(shape, order=order)
-
 
 def solve_linear(A, b):
-    """Solve A x = b by LU factorization with partial pivoting.
+    """Solve A x = b for a square A, dense or scipy sparse.
 
-    Raises SingularMatrix when a pivot falls below 1e-14 * ||A||_inf.
-    One pass of iterative refinement keeps the residual within
+    A sparse A that is triangular (every stored column on one side of its
+    row, an O(nnz) test of the index arrays) is solved by substitution, in
+    O(nnz) as well (see _triangular_solver); any other A is densified and
+    LU-factorized with partial pivoting. Raises SingularMatrix when a pivot
+    (a diagonal entry, for substitution) falls below 1e-14 * ||A||_inf. Up
+    to two passes of iterative refinement keep the residual within
     1e-10 * (1 + ||b||_inf).
     """
-    A = np.asarray(A, dtype=float)
+    A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    norm = np.max(np.abs(A, out=_dense_buffer(A.shape)).sum(axis=1)) if A.size else 0.0
-    lu = _dense_buffer(A.shape, order="F")  # factored in place, not copied
-    lu[...] = A
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(lu, overwrite_a=True)
-    pivots = np.abs(np.diag(lu))
-    if norm == 0.0 or np.min(pivots) < 1e-14 * norm:
-        raise SingularMatrix(
-            f"pivot {np.min(pivots):.3e} below threshold {1e-14 * norm:.3e}"
-        )
-    x = lu_solve((lu, piv), b)
+    norm = float(np.max(np.asarray(abs(A).sum(axis=1)), initial=0.0))
+    floor = 1e-14 * norm
+    solve = _triangular_solver(A.copy(), floor) if sp.issparse(A) else None
+    if solve is None:
+        A = A.toarray() if sp.issparse(A) else A
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lu, piv = lu_factor(A)
+        pivots = np.abs(np.diag(lu))
+        if norm == 0.0 or np.min(pivots) < floor:
+            raise SingularMatrix(f"pivot {np.min(pivots):.3e} below threshold {floor:.3e}")
+
+        def solve(rhs):
+            return lu_solve((lu, piv), rhs)
+
+    x = solve(b)
     tol = 1e-10 * (1.0 + np.max(np.abs(b)))
     for _ in range(2):
         r = b - A @ x
         if np.max(np.abs(r)) <= tol:
             break
-        x = x + lu_solve((lu, piv), r)
+        x = x + solve(r)
     return x
+
+
+def _triangular_solver(A, floor=0.0):
+    """solve(rhs) giving x with A x = rhs by substitution, or None when A is not triangular.
+
+    A is a CSR matrix; it is triangular when every stored column lies on
+    one side of its row, read off the index arrays in O(nnz). A triangular
+    A is then scaled in place by its diagonal, row by row, once, so that
+    spsolve_triangular runs on a unit diagonal (half the time of letting it
+    rescale by a sparse product). Raises SingularMatrix when a diagonal
+    entry is zero or below floor in absolute value.
+    """
+    counts = np.diff(A.indptr)
+    rows = np.repeat(np.arange(A.shape[0]), counts)
+    lower = bool(np.all(A.indices <= rows))
+    if not (lower or np.all(A.indices >= rows)):
+        return None
+    diag = A.diagonal()
+    pivot = float(np.min(np.abs(diag), initial=math.inf))
+    if pivot == 0.0 or pivot < floor:
+        raise SingularMatrix(
+            f"diagonal entry {pivot:.3e} of a triangular matrix is zero or below {floor:.3e}"
+        )
+    A.data /= np.repeat(diag, counts)
+
+    def solve(rhs):
+        return spsolve_triangular(
+            A, rhs / diag, lower=lower, unit_diagonal=True, overwrite_A=True, overwrite_b=True
+        )
+
+    return solve
 
 
 def _uniformized(Q, c):
@@ -402,7 +426,9 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     bracket its root, so their largest values (with the singletons') bracket
     rho(B); the iteration stops once that bracket is within tol.
 
-    Raises SlowConvergence with the current estimate once max_iter is hit.
+    Raises SlowConvergence with the current estimate once max_iter is hit,
+    and NonConvergent when entries of the iterated vector underflow to 0
+    (their ratios are then 0/0 or x/0, and bracket nothing).
     """
     lam = 1.05 * float(np.max(-Q.diagonal()))
     if lam <= 0.0:
@@ -419,11 +445,19 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     Bt = sp.csr_array(blocks.inner.T)
     w = np.ones(blocks.states.size)
     est, spread = 1.0, math.inf
-    for _ in range(max_iter):
+    for iteration in range(max_iter):
         wb = Bt @ w
-        ratios = wb / w
-        lo = max(rho, float(np.minimum.reduceat(ratios, starts).max()))
-        hi = max(rho, float(np.maximum.reduceat(ratios, starts).max()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = wb / w
+        lo = float(np.minimum.reduceat(ratios, starts).max())
+        hi = float(np.maximum.reduceat(ratios, starts).max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            # B's diagonal is positive, so an entry of w is 0 only by underflow.
+            raise NonConvergent(
+                f"power iteration vector underflowed to zero after {iteration} iterations "
+                "(the Perron vector spans more than the float range)"
+            )
+        lo, hi = max(rho, lo), max(rho, hi)
         est, spread = 0.5 * (lo + hi), hi - lo
         if spread <= tol * max(est, 1e-300):
             return lam * (est - 1.0)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fluidhit.numerics
 from fluidhit import harmonic_number
 from fluidhit.cli import main
 
@@ -84,6 +85,19 @@ def test_analyze_fig3b_exact(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"]["value"] == pytest.approx(50 * 2 * harmonic_number(50))
+
+
+def test_analyze_triangular_chain_makes_no_dense_lu(capsys, monkeypatch):
+    # fig3a(40, 2) has 1,601 transient states that only count down, so -Q is
+    # triangular: W and the mean jump count come by substitution.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense LU factorization of a triangular -Q")
+
+    monkeypatch.setattr(fluidhit.numerics, "lu_factor", refuse)
+    code, out, _ = run_cli(capsys, "analyze", "--chain", "fig3a:40,2", "--N", "40")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["theorem1"]["value"] >= payload["lower_fig3a"]["value"]
 
 
 def test_analyze_csv_format(capsys):

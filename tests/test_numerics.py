@@ -1,5 +1,4 @@
 import math
-import mmap
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -49,6 +48,48 @@ def test_solve_residual_contract():
         b = rng.normal(size=n)
         x = solve_linear(A, b)
         assert np.max(np.abs(A @ x - b)) <= 1e-10 * (1 + np.max(np.abs(b)))
+        # No refinement pass is needed here: the result is LAPACK's, bit for bit.
+        assert np.array_equal(x, numerics.lu_solve(numerics.lu_factor(A), b))
+
+
+def _sparse_triangular(rng, n, lower):
+    """A random sparse triangular matrix, diagonally dominant so well conditioned."""
+    A = sp.random(n, n, density=0.05, random_state=rng, data_rvs=rng.standard_normal)
+    A = sp.tril(A, k=-1) if lower else sp.triu(A, k=1)
+    dominance = np.asarray(abs(A).sum(axis=1)).ravel() + rng.uniform(0.5, 2.0, n)
+    return sp.csr_array(A + sp.diags(rng.choice([-1.0, 1.0], n) * dominance))
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_solve_sparse_triangular_by_substitution(monkeypatch, lower):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense LU on a triangular matrix")
+
+    monkeypatch.setattr(numerics, "lu_factor", refuse)
+    rng = np.random.default_rng(7 if lower else 8)
+    for n in (1, 5, 300):
+        A = _sparse_triangular(rng, n, lower)
+        b = rng.normal(size=n)
+        want = np.linalg.solve(A.toarray(), b)
+        assert solve_linear(A, b) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("pivot", [0.0, 1e-16])
+def test_solve_sparse_triangular_small_pivot(pivot):
+    # A zero pivot is not stored at all in the sparse matrix.
+    A = _sparse_triangular(np.random.default_rng(9), 50, lower=True).toarray()
+    A[20, 20] = pivot * np.abs(A).sum(axis=1).max()
+    with pytest.raises(SingularMatrix):
+        solve_linear(sp.csr_array(A), np.ones(50))
+
+
+def test_solve_sparse_general_matches_dense():
+    rng = np.random.default_rng(10)
+    n = 200
+    upper = sp.triu(sp.random(n, n, density=0.02, random_state=rng), k=1)
+    A = sp.csr_array(_sparse_triangular(rng, n, lower=True) + upper)
+    b = rng.normal(size=n)
+    assert np.array_equal(solve_linear(A, b), solve_linear(A.toarray(), b))
 
 
 def test_expm_scalar_half_life():
@@ -588,52 +629,40 @@ def test_dominant_matches_dense_eigvals_on_linked_cycles(seed, top_singleton):
     assert abs(lead - np.max(np.linalg.eigvals(Q).real)) <= 10 * tol
 
 
+def _forward_or_return(n, p):
+    """Q of n states in one class: state i moves on with probability p, else returns to state 1.
+
+    State 1 exits instead of returning, and state n always returns. The left
+    Perron vector, which the power iteration follows, falls like (p / rho)^i.
+    """
+    i = np.arange(n)
+    back = np.append(np.full(n - 2, 1.0 - p), 1.0)
+    rows = np.concatenate([i[:-1], i[1:], i])
+    cols = np.concatenate([i[1:], np.zeros(n - 1, dtype=int), i])
+    return sp.csr_array((np.concatenate([np.full(n - 1, p), back, -np.ones(n)]), (rows, cols)),
+                        shape=(n, n))
+
+
+def test_dominant_raises_when_the_perron_vector_underflows():
+    # A return to state 1 after i steps has probability p^(i-1) (1 - p), so
+    # the Perron root rho of I + Q solves sum_i p^(i-1) (1 - p) rho^-i = 1:
+    # rho = (p + sqrt(p^2 + 4 p (1 - p))) / 2, up to a p^n term below 1e-90 here.
+    n = 2001
+    Q = _forward_or_return(n, 0.9)
+    rho = (0.9 + math.sqrt(0.81 + 4 * 0.9 * 0.1)) / 2
+    assert dominant_eigen(Q) == pytest.approx(rho - 1.0, rel=0, abs=1e-9)
+    # At p = 1/2 the left vector's entries fall like 0.62^i, below the
+    # smallest float past state 1,550: the ratios read 0/0.
+    with pytest.raises(NonConvergent, match="underflow"):
+        dominant_eigen(_forward_or_return(n, 0.5))
+    small = _forward_or_return(50, 0.5)
+    want = np.max(np.linalg.eigvals(small.toarray()).real)
+    assert dominant_eigen(small) == pytest.approx(want, rel=0, abs=1e-9)
+
+
 def test_dominant_reports_slow_convergence():
     Q = np.array([[-1.0, 0.5], [0.25, -1.0]])
     with pytest.raises(SlowConvergence) as exc:
         dominant_eigen(Q, max_iter=2)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0.0
-
-
-needs_maps = pytest.mark.skipif(
-    not hasattr(mmap, "MADV_HUGEPAGE"), reason="dense buffers come from numpy on this platform"
-)
-
-
-@needs_maps
-def test_dense_buffer_reused_only_after_every_view_is_freed():
-    first = numerics._dense_buffer((400, 400))
-    assert isinstance(first.base.base, memoryview)  # a map, not the heap
-    view = first.T[::2]
-    first[...] = 1.0
-    del first
-    # The view still holds the map, so a new buffer must get other memory.
-    second = numerics._dense_buffer((400, 400))
-    second[...] = 2.0
-    assert np.all(view == 1.0)
-    del view, second
-    again = numerics._dense_buffer((400, 400), order="F")
-    assert again.flags.f_contiguous and again.flags.writeable
-    small = numerics._dense_buffer((3, 3))
-    assert small.base is None
-
-
-@needs_maps
-def test_dense_work_in_maps_matches_numpy_on_the_heap(monkeypatch):
-    # 400 states make a 1.28 MB matrix, past the size that goes to a map.
-    sub = decompose(random_chain(np.random.default_rng(5), 400, density=0.05))
-    Q = sub.dense_q()
-    assert isinstance(Q.base.base, memoryview)
-    plain = np.asarray(sub.Q.todense())
-    assert np.array_equal(Q, plain)
-    b = np.ones(400)
-    lu = numerics.lu_factor(-plain)
-    assert np.array_equal(solve_linear(-Q, b), numerics.lu_solve(lu, b))
-    # SciPy's LAPACK build may round differently from NumPy's.
-    report = eigen_spectrum(Q)
-    monkeypatch.setattr(numerics, "eigvals", lambda a, overwrite_a: np.linalg.eigvals(plain))
-    heap = eigen_spectrum(plain)
-    assert [m for _, m in report.eigenvalues] == [m for _, m in heap.eigenvalues]
-    assert np.allclose([v for v, _ in report.eigenvalues], [v for v, _ in heap.eigenvalues],
-                       rtol=0, atol=1e-12)
