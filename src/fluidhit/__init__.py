@@ -21,8 +21,6 @@ from .chain_model import (
     expected_hitting_times,
     load_chain_spec,
     mean_jump_count,
-    reassemble,
-    resolvent_quantities,
     validate_chain,
 )
 from .examples import (

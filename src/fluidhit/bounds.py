@@ -24,16 +24,18 @@ import numpy as np
 from .chain_model import (
     AbsorbingChain,
     InitialDistribution,
+    ResolventQuantities,
     decompose,
     expected_hitting_times,
     mean_jump_count,
-    resolvent_quantities,
 )
 from .errors import (
     DegenerateTail,
     DimensionTooLarge,
     GammaMissing,
     InconsistentBounds,
+    NonConvergent,
+    SlowConvergence,
 )
 from .fluid import crossing_time
 from .numerics import dominant_eigen
@@ -250,11 +252,17 @@ def assemble_report(
     exact=None,
     lower_bounds=(),
     estimate_gamma=False,
-    cluster_tol=None,
     nu_override=None,
     k_override=None,
 ) -> BoundReport:
     """Compute every applicable bound; failures degrade per entry.
+
+    nu and k come from spectral_params (k by its scatter-radius rule), or
+    from nu_override and k_override when given. When a strongly connected
+    class is past the dense cap, k is skipped and nu comes from the Perron
+    iteration alone; when the Perron iteration fails, nu and k are both
+    skipped. notes["spectral"] records each skip. A class past the dense
+    cap also leaves max_neg_qinv out, with notes["max_neg_qinv"] saying why.
 
     Lower bounds and exact values for named chains are supplied by the
     caller (the generators know their closed forms). Raises
@@ -262,26 +270,25 @@ def assemble_report(
     """
     sub = decompose(chain)
     W = expected_hitting_times(sub)
-    res = resolvent_quantities(sub, alpha)
     notes = {}
 
     nu = k = gamma = None
     theorem2 = tn_asym = None
+    sp = None
     try:
-        sp = spectral_params(
-            sub,
-            cluster_tol=cluster_tol,
-            nu_override=nu_override,
-            k_override=k_override,
-        )
+        sp = spectral_params(sub, nu_override=nu_override, k_override=k_override)
         nu, k = sp.nu, sp.k
     except DimensionTooLarge as exc:
         # The multiplicity needs a dense eigensolve of each strongly connected
         # class, and one is past the cap; nu is still cheap through the Perron
         # route on the sparse matrix.
         notes["spectral"] = f"multiplicity skipped: {exc}"
-        nu = float(nu_override) if nu_override is not None else -dominant_eigen(sub.Q)
-        sp = None
+        try:
+            nu = float(nu_override) if nu_override is not None else -dominant_eigen(sub.Q)
+        except (NonConvergent, SlowConvergence) as exc:
+            notes["spectral"] += f"; nu skipped: {exc}"
+    except (NonConvergent, SlowConvergence) as exc:
+        notes["spectral"] = f"nu and k skipped: {exc}"
     if sp is not None and estimate_gamma:
         try:
             gamma = _fit_gamma(sub, alpha, nu, k)
@@ -290,9 +297,9 @@ def assemble_report(
             notes["gamma"] = f"gamma fit failed: {exc}"
 
     t_n = crossing_time(alpha, sub, 1.0 / N, nu_hint=nu).time
-    mean_jumps = res.mean_jumps
+    mean_jumps = mean_jump_count(sub, alpha)
     try:
-        max_neg_qinv = res.max_neg_qinv
+        max_neg_qinv = ResolventQuantities(sub).max_neg_qinv
     except DimensionTooLarge as exc:
         max_neg_qinv = None
         notes["max_neg_qinv"] = str(exc)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,11 +33,11 @@ ROW_SUM_TOL = 1e-12
 
 def _as_csr(matrix):
     if sp.issparse(matrix):
-        return sp.csr_array(matrix).astype(float), "sparse-rows"
+        return sp.csr_array(matrix).astype(float)
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return sp.csr_array(arr), "dense"
+    return sp.csr_array(arr)
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,9 @@ class AbsorbingChain:
     """Validated transition matrix with distinguished absorbing state 0.
 
     P: row-stochastic csr matrix of shape (S+1, S+1).
-    representation: "dense" | "sparse-rows", how the matrix was supplied.
     """
 
     P: sp.csr_array
-    representation: str
 
     @property
     def size(self):
@@ -172,9 +170,6 @@ class SubGenerator:
 
     Q: sp.csr_array
     Q0: np.ndarray
-    # Transient diagonal of P, kept so reassembling the chain reproduces the
-    # original entries bit for bit (1 + (p - 1) is not exact in floats).
-    p_diag: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_transient(self):
@@ -219,7 +214,7 @@ class SubGenerator:
         Accepts generators not derived from a stochastic matrix (scaled
         rates); Q0 defaults to the negated row sums.
         """
-        Qc, _ = _as_csr(Q)
+        Qc = _as_csr(Q)
         n = Qc.shape[0]
         diag = Qc.diagonal()
         if np.any(diag >= 0):
@@ -296,7 +291,7 @@ def validate_chain(matrix) -> AbsorbingChain:
     absorption of state 0 and reachability of state 0 from every other state
     (graph reachability on the support of P, checked exactly).
     """
-    P, representation = _as_csr(matrix)
+    P = _as_csr(matrix)
     n = P.shape[0]
     if n < 2:
         raise ValueError("need at least two states (one absorbing, one transient)")
@@ -347,7 +342,7 @@ def validate_chain(matrix) -> AbsorbingChain:
     missing = np.flatnonzero(~reaches)
     if missing.size:
         raise NotTransient(int(missing[0]))
-    return AbsorbingChain(P=P, representation=representation)
+    return AbsorbingChain(P=P)
 
 
 def _states_reaching_zero(P):
@@ -367,33 +362,10 @@ def decompose(chain: AbsorbingChain) -> SubGenerator:
     """Extract the sub-generator: Q = (P - I) on states 1..S, Q0 = P[1:, 0]."""
     P = chain.P
     n = chain.n_transient
-    transient = P[1:, 1:]
-    Q = sp.csr_array(transient - sp.eye(n, format="csr"))
+    Q = sp.csr_array(P[1:, 1:] - sp.eye(n, format="csr"))
     Q.eliminate_zeros()
     Q0 = P[1:, [0]].toarray().ravel()
-    return SubGenerator(Q=Q, Q0=Q0, p_diag=transient.diagonal())
-
-
-def reassemble(sub: SubGenerator) -> sp.csr_array:
-    """Rebuild P from a decomposed sub-generator (exact round trip).
-
-    Diagonal entries are substituted from the retained transient diagonal of
-    P rather than recomputed as 1 + Q_ii, which would round.
-    """
-    n = sub.n_transient
-    coo = sp.coo_array(sub.Q)
-    vals = coo.data.copy()
-    diag_mask = coo.row == coo.col
-    if sub.p_diag is not None:
-        vals[diag_mask] = sub.p_diag[coo.row[diag_mask]]
-    else:
-        vals[diag_mask] = vals[diag_mask] + 1.0
-    rows = np.concatenate([coo.row + 1, np.arange(1, n + 1), [0]])
-    cols = np.concatenate([coo.col + 1, np.zeros(n, dtype=int), [0]])
-    vals = np.concatenate([vals, sub.Q0, [1.0]])
-    out = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n + 1, n + 1)))
-    out.eliminate_zeros()
-    return out
+    return SubGenerator(Q=Q, Q0=Q0)
 
 
 def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:
@@ -440,35 +412,18 @@ def expected_hitting_times(sub: SubGenerator) -> np.ndarray:
 
 
 class ResolventQuantities:
-    """The max of (-Q)^-1 entries and the expected jump count, each on first access.
+    """max_jk (-Q)^-1_jk of a sub-generator, computed on each access.
 
-    No bound uses max_neg_qinv since theorem1 switched to max_x W; the class
-    stays while the report still carries that value and perfbench's tracer
-    wraps the max_neg_qinv property.
+    No bound uses it since theorem1 switched to max_x W: the report still
+    carries the value, and perfbench's tracer wraps the max_neg_qinv property.
     """
 
-    def __init__(self, sub: SubGenerator, alpha: InitialDistribution):
+    def __init__(self, sub: SubGenerator):
         self._sub = sub
-        self._alpha = alpha
-        self._max_neg_qinv = None
-        self._mean_jumps = None
 
     @property
     def max_neg_qinv(self) -> float:
-        if self._max_neg_qinv is None:
-            self._max_neg_qinv = _max_fundamental_entry(self._sub)
-        return self._max_neg_qinv
-
-    @property
-    def mean_jumps(self) -> float:
-        if self._mean_jumps is None:
-            self._mean_jumps = mean_jump_count(self._sub, self._alpha)
-        return self._mean_jumps
-
-
-def resolvent_quantities(sub, alpha) -> ResolventQuantities:
-    """Quantities entering the finite-N hitting-time bound."""
-    return ResolventQuantities(sub, alpha)
+        return _max_fundamental_entry(self._sub)
 
 
 def mean_jump_count(sub: SubGenerator, alpha: InitialDistribution) -> float:
@@ -486,31 +441,20 @@ def _max_fundamental_entry(sub: SubGenerator) -> float:
 
     (-Q)^-1_jk = P_j(hit k) (-Q)^-1_kk puts the maximum on the diagonal, and
     a return to k never leaves k's strongly connected component C, so
-    (-Q)^-1_kk = (-Q_C)^-1_kk. A singleton component contributes 1/(-Q_kk);
-    a component up to DENSE_CAP states is inverted densely; a larger one is
-    factorized once and its inverse swept in column blocks, which is
-    quadratic in its size and capped at 150,000 states.
+    (-Q)^-1_kk = (-Q_C)^-1_kk. A singleton component contributes 1/(-Q_kk)
+    and any other is inverted densely. Raises DimensionTooLarge when a
+    component has more than DENSE_CAP states.
     """
     blocks = _strong_blocks(sub.Q)
     best = float(np.max(-1.0 / sub.Q.diagonal()[blocks.singleton], initial=0.0))
     for start, end in blocks.spans():
-        block = -blocks.inner[start:end, start:end]
-        size = end - start
-        if size <= DENSE_CAP:
-            best = max(best, float(np.max(np.linalg.inv(block.toarray()).diagonal())))
-            continue
-        if size > 150_000:
+        if end - start > DENSE_CAP:
             raise DimensionTooLarge(
-                "resolvent-entry sweep is quadratic and capped at 150000 states "
-                f"per strongly connected component (got {size})"
+                f"refusing to invert a {end - start}-state strongly connected "
+                f"component densely (cap {DENSE_CAP})"
             )
-        lu = spla.splu(sp.csc_matrix(block))
-        for first in range(0, size, 256):
-            stop = min(first + 256, size)
-            rhs = np.zeros((size, stop - first))
-            rhs[np.arange(first, stop), np.arange(stop - first)] = 1.0
-            cols = lu.solve(rhs)
-            best = max(best, float(np.max(cols[first:stop].diagonal())))
+        block = -blocks.inner[start:end, start:end]
+        best = max(best, float(np.max(np.linalg.inv(block.toarray()).diagonal())))
     return best
 
 

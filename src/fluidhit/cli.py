@@ -63,6 +63,34 @@ def _parse_grid(text):
     return tmax, steps
 
 
+# Every flag but --chain, by its argparse keywords; each subcommand takes only
+# the flags its cmd_* function reads.
+_FLAGS = {
+    "--N": dict(type=_positive_int, default=100),
+    "--runs": dict(type=_positive_int, default=1000),
+    "--seed": dict(type=int, default=0),
+    "--format": dict(dest="output_format", choices=("csv", "json")),
+    "--out": dict(dest="output_path"),
+    "--N-list": dict(dest="n_list", type=_parse_n_list),
+    "--samples": dict(type=_positive_int, default=1),
+    "--grid": dict(type=_parse_grid, help="trajectory grid as tmax:steps"),
+    "--k-override": dict(type=int),
+    "--nu-override": dict(type=float),
+    "--estimate-gamma": dict(action="store_true"),
+}
+
+_REPORT_FLAGS = ("--N", "--format", "--out", "--nu-override", "--k-override", "--estimate-gamma")
+
+_COMMAND_FLAGS = {
+    "validate": (),
+    "analyze": _REPORT_FLAGS,
+    "simulate": ("--N", "--runs", "--seed", "--out"),
+    "compare": _REPORT_FLAGS + ("--N-list", "--runs", "--seed"),
+    "trajectory": ("--N", "--samples", "--grid", "--seed", "--out"),
+    "gen": ("--out",),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fluidhit",
@@ -70,26 +98,13 @@ def build_parser():
         "absorbing Markov chains under random scheduling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("validate", "analyze", "simulate", "compare", "trajectory", "gen"):
+    for command, flags in _COMMAND_FLAGS.items():
         p = sub.add_parser(command)
         p.add_argument("--chain", required=True, dest="chain_source",
                        help="path to a chain JSON file or a named example "
                             "(classical, tstage:T, fig3a:N,T, fig3b:T)")
-        p.add_argument("--N", type=_positive_int, default=100)
-        p.add_argument("--runs", type=_positive_int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None,
-                       help="eigenvalue clustering tolerance override")
-        p.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                       default=None)
-        p.add_argument("--out", dest="output_path", default=None)
-        p.add_argument("--N-list", dest="n_list", type=_parse_n_list, default=None)
-        p.add_argument("--samples", type=_positive_int, default=1)
-        p.add_argument("--grid", type=_parse_grid, default=None,
-                       help="trajectory grid as tmax:steps")
-        p.add_argument("--k-override", dest="k_override", type=int, default=None)
-        p.add_argument("--nu-override", dest="nu_override", type=float, default=None)
-        p.add_argument("--estimate-gamma", dest="estimate_gamma", action="store_true")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -134,7 +149,6 @@ def _report_for(cfg, example, N):
         exact=example.exact_mean(N),
         lower_bounds=[] if lower is None else [(example.params["kind"], lower)],
         estimate_gamma=cfg.estimate_gamma,
-        cluster_tol=cfg.tol,
         nu_override=cfg.nu_override,
         k_override=cfg.k_override,
     )

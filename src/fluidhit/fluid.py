@@ -23,10 +23,25 @@ _DOUBLING_CAP = 1e6
 
 
 def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t, tol=1e-15):
-    """alpha exp(Qt) 1: transient mass remaining at time t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return float(np.sum(expm_action(sub.Q, alpha.alpha, t, tol=tol)))
+    """alpha exp(Qt) 1: transient mass remaining at time t.
+
+    t may also be a finite, nonnegative, nondecreasing array of times; the
+    result is then the array of survivals. The vector alpha exp(Q t_i) is
+    carried to t_{i+1} by expm_action on the increment, so the series terms
+    summed over the whole array number about c max(t), not c sum(t), with
+    c = max(-Q_ii). Each step truncates at most tol of the mass it carries.
+    """
+    if np.ndim(t) == 0:
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        return float(np.sum(expm_action(sub.Q, alpha.alpha, t, tol=tol)))
+    grid = _time_grid(t)
+    survival = np.empty(grid.size)
+    v, now = alpha.alpha, 0.0
+    for i, ti in enumerate(grid):
+        v, now = expm_action(sub.Q, v, ti - now, tol=tol), ti
+        survival[i] = np.sum(v)
+    return survival
 
 
 def fluid_m0(alpha: InitialDistribution, sub: SubGenerator, t) -> float:
@@ -55,7 +70,7 @@ def _time_grid(values):
 def fluid_trajectory(alpha, sub, time_grid) -> FluidTrajectory:
     """Evaluate the fluid curve on a finite, nonnegative, nondecreasing grid."""
     grid = _time_grid(time_grid)
-    survival = np.array([transient_survival(alpha, sub, t) for t in grid])
+    survival = transient_survival(alpha, sub, grid)
     return FluidTrajectory(
         time_grid=grid,
         m0_values=1.0 - survival,

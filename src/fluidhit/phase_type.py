@@ -142,7 +142,6 @@ class SpectralParams:
 
 def spectral_params(
     sub: SubGenerator,
-    cluster_tol=None,
     estimate_gamma=False,
     alpha=None,
     nu_override=None,
@@ -154,19 +153,18 @@ def spectral_params(
     chains); k counts eigenvalues near -nu. They come from eigen_spectrum
     on the sparse Q, class by class: a strongly connected class of one state
     gives its diagonal entry exactly, and DimensionTooLarge is raised only
-    when one class has more than DENSE_CAP states. With cluster_tol = None the
-    counting radius grows with the candidate multiplicity m as
-    ||Q|| * 1e-10^(1/m), matching how a defective eigenvalue scatters under
-    rounding, and the mean of the m nearest eigenvalues must stay within
-    ||Q|| * 1e-10 of -nu; pass an explicit cluster_tol to force a fixed
-    radius. Both values can be overridden when known exactly.
+    when one class has more than DENSE_CAP states. The multiplicity of -nu is
+    the largest m whose m nearest eigenvalues lie within ||Q|| * 1e-10^(1/m),
+    the radius over which a defective eigenvalue scatters under rounding,
+    and whose mean stays within ||Q|| * 1e-10 of -nu. Both values can be
+    overridden when known exactly.
 
     Raises DegenerateTail when a requested gamma fit finds no usable overlap
     between alpha and the dominant eigenspace.
     """
     # The spectrum first: a strongly connected class past the dense cap
     # raises DimensionTooLarge before the Perron iteration for nu has run.
-    report = eigen_spectrum(sub.Q, cluster_tol=cluster_tol) if k_override is None else None
+    report = eigen_spectrum(sub.Q) if k_override is None else None
     if nu_override is not None:
         nu = float(nu_override)
         source = "user-supplied"
@@ -181,21 +179,17 @@ def spectral_params(
         values, mults = zip(*report.eigenvalues)
         raw = np.repeat(values, mults)
         dists = np.abs(raw + nu)
-        if cluster_tol is not None:
-            mult = int(np.sum(dists <= cluster_tol))
-        else:
-            # The m eigenvalues nearest -nu must also keep their mean within
-            # ||Q|| 1e-10 of -nu: a defective eigenvalue's scattered copies do
-            # (the trace is preserved), distinct eigenvalues far off do not.
-            norm = max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
-            order = np.argsort(dists, kind="stable")
-            m = np.arange(1, dists.size + 1)
-            means = np.cumsum(raw[order]) / m
-            ok = (dists[order] <= norm * _CLUSTER_BASE ** (1.0 / m)) & (
-                np.abs(means + nu) <= norm * _CLUSTER_BASE
-            )
-            mult = int(m[ok].max(initial=1))
-        k = max(mult, 1) - 1
+        # The m eigenvalues nearest -nu must also keep their mean within
+        # ||Q|| 1e-10 of -nu: a defective eigenvalue's scattered copies do
+        # (the trace is preserved), distinct eigenvalues far off do not.
+        norm = max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
+        order = np.argsort(dists, kind="stable")
+        m = np.arange(1, dists.size + 1)
+        means = np.cumsum(raw[order]) / m
+        ok = (dists[order] <= norm * _CLUSTER_BASE ** (1.0 / m)) & (
+            np.abs(means + nu) <= norm * _CLUSTER_BASE
+        )
+        k = int(m[ok].max(initial=1)) - 1
 
     gamma = None
     if estimate_gamma:
@@ -221,7 +215,7 @@ def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
     t_hi = _crossing(series, hi_level, nu_hint=nu).time
     t_lo = _crossing(series, lo_level, nu_hint=nu).time
     ts = np.geomspace(t_hi, t_lo, 5)
-    s = np.array([transient_survival(alpha, sub, t) for t in ts])
+    s = transient_survival(alpha, sub, ts)
     basis = ts**k * np.exp(-nu * ts)
     denom = float(basis @ basis)
     if denom <= 0.0 or np.any(s <= 0.0):

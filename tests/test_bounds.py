@@ -239,18 +239,18 @@ def test_assemble_report_theorem3_uses_simulated_occupancy():
     assert report.theorem3 == 30.0
 
 
-def _big_class_chain(n=DENSE_CAP + 1):
+def _big_class_chain(n=DENSE_CAP + 1, p=0.9):
     """n transient states in one strongly connected class, left only from state 1.
 
-    State i moves on to i + 1 with probability 0.9 and otherwise returns to
+    State i moves on to i + 1 with probability p and otherwise returns to
     1 (state n always returns), and state 1 exits to 0 instead of returning.
-    The returns keep the Perron iteration for nu short, and the forward moves
-    keep its vector, about 0.9^i at state i, clear of underflow.
+    The returns keep the Perron iteration for nu short, and at p = 0.9 the
+    forward moves keep its vector, about 0.9^i at state i, clear of underflow.
     """
     i = np.arange(1, n + 1)
     rows = np.concatenate([i, i[:-1]])
     cols = np.concatenate([np.where(i == 1, 0, 1), i[:-1] + 1])
-    probs = np.concatenate([np.where(i == n, 1.0, 0.1), np.full(n - 1, 0.9)])
+    probs = np.concatenate([np.where(i == n, 1.0, 1.0 - p), np.full(n - 1, p)])
     P = sp.csr_array((np.append(probs, 1.0), (np.append(rows, 0), np.append(cols, 0))),
                      shape=(n + 1, n + 1))
     alpha = np.zeros(n)
@@ -307,6 +307,21 @@ def test_assemble_report_keeps_nu_override_past_the_dense_cap(monkeypatch):
     assert "spectral" in report.notes
     assert report.nu == 0.5
     assert calls["dominant_eigen"] == 0
+
+
+def test_assemble_report_survives_a_failed_perron_iteration():
+    # At p = 1/2 the Perron vector falls like 0.62^i and underflows past
+    # state 1,550, so the iteration for nu raises NonConvergent; at p = 0.1
+    # it underflows past state 600, inside a class the spectrum still takes.
+    for n, p, skipped in ((DENSE_CAP + 1, 0.5, "nu skipped"), (700, 0.1, "nu and k skipped")):
+        chain, alpha = _big_class_chain(n, p)
+        report = assemble_report(chain, alpha, 50)
+        assert (report.nu, report.k, report.theorem2_asymptotic) == (None, None, None)
+        assert skipped in report.notes["spectral"] and "underflow" in report.notes["spectral"]
+        assert [name for name, _ in report.upper_bounds()] == ["theorem1", "theorem3", "theorem4"]
+        assert all(math.isfinite(value) and value > 0 for _, value in report.upper_bounds())
+        assert report.t_n == crossing_time(alpha, decompose(chain), 1.0 / 50).time
+    assert assemble_report(chain, alpha, 50, nu_override=0.5).nu == 0.5
 
 
 def test_assemble_report_reads_k_past_the_dense_cap_from_singleton_classes():

@@ -13,14 +13,13 @@ from fluidhit import (
     gen_tstage,
     load_chain_spec,
     mean_jump_count,
+    assemble_report,
     random_chain,
-    reassemble,
-    resolvent_quantities,
     validate_chain,
 )
-from fluidhit.chain_model import _Destinations
+from fluidhit.chain_model import ResolventQuantities, _Destinations
 from fluidhit.numerics import DENSE_CAP
-from fluidhit.errors import NotAbsorbing, NotStochastic, NotTransient
+from fluidhit.errors import DimensionTooLarge, NotAbsorbing, NotStochastic, NotTransient
 
 from oracles import brute_jump_counts
 
@@ -54,7 +53,6 @@ def test_hitting_times_of_sparse_chains_past_the_dense_cap(shape):
 def test_validate_classical_collector():
     chain = validate_chain([[1, 0], [1, 0]])
     assert chain.size == 2
-    assert chain.representation == "dense"
 
 
 def test_validate_disconnected_pair_not_transient():
@@ -90,7 +88,7 @@ def test_validate_clamps_rounding_within_tolerance():
 def test_validate_sparse_input():
     P = sp.csr_array(np.array([[1.0, 0.0], [1.0, 0.0]]))
     chain = validate_chain(P)
-    assert chain.representation == "sparse-rows"
+    assert np.array_equal(chain.dense(), P.toarray())
 
 
 def test_decompose_classical():
@@ -112,21 +110,6 @@ def test_decompose_fig3b():
     sub = decompose(gen_fig3b(T).chain)
     assert sub.Q.todense() == pytest.approx(np.array([[-1.0 / T]]))
 
-
-def test_reassemble_round_trip_exact():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        chain = random_chain(rng, int(rng.integers(1, 7)))
-        rebuilt = reassemble(decompose(chain))
-        diff = (rebuilt - chain.P).tocoo()
-        assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
-
-
-def test_reassemble_sparse_chain_exact():
-    chain = gen_fig3a(4, 2).chain
-    rebuilt = reassemble(decompose(chain))
-    diff = (rebuilt - chain.P).tocoo()
-    assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
 
 def test_from_matrix_explicit_exit_vector():
@@ -198,24 +181,21 @@ def test_fundamental_matrix_nonnegative():
 
 def test_resolvent_classical():
     sub = decompose(validate_chain([[1, 0], [1, 0]]))
-    res = resolvent_quantities(sub, InitialDistribution.point(1, 1))
-    assert res.max_neg_qinv == pytest.approx(1.0)
-    assert res.mean_jumps == pytest.approx(1.0)
+    assert ResolventQuantities(sub).max_neg_qinv == pytest.approx(1.0)
+    assert mean_jump_count(sub, InitialDistribution.point(1, 1)) == pytest.approx(1.0)
 
 
 def test_resolvent_tstage3():
     sub = decompose(gen_tstage(3).chain)
-    res = resolvent_quantities(sub, InitialDistribution.point(3, 3))
-    assert res.max_neg_qinv == pytest.approx(1.0)
-    assert res.mean_jumps == pytest.approx(3.0)
+    assert ResolventQuantities(sub).max_neg_qinv == pytest.approx(1.0)
+    assert mean_jump_count(sub, InitialDistribution.point(3, 3)) == pytest.approx(3.0)
 
 
 def test_resolvent_fig3b():
     T = 3
     sub = decompose(gen_fig3b(T).chain)
-    res = resolvent_quantities(sub, InitialDistribution.point(1, 1))
-    assert res.max_neg_qinv == pytest.approx(float(T))
-    assert res.mean_jumps == pytest.approx(1.0)
+    assert ResolventQuantities(sub).max_neg_qinv == pytest.approx(float(T))
+    assert mean_jump_count(sub, InitialDistribution.point(1, 1)) == pytest.approx(1.0)
 
 
 def test_mean_jumps_matches_brute_force_on_acyclic_chains():
@@ -292,22 +272,26 @@ def test_resolvent_maximum_over_two_state_cycles():
     sub = decompose(validate_chain(P))
     det = (1.0 - x[:, 0]) * (1.0 - x[:, 1]) - y[:, 0] * y[:, 1]
     expected = np.max(np.maximum(1.0 - x[:, 0], 1.0 - x[:, 1]) / det)
-    res = resolvent_quantities(sub, InitialDistribution.uniform(2 * m))
-    assert res.max_neg_qinv == pytest.approx(expected, rel=1e-12)
+    assert ResolventQuantities(sub).max_neg_qinv == pytest.approx(expected, rel=1e-12)
 
 
 def test_resolvent_maximum_of_a_ring_past_the_dense_cap():
     # One strongly connected ring of 2,100 states, each moving on with
-    # probability 1 - p: the diagonal of (-Q)^-1 is 1 / (1 - (1 - p)^n).
+    # probability 1 - p: a component past the dense cap has no resolvent
+    # maximum, and the report says so. nu = p exactly, as Q = -I + (1 - p) S
+    # for a cyclic shift S.
     n, p = 2100, 1e-3
     ring = np.arange(1, n + 1)
     rows = np.concatenate([[0], ring, ring])
     cols = np.concatenate([[0], np.roll(ring, -1), np.zeros(n, int)])
     vals = np.concatenate([[1.0], np.full(n, 1.0 - p), np.full(n, p)])
-    P = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n + 1, n + 1)))
-    sub = decompose(validate_chain(P))
-    res = resolvent_quantities(sub, InitialDistribution.point(1, n))
-    assert res.max_neg_qinv == pytest.approx(1.0 / (1.0 - (1.0 - p) ** n), rel=1e-12)
+    chain = validate_chain(sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n + 1, n + 1))))
+    with pytest.raises(DimensionTooLarge, match="2100"):
+        ResolventQuantities(decompose(chain)).max_neg_qinv
+    report = assemble_report(chain, InitialDistribution.point(1, n), 10, nu_override=p)
+    assert report.max_neg_qinv is None
+    assert "2100-state" in report.notes["max_neg_qinv"]
+    assert "max_neg_qinv" not in report.to_json_dict()
 
 
 def test_resolvent_maximum_past_the_old_sweep_cap():
@@ -315,9 +299,8 @@ def test_resolvent_maximum_past_the_old_sweep_cap():
     # components singletons with -Q_kk = 1.
     ex = gen_fig3a(400, 2)
     sub = decompose(ex.chain)
-    res = resolvent_quantities(sub, ex.default_alpha)
     assert sub.n_transient == 160_001
-    assert res.max_neg_qinv == 1.0
+    assert ResolventQuantities(sub).max_neg_qinv == 1.0
 
 
 def test_validate_rejects_non_finite_entries():
@@ -359,7 +342,6 @@ def test_load_chain_spec_sparse_rows():
     }
     chain, alpha = load_chain_spec(spec)
     assert chain.size == 3
-    assert chain.representation == "sparse-rows"
     # Default alpha is uniform over transient states.
     assert alpha.alpha == pytest.approx([0.5, 0.5])
 

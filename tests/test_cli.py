@@ -11,7 +11,7 @@ import pytest
 
 import fluidhit.numerics
 from fluidhit import harmonic_number
-from fluidhit.cli import main
+from fluidhit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -133,13 +133,46 @@ def test_simulate_single_run_null_stderr(capsys):
     assert payload["ci95"] is None
 
 
-@pytest.mark.parametrize("command", ["analyze", "simulate", "trajectory"])
-def test_simulate_fig3a_population_mismatch(capsys, command):
+@pytest.mark.parametrize(
+    "command, flags",
+    [("analyze", ()), ("simulate", ("--runs", "10")), ("trajectory", ("--samples", "1"))],
+    ids=["analyze", "simulate", "trajectory"],
+)
+def test_simulate_fig3a_population_mismatch(capsys, command, flags):
     code, _, err = run_cli(
-        capsys, command, "--chain", "fig3a:10,2", "--N", "20", "--runs", "10"
+        capsys, command, "--chain", "fig3a:10,2", "--N", "20", *flags
     )
     assert code == 1
     assert "N = 10" in err
+
+
+_REPORT_ARGS = ("--N", "10", "--format", "json", "--out", "x", "--nu-override", "1.5",
+                "--k-override", "2", "--estimate-gamma")
+
+# Each subcommand's flags besides --chain, given with a value each, and one
+# flag the subcommand does not read.
+_COMMAND_ARGS = {
+    "validate": ((), ("--N", "5")),
+    "gen": (("--out", "x"), ("--seed", "1")),
+    "analyze": (_REPORT_ARGS, ("--runs", "2")),
+    "simulate": (("--N", "10", "--runs", "2", "--seed", "3", "--out", "x"), ("--format", "csv")),
+    "compare": (_REPORT_ARGS + ("--N-list", "10,20", "--runs", "2", "--seed", "3"),
+                ("--samples", "2")),
+    "trajectory": (("--N", "10", "--samples", "2", "--grid", "5:10", "--seed", "3",
+                    "--out", "x"), ("--runs", "2")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_each_command_takes_only_the_flags_it_reads(capsys, command):
+    reads, unread = _COMMAND_ARGS[command]
+    args = vars(build_parser().parse_args([command, "--chain", "classical", *reads]))
+    # Besides command and chain_source, the namespace holds the flags given.
+    assert len(args) - 2 == sum(arg.startswith("--") for arg in reads)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--chain", "classical", *unread])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_json_chain_has_no_reference_values(tmp_path, capsys):

@@ -59,7 +59,6 @@ def test_fig3a_structure():
     N, T = 3, 2
     ex = gen_fig3a(N, T)
     assert ex.chain.size == N * N * (T - 1) + 2
-    assert ex.chain.representation == "sparse-rows"
     W = expected_hitting_times(decompose(ex.chain))
     assert W[-1] == pytest.approx(T)
 

@@ -213,6 +213,34 @@ def test_trajectory_tstage2_values():
     assert traj.m0_values == pytest.approx(expected, abs=1e-12)
 
 
+def test_trajectory_steps_one_series_across_the_grid(monkeypatch):
+    # Each grid point carries the previous point's vector forward, so the
+    # Poisson means of all the series sum to c * grid[-1], not c * sum(grid),
+    # and the values stay those of one series per point.
+    ex = gen_tstage(3)
+    sub = decompose(ex.chain)
+    grid = np.linspace(0.0, 20.0, 401)
+    per_point = [transient_survival(ex.default_alpha, sub, t) for t in grid]
+    means = []
+    weights = fluidhit.numerics._weights
+
+    def recorded(tol, **kwargs):
+        means.append(kwargs["rate"] * kwargs["t"])
+        return weights(tol, **kwargs)
+
+    monkeypatch.setattr(fluidhit.numerics, "_weights", recorded)
+    traj = fluid_trajectory(ex.default_alpha, sub, grid)
+    assert len(means) == 400
+    assert sum(means) == pytest.approx(sub.max_exit_rate * grid[-1], rel=1e-12)
+    assert traj.transient_mass == pytest.approx(per_point, rel=0, abs=1e-13)
+
+
+def test_survival_rejects_a_decreasing_grid():
+    alpha, sub = _classical()
+    with pytest.raises(ValueError, match="nondecreasing"):
+        transient_survival(alpha, sub, [0.0, 2.0, 1.0])
+
+
 def test_trajectory_conservation_and_monotonicity():
     rng = np.random.default_rng(37)
     for _ in range(8):
