@@ -257,12 +257,13 @@ def assemble_report(
 ) -> BoundReport:
     """Compute every applicable bound; failures degrade per entry.
 
-    nu and k come from spectral_params (k by its scatter-radius rule), or
-    from nu_override and k_override when given. When a strongly connected
-    class is past the dense cap, k is skipped and nu comes from the Perron
-    iteration alone; when the Perron iteration fails, nu and k are both
-    skipped. notes["spectral"] records each skip. A class past the dense
-    cap also leaves max_neg_qinv out, with notes["max_neg_qinv"] saying why.
+    nu and k come from spectral_params (k + 1 counts the copies of -nu in
+    the class-by-class spectrum), or from nu_override and k_override when
+    given. When a strongly connected class is past the dense cap, k is
+    skipped and nu comes from the Perron iteration alone; when the Perron
+    iteration fails, nu and k are both skipped. notes["spectral"] records
+    each skip. A class past the dense cap also leaves max_neg_qinv out, with
+    notes["max_neg_qinv"] saying why.
 
     Lower bounds and exact values for named chains are supplied by the
     caller (the generators know their closed forms). Raises

@@ -82,9 +82,6 @@ class CrossingResult(NamedTuple):
     time: float
     already_below: bool
 
-    def __float__(self):
-        return self.time
-
 
 def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     """First time the transient mass drops to epsilon (m0 reaches 1 - epsilon).

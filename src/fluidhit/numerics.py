@@ -269,8 +269,8 @@ def expm_action(Q, v, t, tol=1e-12):
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
     c = float(np.max(-Q.diagonal()))
-    if t == 0.0 or c <= 0.0:
-        # exp(Q 0) = I, and exp(Qt) = I for the zero generator.
+    if t == 0.0 or c <= 0.0 or not v.any():
+        # exp(Q 0) = I, exp(Qt) = I for the zero generator, and 0 exp(Qt) = 0.
         return v.copy()
 
     j0, weights = _weights(tol, rate=c, t=t)
@@ -343,14 +343,12 @@ class _SurvivalSeries:
 class EigenReport:
     """Eigenvalues with multiplicities after clustering.
 
-    eigenvalues: list of (value, algebraic multiplicity), multiplicities sum
-    to the matrix dimension. dominant_real is the real part of the eigenvalue
-    with the greatest real part (imaginary parts below the clustering
-    tolerance are dropped).
+    eigenvalues: tuple of (value, algebraic multiplicity) by decreasing real
+    part, multiplicities summing to the matrix dimension (imaginary parts
+    below the clustering tolerance are dropped).
     """
 
     eigenvalues: tuple
-    dominant_real: float
     tolerance: float
 
 
@@ -376,9 +374,8 @@ def eigen_spectrum(A, cluster_tol=None):
             f"dense eigensolve capped at {DENSE_CAP} states per strongly connected "
             f"class (got {blocks.sizes.max()}); use dominant_eigen instead"
         )
-    norm = float(np.max(np.asarray(abs(A).sum(axis=1)), initial=0.0))
     if cluster_tol is None:
-        cluster_tol = 1e-7 * max(norm, 1.0)
+        cluster_tol = 1e-7 * max(float(np.max(np.asarray(abs(A).sum(axis=1)), initial=0.0)), 1.0)
     vals = np.concatenate([
         A.diagonal()[blocks.singleton],
         *(eigvals(blocks.inner[a:b, a:b].toarray(), overwrite_a=True) for a, b in blocks.spans()),
@@ -407,8 +404,7 @@ def eigen_spectrum(A, cluster_tol=None):
     first = np.unique(labels, return_index=True)[1]
     order = np.lexsort((first, means.imag, -means.real))
     clustered = tuple(zip(means[order].tolist(), mults[order].tolist()))
-    dominant = clustered[0][0].real if clustered else float("-inf")
-    return EigenReport(eigenvalues=clustered, dominant_real=dominant, tolerance=cluster_tol)
+    return EigenReport(eigenvalues=clustered, tolerance=cluster_tol)
 
 
 def dominant_eigen(Q, tol=1e-10, max_iter=200000):

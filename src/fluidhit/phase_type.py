@@ -23,10 +23,16 @@ from .numerics import _SurvivalSeries, dominant_eigen, eigen_spectrum
 # counts are no longer distinct floats.
 _GALLOP_CAP = 2**53
 
-# Radius base for multiplicity detection: a defective eigenvalue of
-# multiplicity m computed with backward error eta scatters over a disk of
-# radius about eta^(1/m), so the clustering radius has to grow with the
-# candidate multiplicity.
+# The gamma fit squares t^k e^{-nu t}; past e^(+-350) the square of one
+# point leaves the normal float range.
+_FIT_LOG_RANGE = 350.0
+
+# Two eigenvalues count as equal within _CLUSTER_BASE ||Q||. eigen_spectrum
+# solves each strongly connected class on its own, and by Perron-Frobenius
+# the dominant eigenvalue of a class is simple: each copy of -nu is one
+# class's root, exact for a single state and within rounding for a larger
+# class, never a scattered Jordan block. dominant_eigen at tol = 1e-10
+# brackets -nu to within 0.525e-10 max(-Q_ii), inside this tolerance.
 _CLUSTER_BASE = 1e-10
 
 
@@ -49,10 +55,6 @@ class PhaseType:
                     f"scale N = {self.scale} below max(-Q_ii) = "
                     f"{self.sub.max_exit_rate}; I + Q/N would go negative"
                 )
-
-    @property
-    def kind(self):
-        return "continuous" if self.scale is None else "discrete"
 
     @classmethod
     def continuous(cls, alpha, sub):
@@ -123,15 +125,14 @@ def x_threshold(pt: PhaseType) -> int:
 class SpectralParams:
     """Tail parameters: survival ~ (gamma/nu) t^k exp(-nu t).
 
-    nu > 0 is the negated dominant eigenvalue of Q, k the multiplicity minus
-    one. gamma is an optional numerical estimate (never fabricated), present
-    only when a tail fit was requested and succeeded.
+    nu > 0 is the negated dominant eigenvalue of Q, k + 1 the number of its
+    copies in the spectrum. gamma is an optional numerical estimate (never
+    fabricated), present only when a tail fit was requested and succeeded.
     """
 
     nu: float
     k: int
     gamma: float | None = None
-    source: str = "computed"
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -150,53 +151,40 @@ def spectral_params(
     """Compute (nu, k) and optionally fit gamma from the survival tail.
 
     nu comes from the Perron-based dominant eigenvalue (robust for defective
-    chains); k counts eigenvalues near -nu. They come from eigen_spectrum
-    on the sparse Q, class by class: a strongly connected class of one state
-    gives its diagonal entry exactly, and DimensionTooLarge is raised only
-    when one class has more than DENSE_CAP states. The multiplicity of -nu is
-    the largest m whose m nearest eigenvalues lie within ||Q|| * 1e-10^(1/m),
-    the radius over which a defective eigenvalue scatters under rounding,
-    and whose mean stays within ||Q|| * 1e-10 of -nu. Both values can be
-    overridden when known exactly.
+    chains). k + 1 is the multiplicity of the cluster of eigen_spectrum, at
+    tolerance 1e-10 ||Q||, that lies within that tolerance of -nu; k = 0
+    when none does. eigen_spectrum works on the sparse Q class by class: a
+    strongly connected class of one state gives its diagonal entry exactly,
+    and DimensionTooLarge is raised only when one class has more than
+    DENSE_CAP states. Both values can be overridden when known exactly.
 
     Raises DegenerateTail when a requested gamma fit finds no usable overlap
     between alpha and the dominant eigenspace.
     """
     # The spectrum first: a strongly connected class past the dense cap
     # raises DimensionTooLarge before the Perron iteration for nu has run.
-    report = eigen_spectrum(sub.Q) if k_override is None else None
+    if k_override is None:
+        norm = max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
+        report = eigen_spectrum(sub.Q, cluster_tol=_CLUSTER_BASE * norm)
     if nu_override is not None:
         nu = float(nu_override)
-        source = "user-supplied"
     else:
         nu = -dominant_eigen(sub.Q, tol=1e-10)
-        source = "computed"
 
     if k_override is not None:
         k = int(k_override)
-        source = "user-supplied"
     else:
         values, mults = zip(*report.eigenvalues)
-        raw = np.repeat(values, mults)
-        dists = np.abs(raw + nu)
-        # The m eigenvalues nearest -nu must also keep their mean within
-        # ||Q|| 1e-10 of -nu: a defective eigenvalue's scattered copies do
-        # (the trace is preserved), distinct eigenvalues far off do not.
-        norm = max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
-        order = np.argsort(dists, kind="stable")
-        m = np.arange(1, dists.size + 1)
-        means = np.cumsum(raw[order]) / m
-        ok = (dists[order] <= norm * _CLUSTER_BASE ** (1.0 / m)) & (
-            np.abs(means + nu) <= norm * _CLUSTER_BASE
-        )
-        k = int(m[ok].max(initial=1)) - 1
+        dists = np.abs(np.asarray(values) + nu)
+        nearest = int(np.argmin(dists))
+        k = mults[nearest] - 1 if dists[nearest] <= report.tolerance else 0
 
     gamma = None
     if estimate_gamma:
         if alpha is None:
             raise ValueError("gamma estimation needs the initial distribution alpha")
         gamma = _fit_gamma(sub, alpha, nu, k)
-    return SpectralParams(nu=nu, k=k, gamma=gamma, source=source)
+    return SpectralParams(nu=nu, k=k, gamma=gamma)
 
 
 def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
@@ -205,7 +193,8 @@ def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
     The points lie between the crossings of 1e-4 and 1e-8, so gamma is an
     average of nu S(t) / (t^k e^{-nu t}) there. For k >= 1 that ratio has
     not settled, and the fit overstates gamma: by 8%, 15%, 21% and 27% on
-    tstage(2) to tstage(5), whose gamma is 1/(T-1)!.
+    tstage(2) to tstage(5), whose gamma is 1/(T-1)!. Raises DegenerateTail
+    when t^k e^{-nu t} or its square leaves the float range there.
     """
     if alpha.transient_mass <= hi_level:
         raise DegenerateTail(
@@ -216,9 +205,16 @@ def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
     t_lo = _crossing(series, lo_level, nu_hint=nu).time
     ts = np.geomspace(t_hi, t_lo, 5)
     s = transient_survival(alpha, sub, ts)
-    basis = ts**k * np.exp(-nu * ts)
+    log_basis = k * np.log(ts) - nu * ts
+    peak = float(log_basis[np.argmax(np.abs(log_basis))])
+    if abs(peak) > _FIT_LOG_RANGE:
+        raise DegenerateTail(
+            f"t^k e^(-nu t) leaves the float range at k = {k} "
+            f"(e^{peak:.0f} in the fit window, squared by the fit)"
+        )
+    basis = np.exp(log_basis)
     denom = float(basis @ basis)
-    if denom <= 0.0 or np.any(s <= 0.0):
+    if np.any(s <= 0.0):
         raise DegenerateTail("survival vanished inside the fit window")
     gamma = nu * float(s @ basis) / denom
     if gamma <= 0.0:

@@ -167,7 +167,7 @@ def test_criterion_07_spectral_correctness():
         S = int(rng.integers(1, 9))
         sub = decompose(random_chain(rng, S))
         lead = dominant_eigen(sub.Q, tol=1e-8)
-        dense = eigen_spectrum(sub.dense_q()).dominant_real
+        dense = eigen_spectrum(sub.dense_q()).eigenvalues[0][0].real
         worst = max(worst, abs(lead - dense))
         # Both share the class split; numpy on the dense Q shares no code with them.
         plain = float(np.max(np.linalg.eigvals(sub.dense_q()).real))

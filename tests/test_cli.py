@@ -339,6 +339,19 @@ def test_analyze_estimate_gamma(capsys):
     )
 
 
+def test_analyze_gamma_fit_past_the_float_range(capsys):
+    # k = 100: (t^k e^{-nu t})^2 overflows in the fit window, and the note
+    # says so instead of reporting a fitted gamma of 0.
+    code, out, err = run_cli(
+        capsys, "analyze", "--chain", "fig3a:10,2", "--N", "10", "--estimate-gamma",
+    )
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["k"]["value"] == 100
+    assert "float range" in payload["notes"]["gamma"]
+
+
 def test_analyze_spectral_overrides(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--chain", "tstage:2", "--N", "10",

@@ -166,7 +166,6 @@ def test_spectral_tstage():
         sp = spectral_params(decompose(gen_tstage(T).chain))
         assert sp.nu == pytest.approx(1.0, abs=1e-12)
         assert sp.k == T - 1
-        assert sp.source == "computed"
 
 
 def test_spectral_fig3b():
@@ -182,7 +181,71 @@ def test_spectral_overrides():
     )
     assert sp.nu == 1.0
     assert sp.k == 2
-    assert sp.source == "user-supplied"
+
+
+# A strongly connected class of two states, roots (-5 +- sqrt 5)/2. It
+# leaves at rate 1 from the first state and 2 from the second; in series,
+# half of each of those exits goes on into the next copy.
+_CLASS = np.array([[-2.0, 1.0], [1.0, -3.0]])
+
+
+def _two_classes(shift=0.0, series=False):
+    Q = sp.block_diag([_CLASS, _CLASS - shift * np.eye(2)]).toarray()
+    if series:
+        Q[0, 2], Q[1, 3] = 0.5, 1.0
+    return SubGenerator.from_matrix(Q)
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["side_by_side", "in_series"])
+@pytest.mark.parametrize("shift, k", [(0.0, 1), (1e-12, 1), (1e-9, 0)])
+def test_spectral_k_counts_equal_class_roots(series, shift, k):
+    # ||Q||_inf is 4 side by side and 5 in series, so roots 1e-9 apart are
+    # told apart at 1e-10 ||Q|| and roots 1e-12 apart are not.
+    params = spectral_params(_two_classes(shift, series))
+    assert params.nu == pytest.approx((5.0 - math.sqrt(5.0)) / 2.0, abs=1e-10)
+    assert params.k == k
+
+
+def _repeated_classes(rng):
+    """(Q, blocks): copies of a few random strongly connected classes, linked
+    forward only and shuffled, and the diagonal block of each copy."""
+    blocks = []
+    for _ in range(int(rng.integers(1, 4))):
+        size = int(rng.integers(1, 4))
+        B = np.zeros((size, size))
+        if size > 1:
+            B[np.arange(size), np.roll(np.arange(size), -1)] = rng.uniform(0.2, 1.0, size)
+        B[np.diag_indices(size)] = -(B.sum(axis=1) + rng.uniform(0.05, 1.0, size))
+        blocks += [B] * int(rng.integers(1, 6))
+    blocks = [blocks[i] for i in rng.permutation(len(blocks))]
+    Q = sp.block_diag(blocks).toarray()
+    n = Q.shape[0]
+    series = rng.random() < 0.5
+    start = 0
+    for B in blocks:
+        stop = start + B.shape[0]
+        if stop < n and (series or rng.random() < 0.3):
+            # A share of each state's exit goes on to later states; the
+            # diagonal, and so the copy's block, stays as it is.
+            exits = -B.sum(axis=1)
+            Q[np.arange(start, stop), rng.integers(stop, n, B.shape[0])] += rng.uniform(0, 1, B.shape[0]) * exits
+        start = stop
+    perm = rng.permutation(n)
+    return Q[perm][:, perm], blocks
+
+
+def test_spectral_k_counts_the_classes_at_the_dominant_root():
+    rng = np.random.default_rng(83)
+    seen = set()
+    for _ in range(150):
+        Q, blocks = _repeated_classes(rng)
+        params = spectral_params(SubGenerator.from_matrix(Q))
+        roots = np.array([np.max(np.linalg.eigvals(B).real) for B in blocks])
+        tol = 1e-10 * max(np.abs(Q).sum(axis=1).max(), 1.0)
+        assert params.nu == pytest.approx(-roots.max(), abs=tol)
+        assert params.k + 1 == np.count_nonzero(np.abs(roots + params.nu) <= tol)
+        seen.add(params.k)
+    assert seen == {0, 1, 2, 3, 4}
 
 
 def test_gamma_fit_pure_exponential():
