@@ -17,31 +17,31 @@ import numpy as np
 
 from .chain_model import InitialDistribution, SubGenerator
 from .errors import BracketingFailure
-from .numerics import _SurvivalSeries, expm_action
+from .numerics import _MIN_EXPM_TOL, _SurvivalSeries, expm_action
 
 _DOUBLING_CAP = 1e6
 
 
-def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t, tol=1e-15):
+def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     """alpha exp(Qt) 1: transient mass remaining at time t.
 
     t may also be a finite, nonnegative, nondecreasing array of times; the
-    result is then the array of survivals. The vector alpha exp(Q t_i) is
-    carried to t_{i+1} by expm_action on the increment, so the series terms
-    summed over the whole array number about c max(t), not c sum(t), with
-    c = max(-Q_ii). Each step truncates at most tol of the mass it carries.
+    result is then the array of survivals. expm_action carries alpha to
+    the first time t_0, and every point is read off one survival series of
+    that vector (numerics._SurvivalSeries) at t_i - t_0: one B = I + Q/c,
+    about c (max(t) - t_0) series terms in all, and one Poisson window per
+    point, with c = max(-Q_ii). Each value truncates at most 1e-15 of the
+    mass.
     """
     if np.ndim(t) == 0:
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return float(np.sum(expm_action(sub.Q, alpha.alpha, t, tol=tol)))
+        return float(np.sum(expm_action(sub.Q, alpha.alpha, t, tol=_MIN_EXPM_TOL)))
     grid = _time_grid(t)
-    survival = np.empty(grid.size)
-    v, now = alpha.alpha, 0.0
-    for i, ti in enumerate(grid):
-        v, now = expm_action(sub.Q, v, ti - now, tol=tol), ti
-        survival[i] = np.sum(v)
-    return survival
+    if not grid.size:
+        return np.empty(0)
+    series = _SurvivalSeries(sub.Q, expm_action(sub.Q, alpha.alpha, grid[0], tol=_MIN_EXPM_TOL))
+    return np.array([series.continuous(ti - grid[0]) for ti in grid])
 
 
 def fluid_m0(alpha: InitialDistribution, sub: SubGenerator, t) -> float:

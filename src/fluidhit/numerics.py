@@ -8,11 +8,15 @@ c = max(-Q_ii), which preserves nonnegativity exactly, their Poisson and
 binomial weights come from one window around the mode (_weights), and the
 dominant eigenvalue is found through the Perron root of the nonnegative
 matrix I + Q/Lambda, where Lambda = 1.05 c keeps the diagonal positive.
+The uniformized matrix is dense for a small chain and sparse otherwise
+(_dense_pays), and its row iterates are stepped as dense vectors, sparse
+rows or single entries, whichever the iterate allows (_row_iterates).
 Both eigenvalue routines work on the strongly connected classes of the
 matrix's support (_strong_blocks): the full spectrum is the union of the
 diagonal blocks' spectra, exact on the diagonal for classes of one state,
-so DENSE_CAP bounds the largest class rather than the matrix. A sparse
-triangular linear system is solved by substitution, any other by a dense LU.
+so DENSE_CAP bounds the largest class rather than the matrix. A small
+linear system, and any non-triangular one, is solved by a dense LU; a
+larger sparse triangular one by substitution.
 """
 
 from __future__ import annotations
@@ -50,15 +54,36 @@ _MIN_EXPM_TOL = 1e-15
 TERM_BUDGET = 1e7
 
 
+def _dense_pays(A):
+    """Whether the square A, dense or sparse, is cheaper to work with densely.
+
+    True when A has at most DENSE_CAP rows and n^2 <= 4 nnz(A) + 2^14. A
+    product B^T v costs about 0.2 ns per entry dense and 1.2 ns per stored
+    entry sparse, plus 3 to 4 us of fixed scipy dispatch that a dense
+    product spends on 2^14 entries. Measured on a 2-vCPU x86-64 host
+    (numpy 2.4, scipy 1.17, OpenBLAS 0.3.31), dense against sparse, in us:
+    full random chains 2.3/11 at n = 64, 9.3/49 at 200 and 743/4,987 at
+    2,000; bidiagonal ones 2.6/6.1 at n = 96, 4.5/5.9 at 128, 7.0/5.9 at
+    176 and 6.9/4.1 at 192; 300 to 2,000 states with 20 to 400 entries a
+    row tie near n^2 = 4 to 5 nnz. The dense LU of solve_linear follows
+    the same rule: scipy's sparse triangular solve spends about 250 us of
+    fixed work, the dense solve of a 3-state system about 100 us in all.
+    """
+    n = A.shape[0]
+    nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
+    return n <= DENSE_CAP and n * n <= 4 * nnz + 2**14
+
+
 def solve_linear(A, b):
     """Solve A x = b for a square A, dense or scipy sparse.
 
-    A sparse A that is triangular (every stored column on one side of its
-    row, an O(nnz) test of the index arrays) is solved by substitution, in
-    O(nnz) as well (see _triangular_solver); any other A is densified and
-    LU-factorized with partial pivoting. Raises SingularMatrix when a pivot
-    (a diagonal entry, for substitution) falls below 1e-14 * ||A||_inf. Up
-    to two passes of iterative refinement keep the residual within
+    A sparse A that _dense_pays rejects and that is triangular (every
+    stored column on one side of its row, an O(nnz) test of the index
+    arrays) is solved by substitution, in O(nnz) as well (see
+    _triangular_solver); any other A is densified and LU-factorized with
+    partial pivoting. Raises SingularMatrix when a pivot (a diagonal
+    entry, for substitution) falls below 1e-14 * ||A||_inf. Up to two
+    passes of iterative refinement keep the residual within
     1e-10 * (1 + ||b||_inf).
     """
     A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
@@ -67,7 +92,8 @@ def solve_linear(A, b):
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     norm = float(np.max(np.asarray(abs(A).sum(axis=1)), initial=0.0))
     floor = 1e-14 * norm
-    solve = _triangular_solver(A.copy(), floor) if sp.issparse(A) else None
+    sparse = sp.issparse(A) and not _dense_pays(A)
+    solve = _triangular_solver(A.copy(), floor) if sparse else None
     if solve is None:
         A = A.toarray() if sp.issparse(A) else A
         with warnings.catch_warnings():
@@ -122,16 +148,35 @@ def _triangular_solver(A, floor=0.0):
 
 
 def _uniformized(Q, c):
-    """B = I + Q/c: CSR for sparse Q, a dense array otherwise."""
-    if sp.issparse(Q):
-        B = sp.csr_array(Q, dtype=float, copy=True)
-        B.data *= 1.0 / c
-        with warnings.catch_warnings():
-            # Only a diagonal entry Q does not store is inserted.
-            warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-            B.setdiag(B.diagonal() + 1.0)
+    """B = I + Q/c: a dense array when _dense_pays(Q), CSR otherwise.
+
+    Both forms hold the same values, q (1/c) off the diagonal and
+    q (1/c) + 1 on it; the CSR form stores no explicit zeros, so a row's
+    stored count is its number of nonzeros (see _row_iterates).
+    """
+    if _dense_pays(Q):
+        B = Q.toarray() if sp.issparse(Q) else np.array(Q, dtype=float)
+        B *= 1.0 / c
+        B.flat[:: B.shape[0] + 1] += 1.0
         return B
-    return np.eye(Q.shape[0]) + np.asarray(Q, dtype=float) / c
+    B = sp.csr_array(Q, dtype=float, copy=True)
+    B.data *= 1.0 / c
+    with warnings.catch_warnings():
+        # Only a diagonal entry Q does not store is inserted.
+        warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+        B.setdiag(B.diagonal() + 1.0)
+    B.eliminate_zeros()
+    return B
+
+
+class _Entry(NamedTuple):
+    """A row vector with one nonzero, val at column col (val may underflow to 0)."""
+
+    col: int
+    val: float
+
+    def sum(self):
+        return self.val
 
 
 class _SparseRow(NamedTuple):
@@ -165,15 +210,29 @@ def _row_iterates(B, v):
     On a sparse B with more than 20,000 stored entries, a v with at most
     1/8 of its entries nonzero is stepped as a _SparseRow until more than
     1/4 are filled (the countdown chains touch a thin band of states).
-    Dense iterates are B^T u with B^T taken once: u @ B on scipy sparse B
-    transposes every product. A dense step costs about nnz(B), a sparse-row
-    step about 50 us on any B: the two tie near 20,000 entries.
+    While that row has one nonzero and B's row at its column stores one
+    entry (every row of fig3a's countdown does), the next iterate is one
+    product, gathered as Python scalars from B's index arrays and yielded
+    as an _Entry: about 1 us a step against 50 us for a _SparseRow step,
+    with the same value to the bit. A wider row of B falls back to the
+    _SparseRow step. Dense iterates are B^T u with B^T taken once: u @ B
+    on scipy sparse B transposes every product. A dense step costs about
+    nnz(B), a sparse-row step about 50 us on any B: the two tie near
+    20,000 entries.
     """
     n = v.shape[0]
     if sp.issparse(B) and B.nnz > 20_000 and np.count_nonzero(v) <= n // 8:
+        # Memoryviews index to Python ints and floats, faster than numpy scalars.
+        indptr, indices, data = (memoryview(a) for a in (B.indptr, B.indices, B.data))
         cols = np.flatnonzero(v)
         u = _SparseRow(cols, v[cols])
         while u.cols.size <= n // 4:
+            if u.cols.size == 1:
+                col, val = int(u.cols[0]), float(u.vals[0])
+                while indptr[col + 1] - (k := indptr[col]) == 1:
+                    yield _Entry(col, val)
+                    col, val = indices[k], val * data[k]
+                u = _SparseRow(np.array([col]), np.array([val]))
             yield u
             u = u.step(B)
         v = np.zeros(n)
@@ -277,7 +336,9 @@ def expm_action(Q, v, t, tol=1e-12):
     acc = np.zeros(v.shape[0])
     iterates = itertools.islice(_row_iterates(_uniformized(Q, c), v), j0, None)
     for w, u in zip(weights, iterates):
-        if isinstance(u, _SparseRow):
+        if isinstance(u, _Entry):
+            acc[u.col] += w * u.val
+        elif isinstance(u, _SparseRow):
             acc[u.cols] += w * u.vals
         else:
             acc += w * u
@@ -288,13 +349,18 @@ def expm_action(Q, v, t, tol=1e-12):
 class _SurvivalSeries:
     """The scalars s_j = v B^j 1 with B = I + Q/c and c = max(-Q_ii), extended on demand.
 
-    B is built once and its row iterates are stepped only as far as a
-    requested sum needs, one n-vector alive at a time; only the sums s_j
-    are kept. continuous(t) = v exp(Qt) 1 and discrete(k, N) =
-    v (I + Q/N)^k 1, which needs N >= c so that its binomial weights are
-    probabilities; both weight the s_j over the window of _weights. The
-    number of terms a value needs is about c t or k c / N, however many
-    values are read.
+    v is nonnegative (a distribution, or the mass it has left at some
+    time). B is built once and its row iterates are stepped only as far as
+    a requested sum needs, one iterate alive at a time (see _row_iterates
+    for how each is stepped); only the sums s_j are kept. continuous(t) =
+    v exp(Qt) 1 and discrete(k, N) = v (I + Q/N)^k 1, which needs N >= c so
+    that its binomial weights are probabilities; both weight the s_j over
+    the window of _weights. The number of terms a value needs is about c t
+    or k c / N, however many values are read. B and the iterates are
+    nonnegative, so an s_j of exactly 0 is a zero iterate, and every later
+    sum is 0 as well: from there the sums are padded with zeros, not
+    stepped (a survival that underflows early on a long grid costs no more
+    terms).
     """
 
     def __init__(self, Q, v):
@@ -306,11 +372,14 @@ class _SurvivalSeries:
 
     def _weighted(self, j0, weights):
         """sum_i weights[i] s_{j0+i}, stepping the iterates as far as needed."""
-        stop = j0 + weights.size
-        while len(self._sums) < stop:
-            self._sums.append(float(next(self._iterates).sum()))
+        sums, stop = self._sums, j0 + weights.size
+        while len(sums) < stop:
+            if sums[-1] == 0.0:
+                sums.frombytes(bytes(8 * (stop - len(sums))))  # 0.0 is all zero bytes
+                break
+            sums.append(float(next(self._iterates).sum()))
         # The view is released on return; a live one would block append.
-        return float(weights @ np.frombuffer(self._sums, count=stop)[j0:])
+        return float(weights @ np.frombuffer(sums, count=stop)[j0:])
 
     def time_limit(self):
         """Largest t that continuous accepts: c t within TERM_BUDGET."""
@@ -430,7 +499,6 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     if lam <= 0.0:
         return 0.0
     B = sp.csr_array(_uniformized(Q, lam))
-    B.eliminate_zeros()
 
     blocks = _strong_blocks(B)
     rho = float(B.diagonal()[blocks.singleton].max(initial=0.0))

@@ -214,25 +214,89 @@ def test_trajectory_tstage2_values():
 
 
 def test_trajectory_steps_one_series_across_the_grid(monkeypatch):
-    # Each grid point carries the previous point's vector forward, so the
-    # Poisson means of all the series sum to c * grid[-1], not c * sum(grid),
-    # and the values stay those of one series per point.
+    # The grid starts at 0, so expm_action has nothing to carry, and every
+    # point is read off one series: one B, and about c * grid[-1] terms
+    # plus the window above the last mean, not a series per point. On
+    # tstage:3, B = I + Q is nilpotent (B^3 = 0), so that series stops at
+    # the zero sum s_3 after four terms. The values stay those of one
+    # series per point.
+    ex = gen_tstage(3)
+    rng = np.random.default_rng(41)
+    grid = np.linspace(0.0, 20.0, 401)
+    cases = (
+        (ex.default_alpha, decompose(ex.chain), 4),
+        (InitialDistribution(rng.dirichlet(np.ones(5))), decompose(random_chain(rng, 5)), None),
+    )
+    uniformized = fluidhit.numerics._uniformized
+    expm_action = fluidhit.fluid.expm_action
+    iterates = fluidhit.numerics._row_iterates
+    for alpha, sub, stop in cases:
+        per_point = [transient_survival(alpha, sub, t) for t in grid]
+        built, expm_calls, terms = [], [], []
+
+        def counted_build(*args):
+            built.append(None)
+            return uniformized(*args)
+
+        def counted_expm(*args, **kwargs):
+            expm_calls.append(None)
+            return expm_action(*args, **kwargs)
+
+        def counted_iterates(B, v):
+            for u in iterates(B, v):
+                terms.append(None)
+                yield u
+
+        monkeypatch.setattr(fluidhit.numerics, "_uniformized", counted_build)
+        monkeypatch.setattr(fluidhit.fluid, "expm_action", counted_expm)
+        monkeypatch.setattr(fluidhit.numerics, "_row_iterates", counted_iterates)
+        traj = fluid_trajectory(alpha, sub, grid)
+        monkeypatch.undo()
+        c = sub.max_exit_rate
+        j0, window = fluidhit.numerics._weights(1e-15, rate=c, t=grid[-1])
+        assert len(built) == 1 and len(expm_calls) <= 1
+        if stop is None:
+            assert c * grid[-1] <= len(terms) <= j0 + window.size
+        else:
+            assert len(terms) == stop
+        assert traj.transient_mass == pytest.approx(per_point, rel=0, abs=1e-13)
+
+
+def test_survival_grid_from_a_later_start():
+    # A grid that starts past 0 is carried there by one expm_action call.
     ex = gen_tstage(3)
     sub = decompose(ex.chain)
-    grid = np.linspace(0.0, 20.0, 401)
+    grid = np.geomspace(3.0, 40.0, 5)
     per_point = [transient_survival(ex.default_alpha, sub, t) for t in grid]
-    means = []
-    weights = fluidhit.numerics._weights
+    got = transient_survival(ex.default_alpha, sub, grid)
+    assert got == pytest.approx(per_point, rel=1e-12, abs=0)
 
-    def recorded(tol, **kwargs):
-        means.append(kwargs["rate"] * kwargs["t"])
-        return weights(tol, **kwargs)
 
-    monkeypatch.setattr(fluidhit.numerics, "_weights", recorded)
-    traj = fluid_trajectory(ex.default_alpha, sub, grid)
-    assert len(means) == 400
-    assert sum(means) == pytest.approx(sub.max_exit_rate * grid[-1], rel=1e-12)
-    assert traj.transient_mass == pytest.approx(per_point, rel=0, abs=1e-13)
+def test_survival_grid_stops_at_the_first_zero_sum(monkeypatch):
+    # exp(-t) underflows to exactly 0, and B = I + Q/c = 0 on the
+    # classical chain: s_1 = 0, so the series pads instead of stepping
+    # about 10^6 terms to the last point.
+    alpha, sub = _classical()
+    terms = []
+    iterates = fluidhit.numerics._row_iterates
+
+    def counted(B, v):
+        for u in iterates(B, v):
+            terms.append(None)
+            yield u
+
+    monkeypatch.setattr(fluidhit.numerics, "_row_iterates", counted)
+    got = transient_survival(alpha, sub, [0.0, 2.5e5, 5e5, 1e6])
+    assert got.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert len(terms) == 2  # alpha and alpha B
+
+
+def test_deep_countdown_crossing_on_scalar_steps():
+    # About 92,000 one-entry row steps, each a scalar gather; the value is
+    # the one _SparseRow steps gave.
+    ex = gen_fig3a(300, 2)
+    got = crossing_time(ex.default_alpha, decompose(ex.chain), 1e-17 / 300).time
+    assert got == pytest.approx(92362.20334910211, rel=1e-14, abs=0)
 
 
 def test_survival_rejects_a_decreasing_grid():

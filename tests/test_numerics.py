@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fluidhit import (
     random_chain,
     solve_linear,
     spectral_params,
+    validate_chain,
 )
 from fluidhit import numerics
 from fluidhit.errors import DimensionTooLarge, NonConvergent, SingularMatrix, SlowConvergence
@@ -67,20 +69,39 @@ def test_solve_sparse_triangular_by_substitution(monkeypatch, lower):
 
     monkeypatch.setattr(numerics, "lu_factor", refuse)
     rng = np.random.default_rng(7 if lower else 8)
-    for n in (1, 5, 300):
+    for n in (300, 600):  # past the size where a dense LU pays (_dense_pays)
         A = _sparse_triangular(rng, n, lower)
         b = rng.normal(size=n)
         want = np.linalg.solve(A.toarray(), b)
         assert solve_linear(A, b) == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
+def test_solve_small_sparse_system_densely(monkeypatch):
+    # scipy's sparse triangular solve has about 250 us of fixed work, more
+    # than a whole dense solve of a few states.
+    def refuse(*args, **kwargs):
+        raise AssertionError("substitution on a small matrix")
+
+    monkeypatch.setattr(numerics, "spsolve_triangular", refuse)
+    rng = np.random.default_rng(11)
+    for n in (1, 5, 50):
+        A = _sparse_triangular(rng, n, lower=True)
+        b = rng.normal(size=n)
+        want = np.linalg.solve(A.toarray(), b)
+        assert solve_linear(A, b) == pytest.approx(want, rel=1e-12, abs=1e-14)
+    Q = decompose(gen_tstage(3).chain).Q
+    assert solve_linear(-Q, np.ones(3)) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+
+
 @pytest.mark.parametrize("pivot", [0.0, 1e-16])
 def test_solve_sparse_triangular_small_pivot(pivot):
-    # A zero pivot is not stored at all in the sparse matrix.
-    A = _sparse_triangular(np.random.default_rng(9), 50, lower=True).toarray()
-    A[20, 20] = pivot * np.abs(A).sum(axis=1).max()
-    with pytest.raises(SingularMatrix):
-        solve_linear(sp.csr_array(A), np.ones(50))
+    # A zero pivot is not stored at all in the sparse matrix. 50 states go
+    # to the dense LU, 300 to substitution.
+    for n in (50, 300):
+        A = _sparse_triangular(np.random.default_rng(9), n, lower=True).toarray()
+        A[20, 20] = pivot * np.abs(A).sum(axis=1).max()
+        with pytest.raises(SingularMatrix):
+            solve_linear(sp.csr_array(A), np.ones(n))
 
 
 def test_solve_sparse_general_matches_dense():
@@ -112,7 +133,7 @@ def test_expm_t_zero_identity():
 
 
 def test_expm_of_zero_vector_sums_no_series(monkeypatch):
-    # A trajectory grid keeps stepping the vector after its mass is gone.
+    # 0 exp(Qt) = 0 at once, without a series of about c t zero terms.
     def refuse(*args, **kwargs):
         raise AssertionError("weights built for a zero vector")
 
@@ -200,11 +221,42 @@ def test_expm_semigroup_property():
 
 
 def test_expm_sparse_matches_dense():
-    sub = decompose(gen_tstage(4).chain)
-    v = np.array([0.0, 0.0, 0.0, 1.0])
-    dense = expm_action(sub.dense_q(), v, 2.5)
-    sparse = expm_action(sub.Q, v, 2.5)
-    assert sparse == pytest.approx(dense)
+    # fig3a(n, 2) has n^2 + 1 transient states and one entry a row, so B
+    # stays sparse; expm_multiply is the dense-arithmetic oracle. A spread
+    # start on fig3a(40, 2) steps dense vectors through the sparse B, the
+    # start state of fig3a(150, 2) (past 20,000 entries) one entry at a time.
+    rng = np.random.default_rng(19)
+    for n, start in ((40, None), (150, -1)):
+        sub = decompose(gen_fig3a(n, 2).chain)
+        assert sp.issparse(numerics._uniformized(sub.Q, 1.0))
+        v = rng.dirichlet(np.ones(sub.n_transient))
+        if start is not None:
+            v = np.zeros(sub.n_transient)
+            v[start] = 1.0
+        for t in (2.5, 60.0):
+            got = expm_action(sub.Q, v, t, tol=1e-15)
+            ref = expm_multiply(sub.Q.T * t, v)
+            assert got == pytest.approx(ref, rel=1e-10, abs=1e-15)
+
+
+def test_uniformized_is_dense_only_for_small_chains():
+    rng = np.random.default_rng(23)
+    full = np.zeros((61, 61))
+    full[0, 0] = 1.0
+    full[1:] = rng.dirichlet(np.ones(61), size=60)
+    cases = (
+        (decompose(gen_tstage(3).chain).Q, True),
+        (decompose(validate_chain(full)).Q, True),
+        (decompose(gen_fig3a(40, 2).chain).Q, False),
+    )
+    for Q, dense in cases:
+        c = float(np.max(-Q.diagonal()))
+        B = numerics._uniformized(Q, c)
+        assert isinstance(B, np.ndarray) == dense
+        # The two forms hold the same values: q (1/c) off the diagonal,
+        # q (1/c) + 1 on it.
+        want = Q.toarray() * (1.0 / c) + np.diag(np.ones(Q.shape[0]))
+        assert np.array_equal(B if dense else B.toarray(), want)
 
 
 def test_sparse_row_step_matches_sparse_product():
@@ -220,6 +272,34 @@ def test_sparse_row_step_matches_sparse_product():
     assert got.vals == pytest.approx(want[got.cols], rel=1e-15, abs=0)
     empty = numerics._SparseRow(support[:0], vals[:0]).step(B)
     assert empty.cols.size == 0 and empty.sum() == 0.0
+
+
+def test_one_entry_rows_step_as_scalars(monkeypatch):
+    # Every row of fig3a's B = I + Q stores one entry (the start row's and
+    # the countdown's diagonals are 0), and fig3a(150, 2) is past the
+    # 20,000 entries of the sparse-row path: its iterate is stepped as an
+    # _Entry throughout, with the sums of the _SparseRow steps to the bit.
+    sub = decompose(gen_fig3a(150, 2).chain)
+    B = numerics._uniformized(sub.Q, 1.0)
+    v = np.zeros(sub.n_transient)
+    v[-1] = 1.0
+    u = numerics._SparseRow(np.array([v.size - 1]), np.array([1.0]))
+    want = []
+    for _ in range(20_000):
+        want.append(float(u.sum()))
+        u = u.step(B)
+
+    step = numerics._SparseRow.step
+
+    def checked(row, B):
+        counts = B.indptr[row.cols + 1] - B.indptr[row.cols]
+        assert not (row.cols.size == 1 and counts[0] == 1), "_SparseRow step on a one-entry row"
+        return step(row, B)
+
+    monkeypatch.setattr(numerics._SparseRow, "step", checked)
+    got = [float(x.sum()) for x in itertools.islice(numerics._row_iterates(B, v), 20_000)]
+    assert got == want
+    assert want[1] == 1.0 / 150**2 and want[-1] == want[1]
 
 
 def test_expm_refuses_a_poisson_mean_past_the_term_budget():
