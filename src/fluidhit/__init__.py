@@ -43,7 +43,6 @@ from .fluid import (
     transient_survival,
 )
 from .numerics import (
-    EigenReport,
     dominant_eigen,
     eigen_spectrum,
     expm_action,

@@ -42,17 +42,21 @@ from .numerics import dominant_eigen
 from .phase_type import SpectralParams, _fit_gamma, spectral_params
 from .simulator import OccupancyState
 
-EULER_MASCHERONI = 0.5772156649
+EULER_MASCHERONI = 0.5772156649015329
 
 
 @lru_cache(maxsize=None)
 def harmonic_number(n: int) -> float:
-    """H_n by direct summation up to 1e6, by the asymptotic beyond."""
+    """H_n by direct summation up to 1e6, by the asymptotic beyond.
+
+    ln n + gamma + 1/(2n) - 1/(12 n^2) errs by at most 1/(120 n^4), far
+    below one rounding of H_n past 1e6.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n <= 10**6:
         return math.fsum(1.0 / i for i in range(1, n + 1))
-    return math.log(n) + EULER_MASCHERONI + 1.0 / (2 * n)
+    return math.log(n) + EULER_MASCHERONI + 1.0 / (2 * n) - 1.0 / (12 * n * n)
 
 
 def theorem1_bound(sub, alpha, N, nu_hint=None, w_max=None) -> float:
@@ -252,18 +256,15 @@ def assemble_report(
     exact=None,
     lower_bounds=(),
     estimate_gamma=False,
-    nu_override=None,
-    k_override=None,
 ) -> BoundReport:
     """Compute every applicable bound; failures degrade per entry.
 
     nu and k come from spectral_params (k + 1 counts the copies of -nu in
-    the class-by-class spectrum), or from nu_override and k_override when
-    given. When a strongly connected class is past the dense cap, k is
-    skipped and nu comes from the Perron iteration alone; when the Perron
-    iteration fails, nu and k are both skipped. notes["spectral"] records
-    each skip. A class past the dense cap also leaves max_neg_qinv out, with
-    notes["max_neg_qinv"] saying why.
+    the class-by-class spectrum). When a strongly connected class is past
+    the dense cap, k is skipped and nu comes from the Perron iteration
+    alone; when the Perron iteration fails, nu and k are both skipped.
+    notes["spectral"] records each skip. A class past the dense cap also
+    leaves max_neg_qinv out, with notes["max_neg_qinv"] saying why.
 
     Lower bounds and exact values for named chains are supplied by the
     caller (the generators know their closed forms). Raises
@@ -277,7 +278,7 @@ def assemble_report(
     theorem2 = tn_asym = None
     sp = None
     try:
-        sp = spectral_params(sub, nu_override=nu_override, k_override=k_override)
+        sp = spectral_params(sub)
         nu, k = sp.nu, sp.k
     except DimensionTooLarge as exc:
         # The multiplicity needs a dense eigensolve of each strongly connected
@@ -285,7 +286,7 @@ def assemble_report(
         # route on the sparse matrix.
         notes["spectral"] = f"multiplicity skipped: {exc}"
         try:
-            nu = float(nu_override) if nu_override is not None else -dominant_eigen(sub.Q)
+            nu = -dominant_eigen(sub.Q)
         except (NonConvergent, SlowConvergence) as exc:
             notes["spectral"] += f"; nu skipped: {exc}"
     except (NonConvergent, SlowConvergence) as exc:

@@ -199,14 +199,6 @@ class SubGenerator:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(moves, minlength=n) + 1)])
         return _Destinations(sp.csr_array((vals, cols, indptr), shape=(n, n + 1)))
 
-    def dense_q(self):
-        if self.n_transient > DENSE_CAP:
-            raise DimensionTooLarge(
-                f"refusing to densify a {self.n_transient}-state sub-generator "
-                f"(cap {DENSE_CAP})"
-            )
-        return self.Q.toarray()
-
     @classmethod
     def from_matrix(cls, Q, Q0=None):
         """Build from a user-supplied rate matrix, validating the sign pattern.

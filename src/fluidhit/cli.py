@@ -74,12 +74,10 @@ _FLAGS = {
     "--N-list": dict(dest="n_list", type=_parse_n_list),
     "--samples": dict(type=_positive_int, default=1),
     "--grid": dict(type=_parse_grid, help="trajectory grid as tmax:steps"),
-    "--k-override": dict(type=int),
-    "--nu-override": dict(type=float),
     "--estimate-gamma": dict(action="store_true"),
 }
 
-_REPORT_FLAGS = ("--N", "--format", "--out", "--nu-override", "--k-override", "--estimate-gamma")
+_REPORT_FLAGS = ("--N", "--format", "--out", "--estimate-gamma")
 
 _COMMAND_FLAGS = {
     "validate": (),
@@ -149,8 +147,6 @@ def _report_for(cfg, example, N):
         exact=example.exact_mean(N),
         lower_bounds=[] if lower is None else [(example.params["kind"], lower)],
         estimate_gamma=cfg.estimate_gamma,
-        nu_override=cfg.nu_override,
-        k_override=cfg.k_override,
     )
 
 

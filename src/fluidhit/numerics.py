@@ -15,8 +15,8 @@ Both eigenvalue routines work on the strongly connected classes of the
 matrix's support (_strong_blocks): the full spectrum is the union of the
 diagonal blocks' spectra, exact on the diagonal for classes of one state,
 so DENSE_CAP bounds the largest class rather than the matrix. A small
-linear system, and any non-triangular one, is solved by a dense LU; a
-larger sparse triangular one by substitution.
+linear system, and any non-triangular one up to DENSE_CAP rows, is solved
+by a dense LU; a larger sparse triangular one by substitution.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import itertools
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,10 +80,11 @@ def solve_linear(A, b):
     stored column on one side of its row, an O(nnz) test of the index
     arrays) is solved by substitution, in O(nnz) as well (see
     _triangular_solver); any other A is densified and LU-factorized with
-    partial pivoting. Raises SingularMatrix when a pivot (a diagonal
-    entry, for substitution) falls below 1e-14 * ||A||_inf. Up to two
-    passes of iterative refinement keep the residual within
-    1e-10 * (1 + ||b||_inf).
+    partial pivoting. Raises DimensionTooLarge, before densifying, for a
+    sparse A of more than DENSE_CAP rows that is not triangular, and
+    SingularMatrix when a pivot (a diagonal entry, for substitution) falls
+    below 1e-14 * ||A||_inf. Up to two passes of iterative refinement keep
+    the residual within 1e-10 * (1 + ||b||_inf).
     """
     A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -95,6 +95,11 @@ def solve_linear(A, b):
     sparse = sp.issparse(A) and not _dense_pays(A)
     solve = _triangular_solver(A.copy(), floor) if sparse else None
     if solve is None:
+        if sp.issparse(A) and A.shape[0] > DENSE_CAP:
+            raise DimensionTooLarge(
+                f"refusing to densify a {A.shape[0]}-row sparse system that is not "
+                f"triangular (cap {DENSE_CAP})"
+            )
         A = A.toarray() if sp.issparse(A) else A
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -408,32 +413,18 @@ class _SurvivalSeries:
         return self._weighted(*_weights(_MIN_EXPM_TOL, k=k, p=p))
 
 
-@dataclass(frozen=True)
-class EigenReport:
-    """Eigenvalues with multiplicities after clustering.
-
-    eigenvalues: tuple of (value, algebraic multiplicity) by decreasing real
-    part, multiplicities summing to the matrix dimension (imaginary parts
-    below the clustering tolerance are dropped).
-    """
-
-    eigenvalues: tuple
-    tolerance: float
-
-
-def eigen_spectrum(A, cluster_tol=None):
-    """All eigenvalues of a square A (dense or sparse), clustered into multiplicities.
+def eigen_spectrum(A):
+    """All eigenvalues of a square A (dense or sparse), by decreasing real part.
 
     A is block-triangular over the strongly connected classes of its
     support, so its spectrum is the union of the diagonal blocks' spectra.
     A class of one state contributes its diagonal entry exactly; the block
-    of each other class goes to LAPACK. Eigenvalues within cluster_tol
-    (default 1e-7 * ||A||_inf) of each other are merged transitively and
-    their multiplicities summed; each cluster is reported at its mean.
-    Raises DimensionTooLarge when one class has more than DENSE_CAP states
-    (use dominant_eigen for the leading eigenvalue then). The dense work
-    grows with the sum of the classes' sizes cubed, which the cap does not
-    bound.
+    of each other class goes to LAPACK. The array is real when no
+    eigenvalue has an imaginary part (as np.linalg.eigvals returns it), and
+    equal real parts keep their block order. Raises DimensionTooLarge when
+    one class has more than DENSE_CAP states (use dominant_eigen for the
+    leading eigenvalue then). The dense work grows with the sum of the
+    classes' sizes cubed, which the cap does not bound.
     """
     A = sp.csr_array(A, dtype=float, copy=True)
     A.eliminate_zeros()
@@ -443,37 +434,12 @@ def eigen_spectrum(A, cluster_tol=None):
             f"dense eigensolve capped at {DENSE_CAP} states per strongly connected "
             f"class (got {blocks.sizes.max()}); use dominant_eigen instead"
         )
-    if cluster_tol is None:
-        cluster_tol = 1e-7 * max(float(np.max(np.asarray(abs(A).sum(axis=1)), initial=0.0)), 1.0)
     vals = np.concatenate([
         A.diagonal()[blocks.singleton],
         *(eigvals(blocks.inner[a:b, a:b].toarray(), overwrite_a=True) for a, b in blocks.spans()),
     ])
-    vals = vals if vals.imag.any() else vals.real  # as np.linalg.eigvals returns them
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-
-    # Equal values share a cluster; pairs of distinct values within tol are
-    # taken from a window over the sorted real parts (|Re a - Re b| <= tol),
-    # and the components of their graph are the transitive clusters.
-    distinct, inverse = np.unique(vals, return_inverse=True)
-    m = distinct.size
-    ends = np.searchsorted(distinct.real, distinct.real + cluster_tol, side="right")
-    counts = ends - np.arange(1, m + 1)
-    i = np.repeat(np.arange(m), counts)
-    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    near = np.abs(distinct[i] - distinct[j]) <= cluster_tol
-    pairs = sp.coo_array((np.ones(near.sum()), (i[near], j[near])), shape=(m, m))
-    labels = connected_components(pairs, directed=False)[1][inverse]
-
-    mults = np.bincount(labels)
-    means = (np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)) / mults
-    means.imag[np.abs(means.imag) <= cluster_tol] = 0.0
-    # By decreasing real part, then imaginary part, then first member in vals.
-    first = np.unique(labels, return_index=True)[1]
-    order = np.lexsort((first, means.imag, -means.real))
-    clustered = tuple(zip(means[order].tolist(), mults[order].tolist()))
-    return EigenReport(eigenvalues=clustered, tolerance=cluster_tol)
+    vals = vals if vals.imag.any() else vals.real
+    return vals[np.argsort(-vals.real, kind="stable")]
 
 
 def dominant_eigen(Q, tol=1e-10, max_iter=200000):

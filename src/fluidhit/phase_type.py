@@ -27,13 +27,13 @@ _GALLOP_CAP = 2**53
 # point leaves the normal float range.
 _FIT_LOG_RANGE = 350.0
 
-# Two eigenvalues count as equal within _CLUSTER_BASE ||Q||. eigen_spectrum
+# An eigenvalue counts as a copy of -nu within _ROOT_TOL ||Q||. eigen_spectrum
 # solves each strongly connected class on its own, and by Perron-Frobenius
 # the dominant eigenvalue of a class is simple: each copy of -nu is one
 # class's root, exact for a single state and within rounding for a larger
 # class, never a scattered Jordan block. dominant_eigen at tol = 1e-10
 # brackets -nu to within 0.525e-10 max(-Q_ii), inside this tolerance.
-_CLUSTER_BASE = 1e-10
+_ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,10 @@ def x_threshold(pt: PhaseType) -> int:
 class SpectralParams:
     """Tail parameters: survival ~ (gamma/nu) t^k exp(-nu t).
 
-    nu > 0 is the negated dominant eigenvalue of Q, k + 1 the number of its
-    copies in the spectrum. gamma is an optional numerical estimate (never
-    fabricated), present only when a tail fit was requested and succeeded.
+    nu > 0 is the negated dominant eigenvalue of Q, k + 1 the number of
+    eigenvalues within 1e-10 max(||Q||_inf, 1) of -nu (k = 0 when none is).
+    gamma is an optional numerical estimate (never fabricated), present
+    only when a tail fit was requested and succeeded.
     """
 
     nu: float
@@ -141,43 +142,25 @@ class SpectralParams:
             raise ValueError(f"k must be nonnegative, got {self.k}")
 
 
-def spectral_params(
-    sub: SubGenerator,
-    estimate_gamma=False,
-    alpha=None,
-    nu_override=None,
-    k_override=None,
-) -> SpectralParams:
+def spectral_params(sub: SubGenerator, estimate_gamma=False, alpha=None) -> SpectralParams:
     """Compute (nu, k) and optionally fit gamma from the survival tail.
 
     nu comes from the Perron-based dominant eigenvalue (robust for defective
-    chains). k + 1 is the multiplicity of the cluster of eigen_spectrum, at
-    tolerance 1e-10 ||Q||, that lies within that tolerance of -nu; k = 0
-    when none does. eigen_spectrum works on the sparse Q class by class: a
-    strongly connected class of one state gives its diagonal entry exactly,
-    and DimensionTooLarge is raised only when one class has more than
-    DENSE_CAP states. Both values can be overridden when known exactly.
+    chains). k + 1 counts the eigenvalues of eigen_spectrum within
+    1e-10 max(||Q||_inf, 1) of -nu, and k = 0 when none is. eigen_spectrum
+    works on the sparse Q class by class: a strongly connected class of one
+    state gives its diagonal entry exactly, and DimensionTooLarge is raised
+    only when one class has more than DENSE_CAP states.
 
     Raises DegenerateTail when a requested gamma fit finds no usable overlap
     between alpha and the dominant eigenspace.
     """
     # The spectrum first: a strongly connected class past the dense cap
     # raises DimensionTooLarge before the Perron iteration for nu has run.
-    if k_override is None:
-        norm = max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
-        report = eigen_spectrum(sub.Q, cluster_tol=_CLUSTER_BASE * norm)
-    if nu_override is not None:
-        nu = float(nu_override)
-    else:
-        nu = -dominant_eigen(sub.Q, tol=1e-10)
-
-    if k_override is not None:
-        k = int(k_override)
-    else:
-        values, mults = zip(*report.eigenvalues)
-        dists = np.abs(np.asarray(values) + nu)
-        nearest = int(np.argmin(dists))
-        k = mults[nearest] - 1 if dists[nearest] <= report.tolerance else 0
+    spectrum = eigen_spectrum(sub.Q)
+    nu = -dominant_eigen(sub.Q, tol=1e-10)
+    tol = _ROOT_TOL * max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
+    k = max(int(np.count_nonzero(np.abs(spectrum + nu) <= tol)) - 1, 0)
 
     gamma = None
     if estimate_gamma:

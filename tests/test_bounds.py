@@ -39,9 +39,11 @@ def test_harmonic_number():
     assert harmonic_number(1) == 1.0
     assert harmonic_number(2) == 1.5
     assert harmonic_number(50) == pytest.approx(4.4992053383, abs=1e-9)
-    # Beyond the summation cap, the asymptotic takes over smoothly.
+    # Beyond the summation cap, the asymptotic takes over to the last digit.
     direct = math.fsum(1.0 / i for i in range(1, 10**6 + 1))
     assert harmonic_number(10**6) == pytest.approx(direct, abs=1e-12)
+    direct = math.fsum(1.0 / i for i in range(1, 10**6 + 2))
+    assert harmonic_number(10**6 + 1) == pytest.approx(direct, rel=1e-15, abs=0)
     assert harmonic_number(2 * 10**6) == pytest.approx(
         math.log(2e6) + 0.5772156649, abs=1e-6
     )
@@ -292,23 +294,6 @@ def test_assemble_report_computes_the_spectrum_once(monkeypatch):
     assert calls == {"dominant_eigen": 1, "eigen_spectrum": 1}
 
 
-def test_assemble_report_keeps_nu_override_past_the_dense_cap(monkeypatch):
-    calls = Counter()
-
-    def dominant(*args, **kwargs):
-        calls["dominant_eigen"] += 1
-        return fluidhit.numerics.dominant_eigen(*args, **kwargs)
-
-    monkeypatch.setattr(fluidhit.bounds, "dominant_eigen", dominant)
-    monkeypatch.setattr(fluidhit.phase_type, "dominant_eigen", dominant)
-    # One class past the dense cap: spectral_params raises DimensionTooLarge.
-    chain, alpha = _big_class_chain()
-    report = assemble_report(chain, alpha, 50, nu_override=0.5)
-    assert "spectral" in report.notes
-    assert report.nu == 0.5
-    assert calls["dominant_eigen"] == 0
-
-
 def test_assemble_report_survives_a_failed_perron_iteration():
     # At p = 1/2 the Perron vector falls like 0.62^i and underflows past
     # state 1,550, so the iteration for nu raises NonConvergent; at p = 0.1
@@ -321,7 +306,6 @@ def test_assemble_report_survives_a_failed_perron_iteration():
         assert [name for name, _ in report.upper_bounds()] == ["theorem1", "theorem3", "theorem4"]
         assert all(math.isfinite(value) and value > 0 for _, value in report.upper_bounds())
         assert report.t_n == crossing_time(alpha, decompose(chain), 1.0 / 50).time
-    assert assemble_report(chain, alpha, 50, nu_override=0.5).nu == 0.5
 
 
 def test_assemble_report_reads_k_past_the_dense_cap_from_singleton_classes():

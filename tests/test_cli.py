@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import fluidhit.numerics
 from fluidhit import harmonic_number
-from fluidhit.cli import build_parser, main
+from fluidhit.cli import _COMMAND_FLAGS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -146,15 +147,14 @@ def test_simulate_fig3a_population_mismatch(capsys, command, flags):
     assert "N = 10" in err
 
 
-_REPORT_ARGS = ("--N", "10", "--format", "json", "--out", "x", "--nu-override", "1.5",
-                "--k-override", "2", "--estimate-gamma")
+_REPORT_ARGS = ("--N", "10", "--format", "json", "--out", "x", "--estimate-gamma")
 
 # Each subcommand's flags besides --chain, given with a value each, and one
 # flag the subcommand does not read.
 _COMMAND_ARGS = {
     "validate": ((), ("--N", "5")),
     "gen": (("--out", "x"), ("--seed", "1")),
-    "analyze": (_REPORT_ARGS, ("--runs", "2")),
+    "analyze": (_REPORT_ARGS, ("--k-override", "2")),
     "simulate": (("--N", "10", "--runs", "2", "--seed", "3", "--out", "x"), ("--format", "csv")),
     "compare": (_REPORT_ARGS + ("--N-list", "10,20", "--runs", "2", "--seed", "3"),
                 ("--samples", "2")),
@@ -173,6 +173,17 @@ def test_each_command_takes_only_the_flags_it_reads(capsys, command):
         build_parser().parse_args([command, "--chain", "classical", *unread])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Subcommand | Flags besides `--chain` |\n|---|---|\n", 1)[1]
+    listed = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        command, flags = (cell.strip(" `") for cell in row.strip("|").split("|"))
+        inherited = listed["analyze"] if flags.startswith("analyze's") else ()
+        listed[command] = inherited + tuple(re.findall(r"--[\w-]+", flags))
+    assert listed == _COMMAND_FLAGS
 
 
 def test_json_chain_has_no_reference_values(tmp_path, capsys):
@@ -350,17 +361,6 @@ def test_analyze_gamma_fit_past_the_float_range(capsys):
     payload = json.loads(out)
     assert payload["k"]["value"] == 100
     assert "float range" in payload["notes"]["gamma"]
-
-
-def test_analyze_spectral_overrides(capsys):
-    code, out, _ = run_cli(
-        capsys, "analyze", "--chain", "tstage:2", "--N", "10",
-        "--nu-override", "1.0", "--k-override", "1",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["nu"]["value"] == 1.0
-    assert payload["k"]["value"] == 1
 
 
 def test_json_outputs_round_trip_sorted(capsys):

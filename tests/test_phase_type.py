@@ -175,14 +175,6 @@ def test_spectral_fig3b():
         assert sp.k == 0
 
 
-def test_spectral_overrides():
-    sp = spectral_params(
-        decompose(gen_tstage(3).chain), nu_override=1.0, k_override=2
-    )
-    assert sp.nu == 1.0
-    assert sp.k == 2
-
-
 # A strongly connected class of two states, roots (-5 +- sqrt 5)/2. It
 # leaves at rate 1 from the first state and 2 from the second; in series,
 # half of each of those exits goes on into the next copy.
@@ -204,6 +196,16 @@ def test_spectral_k_counts_equal_class_roots(series, shift, k):
     params = spectral_params(_two_classes(shift, series))
     assert params.nu == pytest.approx((5.0 - math.sqrt(5.0)) / 2.0, abs=1e-10)
     assert params.k == k
+
+
+def test_spectral_k_counts_the_roots_near_nu_not_a_chain_of_them():
+    # Singletons -1, -1 - 0.6e-10 and -1 - 1.2e-10, with ||Q||_inf just past
+    # 1: each is within 1e-10 ||Q|| of the next, but only the first two are
+    # within it of -nu = -1, so they alone count as its copies.
+    Q = np.diag([-1.0, -1.0 - 0.6e-10, -1.0 - 1.2e-10])
+    params = spectral_params(SubGenerator.from_matrix(Q))
+    assert params.nu == pytest.approx(1.0, abs=1e-12)
+    assert params.k == 1
 
 
 def _repeated_classes(rng):
