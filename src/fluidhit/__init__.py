@@ -6,7 +6,6 @@ from .bounds import (
     assemble_report,
     coupon_bound,
     harmonic_number,
-    theorem1_bound,
     theorem2_asymptotic,
     theorem3_bound,
     theorem3_uniform_cap,
@@ -32,13 +31,11 @@ from .examples import (
     gen_tstage,
     get_example,
     random_chain,
-    scenario_bound,
 )
 from .fluid import (
     CrossingResult,
     FluidTrajectory,
     crossing_time,
-    fluid_m0,
     fluid_trajectory,
     transient_survival,
 )
@@ -51,7 +48,6 @@ from .numerics import (
 from .phase_type import (
     PhaseType,
     SpectralParams,
-    continuous_survival,
     discrete_survival,
     sample_absorption_step,
     spectral_params,

@@ -2,7 +2,7 @@
 
 Upper bounds:
   theorem1  N (t_N + mean jumps + 2 max_x W(x)), valid at every finite N
-            because it uses the exact fluid crossing time;
+            because it uses the exact fluid crossing time (assemble_report);
   theorem3  N sum_i W(x_i), with the coarse corollary T N^2 for W <= T;
   theorem4  T N log N + 2 N T + 1 when W is uniformly bounded by T.
 Trend-only values (never asserted as certified bounds):
@@ -57,28 +57,6 @@ def harmonic_number(n: int) -> float:
     if n <= 10**6:
         return math.fsum(1.0 / i for i in range(1, n + 1))
     return math.log(n) + EULER_MASCHERONI + 1.0 / (2 * n) - 1.0 / (12 * n * n)
-
-
-def theorem1_bound(sub, alpha, N, nu_hint=None, w_max=None) -> float:
-    """N (t_N + alpha (I-R)^-1 1 + 2 max_x W(x)), with t_N computed exactly.
-
-    The resolvent term uses the row-sum norm of (-Q)^-1, i.e. the largest
-    per-state hitting time max_x W(x), not the largest single entry: the
-    surviving mass at the threshold step is weighted by whole rows of the
-    resolvent, and the entrywise constant is genuinely too small for chains
-    that park mass on slow states (the deep-countdown tightness chain
-    violates it numerically). For chains whose resolvent rows are dominated
-    by one entry (single transient state, the two-state exit chain) the two
-    agree. Exact crossing time keeps the bound valid at every finite N.
-    """
-    if w_max is None:
-        w_max = float(np.max(expected_hitting_times(sub)))
-    t_n = crossing_time(alpha, sub, 1.0 / N, nu_hint=nu_hint).time
-    return _theorem1(N, t_n, mean_jump_count(sub, alpha), w_max)
-
-
-def _theorem1(N, t_n, mean_jumps, w_max):
-    return N * (t_n + mean_jumps + 2.0 * w_max)
 
 
 def theorem2_asymptotic(sp: SpectralParams, N) -> float:
@@ -306,7 +284,11 @@ def assemble_report(
         max_neg_qinv = None
         notes["max_neg_qinv"] = str(exc)
     w_max = float(np.max(W))
-    theorem1 = _theorem1(N, t_n, mean_jumps, w_max)
+    # Theorem 1 with the exact crossing time, so valid at every finite N. Its
+    # resolvent term is the row-sum norm of (-Q)^-1, max_x W(x), not the
+    # largest entry: the mass surviving the threshold step is weighted by
+    # whole rows, and the entrywise constant fails on fig3a.
+    theorem1 = N * (t_n + mean_jumps + 2.0 * w_max)
     # The occupancy that simulate and compare run, so the bound covers it.
     theorem3 = theorem3_bound(W, OccupancyState.from_alpha(alpha, N))
     theorem4 = theorem4_bound(w_max, N)

@@ -254,7 +254,13 @@ class InitialDistribution:
         object.__setattr__(self, "alpha", alpha)
         if np.any(alpha < -1e-15):
             raise ValueError("alpha entries must be nonnegative")
-        total = float(alpha.sum()) + self.mass0
+        # nan < x is False, so a nan entry shows only in the sum.
+        total = float(alpha.sum())
+        if not math.isfinite(total):
+            raise ValueError("alpha entries must be finite")
+        if not (math.isfinite(self.mass0) and self.mass0 >= -1e-15):
+            raise ValueError(f"mass0 must be finite and nonnegative, got {self.mass0}")
+        total += self.mass0
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mass0 + sum(alpha) = {total}, expected 1")
 

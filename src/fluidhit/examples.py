@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .bounds import harmonic_number, theorem4_bound
+from .bounds import harmonic_number
 from .chain_model import AbsorbingChain, InitialDistribution, validate_chain
 from .errors import ChainValidationError, FluidhitError, SizeTooLarge
 
-FIG3A_STATE_CAP = 10**7
+# Deepest countdown tstage:T (T) and fig3a:N,T (N^2 (T-1)) may build.
+COUNTDOWN_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,14 @@ class NamedExample:
 
 
 def gen_tstage(T: int) -> NamedExample:
-    """Countdown chain on states 0..T with P[i][i-1] = 1; T = 1 is classical."""
+    """Countdown chain on states 0..T with P[i][i-1] = 1 (sparse); T = 1 is classical."""
     if T < 1:
         raise ValueError("T must be at least 1")
-    P = np.zeros((T + 1, T + 1))
-    P[0, 0] = 1.0
-    for i in range(1, T + 1):
-        P[i, i - 1] = 1.0
+    if T > COUNTDOWN_CAP:
+        raise SizeTooLarge(f"tstage would need {T + 1} states (cap {COUNTDOWN_CAP + 1})")
+    rows = np.arange(T + 1)
+    cols = np.concatenate([[0], np.arange(T)])
+    P = sp.csr_array(sp.coo_array((np.ones(T + 1), (rows, cols)), shape=(T + 1, T + 1)))
     chain = validate_chain(P)
     name = "classical" if T == 1 else f"tstage:{T}"
     kind = "classical" if T == 1 else "tstage"
@@ -113,9 +115,9 @@ def gen_fig3a(N: int, T: int) -> NamedExample:
     if T < 2:
         raise ValueError("T must be at least 2")
     D = N * N * (T - 1)
-    if D > FIG3A_STATE_CAP:
+    if D > COUNTDOWN_CAP:
         raise SizeTooLarge(
-            f"fig3a would need {D + 2} states (cap {FIG3A_STATE_CAP + 2})"
+            f"fig3a would need {D + 2} states (cap {COUNTDOWN_CAP + 2})"
         )
     start = D + 1
     rows = np.concatenate([[0], np.arange(1, D + 1), [start, start]])
@@ -162,20 +164,6 @@ def erlang_m0(T: int, t: float) -> float:
         math.exp(-t + k * log_t - math.lgamma(k + 1)) for k in range(T)
     )
     return 1.0 - tail
-
-
-def scenario_bound(T: float, N: int) -> float:
-    """Completion time cap for N copies of a randomized algorithm.
-
-    Running N independent copies of an algorithm whose single-copy expected
-    completion time is at most T from any state, stepping one uniformly
-    random copy per slot, finishes in at most T N ln N + 2 N T + 1 expected
-    steps. Only the completion-time abstraction T enters; the internals of
-    the underlying protocol are out of scope.
-    """
-    if T < 1 or N < 1:
-        raise ValueError("need T >= 1 and N >= 1")
-    return theorem4_bound(T, N)
 
 
 def get_example(spec: str) -> NamedExample:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain_model import InitialDistribution, SubGenerator
 from .errors import BracketingFailure
-from .numerics import _MIN_EXPM_TOL, _SurvivalSeries, expm_action
+from .numerics import _SurvivalSeries, expm_action
 
 _DOUBLING_CAP = 1e6
 
@@ -36,17 +36,12 @@ def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     if np.ndim(t) == 0:
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return float(np.sum(expm_action(sub.Q, alpha.alpha, t, tol=_MIN_EXPM_TOL)))
+        return float(np.sum(expm_action(sub.Q, alpha.alpha, t)))
     grid = _time_grid(t)
     if not grid.size:
         return np.empty(0)
-    series = _SurvivalSeries(sub.Q, expm_action(sub.Q, alpha.alpha, grid[0], tol=_MIN_EXPM_TOL))
+    series = _SurvivalSeries(sub.Q, expm_action(sub.Q, alpha.alpha, grid[0]))
     return np.array([series.continuous(ti - grid[0]) for ti in grid])
-
-
-def fluid_m0(alpha: InitialDistribution, sub: SubGenerator, t) -> float:
-    """Absorbed fraction m0(t) = 1 - alpha exp(Qt) 1 of the fluid ODE."""
-    return 1.0 - transient_survival(alpha, sub, t)
 
 
 @dataclass(frozen=True)

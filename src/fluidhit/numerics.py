@@ -46,8 +46,6 @@ from .errors import (
 # this cap does not bound: 50 classes of 1,900 states are 50 dense solves.
 DENSE_CAP = 2000
 
-_MIN_EXPM_TOL = 1e-15
-
 # Largest Poisson or binomial mean a survival series accepts: the sum takes
 # about that many terms, each a sparse vector-matrix product.
 TERM_BUDGET = 1e7
@@ -248,7 +246,7 @@ def _row_iterates(B, v):
         v = Bt @ v
 
 
-def _weights(tol, *, rate=None, t=None, k=None, p=None):
+def _weights(*, rate=None, t=None, k=None, p=None):
     """Poisson(rate t) or Binomial(k, p) weights as (j0, w), w[i] the weight of j0 + i.
 
     From the mode, whose weight is set to 1, the weights are built outward
@@ -256,7 +254,7 @@ def _weights(tol, *, rate=None, t=None, k=None, p=None):
     down) and divided by their sum. Away from the mode the ratios r fall,
     so the mass beyond a weight w is at most w r / (1 - r) (Fox & Glynn,
     CACM 31, 1988). Above the mode the window stops where that bound is
-    within tol of the total; below it, where it is within the smallest
+    within 1e-15 of the total; below it, where it is within the smallest
     normal float, as the terms s_j these weights sum grow towards j = 0 (a
     survival of 1e-300 at c t = 690 lies wholly below the mode). The window
     starts 38 standard deviations below the mode and 12 above it and
@@ -304,7 +302,7 @@ def _weights(tol, *, rate=None, t=None, k=None, p=None):
             sides.append((np.cumprod(np.concatenate(([1.0], r[:-1]))), r))
         total = sides[0][0].sum() + sides[1][0].sum() - 1.0
         # The support's ends stop a side too: there r = 0.
-        tols = (np.finfo(float).tiny, tol)
+        tols = (np.finfo(float).tiny, 1e-15)
         cuts = [w * r <= side_tol * total * (1.0 - r) for (w, r), side_tol in zip(sides, tols)]
         if cuts[0].any() and cuts[1].any():
             break
@@ -314,21 +312,18 @@ def _weights(tol, *, rate=None, t=None, k=None, p=None):
     return mode - lo, w / w.sum()
 
 
-def expm_action(Q, v, t, tol=1e-12):
+def expm_action(Q, v, t):
     """Evaluate the row-vector action v * exp(Q t) by uniformization.
 
     With c = max(-Q_ii), exp(Qt) = sum_n Pois(n; c t) (I + Q/c)^n. Every
     term is nonnegative, so the result is nonnegative entrywise. The sum
     runs over the window of _weights, skipping the iterates below it; the
-    mass left out above it is at most tol, so the truncation error is at
-    most tol ||v||_1.
+    mass left out above it is at most 1e-15, so the truncation error is at
+    most 1e-15 ||v||_1.
 
-    Raises NonConvergent if tol below 1e-15 is requested or c t exceeds
-    TERM_BUDGET, and ValueError for a negative or non-finite t (the window
-    never closes at inf or nan).
+    Raises NonConvergent if c t exceeds TERM_BUDGET, and ValueError for a
+    negative or non-finite t (the window never closes at inf or nan).
     """
-    if tol < _MIN_EXPM_TOL:
-        raise NonConvergent(f"tolerance {tol:.1e} below the {_MIN_EXPM_TOL:.0e} cap")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     v = np.asarray(v, dtype=float)
@@ -337,7 +332,7 @@ def expm_action(Q, v, t, tol=1e-12):
         # exp(Q 0) = I, exp(Qt) = I for the zero generator, and 0 exp(Qt) = 0.
         return v.copy()
 
-    j0, weights = _weights(tol, rate=c, t=t)
+    j0, weights = _weights(rate=c, t=t)
     acc = np.zeros(v.shape[0])
     iterates = itertools.islice(_row_iterates(_uniformized(Q, c), v), j0, None)
     for w, u in zip(weights, iterates):
@@ -398,7 +393,7 @@ class _SurvivalSeries:
         """v exp(Qt) 1, the Poisson(ct)-weighted sum of the s_j."""
         if not (math.isfinite(t) and t >= 0):
             raise ValueError(f"t must be finite and nonnegative, got {t}")
-        return self._weighted(*_weights(_MIN_EXPM_TOL, rate=self.c, t=t))
+        return self._weighted(*_weights(rate=self.c, t=t))
 
     def discrete(self, k, N):
         """v (I + Q/N)^k 1, the Binomial(k, c/N)-weighted sum of the s_j."""
@@ -410,7 +405,7 @@ class _SurvivalSeries:
                 f"binomial mean k c/N = {k * p:.3g} (k = {k}, N = {N}, c = {self.c:.6g}) "
                 f"exceeds the series term budget {TERM_BUDGET:.0e}"
             )
-        return self._weighted(*_weights(_MIN_EXPM_TOL, k=k, p=p))
+        return self._weighted(*_weights(k=k, p=p))
 
 
 def eigen_spectrum(A):
@@ -442,7 +437,7 @@ def eigen_spectrum(A):
     return vals[np.argsort(-vals.real, kind="stable")]
 
 
-def dominant_eigen(Q, tol=1e-10, max_iter=200000):
+def dominant_eigen(Q, max_iter=200000):
     """Eigenvalue of Q with the greatest real part, via the Perron root.
 
     Writes Q = Lambda (B - I) with B = I + Q/Lambda nonnegative; the
@@ -455,7 +450,8 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
     once, on the block-diagonal restriction of B to them, each block scaled
     by its own maximum. A block's Collatz-Wielandt min and max ratios
     bracket its root, so their largest values (with the singletons') bracket
-    rho(B); the iteration stops once that bracket is within tol.
+    rho(B); the iteration stops once that bracket is within 1e-10 relative,
+    so -nu is bracketed to within 0.525e-10 max(-Q_ii).
 
     Raises SlowConvergence with the current estimate once max_iter is hit,
     and NonConvergent when entries of the iterated vector underflow to 0
@@ -489,7 +485,7 @@ def dominant_eigen(Q, tol=1e-10, max_iter=200000):
             )
         lo, hi = max(rho, lo), max(rho, hi)
         est, spread = 0.5 * (lo + hi), hi - lo
-        if spread <= tol * max(est, 1e-300):
+        if spread <= 1e-10 * max(est, 1e-300):
             return lam * (est - 1.0)
         w = wb / np.maximum.reduceat(wb, starts)[block]
     raise SlowConvergence(est, spread, max_iter)

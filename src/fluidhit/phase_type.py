@@ -1,10 +1,10 @@
 """Phase-type distributions and tail-asymptotic (spectral) parameters.
 
 The absorption time of a single chain has survival alpha exp(Qt) 1 in
-continuous time and alpha (I + Q/N)^k 1 when the chain is one of N under
-random one-at-a-time scheduling. The tail behaves like
-(gamma/nu) t^k exp(-nu t), where -nu is the eigenvalue of Q with greatest
-real part and k + 1 its algebraic multiplicity.
+continuous time (fluid.transient_survival) and alpha (I + Q/N)^k 1 when the
+chain is one of N under random one-at-a-time scheduling (PhaseType). The tail
+behaves like (gamma/nu) t^k exp(-nu t), where -nu is the eigenvalue of Q with
+greatest real part and k + 1 its algebraic multiplicity.
 """
 
 from __future__ import annotations
@@ -31,51 +31,37 @@ _FIT_LOG_RANGE = 350.0
 # solves each strongly connected class on its own, and by Perron-Frobenius
 # the dominant eigenvalue of a class is simple: each copy of -nu is one
 # class's root, exact for a single state and within rounding for a larger
-# class, never a scattered Jordan block. dominant_eigen at tol = 1e-10
-# brackets -nu to within 0.525e-10 max(-Q_ii), inside this tolerance.
+# class, never a scattered Jordan block. dominant_eigen brackets -nu to
+# within 0.525e-10 max(-Q_ii), inside this tolerance.
 _ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PhaseType:
-    """Phase-type distribution of parameters (alpha, Q).
+    """Discrete phase-type distribution of parameters (alpha, I + Q/N).
 
-    scale is None for the continuous kind and the integer N for the discrete
-    kind (transition matrix I + Q/N), which requires N >= max(-Q_ii).
+    scale is the N of I + Q/N, which requires N >= max(-Q_ii); the continuous
+    survival alpha exp(Qt) 1 is fluid.transient_survival.
     """
 
     alpha: InitialDistribution
     sub: SubGenerator
-    scale: int | None = None
+    scale: int
 
     def __post_init__(self):
-        if self.scale is not None:
-            if self.scale < self.sub.max_exit_rate:
-                raise ScaleTooSmall(
-                    f"scale N = {self.scale} below max(-Q_ii) = "
-                    f"{self.sub.max_exit_rate}; I + Q/N would go negative"
-                )
-
-    @classmethod
-    def continuous(cls, alpha, sub):
-        return cls(alpha=alpha, sub=sub, scale=None)
+        if self.scale < self.sub.max_exit_rate:
+            raise ScaleTooSmall(
+                f"scale N = {self.scale} below max(-Q_ii) = "
+                f"{self.sub.max_exit_rate}; I + Q/N would go negative"
+            )
 
     @classmethod
     def discrete(cls, alpha, sub, N):
         return cls(alpha=alpha, sub=sub, scale=int(N))
 
 
-def continuous_survival(pt: PhaseType, t) -> float:
-    """P(X >= t) = alpha exp(Qt) 1 for the continuous kind."""
-    if pt.scale is not None:
-        raise ValueError("continuous_survival needs a continuous phase type")
-    return transient_survival(pt.alpha, pt.sub, t)
-
-
 def discrete_survival(pt: PhaseType, k) -> float:
-    """P(X >= k) = alpha (I + Q/N)^k 1 for the discrete kind."""
-    if pt.scale is None:
-        raise ValueError("discrete_survival needs a discrete phase type")
+    """P(X >= k) = alpha (I + Q/N)^k 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _SurvivalSeries(pt.sub.Q, pt.alpha.alpha).discrete(int(k), pt.scale)
@@ -93,8 +79,6 @@ def x_threshold(pt: PhaseType) -> int:
     the series' step limit, and raises NonConvergent when the survival is
     still above 2/N there.
     """
-    if pt.scale is None:
-        raise ValueError("x_threshold needs a discrete phase type")
     target = 2.0 / pt.scale
     series = _SurvivalSeries(pt.sub.Q, pt.alpha.alpha)
 
@@ -158,7 +142,7 @@ def spectral_params(sub: SubGenerator, estimate_gamma=False, alpha=None) -> Spec
     # The spectrum first: a strongly connected class past the dense cap
     # raises DimensionTooLarge before the Perron iteration for nu has run.
     spectrum = eigen_spectrum(sub.Q)
-    nu = -dominant_eigen(sub.Q, tol=1e-10)
+    nu = -dominant_eigen(sub.Q)
     tol = _ROOT_TOL * max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
     k = max(int(np.count_nonzero(np.abs(spectrum + nu) <= tol)) - 1, 0)
 
@@ -243,8 +227,6 @@ def sample_absorption_step(pt: PhaseType, rng) -> int:
     the law unchanged. Returns the first step index at which the chain sits
     in state 0 (0 when the initial draw lands on state 0).
     """
-    if pt.scale is None:
-        raise ValueError("sample_absorption_step needs a discrete phase type")
     u = rng.random()
     if u < pt.alpha.mass0:
         return 0

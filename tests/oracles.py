@@ -24,7 +24,7 @@ from fluidhit.errors import MaxStepsExceeded
 from fluidhit.simulator import DEFAULT_MAX_STEPS, _replication_rng, _Uniforms
 
 
-def rk4_fluid_m0(P_dense, initial_full, t_grid, h=0.01):
+def rk4_absorbed_fraction(P_dense, initial_full, t_grid, h=0.01):
     """Integrate the full-space ODE dm/dt = m (P - I) with fixed-step RK4.
 
     initial_full is the distribution over all S+1 states (index 0 first).

@@ -12,6 +12,7 @@ import numpy as np
 from fluidhit import (
     OccupancyState,
     PhaseType,
+    assemble_report,
     crossing_time,
     decompose,
     discrete_survival,
@@ -31,7 +32,6 @@ from fluidhit import (
     simulate_trajectory,
     spectral_params,
     stochastic_order_check,
-    theorem1_bound,
     theorem3_bound,
     theorem4_bound,
     x_threshold,
@@ -40,7 +40,7 @@ from fluidhit import (
 from oracles import (
     exact_occupancy_mean_hitting,
     ks_two_sample_stat,
-    rk4_fluid_m0,
+    rk4_absorbed_fraction,
     stepped_hitting_times,
 )
 
@@ -89,7 +89,7 @@ def test_criterion_03_bound_dominance():
             res = estimate_hitting_time(ex.chain, initial, runs, seed=103)
             floor = res.mean - 3 * res.stderr
             ceil = res.mean + 3 * res.stderr
-            t1 = theorem1_bound(sub, ex.default_alpha, N, w_max=float(W.max()))
+            t1 = assemble_report(ex.chain, ex.default_alpha, N).theorem1
             t3 = theorem3_bound(W, initial)
             t4 = theorem4_bound(float(W.max()), N)
             for nm, val in (("theorem1", t1), ("theorem3", t3), ("theorem4", t4)):
@@ -116,7 +116,7 @@ def test_criterion_04_fluid_oracle():
         erlang_vals = np.array([erlang_m0(T, t) for t in grid])
         full0 = np.zeros(T + 1)
         full0[T] = 1.0
-        rk4_vals = rk4_fluid_m0(ex.chain.dense(), full0, grid, h=0.004)
+        rk4_vals = rk4_absorbed_fraction(ex.chain.dense(), full0, grid, h=0.004)
         worst_erlang = max(worst_erlang, float(np.max(np.abs(fluid_vals - erlang_vals))))
         worst_rk4 = max(worst_rk4, float(np.max(np.abs(fluid_vals - rk4_vals))))
     ok = worst_erlang < 1e-8 and worst_rk4 < 1e-8
@@ -166,7 +166,7 @@ def test_criterion_07_spectral_correctness():
     for _ in range(50):
         S = int(rng.integers(1, 9))
         sub = decompose(random_chain(rng, S))
-        lead = dominant_eigen(sub.Q, tol=1e-8)
+        lead = dominant_eigen(sub.Q)
         dense = eigen_spectrum(sub.Q)[0].real
         worst = max(worst, abs(lead - dense))
         # Both share the class split; numpy on the dense Q shares no code with them.

@@ -21,7 +21,6 @@ from fluidhit import (
     gen_tstage,
     harmonic_number,
     spectral_params,
-    theorem1_bound,
     theorem2_asymptotic,
     theorem3_bound,
     theorem3_uniform_cap,
@@ -33,6 +32,10 @@ from fluidhit.errors import GammaMissing, InconsistentBounds
 from fluidhit.numerics import DENSE_CAP
 
 from oracles import erlang_crossing, exact_occupancy_mean_hitting
+
+
+def _theorem1(ex, N):
+    return assemble_report(ex.chain, ex.default_alpha, N).theorem1
 
 
 def test_harmonic_number():
@@ -51,8 +54,7 @@ def test_harmonic_number():
 
 def test_theorem1_classical():
     ex = gen_tstage(1)
-    sub = decompose(ex.chain)
-    value = theorem1_bound(sub, ex.default_alpha, 100)
+    value = _theorem1(ex, 100)
     assert value == pytest.approx(100 * (math.log(100) + 1 + 2), abs=1e-6)
     assert value == pytest.approx(760.517, abs=1e-3)
 
@@ -60,17 +62,15 @@ def test_theorem1_classical():
 def test_theorem1_tstage3():
     # mean jumps 3, resolvent row-sum norm max W = 3.
     ex = gen_tstage(3)
-    sub = decompose(ex.chain)
     t_n = erlang_crossing(3, 0.01)
-    assert theorem1_bound(sub, ex.default_alpha, 100) == pytest.approx(
+    assert _theorem1(ex, 100) == pytest.approx(
         100 * (t_n + 3 + 2 * 3), abs=1e-5
     )
 
 
 def test_theorem1_fig3b():
     ex = gen_fig3b(2)
-    sub = decompose(ex.chain)
-    assert theorem1_bound(sub, ex.default_alpha, 10) == pytest.approx(
+    assert _theorem1(ex, 10) == pytest.approx(
         10 * (2 * math.log(10) + 1 + 4), abs=1e-6
     )
 
@@ -80,7 +80,7 @@ def test_theorem1_dominates_n_t_n():
         sub = decompose(ex.chain)
         for N in (10, 100):
             t_n = crossing_time(ex.default_alpha, sub, 1.0 / N).time
-            assert theorem1_bound(sub, ex.default_alpha, N) >= N * t_n
+            assert _theorem1(ex, N) >= N * t_n
 
 
 def test_theorem2_values():
@@ -184,9 +184,8 @@ def test_coupon_bound_t1_vs_theorem4_leading():
 
 def test_theorem1_over_n_log_n_approaches_inverse_nu():
     for ex, nu in ((gen_tstage(1), 1.0), (gen_fig3b(4), 0.25)):
-        sub = decompose(ex.chain)
         ratios = [
-            theorem1_bound(sub, ex.default_alpha, N) / (N * math.log(N))
+            _theorem1(ex, N) / (N * math.log(N))
             for N in (10**2, 10**3, 10**4, 10**5)
         ]
         gaps = [abs(r - 1.0 / nu) for r in ratios]

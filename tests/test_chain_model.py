@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -320,6 +322,24 @@ def test_initial_distribution_validation():
         InitialDistribution(alpha=np.array([0.5, 0.2]))  # sums to 0.7
     d = InitialDistribution(alpha=np.array([0.25, 0.25]), mass0=0.5)
     assert d.transient_mass == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "alpha, mass0, field",
+    [
+        ([math.nan], 0.0, "alpha"),
+        ([math.nan, 1.0], 0.0, "alpha"),
+        ([math.inf, 1.0], 0.0, "alpha"),
+        ([1.5], -0.5, "mass0"),
+        ([1.0], math.nan, "mass0"),
+        ([0.0], math.inf, "mass0"),
+    ],
+    ids=["nan", "nan-entry", "inf-entry", "negative-mass0", "nan-mass0", "inf-mass0"],
+)
+def test_initial_distribution_refuses_non_finite_or_negative_mass(alpha, mass0, field):
+    # Each passed the sum check before: nan compares false, and 1.5 - 0.5 = 1.
+    with pytest.raises(ValueError, match=field):
+        InitialDistribution(alpha=np.array(alpha), mass0=mass0)
 
 
 def test_load_chain_spec_dense(tmp_path):

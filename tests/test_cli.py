@@ -65,6 +65,16 @@ def test_validate_missing_file(capsys):
     assert code == 2
 
 
+def test_analyze_refuses_nan_alpha(tmp_path, capsys):
+    # json.load reads NaN; it used to pass validation and fail later, with a
+    # numpy warning and a message about occupancy counts.
+    path = tmp_path / "nan-alpha.json"
+    path.write_text('{"states": 3, "P": [[1, 0, 0], [1, 0, 0], [0, 1, 0]], "alpha": [NaN, 1.0]}')
+    code, _, err = run_cli(capsys, "analyze", "--chain", str(path), "--N", "10")
+    assert code == 2
+    assert "alpha entries must be finite" in err
+
+
 def test_analyze_classical_theorem1(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--chain", "classical", "--N", "100")
     assert code == 0

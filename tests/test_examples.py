@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from fluidhit import (
     decompose,
     erlang_m0,
     expected_hitting_times,
-    fluid_m0,
     gen_classical,
     gen_fig3a,
     gen_fig3b,
@@ -16,9 +16,8 @@ from fluidhit import (
     get_example,
     harmonic_number,
     random_chain,
-    scenario_bound,
     spectral_params,
-    theorem4_bound,
+    transient_survival,
     validate_chain,
 )
 from fluidhit.errors import FluidhitError, SizeTooLarge
@@ -50,7 +49,7 @@ def test_tstage_fluid_matches_erlang():
         ex = gen_tstage(T)
         sub = decompose(ex.chain)
         for t in np.geomspace(0.05, 30.0, 12):
-            assert fluid_m0(ex.default_alpha, sub, t) == pytest.approx(
+            assert 1.0 - transient_survival(ex.default_alpha, sub, t) == pytest.approx(
                 erlang_m0(T, t), abs=1e-8
             )
 
@@ -90,6 +89,25 @@ def test_fig3a_size_guard():
         gen_fig3a(10**4, 1000)
 
 
+def test_tstage_size_guard():
+    # Refused before anything is allocated: a dense P would need 8e14 bytes.
+    with pytest.raises(SizeTooLarge):
+        gen_tstage(10**7 + 1)
+
+
+def test_tstage_is_built_sparsely():
+    # A dense (T+1)^2 array at T = 3000 is 72 MB; the countdown itself is
+    # a few hundred kB.
+    tracemalloc.start()
+    try:
+        ex = gen_tstage(3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert ex.chain.P.nnz == 3001
+
+
 def test_fig3a_lower_bound_value():
     ex = gen_fig3a(10, 2)
     assert ex.lower_bound(10) == pytest.approx(95.62, abs=0.01)
@@ -127,15 +145,6 @@ def test_erlang_m0_values():
     assert erlang_m0(3, 0.0) == 0.0
     # large-t stability
     assert erlang_m0(4, 600.0) == pytest.approx(1.0)
-
-
-def test_scenario_bound():
-    assert scenario_bound(1, 1) == pytest.approx(3.0)
-    assert scenario_bound(10, 64) == pytest.approx(10 * 64 * math.log(64) + 1281)
-    assert scenario_bound(10, 64) == theorem4_bound(10, 64)
-    # monotone in both arguments
-    assert scenario_bound(11, 64) > scenario_bound(10, 64)
-    assert scenario_bound(10, 65) > scenario_bound(10, 64)
 
 
 def test_get_example_parsing():

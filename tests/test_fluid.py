@@ -8,7 +8,6 @@ from fluidhit import (
     InitialDistribution,
     crossing_time,
     decompose,
-    fluid_m0,
     fluid_trajectory,
     gen_fig3a,
     gen_tstage,
@@ -19,7 +18,7 @@ from fluidhit import (
 
 from fluidhit.errors import BracketingFailure
 
-from oracles import erlang_crossing, rk4_fluid_m0
+from oracles import erlang_crossing, rk4_absorbed_fraction
 
 
 def _classical():
@@ -30,7 +29,7 @@ def _classical():
 def test_m0_classical_exponential():
     alpha, sub = _classical()
     for t in (0.0, 0.5, 2.0, 7.0):
-        assert fluid_m0(alpha, sub, t) == pytest.approx(1 - math.exp(-t), abs=1e-12)
+        assert 1.0 - transient_survival(alpha, sub, t) == pytest.approx(1 - math.exp(-t), abs=1e-12)
 
 
 def test_m0_tstage_is_erlang_cdf():
@@ -39,12 +38,12 @@ def test_m0_tstage_is_erlang_cdf():
     sub = decompose(ex.chain)
     for t in (0.5, 1.0, 3.0):
         expected = 1 - sum(math.exp(-t) * t**k / math.factorial(k) for k in range(T))
-        assert fluid_m0(ex.default_alpha, sub, t) == pytest.approx(expected, abs=1e-12)
+        assert 1.0 - transient_survival(ex.default_alpha, sub, t) == pytest.approx(expected, abs=1e-12)
 
 
 def test_m0_zero_at_time_zero():
     alpha, sub = _classical()
-    assert fluid_m0(alpha, sub, 0.0) == 0.0
+    assert 1.0 - transient_survival(alpha, sub, 0.0) == 0.0
 
 
 def test_crossing_classical_log_n():
@@ -253,7 +252,7 @@ def test_trajectory_steps_one_series_across_the_grid(monkeypatch):
         traj = fluid_trajectory(alpha, sub, grid)
         monkeypatch.undo()
         c = sub.max_exit_rate
-        j0, window = fluidhit.numerics._weights(1e-15, rate=c, t=grid[-1])
+        j0, window = fluidhit.numerics._weights(rate=c, t=grid[-1])
         assert len(built) == 1 and len(expm_calls) <= 1
         if stop is None:
             assert c * grid[-1] <= len(terms) <= j0 + window.size
@@ -326,7 +325,7 @@ def test_matches_rk4_oracle_on_example_chains():
         sub = decompose(ex.chain)
         fluid_vals = fluid_trajectory(ex.default_alpha, sub, grid).m0_values
         full0 = np.concatenate([[ex.default_alpha.mass0], ex.default_alpha.alpha])
-        oracle = rk4_fluid_m0(ex.chain.dense(), full0, grid)
+        oracle = rk4_absorbed_fraction(ex.chain.dense(), full0, grid)
         assert np.max(np.abs(fluid_vals - oracle)) < 1e-8
 
 
@@ -340,7 +339,7 @@ def test_matches_rk4_oracle_on_random_chains():
         sub = decompose(chain)
         fluid_vals = fluid_trajectory(alpha, sub, grid).m0_values
         full0 = np.concatenate([[0.0], alpha.alpha])
-        oracle = rk4_fluid_m0(chain.dense(), full0, grid)
+        oracle = rk4_absorbed_fraction(chain.dense(), full0, grid)
         assert np.max(np.abs(fluid_vals - oracle)) < 1e-8
 
 

@@ -155,11 +155,6 @@ def test_expm_of_zero_vector_sums_no_series(monkeypatch):
     assert expm_action(Q, np.array([0.0]), 2.5e5).tolist() == [0.0]
 
 
-def test_expm_refuses_tiny_tolerance():
-    with pytest.raises(NonConvergent):
-        expm_action(np.array([[-1.0]]), np.array([1.0]), 1.0, tol=1e-16)
-
-
 @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
 def test_expm_refuses_non_finite_or_negative_time(t):
     # At inf or nan the certified stop n + 1 > mu never holds.
@@ -176,7 +171,7 @@ def test_expm_large_time_log_space_weights():
 
 @pytest.mark.parametrize("mu", [32.2, 738.0, 2000.0, 1e4, 1e5])
 def test_expm_stops_on_certified_poisson_tail(monkeypatch, mu):
-    # At tol = 1e-15 the summed weights can round below 1 - tol, so a stop
+    # At the 1e-15 tolerance the summed weights can round below 1 - 1e-15, so a stop
     # on that sum ran to a cap far past the mean (1,377 terms at mu = 32.2);
     # the certified tail bound stops within a few standard deviations.
     iterates = numerics._row_iterates
@@ -189,7 +184,7 @@ def test_expm_stops_on_certified_poisson_tail(monkeypatch, mu):
 
     monkeypatch.setattr(numerics, "_row_iterates", counting)
     Q = np.array([[-1.0]])
-    out = expm_action(Q, np.array([1.0]), mu / -Q[0, 0], tol=1e-15)  # c = max(-Q_ii)
+    out = expm_action(Q, np.array([1.0]), mu / -Q[0, 0])  # c = max(-Q_ii)
     assert len(terms) <= mu + 10.0 * math.sqrt(mu) + 30.0
     assert 0.0 <= out[0] <= 1.0
 
@@ -200,7 +195,7 @@ def test_expm_slow_decay_matches_expm_multiply(t):
     # 0.62 while c t is 9.5e4, far past the underflow of exp(-c t).
     Q = np.array([[-1.0, 1.0 - 1e-5], [1.0, -1.0]])
     v = np.array([0.3, 0.7])
-    got = expm_action(Q, v, t, tol=1e-15)
+    got = expm_action(Q, v, t)
     ref = expm_multiply(Q.T * t, v)
     assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
 
@@ -222,15 +217,14 @@ def test_expm_nonnegative_and_mass_decreasing():
 
 def test_expm_semigroup_property():
     rng = np.random.default_rng(13)
-    tol = 1e-12
     for _ in range(10):
         S = int(rng.integers(1, 11))
         sub = decompose(random_chain(rng, S))
         v = rng.dirichlet(np.ones(S))
         t1, t2 = rng.uniform(0.1, 2.0, size=2)
-        direct = expm_action(sub.Q, v, t1 + t2, tol=tol)
-        composed = expm_action(sub.Q, expm_action(sub.Q, v, t1, tol=tol), t2, tol=tol)
-        assert np.max(np.abs(direct - composed)) <= 10 * tol
+        direct = expm_action(sub.Q, v, t1 + t2)
+        composed = expm_action(sub.Q, expm_action(sub.Q, v, t1), t2)
+        assert np.max(np.abs(direct - composed)) <= 1e-11
 
 
 def test_expm_sparse_matches_dense():
@@ -247,7 +241,7 @@ def test_expm_sparse_matches_dense():
             v = np.zeros(sub.n_transient)
             v[start] = 1.0
         for t in (2.5, 60.0):
-            got = expm_action(sub.Q, v, t, tol=1e-15)
+            got = expm_action(sub.Q, v, t)
             ref = expm_multiply(sub.Q.T * t, v)
             assert got == pytest.approx(ref, rel=1e-10, abs=1e-15)
 
@@ -376,9 +370,9 @@ def _law(mu=None, k=None, p=None):
     """(weights, mode, up, down) of Poisson(mu) or Binomial(k, p), the ratios
     as functions of Fraction or Decimal arguments."""
     if k is None:
-        return numerics._weights(_TOL, rate=1.0, t=mu), math.floor(mu), (
+        return numerics._weights(rate=1.0, t=mu), math.floor(mu), (
             lambda j, x: x / (j + 1)), (lambda j, x: j / x)
-    return numerics._weights(_TOL, k=k, p=p), min(k, math.floor((k + 1) * p)), (
+    return numerics._weights(k=k, p=p), min(k, math.floor((k + 1) * p)), (
         lambda j, x: (k - j) * x / (j + 1)), (lambda j, x: j / ((k - j + 1) * x))
 
 
@@ -462,18 +456,18 @@ def test_weights_upper_cut_is_the_first_certified_term():
     # The upper cut is the first n > mu - 1 with w_n mu / (n + 1 - mu) <= tol
     # (Fox & Glynn's bound on the Poisson mass past n).
     for mu in (32.2, 738.0, 1e5):
-        j0, w = numerics._weights(_TOL, rate=1.0, t=mu)
+        j0, w = numerics._weights(rate=1.0, t=mu)
         n = j0 + w.size - 1
         assert w[-1] * mu / (n + 1 - mu) <= _TOL < w[-2] * mu / (n - mu)
-    j0, w = numerics._weights(_TOL, rate=1.0, t=1e5)
+    j0, w = numerics._weights(rate=1.0, t=1e5)
     assert j0 + w.size == 102_523  # the term count README quotes
 
 
 def test_weights_of_degenerate_laws():
     assert [(j0, w.tolist()) for j0, w in (
-        numerics._weights(_TOL, rate=1.0, t=1e-320 * 1e-10),
-        numerics._weights(_TOL, k=9, p=0.0),
-        numerics._weights(_TOL, k=9, p=1.0),
+        numerics._weights(rate=1.0, t=1e-320 * 1e-10),
+        numerics._weights(k=9, p=0.0),
+        numerics._weights(k=9, p=1.0),
     )] == [(0, [1.0]), (0, [1.0]), (9, [1.0])]
 
 
@@ -626,7 +620,7 @@ def test_dominant_matches_dense_spectrum():
     for _ in range(25):
         S = int(rng.integers(1, 9))
         sub = decompose(random_chain(rng, S))
-        lead = dominant_eigen(sub.Q, tol=tol)
+        lead = dominant_eigen(sub.Q)
         dense = eigen_spectrum(sub.Q.toarray())[0].real
         assert abs(lead - dense) <= 10 * tol
         # numpy on the dense Q shares no code with the class-by-class paths.
@@ -641,7 +635,7 @@ def test_dominant_matches_dense_spectrum():
         i, j = 2 * c, 2 * c + 1
         Q[i, j], Q[j, i] = a[c], b[c]
         Q[i, i], Q[j, j] = -(a[c] + e[c]), -(b[c] + 0.5 * e[c])
-    lead = dominant_eigen(sp.csr_array(Q), tol=tol)
+    lead = dominant_eigen(sp.csr_array(Q))
     assert abs(lead - np.max(np.linalg.eigvals(Q).real)) <= 10 * tol
 
 
@@ -671,9 +665,8 @@ def test_dominant_matches_dense_eigvals_on_linked_cycles(seed, top_singleton):
         single = starts[sizes == 1][0]
         Q[single] = 0.0
         Q[single, single] = -0.01
-    tol = 1e-10
-    lead = dominant_eigen(sp.csr_array(Q), tol=tol)
-    assert abs(lead - np.max(np.linalg.eigvals(Q).real)) <= 10 * tol
+    lead = dominant_eigen(sp.csr_array(Q))
+    assert abs(lead - np.max(np.linalg.eigvals(Q).real)) <= 1e-9
 
 
 def _forward_or_return(n, p):

@@ -8,7 +8,6 @@ from fluidhit import (
     InitialDistribution,
     PhaseType,
     SubGenerator,
-    continuous_survival,
     crossing_time,
     decompose,
     discrete_survival,
@@ -21,6 +20,7 @@ from fluidhit import (
     sample_absorption_step,
     spectral_params,
     stochastic_order_check,
+    transient_survival,
     x_threshold,
 )
 from fluidhit import numerics
@@ -29,24 +29,22 @@ from fluidhit.errors import DegenerateTail, NonConvergent, ScaleTooSmall
 from oracles import threshold_scan
 
 
-def _classical_pt(N=None):
+def _classical_pt(N):
     ex = gen_tstage(1)
-    sub = decompose(ex.chain)
-    if N is None:
-        return PhaseType.continuous(ex.default_alpha, sub)
-    return PhaseType.discrete(ex.default_alpha, sub, N)
+    return PhaseType.discrete(ex.default_alpha, decompose(ex.chain), N)
 
 
 def test_continuous_survival_classical():
-    pt = _classical_pt()
-    assert continuous_survival(pt, math.log(4.0)) == pytest.approx(0.25, abs=1e-12)
-    assert continuous_survival(pt, 0.0) == pytest.approx(1.0)
+    ex = gen_tstage(1)
+    sub = decompose(ex.chain)
+    assert transient_survival(ex.default_alpha, sub, math.log(4.0)) == pytest.approx(0.25, abs=1e-12)
+    assert transient_survival(ex.default_alpha, sub, 0.0) == pytest.approx(1.0)
 
 
 def test_continuous_survival_erlang2():
     ex = gen_tstage(2)
-    pt = PhaseType.continuous(ex.default_alpha, decompose(ex.chain))
-    assert continuous_survival(pt, 1.0) == pytest.approx(2 * math.exp(-1), abs=1e-10)
+    survival = transient_survival(ex.default_alpha, decompose(ex.chain), 1.0)
+    assert survival == pytest.approx(2 * math.exp(-1), abs=1e-10)
 
 
 def test_discrete_survival_values():
@@ -382,7 +380,6 @@ def test_sampler_mass_at_zero():
 def test_discrete_converges_to_continuous():
     ex = gen_tstage(2)
     sub = decompose(ex.chain)
-    cont = PhaseType.continuous(ex.default_alpha, sub)
     t_grid = [0.5, 1.0, 2.0, 4.0]
     errors = []
     for N in (10, 100, 1000):
@@ -390,7 +387,7 @@ def test_discrete_converges_to_continuous():
         err = max(
             abs(
                 discrete_survival(disc, int(math.floor(t * N)))
-                - continuous_survival(cont, t)
+                - transient_survival(ex.default_alpha, sub, t)
             )
             for t in t_grid
         )
@@ -416,12 +413,11 @@ def test_tail_band_sanity():
     for ex in (gen_tstage(1), gen_tstage(3), gen_fig3b(2)):
         sub = decompose(ex.chain)
         sp = spectral_params(sub)
-        pt = PhaseType.continuous(ex.default_alpha, sub)
         t_a = crossing_time(ex.default_alpha, sub, 1e-3).time
         t_b = crossing_time(ex.default_alpha, sub, 1e-10).time
         ratios = []
         for t in np.linspace(t_a, t_b, 12):
-            s = continuous_survival(pt, t)
+            s = transient_survival(ex.default_alpha, sub, t)
             ratios.append(s * math.exp(sp.nu * t) / t**sp.k)
         assert min(ratios) > 0.0
         assert max(ratios) / min(ratios) < 50.0
