@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chain_model import (
-    AbsorbingChain,
-    InitialDistribution,
     ResolventQuantities,
     decompose,
     expected_hitting_times,
@@ -41,6 +40,9 @@ from .fluid import crossing_time
 from .numerics import dominant_eigen
 from .phase_type import SpectralParams, _fit_gamma, spectral_params
 from .simulator import OccupancyState
+
+if TYPE_CHECKING:  # examples imports this module
+    from .examples import NamedExample
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -110,9 +112,42 @@ def coupon_bound(T, N) -> float:
     return N * math.log(N) + (T - 1) * N * math.log(math.log(N)) + (T + 2) * N
 
 
+# JSON key -> (BoundReport attribute, provenance, formula). to_json_dict writes
+# one entry per row, and leaves out an entry whose value is None.
+_JSON_ENTRIES = {
+    "theorem1": ("theorem1", "finite-N upper bound", "N (t_N + mean_jumps + 2 max_x W(x))"),
+    "theorem3": ("theorem3", "finite-N upper bound", "N sum_i W(x_i)"),
+    "theorem4": ("theorem4", "finite-N upper bound, T = max W", "T N ln N + 2 N T + 1"),
+    "theorem2_asymptotic": (
+        "theorem2_asymptotic",
+        "leading terms only, O(N) remainder omitted; not a certified bound",
+        "(1/nu) N ln N + (k/nu) N ln ln N",
+    ),
+    "tn_asymptotic": (
+        "tn_asymptotic",
+        "tail asymptotic with fitted gamma (numerical estimate)",
+        "(1/nu)(ln(gamma N) + k ln ln N - k ln nu)",
+    ),
+    "exact": ("exact", "closed form", "exact E[T_N]"),
+    "t_N": ("t_n", "fluid crossing time", "survival(t) = 1/N"),
+    "nu": ("nu", "dominant eigenvalue of Q, negated", "-max Re eig(Q)"),
+    "k": ("k", "multiplicity of -nu minus one", "mult(-nu) - 1"),
+    "gamma": ("gamma", "tail prefactor (numerical estimate)", "fit"),
+    "mean_jumps": ("mean_jumps", "expected jumps before absorption", "alpha (I-R)^-1 1"),
+    "max_neg_qinv": ("max_neg_qinv", "resolvent maximum", "max_jk (-Q)^-1_jk"),
+    "w_max": ("w_max", "uniform hitting-time cap", "max_x W(x)"),
+}
+# CSV column -> BoundReport attribute, where the two names differ.
+_CSV_ATTRS = {"t_N": "t_n", "lower_bound": "lower_value"}
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Every applicable bound for one (chain, alpha, N) instance."""
+    """Every applicable bound for one (chain, alpha, N) instance.
+
+    lower_bound is the instance's known lower bound as a (name, value)
+    pair, or None; its JSON key is lower_<name>.
+    """
 
     instance: str
     N: int
@@ -121,7 +156,7 @@ class BoundReport:
     theorem4: float
     theorem2_asymptotic: float | None
     tn_asymptotic: float | None
-    lower_bounds: tuple
+    lower_bound: tuple[str, float] | None
     exact: float | None
     t_n: float
     nu: float | None
@@ -139,57 +174,20 @@ class BoundReport:
             ("theorem4", self.theorem4),
         ]
 
-    def to_json_dict(self):
-        def entry(value, provenance, formula):
-            return {"value": value, "provenance": provenance, "formula": formula}
+    @property
+    def lower_value(self):
+        return None if self.lower_bound is None else self.lower_bound[1]
 
-        out = {
-            "instance": {"name": self.instance, "N": self.N},
-            "theorem1": entry(
-                self.theorem1,
-                "finite-N upper bound",
-                "N (t_N + mean_jumps + 2 max_x W(x))",
-            ),
-            "theorem3": entry(
-                self.theorem3, "finite-N upper bound", "N sum_i W(x_i)"
-            ),
-            "t_N": entry(self.t_n, "fluid crossing time", "survival(t) = 1/N"),
-            "mean_jumps": entry(
-                self.mean_jumps, "expected jumps before absorption", "alpha (I-R)^-1 1"
-            ),
-            "w_max": entry(self.w_max, "uniform hitting-time cap", "max_x W(x)"),
-        }
-        if self.max_neg_qinv is not None:
-            out["max_neg_qinv"] = entry(
-                self.max_neg_qinv, "resolvent maximum", "max_jk (-Q)^-1_jk"
-            )
-        out["theorem4"] = entry(
-            self.theorem4,
-            "finite-N upper bound, T = max W",
-            "T N ln N + 2 N T + 1",
-        )
-        if self.theorem2_asymptotic is not None:
-            out["theorem2_asymptotic"] = entry(
-                self.theorem2_asymptotic,
-                "leading terms only, O(N) remainder omitted; not a certified bound",
-                "(1/nu) N ln N + (k/nu) N ln ln N",
-            )
-        if self.tn_asymptotic is not None:
-            out["tn_asymptotic"] = entry(
-                self.tn_asymptotic,
-                "tail asymptotic with fitted gamma (numerical estimate)",
-                "(1/nu)(ln(gamma N) + k ln ln N - k ln nu)",
-            )
-        if self.nu is not None:
-            out["nu"] = entry(self.nu, "dominant eigenvalue of Q, negated", "-max Re eig(Q)")
-        if self.k is not None:
-            out["k"] = entry(self.k, "multiplicity of -nu minus one", "mult(-nu) - 1")
-        if self.gamma is not None:
-            out["gamma"] = entry(self.gamma, "tail prefactor (numerical estimate)", "fit")
-        for name, value in self.lower_bounds:
-            out[f"lower_{name}"] = entry(value, "lower bound", name)
-        if self.exact is not None:
-            out["exact"] = entry(self.exact, "closed form", "exact E[T_N]")
+    def to_json_dict(self):
+        entries = dict(_JSON_ENTRIES)
+        if self.lower_bound is not None:
+            name = self.lower_bound[0]
+            entries[f"lower_{name}"] = ("lower_value", "lower bound", name)
+        out = {"instance": {"name": self.instance, "N": self.N}}
+        for key, (attr, provenance, formula) in entries.items():
+            value = getattr(self, attr)
+            if value is not None:
+                out[key] = {"value": value, "provenance": provenance, "formula": formula}
         if self.notes:
             out["notes"] = dict(self.notes)
         return out
@@ -209,46 +207,29 @@ class BoundReport:
     )
 
     def to_csv_row(self):
-        lower = max((v for _, v in self.lower_bounds), default=None)
-        vals = (
-            self.instance,
-            self.N,
-            self.exact,
-            self.theorem1,
-            self.theorem2_asymptotic,
-            self.theorem3,
-            self.theorem4,
-            lower,
-            self.t_n,
-            self.nu,
-            self.k,
-        )
+        vals = (getattr(self, _CSV_ATTRS.get(column, column)) for column in self.CSV_FIELDS)
         return ["" if v is None else str(v) for v in vals]
 
 
-def assemble_report(
-    chain: AbsorbingChain,
-    alpha: InitialDistribution,
-    N,
-    name="chain",
-    exact=None,
-    lower_bounds=(),
-    estimate_gamma=False,
-) -> BoundReport:
-    """Compute every applicable bound; failures degrade per entry.
+def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundReport:
+    """Compute every applicable bound for example at population N; failures degrade per entry.
 
-    nu and k come from spectral_params (k + 1 counts the copies of -nu in
-    the class-by-class spectrum). When a strongly connected class is past
-    the dense cap, k is skipped and nu comes from the Perron iteration
-    alone; when the Perron iteration fails, nu and k are both skipped.
-    notes["spectral"] records each skip. A class past the dense cap also
-    leaves max_neg_qinv out, with notes["max_neg_qinv"] saying why.
+    The chain, start, name, closed-form exact mean and known lower bound
+    all come from example (wrap a bare chain as NamedExample(name, chain,
+    alpha) to report on it). nu and k come from spectral_params (k + 1
+    counts the copies of -nu in the class-by-class spectrum). When a
+    strongly connected class is past the dense cap, k is skipped and nu
+    comes from the Perron iteration alone; when the Perron iteration fails,
+    nu and k are both skipped. notes["spectral"] records each skip. A class
+    past the dense cap also leaves max_neg_qinv out, with
+    notes["max_neg_qinv"] saying why.
 
-    Lower bounds and exact values for named chains are supplied by the
-    caller (the generators know their closed forms). Raises
-    InconsistentBounds if any lower bound exceeds any certified upper bound.
+    Raises InconsistentBounds if the lower bound exceeds any certified
+    upper bound or the exact value.
     """
-    sub = decompose(chain)
+    alpha = example.default_alpha
+    lower = example.lower_bound(N)
+    sub = decompose(example.chain)
     W = expected_hitting_times(sub)
     notes = {}
 
@@ -299,15 +280,15 @@ def assemble_report(
             tn_asym = tN_asymptotic(sp, N)
 
     report = BoundReport(
-        instance=name,
+        instance=example.name,
         N=N,
         theorem1=theorem1,
         theorem3=theorem3,
         theorem4=theorem4,
         theorem2_asymptotic=theorem2,
         tn_asymptotic=tn_asym,
-        lower_bounds=tuple(lower_bounds),
-        exact=exact,
+        lower_bound=None if lower is None else (example.params["kind"], lower),
+        exact=example.exact_mean(N),
         t_n=t_n,
         nu=nu,
         k=k,
@@ -323,7 +304,8 @@ def assemble_report(
 
 def _assert_consistency(report: BoundReport):
     uppers = report.upper_bounds()
-    for lname, lval in report.lower_bounds:
+    if report.lower_bound is not None:
+        lname, lval = report.lower_bound
         for uname, uval in uppers:
             if lval > uval:
                 raise InconsistentBounds(

@@ -501,6 +501,8 @@ def load_chain_spec(source) -> tuple[AbsorbingChain, InitialDistribution]:
         raise ValueError('chain spec needs either "P" or "P_sparse"')
 
     mass0 = float(spec.get("alpha0", 0.0))
+    if not 0.0 <= mass0 <= 1.0:
+        raise ValueError(f'"alpha0" must be finite and within [0, 1], got {mass0}')
     if "alpha" in spec:
         alpha = np.asarray(spec["alpha"], dtype=float)
         if alpha.shape != (n - 1,):

@@ -73,7 +73,7 @@ class NamedExample:
         if self.params.get("kind") != "fig3a":
             return None
         self.check_population(N)
-        hit = -math.expm1(N * math.log1p(-1.0 / (N * N)))
+        hit = 1.0 if N == 1 else -math.expm1(N * math.log1p(-1.0 / (N * N)))
         return N**3 * (self.params["T"] - 1) * hit
 
 

@@ -87,11 +87,11 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
     stepping the row iterate only past the terms earlier probes already
     summed.
     Returns (0, already_below=True) when the mass already starts at or
-    below epsilon. For the level of the hitting-time theorems call with
-    epsilon = 1/N.
+    below epsilon, as it always does at epsilon = 1. For the level of the
+    hitting-time theorems call with epsilon = 1/N.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
     if alpha.transient_mass <= epsilon:
         return CrossingResult(0.0, True)
     return _crossing(_SurvivalSeries(sub.Q, alpha.alpha), epsilon, nu_hint)

@@ -89,7 +89,7 @@ def test_criterion_03_bound_dominance():
             res = estimate_hitting_time(ex.chain, initial, runs, seed=103)
             floor = res.mean - 3 * res.stderr
             ceil = res.mean + 3 * res.stderr
-            t1 = assemble_report(ex.chain, ex.default_alpha, N).theorem1
+            t1 = assemble_report(ex, N).theorem1
             t3 = theorem3_bound(W, initial)
             t4 = theorem4_bound(float(W.max()), N)
             for nm, val in (("theorem1", t1), ("theorem3", t3), ("theorem4", t4)):

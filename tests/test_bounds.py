@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import fluidhit
 from fluidhit import (
     InitialDistribution,
+    NamedExample,
     OccupancyState,
     SpectralParams,
     assemble_report,
@@ -35,7 +36,7 @@ from oracles import erlang_crossing, exact_occupancy_mean_hitting
 
 
 def _theorem1(ex, N):
-    return assemble_report(ex.chain, ex.default_alpha, N).theorem1
+    return assemble_report(ex, N).theorem1
 
 
 def test_harmonic_number():
@@ -196,14 +197,7 @@ def test_theorem1_over_n_log_n_approaches_inverse_nu():
 def test_assemble_report_classical():
     ex = gen_tstage(1)
     N = 50
-    report = assemble_report(
-        ex.chain,
-        ex.default_alpha,
-        N,
-        name="classical",
-        exact=N * harmonic_number(N),
-        estimate_gamma=True,
-    )
+    report = assemble_report(ex, N, estimate_gamma=True)
     assert report.exact == pytest.approx(224.9603, abs=1e-3)
     assert report.theorem1 == pytest.approx(N * (math.log(N) + 3))
     assert report.theorem3 == pytest.approx(N * N)
@@ -217,16 +211,10 @@ def test_assemble_report_classical():
 def test_assemble_report_fig3a():
     N, T = 10, 2
     ex = gen_fig3a(N, T)
-    report = assemble_report(
-        ex.chain,
-        ex.default_alpha,
-        N,
-        name=ex.name,
-        lower_bounds=[("fig3a", ex.lower_bound(N))],
-    )
+    report = assemble_report(ex, N)
     assert report.exact is None
     assert report.theorem3 == pytest.approx(200.0)
-    assert report.lower_bounds[0][1] == pytest.approx(95.62, abs=0.01)
+    assert report.lower_bound == ("fig3a", pytest.approx(95.62, abs=0.01))
     assert report.w_max == pytest.approx(100.0)
 
 
@@ -236,7 +224,7 @@ def test_assemble_report_theorem3_uses_simulated_occupancy():
     chain = validate_chain([[1, 0, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]])
     alpha = InitialDistribution(alpha=np.array([0.5, 0.5]))
     assert OccupancyState.from_alpha(alpha, 3).counts == {1: 2, 2: 1}
-    report = assemble_report(chain, alpha, 3)
+    report = assemble_report(NamedExample("chain", chain, alpha), 3)
     assert report.theorem3 == 30.0
 
 
@@ -278,7 +266,7 @@ def test_assemble_report_computes_the_spectrum_once(monkeypatch):
     # One strongly connected class past the dense cap, so k is skipped: the
     # spectrum raises inside eigen_spectrum and nu is computed once.
     chain, alpha = _big_class_chain()
-    report = assemble_report(chain, alpha, 50)
+    report = assemble_report(NamedExample("chain", chain, alpha), 50)
     assert "spectral" in report.notes and report.k is None
     assert calls == {"dominant_eigen": 1, "eigen_spectrum": 1}
 
@@ -287,7 +275,7 @@ def test_assemble_report_computes_the_spectrum_once(monkeypatch):
     calls.clear()
     chain = validate_chain([[1, 0, 0], [0.5, 0.5, 0], [1, 0, 0]])
     alpha = InitialDistribution(alpha=np.array([0.0, 1.0]))
-    report = assemble_report(chain, alpha, 10, estimate_gamma=True)
+    report = assemble_report(NamedExample("chain", chain, alpha), 10, estimate_gamma=True)
     assert "gamma" in report.notes and report.gamma is None
     assert (report.nu, report.k) == (pytest.approx(0.5), 0)
     assert calls == {"dominant_eigen": 1, "eigen_spectrum": 1}
@@ -299,7 +287,7 @@ def test_assemble_report_survives_a_failed_perron_iteration():
     # it underflows past state 600, inside a class the spectrum still takes.
     for n, p, skipped in ((DENSE_CAP + 1, 0.5, "nu skipped"), (700, 0.1, "nu and k skipped")):
         chain, alpha = _big_class_chain(n, p)
-        report = assemble_report(chain, alpha, 50)
+        report = assemble_report(NamedExample("chain", chain, alpha), 50)
         assert (report.nu, report.k, report.theorem2_asymptotic) == (None, None, None)
         assert skipped in report.notes["spectral"] and "underflow" in report.notes["spectral"]
         assert [name for name, _ in report.upper_bounds()] == ["theorem1", "theorem3", "theorem4"]
@@ -311,7 +299,7 @@ def test_assemble_report_reads_k_past_the_dense_cap_from_singleton_classes():
     # fig3a(50, 2) has 2,501 transient states, each its own class: -Q is
     # triangular and every eigenvalue is an exact diagonal entry -1.
     ex = gen_fig3a(50, 2)
-    report = assemble_report(ex.chain, ex.default_alpha, 50)
+    report = assemble_report(ex, 50)
     assert "spectral" not in report.notes
     assert (report.nu, report.k) == (pytest.approx(1.0), 2500)
     assert report.theorem2_asymptotic is not None
@@ -320,19 +308,14 @@ def test_assemble_report_reads_k_past_the_dense_cap_from_singleton_classes():
 def test_assemble_report_consistency_violation():
     ex = gen_tstage(1)
     with pytest.raises(InconsistentBounds):
-        assemble_report(
-            ex.chain,
-            ex.default_alpha,
-            10,
-            lower_bounds=[("bogus", 10**9)],
-        )
+        # A fig3a lower bound claimed for the classical chain: 9.6e8 at N = 10.
+        bogus = {"kind": "fig3a", "population": 10, "T": 10**7}
+        assemble_report(NamedExample(ex.name, ex.chain, ex.default_alpha, bogus), 10)
 
 
 def test_report_json_round_trip():
     ex = gen_fig3b(2)
-    report = assemble_report(
-        ex.chain, ex.default_alpha, 20, name=ex.name, exact=ex.exact_mean(20)
-    )
+    report = assemble_report(ex, 20)
     payload = report.to_json_dict()
     text = json.dumps(payload, sort_keys=True)
     assert json.loads(text) == payload
@@ -342,6 +325,6 @@ def test_report_json_round_trip():
 
 def test_report_csv_row_shape():
     ex = gen_tstage(2)
-    report = assemble_report(ex.chain, ex.default_alpha, 10, name=ex.name)
+    report = assemble_report(ex, 10)
     row = report.to_csv_row()
     assert len(row) == len(report.CSV_FIELDS)

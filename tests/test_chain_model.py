@@ -7,6 +7,7 @@ from scipy.sparse.linalg import spsolve
 
 from fluidhit import (
     InitialDistribution,
+    NamedExample,
     SubGenerator,
     decompose,
     expected_hitting_times,
@@ -290,7 +291,7 @@ def test_resolvent_maximum_of_a_ring_past_the_dense_cap():
     chain = validate_chain(sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n + 1, n + 1))))
     with pytest.raises(DimensionTooLarge, match="2100"):
         ResolventQuantities(decompose(chain)).max_neg_qinv
-    report = assemble_report(chain, InitialDistribution.point(1, n), 10)
+    report = assemble_report(NamedExample("ring", chain, InitialDistribution.point(1, n)), 10)
     assert report.nu == pytest.approx(p, rel=1e-9)
     assert report.max_neg_qinv is None
     assert "2100-state" in report.notes["max_neg_qinv"]

@@ -75,6 +75,40 @@ def test_analyze_refuses_nan_alpha(tmp_path, capsys):
     assert "alpha entries must be finite" in err
 
 
+@pytest.mark.parametrize("alpha0, extra", [
+    ("NaN", ""),
+    ("1.5", ""),
+    ("-0.5", ', "alpha": [1.5]'),
+])
+def test_analyze_names_a_bad_alpha0(tmp_path, capsys, alpha0, extra):
+    # The message names the JSON field, not InitialDistribution's mass0 or
+    # the uniform alpha a bad alpha0 implies.
+    path = tmp_path / "bad-alpha0.json"
+    path.write_text(f'{{"states": 2, "P": [[1, 0], [1, 0]], "alpha0": {alpha0}{extra}}}')
+    code, _, err = run_cli(capsys, "analyze", "--chain", str(path), "--N", "10")
+    assert code == 2
+    assert '"alpha0"' in err
+
+
+def test_population_of_one(capsys):
+    # The fluid level 1/N is 1: the transient mass starts there, so t_N = 0.
+    code, out, _ = run_cli(capsys, "analyze", "--chain", "classical", "--N", "1", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert [report[key]["value"] for key in ("t_N", "exact", "theorem1")] == [0.0, 1.0, 3.0]
+    # fig3a's hit probability 1 - (1 - 1/N^2)^N is 1, so the lower bound is T - 1.
+    code, out, _ = run_cli(capsys, "analyze", "--chain", "fig3a:1,2", "--N", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["lower_fig3a"]["value"] == 1.0
+    for argv in (
+        ("compare", "--chain", "classical", "--N-list", "1,2,10", "--runs", "200"),
+        ("compare", "--chain", "fig3a:2,2", "--N-list", "1", "--runs", "50"),
+        ("trajectory", "--chain", "classical", "--N", "1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
 def test_analyze_classical_theorem1(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--chain", "classical", "--N", "100")
     assert code == 0

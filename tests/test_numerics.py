@@ -309,6 +309,35 @@ def test_one_entry_rows_step_as_scalars(monkeypatch):
     assert want[1] == 1.0 / 150**2 and want[-1] == want[1]
 
 
+def test_expm_steps_a_thin_band_as_sparse_rows(monkeypatch):
+    # A 30,000-state birth-death band (down 0.5, up 0.3, stay 0.2) started at
+    # state 50: B stores about 90,000 entries and the iterate widens by one
+    # state a side per step, so it stays a multi-entry _SparseRow over the
+    # whole Poisson window instead of going dense after one step.
+    n = 30_000
+    i = np.arange(1, n)
+    rows = np.concatenate([[0], i, i[:-1], i])
+    cols = np.concatenate([[0], i - 1, i[:-1] + 1, i])
+    vals = np.concatenate([[1.0], np.full(n - 1, 0.5), np.full(n - 2, 0.3), np.where(i == n - 1, 0.5, 0.2)])
+    sub = decompose(validate_chain(sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n, n)))))
+    v = np.zeros(sub.n_transient)
+    v[49] = 1.0
+    steps = 0
+    step = numerics._SparseRow.step
+
+    def counted(row, B):
+        nonlocal steps
+        steps += 1
+        return step(row, B)
+
+    monkeypatch.setattr(numerics._SparseRow, "step", counted)
+    for t in (100.0, 400.0):
+        steps = 0
+        got = expm_action(sub.Q, v, t)
+        assert steps >= 100
+        assert np.max(np.abs(got - expm_multiply(sub.Q.T * t, v))) <= 1e-12
+
+
 def test_expm_refuses_a_poisson_mean_past_the_term_budget():
     # c t = 1e308 would take about that many terms.
     with pytest.raises(NonConvergent, match="budget") as exc:

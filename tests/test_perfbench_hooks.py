@@ -48,7 +48,7 @@ def test_tracer_records_report_spans_and_uninstalls():
     tracer.install()
     try:
         ex = fluidhit.get_example("fig3b:3")
-        fluidhit.bounds.assemble_report(ex.chain, ex.default_alpha, 10, name=ex.name)
+        fluidhit.bounds.assemble_report(ex, 10)
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
