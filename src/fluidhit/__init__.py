@@ -16,6 +16,7 @@ from .chain_model import (
     AbsorbingChain,
     InitialDistribution,
     SubGenerator,
+    chain_spec,
     decompose,
     expected_hitting_times,
     load_chain_spec,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,15 +32,6 @@ from .numerics import DENSE_CAP, _strong_blocks, _triangular_solver, solve_linea
 ROW_SUM_TOL = 1e-12
 
 
-def _as_csr(matrix):
-    if sp.issparse(matrix):
-        return sp.csr_array(matrix).astype(float)
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return sp.csr_array(arr)
-
-
 @dataclass(frozen=True)
 class AbsorbingChain:
     """Validated transition matrix with distinguished absorbing state 0.
@@ -58,19 +50,6 @@ class AbsorbingChain:
     def n_transient(self):
         return self.P.shape[0] - 1
 
-    def dense(self):
-        """Materialize P as a dense array (guarded against huge chains)."""
-        if self.size > DENSE_CAP + 1:
-            raise DimensionTooLarge(
-                f"refusing to densify a {self.size}-state chain (cap {DENSE_CAP + 1})"
-            )
-        return np.asarray(self.P.todense())
-
-    def row(self, i):
-        """Column indices and probabilities of row i (nonzero entries)."""
-        start, stop = self.P.indptr[i], self.P.indptr[i + 1]
-        return self.P.indices[start:stop], self.P.data[start:stop]
-
     @cached_property
     def _sub(self):
         """decompose(self), shared by every simulated run on this chain."""
@@ -80,38 +59,41 @@ class AbsorbingChain:
 class _Destinations:
     """Destination draws from the rows of a CSR matrix of probabilities.
 
-    A row's table (column indices, cumulative probabilities) is built on its
-    first draw, so a run pays only for the rows it visits. draw_many builds
-    the cumulative sums of all rows at once, on its first call.
+    Every row's running sums sit in one flat table, built up front; draw
+    bisects a row's slice of it and draw_many steps through all rows at once.
     """
 
-    __slots__ = ("_matrix", "_rows", "_flat")
+    __slots__ = ("_flat", "_cols", "_cum", "_first", "_last")
 
     def __init__(self, matrix):
-        self._matrix = matrix
-        self._rows = {}
-        self._flat = None
+        # Pass k adds entry k of each row longer than k, so each row's sum is
+        # added left to right as np.cumsum adds it; rows are visited longest
+        # first so each pass touches only a prefix, O(nnz) in all.
+        indptr = matrix.indptr
+        cum = np.array(matrix.data, dtype=float)
+        lengths = np.diff(indptr)
+        longest_first = np.argsort(-lengths, kind="stable")
+        starts = indptr[:-1][longest_first]
+        ordered = lengths[longest_first]
+        for k in range(1, int(ordered[0]) if ordered.size else 0):
+            at = starts[: np.searchsorted(-ordered, -k)] + k
+            cum[at] += cum[at - 1]
+        cols = np.asarray(matrix.indices, dtype=np.int64)
+        first = indptr[:-1].astype(np.int64)
+        last = indptr[1:].astype(np.int64) - 1
+        self._flat = (cols, cum, first, last)
+        # draw reads Python scalars off memoryviews of the same arrays.
+        self._cols, self._cum, self._first, self._last = map(memoryview, self._flat)
 
     def draw(self, i, w):
         """First column of row i whose cumulative probability reaches w.
 
         The row's last column when rounding leaves the total below w.
         """
-        tab = self._rows.get(i)
-        if tab is None:
-            start, stop = self._matrix.indptr[i], self._matrix.indptr[i + 1]
-            cols = tuple(int(c) for c in self._matrix.indices[start:stop])
-            tab = self._rows[i] = (cols, tuple(np.cumsum(self._matrix.data[start:stop])))
-        cols, cum = tab
-        for j, c in enumerate(cum):
-            if w <= c:
-                return cols[j]
-        return cols[-1]
+        return self._cols[bisect_left(self._cum, w, self._first[i], self._last[i])]
 
     def draw_many(self, rows, w):
         """draw(rows[k], w[k]) for every k, by the same rule and sums."""
-        if self._flat is None:
-            self._flat = self._row_cumsums()
         cols, cum, first, last = self._flat
         pos = first[rows]
         end = last[rows]
@@ -122,24 +104,6 @@ class _Destinations:
             at = pos[todo]
             todo = todo[(cum[at] < w[todo]) & (at < end[todo])]
         return cols[pos]
-
-    def _row_cumsums(self):
-        """Every row's running sum, added in np.cumsum's order (bit for bit).
-
-        Pass k adds entry k of each row longer than k; rows are visited
-        longest first so each pass touches only a prefix, O(nnz) in all.
-        """
-        indptr = self._matrix.indptr
-        cum = np.array(self._matrix.data, dtype=float)
-        lengths = np.diff(indptr)
-        longest_first = np.argsort(-lengths, kind="stable")
-        starts = indptr[:-1][longest_first]
-        ordered = lengths[longest_first]
-        for k in range(1, int(ordered[0]) if ordered.size else 0):
-            at = starts[: np.searchsorted(-ordered, -k)] + k
-            cum[at] += cum[at - 1]
-        cols = np.asarray(self._matrix.indices, dtype=np.int64)
-        return cols, cum, indptr[:-1].astype(np.int64), indptr[1:].astype(np.int64) - 1
 
 
 def _walk_to_exit(state, rates, draw, exit_column, rng, budget=math.inf):
@@ -199,48 +163,6 @@ class SubGenerator:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(moves, minlength=n) + 1)])
         return _Destinations(sp.csr_array((vals, cols, indptr), shape=(n, n + 1)))
 
-    @classmethod
-    def from_matrix(cls, Q, Q0=None):
-        """Build from a user-supplied rate matrix, validating the sign pattern.
-
-        Accepts generators not derived from a stochastic matrix (scaled
-        rates); Q0 defaults to the negated row sums.
-        """
-        Qc = _as_csr(Q)
-        n = Qc.shape[0]
-        diag = Qc.diagonal()
-        if np.any(diag >= 0):
-            bad = int(np.flatnonzero(diag >= 0)[0])
-            raise ValueError(f"Q[{bad}][{bad}] = {diag[bad]} must be negative")
-        coo = Qc.tocoo()
-        off = coo.data[coo.row != coo.col]
-        if off.size and np.min(off) < -ROW_SUM_TOL:
-            raise ValueError("off-diagonal entries of Q must be nonnegative")
-        row_sums = np.asarray(Qc.sum(axis=1)).ravel()
-        if np.any(row_sums > ROW_SUM_TOL):
-            bad = int(np.flatnonzero(row_sums > ROW_SUM_TOL)[0])
-            raise ValueError(f"row {bad} of Q sums to {row_sums[bad]} > 0")
-        if Q0 is None:
-            Q0 = np.maximum(-row_sums, 0.0)
-        else:
-            Q0 = np.asarray(Q0, dtype=float)
-            if np.any(np.abs(row_sums + Q0) > 1e-9 * (1.0 + np.abs(diag))):
-                raise ValueError("row sums of Q plus Q0 must vanish")
-        # Every transient state must reach an exit along positive rates: the
-        # same reverse BFS as validate_chain, on Q's support with the exits
-        # as edges into an extra state 0.
-        keep = (coo.row != coo.col) & (coo.data > 0)
-        exits = np.flatnonzero(Q0 > 0)
-        rows = np.concatenate([coo.row[keep], exits]) + 1
-        cols = np.concatenate([coo.col[keep] + 1, np.zeros(exits.size, dtype=int)])
-        support = sp.csr_array(
-            (np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1)
-        )
-        missing = np.flatnonzero(~_states_reaching_zero(support))
-        if missing.size:
-            raise NotTransient(int(missing[0]))
-        return cls(Q=Qc, Q0=Q0)
-
 
 @dataclass(frozen=True)
 class InitialDistribution:
@@ -262,7 +184,8 @@ class InitialDistribution:
             raise ValueError(f"mass0 must be finite and nonnegative, got {self.mass0}")
         total += self.mass0
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mass0 + sum(alpha) = {total}, expected 1")
+            # Named as a JSON chain spec names them: mass0 is "alpha0" there.
+            raise ValueError(f'sum("alpha") + "alpha0" = {total}, expected 1')
 
     @property
     def transient_mass(self):
@@ -289,7 +212,13 @@ def validate_chain(matrix) -> AbsorbingChain:
     absorption of state 0 and reachability of state 0 from every other state
     (graph reachability on the support of P, checked exactly).
     """
-    P = _as_csr(matrix)
+    if sp.issparse(matrix):
+        P = sp.csr_array(matrix).astype(float)
+    else:
+        arr = np.asarray(matrix, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        P = sp.csr_array(arr)
     n = P.shape[0]
     if n < 2:
         raise ValueError("need at least two states (one absorbing, one transient)")
@@ -456,10 +385,29 @@ def _max_fundamental_entry(sub: SubGenerator) -> float:
     return best
 
 
+def chain_spec(chain: AbsorbingChain, alpha: InitialDistribution) -> dict:
+    """The JSON chain specification of (chain, alpha) that load_chain_spec reads.
+
+    "P" holds the dense rows of a chain of up to 64 states; a larger chain
+    gets "P_sparse", one entry per row of its CSR arrays.
+    """
+    P = chain.P
+    spec = {"states": chain.size, "alpha": alpha.alpha.tolist(), "alpha0": alpha.mass0}
+    if chain.size <= 64:
+        spec["P"] = P.toarray().tolist()
+    else:
+        bounds = P.indptr.tolist()
+        spec["P_sparse"] = [
+            {"row": i, "cols": P.indices[a:b].tolist(), "probs": P.data[a:b].tolist()}
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        ]
+    return spec
+
+
 def load_chain_spec(source) -> tuple[AbsorbingChain, InitialDistribution]:
     """Load a chain specification from a JSON file path, file object or dict.
 
-    Schema: {"states": n >= 2, "P": [[...]] or
+    Schema: {"states": integer n >= 2, "P": [[...]] or
     "P_sparse": [{"row": i, "cols": [...], "probs": [...]}, ...],
     optional "alpha" (length n-1, over states 1..S) and "alpha0"
     (mass at state 0, default 0)}.
@@ -474,9 +422,9 @@ def load_chain_spec(source) -> tuple[AbsorbingChain, InitialDistribution]:
 
     if "states" not in spec:
         raise ValueError('chain spec is missing the "states" field')
-    n = int(spec["states"])
-    if n < 2:
-        raise ValueError('"states" must be at least 2')
+    n = spec["states"]
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f'"states" must be an integer of at least 2, got {n!r}')
 
     if "P" in spec:
         matrix = np.asarray(spec["P"], dtype=float)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .chain_model import decompose, load_chain_spec
+from .chain_model import chain_spec, decompose, load_chain_spec
 from .errors import ChainValidationError, FluidhitError
 from .examples import NamedExample, get_example
 from .fluid import crossing_time, fluid_trajectory
@@ -264,24 +264,7 @@ def cmd_gen(cfg) -> int:
     if not _is_named(cfg.chain_source):
         raise FluidhitError("gen needs a named example (classical, tstage:T, ...)")
     example = get_example(cfg.chain_source)
-    chain = example.chain
-    n = chain.size
-    spec = {"states": n}
-    if n <= 64:
-        spec["P"] = [[float(v) for v in row] for row in chain.dense()]
-    else:
-        entries = []
-        for i in range(n):
-            cols, probs = chain.row(i)
-            if len(cols):
-                entries.append({
-                    "row": i,
-                    "cols": [int(c) for c in cols],
-                    "probs": [float(p) for p in probs],
-                })
-        spec["P_sparse"] = entries
-    spec["alpha"] = [float(a) for a in example.default_alpha.alpha]
-    spec["alpha0"] = example.default_alpha.mass0
+    spec = chain_spec(example.chain, example.default_alpha)
     _emit(_json_dumps(spec), cfg.output_path)
     return 0
 

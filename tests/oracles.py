@@ -18,10 +18,22 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 from scipy.sparse.csgraph import dijkstra
 
-from fluidhit import AbsorbingChain, OccupancyState, TrajectorySample
+from fluidhit import AbsorbingChain, OccupancyState, SubGenerator, TrajectorySample
 from fluidhit.chain_model import _Destinations
 from fluidhit.errors import MaxStepsExceeded
 from fluidhit.simulator import DEFAULT_MAX_STEPS, _replication_rng, _Uniforms
+
+
+def sub_generator(Q, Q0=None):
+    """SubGenerator of hand-written rates Q, dense or sparse, unchecked.
+
+    The rates need not come from a transition matrix (-Q_ii may exceed 1);
+    Q0 defaults to the negated row sums of Q.
+    """
+    Q = sp.csr_array(Q, dtype=float)
+    if Q0 is None:
+        Q0 = np.maximum(-Q.sum(axis=1), 0.0)
+    return SubGenerator(Q=Q, Q0=np.asarray(Q0, dtype=float))
 
 
 def rk4_absorbed_fraction(P_dense, initial_full, t_grid, h=0.01):

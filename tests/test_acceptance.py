@@ -116,7 +116,7 @@ def test_criterion_04_fluid_oracle():
         erlang_vals = np.array([erlang_m0(T, t) for t in grid])
         full0 = np.zeros(T + 1)
         full0[T] = 1.0
-        rk4_vals = rk4_absorbed_fraction(ex.chain.dense(), full0, grid, h=0.004)
+        rk4_vals = rk4_absorbed_fraction(ex.chain.P.toarray(), full0, grid, h=0.004)
         worst_erlang = max(worst_erlang, float(np.max(np.abs(fluid_vals - erlang_vals))))
         worst_rk4 = max(worst_rk4, float(np.max(np.abs(fluid_vals - rk4_vals))))
     ok = worst_erlang < 1e-8 and worst_rk4 < 1e-8
@@ -229,7 +229,7 @@ def test_criterion_10_brute_force_equivalence():
         (gen_tstage(2), (2, 3)),
     ]
     for ex, populations in cases:
-        dense = ex.chain.dense()
+        dense = ex.chain.P.toarray()
         n_states = ex.chain.size
         for N in populations:
             initial = OccupancyState.from_alpha(ex.default_alpha, N)

@@ -152,7 +152,7 @@ def test_tightness_fig3b_brute_force_cross_check():
     # 2-chain occupancy system of the exit-probability-1/2 chain.
     T, N = 2, 2
     ex = gen_fig3b(T)
-    exact = exact_occupancy_mean_hitting(ex.chain.dense(), [0, N])
+    exact = exact_occupancy_mean_hitting(ex.chain.P.toarray(), [0, N])
     assert ex.exact_mean(N) == pytest.approx(exact)
 
 

@@ -8,7 +8,6 @@ from scipy.sparse.linalg import spsolve
 from fluidhit import (
     InitialDistribution,
     NamedExample,
-    SubGenerator,
     decompose,
     expected_hitting_times,
     gen_fig3a,
@@ -17,6 +16,7 @@ from fluidhit import (
     load_chain_spec,
     mean_jump_count,
     assemble_report,
+    chain_spec,
     random_chain,
     validate_chain,
 )
@@ -24,7 +24,7 @@ from fluidhit.chain_model import ResolventQuantities, _Destinations
 from fluidhit.numerics import DENSE_CAP
 from fluidhit.errors import DimensionTooLarge, NotAbsorbing, NotStochastic, NotTransient
 
-from oracles import brute_jump_counts
+from oracles import brute_jump_counts, sub_generator
 
 
 @pytest.mark.parametrize("shape", ["lower", "upper", "ring"])
@@ -44,7 +44,7 @@ def test_hitting_times_of_sparse_chains_past_the_dense_cap(shape):
             shape=(n, n),
         )
     )
-    sub = SubGenerator.from_matrix(Q)
+    sub = sub_generator(Q)
     alpha = InitialDistribution(alpha=rng.dirichlet(np.ones(n)))
     neg_q = sp.csc_array(-Q)
     want = spsolve(neg_q, np.ones(n))
@@ -83,7 +83,7 @@ def test_validate_entry_out_of_range():
 def test_validate_clamps_rounding_within_tolerance():
     eps = 1e-13
     chain = validate_chain([[1 + eps, 0], [1, -eps]])
-    dense = chain.dense()
+    dense = chain.P.toarray()
     assert dense[0, 0] == 1.0
     assert dense[1, 1] == 0.0
 
@@ -91,7 +91,7 @@ def test_validate_clamps_rounding_within_tolerance():
 def test_validate_sparse_input():
     P = sp.csr_array(np.array([[1.0, 0.0], [1.0, 0.0]]))
     chain = validate_chain(P)
-    assert np.array_equal(chain.dense(), P.toarray())
+    assert np.array_equal(chain.P.toarray(), P.toarray())
 
 
 def test_decompose_classical():
@@ -115,33 +115,21 @@ def test_decompose_fig3b():
 
 
 
-def test_from_matrix_explicit_exit_vector():
-    sub = SubGenerator.from_matrix(
-        [[-2.0, 1.0], [1.0, -3.0]], Q0=np.array([1.0, 2.0])
-    )
-    assert sub.Q0 == pytest.approx([1.0, 2.0])
-    with pytest.raises(ValueError):
-        SubGenerator.from_matrix([[-2.0, 1.0], [1.0, -3.0]], Q0=np.array([0.5, 2.0]))
-
-
-def test_from_matrix_requires_exit_path():
-    # Conservative rows (zero exit) with no route to an exiting state.
-    with pytest.raises(NotTransient):
-        SubGenerator.from_matrix([[-1.0, 1.0], [1.0, -1.0]])
-    # A stored zero is not a rate: row 1 keeps an explicit 0 at column 0,
-    # so states 2 and 3 only reach each other, in either storage form.
-    Q = sp.csr_array(
+def test_validate_stored_zero_is_not_an_edge():
+    # Row 2 keeps an explicit 0 at column 0, so states 2 and 3 only reach
+    # each other, in either storage form.
+    P = sp.csr_array(
         (
-            np.array([-1.0, 0.0, -1.0, 1.0, 1.0, -1.0]),
-            np.array([0, 0, 1, 2, 1, 2]),
-            np.array([0, 1, 4, 6]),
+            np.array([1.0, 1.0, 0.0, 1.0, 1.0]),
+            np.array([0, 0, 0, 3, 2]),
+            np.array([0, 1, 2, 4, 5]),
         ),
-        shape=(3, 3),
+        shape=(4, 4),
     )
-    assert Q.nnz == 6
-    for form in (Q, Q.toarray()):
+    assert P.nnz == 5
+    for form in (P, P.toarray()):
         with pytest.raises(NotTransient) as exc:
-            SubGenerator.from_matrix(form)
+            validate_chain(form)
         assert exc.value.state == 2
 
 
@@ -237,7 +225,7 @@ def test_mean_jumps_invariant_under_rate_scaling():
         chain = random_chain(rng, 4)
         sub = decompose(chain)
         scales = rng.uniform(0.5, 5.0, size=4)
-        scaled = SubGenerator.from_matrix(
+        scaled = sub_generator(
             np.diag(scales) @ sub.Q.toarray(), Q0=scales * sub.Q0
         )
         alpha = InitialDistribution(alpha=rng.dirichlet(np.ones(4)))
@@ -374,6 +362,12 @@ def test_load_chain_spec_mass_at_zero():
     assert alpha.mass0 == pytest.approx(0.6)
 
 
+def test_chain_spec_reads_back_as_written():
+    spec = {"states": 3, "P": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
+            "alpha": [0.25, 0.5], "alpha0": 0.25}
+    assert chain_spec(*load_chain_spec(spec)) == spec
+
+
 def test_load_chain_spec_errors():
     with pytest.raises(ValueError):
         load_chain_spec({"states": 2})
@@ -385,19 +379,22 @@ def test_vectorized_destination_draws_match_draw_bit_for_bit():
     # One table, two readers: draw_many must pick the very column draw picks
     # for every (row, u), including u just below 1 and a row whose running
     # sum rounds below 1 (seven entries of 1/7 add up to 1 - 2^-52), where
-    # the rule falls back to the row's last column.
+    # the rule falls back to the row's last column. Two rows of 600 entries
+    # take draw's bisection through ten halvings.
     sevenths = sp.csr_array(np.array([[1.0 / 7.0] * 7, [0.5, 0.5, 0, 0, 0, 0, 0]]))
+    wide = sp.csr_array(np.random.default_rng(34).dirichlet(np.ones(600), size=2))
     below = np.cumsum(sevenths.data[:7])[-1]
     assert below < np.nextafter(1.0, 0.0)
     tables = [
         decompose(random_chain(np.random.default_rng(31), 12, density=0.6))._jump_chain,
         decompose(gen_fig3a(4, 2).chain)._jump_chain,
         _Destinations(random_chain(np.random.default_rng(32), 9).P),
+        _Destinations(wide),
         _Destinations(sevenths),
     ]
     rng = np.random.default_rng(33)
     for table in tables:
-        rows = rng.integers(0, table._matrix.shape[0], 10**4)
+        rows = rng.integers(0, table._flat[2].size, 10**4)
         u = rng.random(10**4)
         u[:50] = np.nextafter(1.0, 0.0)
         u[50:100] = below

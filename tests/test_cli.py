@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fluidhit.numerics
-from fluidhit import harmonic_number
+from fluidhit import get_example, harmonic_number, load_chain_spec
 from fluidhit.cli import _COMMAND_FLAGS, build_parser, main
 
 
@@ -88,6 +88,24 @@ def test_analyze_names_a_bad_alpha0(tmp_path, capsys, alpha0, extra):
     code, _, err = run_cli(capsys, "analyze", "--chain", str(path), "--N", "10")
     assert code == 2
     assert '"alpha0"' in err
+
+
+_P3 = '"P": [[1, 0, 0], [1, 0, 0], [0, 1, 0]]'
+
+
+@pytest.mark.parametrize("spec, field", [
+    (f'"states": 3.7, {_P3}', '"states"'),
+    ('"states": 2, "P": [[1, 0], [1, 0]], "alpha": [1], "alpha0": 0.5', '"alpha0"'),
+    (f'"states": 3, {_P3}, "alpha": [0.5, 0.6]', '"alpha"'),
+], ids=["fractional-states", "alpha0-over", "alpha-over"])
+def test_analyze_names_the_field_it_refuses(tmp_path, capsys, spec, field):
+    # A fractional count of states used to be truncated, and a start that
+    # does not sum to 1 was reported under InitialDistribution's mass0.
+    path = tmp_path / "bad-field.json"
+    path.write_text(f"{{{spec}}}")
+    code, _, err = run_cli(capsys, "analyze", "--chain", str(path), "--N", "10")
+    assert code == 2
+    assert field in err
 
 
 def test_population_of_one(capsys):
@@ -361,6 +379,17 @@ def test_gen_round_trip(tmp_path, capsys):
     assert "P" in spec
     code2, out, _ = run_cli(capsys, "validate", "--chain", str(spec_path))
     assert code2 == 0
+    _assert_reads_back(spec_path, "tstage:3")
+
+
+def _assert_reads_back(spec_path, name):
+    """The written file loads to the named chain and start, bit for bit."""
+    chain, alpha = load_chain_spec(str(spec_path))
+    example = get_example(name)
+    for field in ("indptr", "indices", "data"):
+        assert getattr(chain.P, field).tolist() == getattr(example.chain.P, field).tolist()
+    assert alpha.alpha.tolist() == example.default_alpha.alpha.tolist()
+    assert alpha.mass0 == example.default_alpha.mass0
 
 
 def test_gen_sparse_round_trip(tmp_path, capsys):
@@ -374,6 +403,7 @@ def test_gen_sparse_round_trip(tmp_path, capsys):
     assert "P_sparse" in spec
     code2, _, _ = run_cli(capsys, "validate", "--chain", str(spec_path))
     assert code2 == 0
+    _assert_reads_back(spec_path, "fig3a:10,2")
 
 
 def test_gen_requires_named(capsys):

@@ -325,7 +325,7 @@ def test_matches_rk4_oracle_on_example_chains():
         sub = decompose(ex.chain)
         fluid_vals = fluid_trajectory(ex.default_alpha, sub, grid).m0_values
         full0 = np.concatenate([[ex.default_alpha.mass0], ex.default_alpha.alpha])
-        oracle = rk4_absorbed_fraction(ex.chain.dense(), full0, grid)
+        oracle = rk4_absorbed_fraction(ex.chain.P.toarray(), full0, grid)
         assert np.max(np.abs(fluid_vals - oracle)) < 1e-8
 
 
@@ -339,7 +339,7 @@ def test_matches_rk4_oracle_on_random_chains():
         sub = decompose(chain)
         fluid_vals = fluid_trajectory(alpha, sub, grid).m0_values
         full0 = np.concatenate([[0.0], alpha.alpha])
-        oracle = rk4_absorbed_fraction(chain.dense(), full0, grid)
+        oracle = rk4_absorbed_fraction(chain.P.toarray(), full0, grid)
         assert np.max(np.abs(fluid_vals - oracle)) < 1e-8
 
 

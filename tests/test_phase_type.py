@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from fluidhit import (
     InitialDistribution,
     PhaseType,
-    SubGenerator,
     crossing_time,
     decompose,
     discrete_survival,
@@ -26,7 +25,7 @@ from fluidhit import (
 from fluidhit import numerics
 from fluidhit.errors import DegenerateTail, NonConvergent, ScaleTooSmall
 
-from oracles import threshold_scan
+from oracles import sub_generator, threshold_scan
 
 
 def _classical_pt(N):
@@ -55,7 +54,7 @@ def test_discrete_survival_values():
 
 
 def test_discrete_scale_guard():
-    sub = SubGenerator.from_matrix([[-2.0, 1.0], [1.0, -3.0]])
+    sub = sub_generator([[-2.0, 1.0], [1.0, -3.0]])
     alpha = InitialDistribution(alpha=np.array([1.0, 0.0]))
     with pytest.raises(ScaleTooSmall):
         PhaseType.discrete(alpha, sub, 1)
@@ -109,7 +108,7 @@ def test_x_threshold_matches_oracle_scan(build, N):
 
 def test_x_threshold_gallop_cap_raises_typed_error():
     # B = I + Q/c is 0 here, and (1 - 1e-21)^k stays above 2/N far past 2^53.
-    sub = SubGenerator.from_matrix([[-1e-20]])
+    sub = sub_generator([[-1e-20]])
     pt = PhaseType.discrete(InitialDistribution(alpha=np.array([1.0])), sub, 10)
     with pytest.raises(NonConvergent, match="2\\^53"):
         x_threshold(pt)
@@ -142,7 +141,7 @@ def test_sparse_row_switch_matches_dense_matrix():
     Q[0, 1:602] = 1.0 / 601
     for i in range(1, n - 1):
         Q[i, i + 1:i + 11] = 0.5 / len(range(i + 1, min(i + 11, n)))
-    sub = SubGenerator.from_matrix(sp.csr_array(Q))
+    sub = sub_generator(sp.csr_array(Q))
     assert sub.Q.nnz > 20_000
     alpha = InitialDistribution(alpha=np.eye(n)[0])
     pt = PhaseType.discrete(alpha, sub, N)
@@ -183,7 +182,7 @@ def _two_classes(shift=0.0, series=False):
     Q = sp.block_diag([_CLASS, _CLASS - shift * np.eye(2)]).toarray()
     if series:
         Q[0, 2], Q[1, 3] = 0.5, 1.0
-    return SubGenerator.from_matrix(Q)
+    return sub_generator(Q)
 
 
 @pytest.mark.parametrize("series", [False, True], ids=["side_by_side", "in_series"])
@@ -201,7 +200,7 @@ def test_spectral_k_counts_the_roots_near_nu_not_a_chain_of_them():
     # 1: each is within 1e-10 ||Q|| of the next, but only the first two are
     # within it of -nu = -1, so they alone count as its copies.
     Q = np.diag([-1.0, -1.0 - 0.6e-10, -1.0 - 1.2e-10])
-    params = spectral_params(SubGenerator.from_matrix(Q))
+    params = spectral_params(sub_generator(Q))
     assert params.nu == pytest.approx(1.0, abs=1e-12)
     assert params.k == 1
 
@@ -239,7 +238,7 @@ def test_spectral_k_counts_the_classes_at_the_dominant_root():
     seen = set()
     for _ in range(150):
         Q, blocks = _repeated_classes(rng)
-        params = spectral_params(SubGenerator.from_matrix(Q))
+        params = spectral_params(sub_generator(Q))
         roots = np.array([np.max(np.linalg.eigvals(B).real) for B in blocks])
         tol = 1e-10 * max(np.abs(Q).sum(axis=1).max(), 1.0)
         assert params.nu == pytest.approx(-roots.max(), abs=tol)
@@ -250,7 +249,7 @@ def test_spectral_k_counts_the_classes_at_the_dominant_root():
 
 def test_gamma_fit_pure_exponential():
     # Q = diag(-1, -2), alpha on the slow state: survival is exactly e^{-t}.
-    sub = SubGenerator.from_matrix(np.diag([-1.0, -2.0]))
+    sub = sub_generator(np.diag([-1.0, -2.0]))
     alpha = InitialDistribution(alpha=np.array([1.0, 0.0]))
     sp = spectral_params(sub, estimate_gamma=True, alpha=alpha)
     assert sp.nu == pytest.approx(1.0, abs=1e-9)
@@ -266,7 +265,7 @@ def test_spectral_simple_root_of_dense_random_chain():
     rng = np.random.default_rng(501)
     T = rng.exponential(size=(S, S))
     T *= (1.0 - nu) / T.sum(axis=1, keepdims=True)
-    sub = SubGenerator.from_matrix(T - np.eye(S))
+    sub = sub_generator(T - np.eye(S))
     alpha = InitialDistribution(alpha=np.full(S, 1.0 / S))
     sp = spectral_params(sub, estimate_gamma=True, alpha=alpha)
     assert sp.nu == pytest.approx(nu, rel=1e-9)
@@ -276,7 +275,7 @@ def test_spectral_simple_root_of_dense_random_chain():
 
 def test_gamma_degenerate_tail():
     # alpha on the fast state only: survival e^{-2t} never matches e^{-t}.
-    sub = SubGenerator.from_matrix(np.diag([-1.0, -2.0]))
+    sub = sub_generator(np.diag([-1.0, -2.0]))
     alpha = InitialDistribution(alpha=np.array([0.0, 1.0]))
     with pytest.raises(DegenerateTail):
         spectral_params(sub, estimate_gamma=True, alpha=alpha)
@@ -334,7 +333,7 @@ def test_sampler_on_rate_matrix_matches_discrete_survival():
     # vector, so the jump chain divides by -Q_ii != 1 and exits are drawn
     # from Q0 alone.
     Q = np.array([[-3.0, 1.0, 0.5], [0.0, -2.5, 2.0], [0.5, 0.0, -1.5]])
-    sub = SubGenerator.from_matrix(Q, Q0=[1.5, 0.5, 1.0])
+    sub = sub_generator(Q, Q0=[1.5, 0.5, 1.0])
     pt = PhaseType.discrete(InitialDistribution(alpha=np.array([0.5, 0.3, 0.2])), sub, 4)
     rng = np.random.default_rng(5)
     n = 40_000
@@ -350,13 +349,14 @@ def test_sampler_on_rate_matrix_matches_discrete_survival():
 def test_jump_chain_rows_match_a_per_state_loop():
     # The vectorized jump chain against the per-state loop it replaced:
     # each row lists Q's off-diagonal entries in stored order, then the
-    # exit in column n, every value divided by -Q_ii; equal bit for bit.
+    # exit in column n, every value divided by -Q_ii; the table holds the
+    # row's columns and running sums, equal bit for bit.
     unsorted = sp.csr_array(
         (np.array([0.5, -2.0, -1.0, 0.5]), np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
         shape=(2, 2),
     )
     subs = [decompose(gen_fig3a(4, 2).chain), decompose(gen_fig3b(3).chain),
-            SubGenerator.from_matrix(unsorted)]
+            sub_generator(unsorted)]
     for sub in subs:
         n = sub.n_transient
         table = sub._jump_chain
@@ -365,8 +365,10 @@ def test_jump_chain_rows_match_a_per_state_loop():
             entries = [(int(Q.indices[k]), Q.data[k] / d[i])
                        for k in range(Q.indptr[i], Q.indptr[i + 1]) if Q.indices[k] != i]
             entries.append((n, sub.Q0[i] / d[i]))
-            row = table._matrix[[i]]
-            assert list(zip(row.indices.tolist(), row.data.tolist())) == entries
+            cols, cum, first, last = table._flat
+            at = slice(first[i], last[i] + 1)
+            assert cols[at].tolist() == [c for c, _ in entries]
+            assert cum[at].tolist() == np.cumsum([v for _, v in entries]).tolist()
 
 
 def test_sampler_mass_at_zero():

@@ -118,7 +118,7 @@ def test_run_max_steps_exceeded():
 
 def test_estimate_matches_three_chain_oracle():
     chain = gen_tstage(1).chain
-    exact = exact_occupancy_mean_hitting(chain.dense(), [0, 3])
+    exact = exact_occupancy_mean_hitting(chain.P.toarray(), [0, 3])
     assert exact == pytest.approx(5.5)
     res = estimate_hitting_time(chain, OccupancyState.all_in(1, 3), 20000, seed=9)
     assert abs(res.mean - exact) <= 3 * res.stderr
@@ -160,7 +160,7 @@ def test_estimate_counts_failed_runs():
 def test_skip_off_matches_oracle_exactly():
     # The stepper without skip against the occupancy linear system.
     ex = gen_fig3b(2)
-    exact = exact_occupancy_mean_hitting(ex.chain.dense(), [0, 2])
+    exact = exact_occupancy_mean_hitting(ex.chain.P.toarray(), [0, 2])
     samples = np.asarray(
         stepped_hitting_times(ex.chain, OccupancyState.all_in(1, 2), 20000, seed=17)
     )
@@ -379,7 +379,7 @@ def test_poissonized_mean_on_partly_absorbed_start(monkeypatch, tail):
     initial = OccupancyState.from_alpha(_SPREAD_ALPHA, 4)
     assert initial.counts == {0: 1, 1: 1, 2: 1, 3: 1}
     counts = [initial.counts.get(s, 0) for s in range(4)]
-    exact = exact_occupancy_mean_hitting(chain.dense(), counts)
+    exact = exact_occupancy_mean_hitting(chain.P.toarray(), counts)
     res = estimate_hitting_time(chain, initial, 10000, seed=203)
     assert abs(res.mean - exact) <= 3 * res.stderr
 
@@ -390,7 +390,7 @@ def test_trajectory_law_on_partly_absorbed_start():
     chain = _self_loop_chain()
     initial = OccupancyState.from_alpha(_SPREAD_ALPHA, 4)
     steps = [2, 5, 10, 20, 40, 80]
-    law = exact_occupancy_absorbed_law(chain.dense(), [1, 1, 1, 1], steps)
+    law = exact_occupancy_absorbed_law(chain.P.toarray(), [1, 1, 1, 1], steps)
     values = np.arange(5)
     mean = law @ values
     sd = np.sqrt(law @ values**2 - mean**2)
