@@ -83,9 +83,10 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
 
     Every probe reads one survival series s_j = alpha B^j 1 with
     B = I + Q/c and c = max(-Q_ii) (numerics._SurvivalSeries): B is built
-    once, and a probe at t weights the s_j by Poisson(c t) probabilities,
-    stepping the row iterate only past the terms earlier probes already
-    summed.
+    at most once (not at all on a sparse countdown started from one
+    state), and a probe at t weights the s_j by Poisson(c t)
+    probabilities, stepping the row iterate only past the terms earlier
+    probes already summed.
     Returns (0, already_below=True) when the mass already starts at or
     below epsilon, as it always does at epsilon = 1. For the level of the
     hitting-time theorems call with epsilon = 1/N.

@@ -11,12 +11,15 @@ matrix I + Q/Lambda, where Lambda = 1.05 c keeps the diagonal positive.
 The uniformized matrix is dense for a small chain and sparse otherwise
 (_dense_pays), and its row iterates are stepped as dense vectors, sparse
 rows or single entries, whichever the iterate allows (_row_iterates).
-Both eigenvalue routines work on the strongly connected classes of the
-matrix's support (_strong_blocks): the full spectrum is the union of the
-diagonal blocks' spectra, exact on the diagonal for classes of one state,
-so DENSE_CAP bounds the largest class rather than the matrix. A small
-linear system, and any non-triangular one up to DENSE_CAP rows, is solved
-by a dense LU; a larger sparse triangular one by substitution.
+Single entries are read off Q's rows, so a series that only steps them,
+as on a countdown, never builds the matrix. Both eigenvalue routines
+work on the strongly connected classes of the matrix's support
+(_strong_blocks): the full spectrum is the union of the diagonal blocks'
+spectra, exact on the diagonal for classes of one state, so DENSE_CAP
+bounds the largest class rather than the matrix. A small linear system,
+and any non-triangular one up to DENSE_CAP rows, is solved by a dense LU;
+a larger sparse triangular one by substitution, in one LAPACK banded
+solve when its band is narrow (_triangular_solver).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvals, lu_factor, lu_solve
+from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve_triangular
 
@@ -63,8 +67,11 @@ def _dense_pays(A):
     2,000; bidiagonal ones 2.6/6.1 at n = 96, 4.5/5.9 at 128, 7.0/5.9 at
     176 and 6.9/4.1 at 192; 300 to 2,000 states with 20 to 400 entries a
     row tie near n^2 = 4 to 5 nnz. The dense LU of solve_linear follows
-    the same rule: scipy's sparse triangular solve spends about 250 us of
-    fixed work, the dense solve of a 3-state system about 100 us in all.
+    the same rule, where the two routes now tie on small systems: the
+    banded substitution of _triangular_solver spends about 50 us of fixed
+    work (scipy's sparse triangular solve about 170 us), and a whole
+    solve_linear of the 3-state tstage(3) system takes about 95 us by
+    substitution and 110 us by the dense LU.
     """
     n = A.shape[0]
     nnz = A.nnz if sp.issparse(A) else np.count_nonzero(A)
@@ -91,7 +98,7 @@ def solve_linear(A, b):
     norm = float(np.max(np.asarray(abs(A).sum(axis=1)), initial=0.0))
     floor = 1e-14 * norm
     sparse = sp.issparse(A) and not _dense_pays(A)
-    solve = _triangular_solver(A.copy(), floor) if sparse else None
+    solve = _triangular_solver(A, floor) if sparse else None
     if solve is None:
         if sp.issparse(A) and A.shape[0] > DENSE_CAP:
             raise DimensionTooLarge(
@@ -122,17 +129,25 @@ def solve_linear(A, b):
 def _triangular_solver(A, floor=0.0):
     """solve(rhs) giving x with A x = rhs by substitution, or None when A is not triangular.
 
-    A is a CSR matrix; it is triangular when every stored column lies on
-    one side of its row, read off the index arrays in O(nnz). A triangular
-    A is then scaled in place by its diagonal, row by row, once, so that
-    spsolve_triangular runs on a unit diagonal (half the time of letting it
-    rescale by a sparse product). Raises SingularMatrix when a diagonal
-    entry is zero or below floor in absolute value.
+    A is a CSR matrix, left unchanged; it is triangular when every stored
+    column lies on one side of its row, read off the index arrays in
+    O(nnz). The substitution runs on A scaled by its diagonal, row by row,
+    once, so that its diagonal is one. When the band of a triangular A
+    fits, that is when the (k+1) x n band array of its k off-diagonals
+    holds no more numbers than the 2 nnz of A's data and index arrays, the
+    scaled entries are scattered into that array in Fortran order and each
+    solve is one LAPACK banded solve (dtbtrs) with no scipy sparse work:
+    W on the 10^6-state bidiagonal -Q of fig3a(1000, 2) takes about 0.06 s
+    in all, against 0.11 s through spsolve_triangular, which keeps any
+    wider triangle. Raises SingularMatrix when a diagonal entry is zero or
+    below floor in absolute value.
     """
-    counts = np.diff(A.indptr)
-    rows = np.repeat(np.arange(A.shape[0]), counts)
-    lower = bool(np.all(A.indices <= rows))
-    if not (lower or np.all(A.indices >= rows)):
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    offsets = A.indices - rows  # column minus row
+    below, above = -int(offsets.min(initial=0)), int(offsets.max(initial=0))
+    lower = above == 0
+    if not (lower or below == 0):
         return None
     diag = A.diagonal()
     pivot = float(np.min(np.abs(diag), initial=math.inf))
@@ -140,12 +155,39 @@ def _triangular_solver(A, floor=0.0):
         raise SingularMatrix(
             f"diagonal entry {pivot:.3e} of a triangular matrix is zero or below {floor:.3e}"
         )
-    A.data /= np.repeat(diag, counts)
+    data = A.data / diag[rows]
+    k = below + above
+    if (k + 1) * n > 2 * A.nnz:
+        unit = sp.csr_array((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+
+        def solve(rhs):
+            b = rhs / diag
+            return spsolve_triangular(
+                unit, b, lower=lower, unit_diagonal=True, overwrite_A=True, overwrite_b=True
+            )
+
+        return solve
+
+    # LAPACK's band layout puts entry (i, j) at row i - j of column j below
+    # the diagonal and at row k + i - j above it; in Fortran order that is
+    # position (k + 1) j + i - j = k (j - i) + (k + 1) i, plus k above,
+    # computed in place. The diagonal's ones are never read.
+    offsets *= k
+    rows *= k + 1
+    offsets += rows
+    if not lower:
+        offsets += k
+    band = np.zeros((k + 1) * n)
+    band[offsets] = data
+    band = band.reshape((k + 1, n), order="F")
+    uplo = b"L" if lower else b"U"
 
     def solve(rhs):
-        return spsolve_triangular(
-            A, rhs / diag, lower=lower, unit_diagonal=True, overwrite_A=True, overwrite_b=True
-        )
+        b = rhs / diag
+        x, info = dtbtrs(band, b.reshape(n, -1), uplo=uplo, diag=b"U", overwrite_b=True)
+        if info:
+            raise ValueError(f"dtbtrs rejected argument {-info}")
+        return x.reshape(b.shape)
 
     return solve
 
@@ -154,8 +196,8 @@ def _uniformized(Q, c):
     """B = I + Q/c: a dense array when _dense_pays(Q), CSR otherwise.
 
     Both forms hold the same values, q (1/c) off the diagonal and
-    q (1/c) + 1 on it; the CSR form stores no explicit zeros, so a row's
-    stored count is its number of nonzeros (see _row_iterates).
+    q (1/c) + 1 on it, and the CSR form stores no explicit zeros;
+    _lone_entry reads single rows of it off Q with the same arithmetic.
     """
     if _dense_pays(Q):
         B = Q.toarray() if sp.issparse(Q) else np.array(Q, dtype=float)
@@ -173,7 +215,7 @@ def _uniformized(Q, c):
 
 
 class _Entry(NamedTuple):
-    """A row vector with one nonzero, val at column col (val may underflow to 0)."""
+    """A row vector with one nonzero, val at column col (val is 0 for the zero vector)."""
 
     col: int
     val: float
@@ -207,40 +249,87 @@ class _SparseRow(NamedTuple):
         return _SparseRow(cols[keep], sums[keep])
 
 
-def _row_iterates(B, v):
-    """Yield the row iterates v, vB, vB^2, ... without end.
+def _lone_entry(indptr, indices, data, inv, col):
+    """(j, b): the one nonzero b, at column j, of row col of B = I + Q/c, or None.
 
-    On a sparse B with more than 20,000 stored entries, a v with at most
-    1/8 of its entries nonzero is stepped as a _SparseRow until more than
-    1/4 are filled (the countdown chains touch a thin band of states).
-    While that row has one nonzero and B's row at its column stores one
-    entry (every row of fig3a's countdown does), the next iterate is one
-    product, gathered as Python scalars from B's index arrays and yielded
-    as an _Entry: about 1 us a step against 50 us for a _SparseRow step,
-    with the same value to the bit. A wider row of B falls back to the
-    _SparseRow step. Dense iterates are B^T u with B^T taken once: u @ B
-    on scipy sparse B transposes every product. A dense step costs about
-    nnz(B), a sparse-row step about 50 us on any B: the two tie near
-    20,000 entries.
+    The row is read off the CSR arrays of Q with the arithmetic of
+    _uniformized, q * inv (inv = 1/c) for each stored q plus 1.0 on the
+    diagonal, stored or not, with zeros dropped. An empty row gives
+    (col, 0.0): its iterate is the zero vector. None when the row holds two
+    or more nonzeros.
+    """
+    nonzeros, diagonal, j, b = 0, False, col, 0.0
+    for k in range(indptr[col], indptr[col + 1]):
+        q = data[k] * inv
+        if indices[k] == col:
+            q += 1.0
+            diagonal = True
+        if q != 0.0:
+            nonzeros, j, b = nonzeros + 1, indices[k], q
+    if not diagonal:
+        nonzeros, j, b = nonzeros + 1, col, 1.0
+    return (j, b) if nonzeros <= 1 else None
+
+
+def _row_iterates(Q, c, v):
+    """Yield the row iterates v, vB, vB^2, ... of B = I + Q/c without end.
+
+    B is built by _uniformized the first time a step needs it. When B
+    would be sparse (_dense_pays(Q) false), a v with at most 1/8 of its
+    entries nonzero is stepped as a _SparseRow. While that row has one
+    nonzero and B's row at its column at most one (_lone_entry), the next
+    iterate is one product, read as Python scalars off Q's index arrays and
+    yielded as an _Entry, with no B at all: under 1 us a step against
+    50 us for a _SparseRow step, with the same value to the bit. A
+    countdown such as fig3a's or tstage's, started from one state, is
+    stepped that way to the end. At the first wider row B is built; if it
+    stores more than 20,000 entries the row is stepped as a _SparseRow
+    until more than 1/4 of it is filled (the countdown chains touch a thin
+    band of states), and densely from there, or at once otherwise: a dense
+    step costs about nnz(B), a sparse-row step about 50 us on any B, and
+    the two tie near 20,000 entries. Dense iterates are B^T u with B^T
+    taken once: u @ B on scipy sparse B transposes every product.
     """
     n = v.shape[0]
-    if sp.issparse(B) and B.nnz > 20_000 and np.count_nonzero(v) <= n // 8:
+    B = None
+    if not _dense_pays(Q) and np.count_nonzero(v) <= n // 8:
+        Q = sp.csr_array(Q)
         # Memoryviews index to Python ints and floats, faster than numpy scalars.
-        indptr, indices, data = (memoryview(a) for a in (B.indptr, B.indices, B.data))
+        indptr, indices, data = (memoryview(a) for a in (Q.indptr, Q.indices, Q.data))
+        inv = 1.0 / c
         cols = np.flatnonzero(v)
         u = _SparseRow(cols, v[cols])
         while u.cols.size <= n // 4:
             if u.cols.size == 1:
                 col, val = int(u.cols[0]), float(u.vals[0])
-                while indptr[col + 1] - (k := indptr[col]) == 1:
-                    yield _Entry(col, val)
-                    col, val = indices[k], val * data[k]
+                while True:
+                    k = indptr[col]
+                    # A countdown row, checked inline: Q stores an entry
+                    # left of the diagonal, and the diagonal cancels in B.
+                    if (
+                        indptr[col + 1] - k == 2
+                        and indices[k + 1] == col
+                        and data[k + 1] * inv == -1.0
+                    ):
+                        j, b = indices[k], data[k] * inv
+                    elif (lone := _lone_entry(indptr, indices, data, inv, col)) is not None:
+                        j, b = lone
+                    else:
+                        break
+                    # tuple.__new__ skips the Python frame of the NamedTuple
+                    # constructor, which cost about as much as the step.
+                    yield tuple.__new__(_Entry, (col, val))
+                    col, val = j, val * b
                 u = _SparseRow(np.array([col]), np.array([val]))
+            if B is None:
+                B = _uniformized(Q, c)
+                if B.nnz <= 20_000:
+                    break
             yield u
             u = u.step(B)
         v = np.zeros(n)
         v[u.cols] = u.vals
-    Bt = B.T
+    Bt = (_uniformized(Q, c) if B is None else B).T
     while True:
         yield v
         v = Bt @ v
@@ -334,7 +423,7 @@ def expm_action(Q, v, t):
 
     j0, weights = _weights(rate=c, t=t)
     acc = np.zeros(v.shape[0])
-    iterates = itertools.islice(_row_iterates(_uniformized(Q, c), v), j0, None)
+    iterates = itertools.islice(_row_iterates(Q, c, v), j0, None)
     for w, u in zip(weights, iterates):
         if isinstance(u, _Entry):
             acc[u.col] += w * u.val
@@ -350,9 +439,10 @@ class _SurvivalSeries:
     """The scalars s_j = v B^j 1 with B = I + Q/c and c = max(-Q_ii), extended on demand.
 
     v is nonnegative (a distribution, or the mass it has left at some
-    time). B is built once and its row iterates are stepped only as far as
-    a requested sum needs, one iterate alive at a time (see _row_iterates
-    for how each is stepped); only the sums s_j are kept. continuous(t) =
+    time). B is built at most once, when a step needs it, and its row
+    iterates are stepped only as far as a requested sum needs, one iterate
+    alive at a time (see _row_iterates for how each is stepped); only the
+    sums s_j are kept. continuous(t) =
     v exp(Qt) 1 and discrete(k, N) = v (I + Q/N)^k 1, which needs N >= c so
     that its binomial weights are probabilities; both weight the s_j over
     the window of _weights. The number of terms a value needs is about c t
@@ -367,7 +457,7 @@ class _SurvivalSeries:
         self.c = float(np.max(-Q.diagonal()))
         v = np.asarray(v, dtype=float)
         self._sums = array("d", [v.sum()])
-        self._iterates = _row_iterates(_uniformized(Q, self.c), v)
+        self._iterates = _row_iterates(Q, self.c, v)
         next(self._iterates)  # v itself, already summed
 
     def _weighted(self, j0, weights):

@@ -21,6 +21,7 @@ from fluidhit import (
     validate_chain,
 )
 from fluidhit.chain_model import ResolventQuantities, _Destinations
+from fluidhit import numerics
 from fluidhit.numerics import DENSE_CAP
 from fluidhit.errors import DimensionTooLarge, NotAbsorbing, NotStochastic, NotTransient
 
@@ -151,6 +152,26 @@ def test_hitting_times_fig3a_first_step_analysis():
     D = N * N * (T - 1)
     assert W[:D] == pytest.approx(np.arange(1, D + 1))
     assert W[-1] == pytest.approx(T)
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: gen_fig3a(100, 2), np.append(np.arange(1.0, 10**4 + 1.0), 2.0)),
+        (lambda: gen_tstage(5000), np.arange(1.0, 5001.0)),
+    ],
+    ids=["fig3a:100,2", "tstage:5000"],
+)
+def test_countdown_hitting_times_equal_their_closed_forms(monkeypatch, build, want):
+    # -Q is lower bidiagonal with a unit diagonal: one banded solve, and
+    # every step of the substitution, W_j = 1 + W_{j-1} on the countdown and
+    # 1 + 10^-4 * 10^4 at fig3a's start, is exact.
+    def refuse(*args, **kwargs):
+        raise AssertionError("bidiagonal -Q solved by spsolve_triangular")
+
+    monkeypatch.setattr(numerics, "spsolve_triangular", refuse)
+    W = expected_hitting_times(decompose(build().chain))
+    assert W.tolist() == want.tolist()
 
 
 def test_hitting_times_at_least_one():
@@ -354,6 +375,23 @@ def test_load_chain_spec_sparse_rows():
     assert chain.size == 3
     # Default alpha is uniform over transient states.
     assert alpha.alpha == pytest.approx([0.5, 0.5])
+
+
+def test_load_chain_spec_refuses_fractional_sparse_indices():
+    # int() used to truncate them: row 1.9, column 0.7 loaded as P[1][0].
+    spec = {
+        "states": 3,
+        "P_sparse": [
+            {"row": 0, "cols": [0], "probs": [1.0]},
+            {"row": 1.9, "cols": [0.7], "probs": [1.0]},
+            {"row": 2, "cols": [1], "probs": [1.0]},
+        ],
+    }
+    with pytest.raises(ValueError, match=r'"P_sparse" row 1\.9: .*got 1\.9'):
+        load_chain_spec(spec)
+    spec["P_sparse"][1]["row"] = 1
+    with pytest.raises(ValueError, match=r'"P_sparse" row 1: .*got 0\.7'):
+        load_chain_spec(spec)
 
 
 def test_load_chain_spec_mass_at_zero():

@@ -97,10 +97,16 @@ _P3 = '"P": [[1, 0, 0], [1, 0, 0], [0, 1, 0]]'
     (f'"states": 3.7, {_P3}', '"states"'),
     ('"states": 2, "P": [[1, 0], [1, 0]], "alpha": [1], "alpha0": 0.5', '"alpha0"'),
     (f'"states": 3, {_P3}, "alpha": [0.5, 0.6]', '"alpha"'),
-], ids=["fractional-states", "alpha0-over", "alpha-over"])
+    (
+        '"states": 3, "P_sparse": [{"row": 0, "cols": [0], "probs": [1]}, '
+        '{"row": 1.9, "cols": [0.7], "probs": [1]}, {"row": 2, "cols": [1], "probs": [1]}]',
+        '"P_sparse" row 1.9',
+    ),
+], ids=["fractional-states", "alpha0-over", "alpha-over", "fractional-sparse-index"])
 def test_analyze_names_the_field_it_refuses(tmp_path, capsys, spec, field):
-    # A fractional count of states used to be truncated, and a start that
-    # does not sum to 1 was reported under InitialDistribution's mass0.
+    # A fractional count of states or sparse index used to be truncated,
+    # and a start that does not sum to 1 was reported under
+    # InitialDistribution's mass0.
     path = tmp_path / "bad-field.json"
     path.write_text(f"{{{spec}}}")
     code, _, err = run_cli(capsys, "analyze", "--chain", str(path), "--N", "10")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -157,6 +158,52 @@ def test_crossing_builds_the_uniformized_matrix_once(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize(
+    "build, epsilon",
+    [(lambda: gen_tstage(5000), 1e-2), (lambda: gen_fig3a(150, 2), 1e-3)],
+    ids=["tstage:5000", "fig3a:150,2"],
+)
+def test_countdown_crossing_builds_no_uniformized_matrix(monkeypatch, build, epsilon):
+    # Every row of these B = I + Q holds at most one nonzero (tstage's last
+    # row none), so the series steps single entries read off Q's rows and
+    # never builds B. Its sums are those of dense steps v B through the
+    # built B, to the bit.
+    alpha, sub = _named_start(build())
+    uniformized = fluidhit.numerics._uniformized
+
+    def refuse(*args):
+        raise AssertionError("B built for a countdown")
+
+    monkeypatch.setattr(fluidhit.numerics, "_uniformized", refuse)
+    t = crossing_time(alpha, sub, epsilon).time
+    series = fluidhit.numerics._SurvivalSeries(sub.Q, alpha.alpha)
+    series.continuous(t)  # steps the sums the crossing's last probe read
+    monkeypatch.undo()
+    Bt = uniformized(sub.Q, series.c).T
+    v, want = alpha.alpha, []
+    for _ in series._sums:
+        want.append(float(v.sum()))
+        v = Bt @ v
+    assert list(series._sums) == want
+
+
+@pytest.mark.parametrize("T", [5000, 20000, 20002, 40000])
+def test_tstage_crossing_reads_the_exact_sums(monkeypatch, T):
+    # From the top of tstage(T), B = I + Q moves all the mass one state
+    # down a step: s_j = 1 for j < T and 0 from T on, exactly. B stores
+    # T - 1 entries, on both sides of the 20,000 where scalar steps once
+    # began; t is the one those sums give, to the bit.
+    alpha, sub = _named_start(gen_tstage(T))
+    got = crossing_time(alpha, sub, 1e-2).time
+
+    def exact_sums(Q, c, v):
+        for j in itertools.count():
+            yield np.array([1.0 if j < T else 0.0])
+
+    monkeypatch.setattr(fluidhit.numerics, "_row_iterates", exact_sums)
+    assert got == crossing_time(alpha, sub, 1e-2).time
+
+
 @pytest.mark.parametrize("epsilon", (1e-2, 1e-4, 1e-8))
 def test_crossing_matches_closed_forms(epsilon):
     alpha, sub = _named_start(gen_tstage(3))
@@ -241,8 +288,8 @@ def test_trajectory_steps_one_series_across_the_grid(monkeypatch):
             expm_calls.append(None)
             return expm_action(*args, **kwargs)
 
-        def counted_iterates(B, v):
-            for u in iterates(B, v):
+        def counted_iterates(*args):
+            for u in iterates(*args):
                 terms.append(None)
                 yield u
 
@@ -279,8 +326,8 @@ def test_survival_grid_stops_at_the_first_zero_sum(monkeypatch):
     terms = []
     iterates = fluidhit.numerics._row_iterates
 
-    def counted(B, v):
-        for u in iterates(B, v):
+    def counted(*args):
+        for u in iterates(*args):
             terms.append(None)
             yield u
 

@@ -76,13 +76,62 @@ def test_solve_sparse_triangular_by_substitution(monkeypatch, lower):
         assert solve_linear(A, b) == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
+def _band_triangular(rng, n, k, lower):
+    """A random triangular matrix with k off-diagonals, diagonally dominant."""
+    A = sum(sp.diags(rng.uniform(-1.0, 1.0, n - d), -d if lower else d) for d in range(1, k + 1))
+    dominance = np.asarray(abs(A).sum(axis=1)).ravel() + rng.uniform(0.5, 2.0, n)
+    return sp.csr_array(A + sp.diags(rng.choice([-1.0, 1.0], n) * dominance))
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["bidiagonal", "tridiagonal"])
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+def test_solve_narrow_band_triangle_by_one_banded_solve(monkeypatch, lower, k):
+    # Its (k+1) x n band array holds no more numbers than 2 nnz, so
+    # neither spsolve_triangular nor a dense LU sees it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("narrow triangle solved by spsolve_triangular or a dense LU")
+
+    monkeypatch.setattr(numerics, "spsolve_triangular", refuse)
+    monkeypatch.setattr(numerics, "lu_factor", refuse)
+    rng = np.random.default_rng(60 + 2 * k + lower)
+    for n in (300, 1000):  # past the size where a dense LU pays (_dense_pays)
+        A = _band_triangular(rng, n, k, lower)
+        b = rng.normal(size=n)
+        want = np.linalg.solve(A.toarray(), b)
+        assert solve_linear(A, b) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def test_solve_wide_band_triangle_by_spsolve_triangular(monkeypatch):
+    # One entry in the corner widens the band to n - 1 off-diagonals: its
+    # band array would hold n^2 numbers for 2 nnz of about 4 n.
+    calls = []
+    spsolve_triangular = numerics.spsolve_triangular
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return spsolve_triangular(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "spsolve_triangular", counted)
+    rng = np.random.default_rng(64)
+    n = 300
+    A = _band_triangular(rng, n, 1, lower=True).tolil()
+    A[n - 1, 0] = 0.5
+    A = sp.csr_array(A)
+    b = rng.normal(size=n)
+    want = np.linalg.solve(A.toarray(), b)
+    assert solve_linear(A, b) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    assert calls
+
+
 def test_solve_small_sparse_system_densely(monkeypatch):
-    # scipy's sparse triangular solve has about 250 us of fixed work, more
-    # than a whole dense solve of a few states.
+    # Small systems follow the stepper's size rule (_dense_pays) to the
+    # dense LU: a whole solve of 3 states takes about 110 us there, 95 us
+    # by banded substitution and 235 us through spsolve_triangular.
     def refuse(*args, **kwargs):
         raise AssertionError("substitution on a small matrix")
 
     monkeypatch.setattr(numerics, "spsolve_triangular", refuse)
+    monkeypatch.setattr(numerics, "dtbtrs", refuse)
     rng = np.random.default_rng(11)
     for n in (1, 5, 50):
         A = _sparse_triangular(rng, n, lower=True)
@@ -96,12 +145,17 @@ def test_solve_small_sparse_system_densely(monkeypatch):
 @pytest.mark.parametrize("pivot", [0.0, 1e-16])
 def test_solve_sparse_triangular_small_pivot(pivot):
     # A zero pivot is not stored at all in the sparse matrix. 50 states go
-    # to the dense LU, 300 to substitution.
+    # to the dense LU, 300 to substitution: by spsolve_triangular for the
+    # random triangles, by the banded solve for the bidiagonal one.
     for n in (50, 300):
         A = _sparse_triangular(np.random.default_rng(9), n, lower=True).toarray()
         A[20, 20] = pivot * np.abs(A).sum(axis=1).max()
         with pytest.raises(SingularMatrix):
             solve_linear(sp.csr_array(A), np.ones(n))
+    A = _band_triangular(np.random.default_rng(9), 300, 1, lower=True).toarray()
+    A[20, 20] = pivot * np.abs(A).sum(axis=1).max()
+    with pytest.raises(SingularMatrix):
+        solve_linear(sp.csr_array(A), np.ones(300))
 
 
 def test_solve_sparse_general_matches_dense():
@@ -177,8 +231,8 @@ def test_expm_stops_on_certified_poisson_tail(monkeypatch, mu):
     iterates = numerics._row_iterates
     terms = []
 
-    def counting(B, v):
-        for u in iterates(B, v):
+    def counting(*args):
+        for u in iterates(*args):
             terms.append(None)
             yield u
 
@@ -231,7 +285,7 @@ def test_expm_sparse_matches_dense():
     # fig3a(n, 2) has n^2 + 1 transient states and one entry a row, so B
     # stays sparse; expm_multiply is the dense-arithmetic oracle. A spread
     # start on fig3a(40, 2) steps dense vectors through the sparse B, the
-    # start state of fig3a(150, 2) (past 20,000 entries) one entry at a time.
+    # start state of fig3a(150, 2) one entry at a time.
     rng = np.random.default_rng(19)
     for n, start in ((40, None), (150, -1)):
         sub = decompose(gen_fig3a(n, 2).chain)
@@ -283,9 +337,9 @@ def test_sparse_row_step_matches_sparse_product():
 
 def test_one_entry_rows_step_as_scalars(monkeypatch):
     # Every row of fig3a's B = I + Q stores one entry (the start row's and
-    # the countdown's diagonals are 0), and fig3a(150, 2) is past the
-    # 20,000 entries of the sparse-row path: its iterate is stepped as an
-    # _Entry throughout, with the sums of the _SparseRow steps to the bit.
+    # the countdown's diagonals are 0), and fig3a(150, 2)'s B is sparse:
+    # its iterate is stepped as an _Entry throughout, with the sums of the
+    # _SparseRow steps to the bit.
     sub = decompose(gen_fig3a(150, 2).chain)
     B = numerics._uniformized(sub.Q, 1.0)
     v = np.zeros(sub.n_transient)
@@ -304,9 +358,77 @@ def test_one_entry_rows_step_as_scalars(monkeypatch):
         return step(row, B)
 
     monkeypatch.setattr(numerics._SparseRow, "step", checked)
-    got = [float(x.sum()) for x in itertools.islice(numerics._row_iterates(B, v), 20_000)]
+    got = [float(x.sum()) for x in itertools.islice(numerics._row_iterates(sub.Q, 1.0, v), 20_000)]
     assert got == want
     assert want[1] == 1.0 / 150**2 and want[-1] == want[1]
+
+
+def _row_shapes_q(n=300):
+    """A sparse Q (c = 2) whose rows of B = I + Q/2 take every shape _lone_entry reads.
+
+    Row 0 stores nothing (B keeps its 1.0), row 1 only a diagonal that
+    cancels (an empty row of B), row 2 only one that does not, row 4 its
+    diagonal before the entry right of it, row 5 no diagonal, row 6 a
+    diagonal that does not cancel beside an entry, row 7 an explicit zero,
+    and row 8 two entries that stay in B. Rows 10..149 count down to row 9,
+    which leads to row 8; rows 150..298 count up to row 299, which leads to
+    row 0.
+    """
+    rows = {
+        0: {}, 1: {1: -2.0}, 2: {2: -1.0}, 3: {1: 2.0, 3: -2.0}, 4: {4: -2.0, 5: 0.5},
+        5: {0: 1.0}, 6: {2: 1.0, 6: -1.0}, 7: {0: 0.0, 7: -2.0, 9: 1.0},
+        8: {3: 1.0, 6: 0.5, 8: -2.0}, 9: {8: 2.0, 9: -2.0}, 299: {0: 1.0, 299: -2.0},
+    }
+    rows.update({i: {i - 1: 2.0, i: -2.0} for i in range(10, 150)})
+    rows.update({i: {i: -2.0, i + 1: 1.0} for i in range(150, 299)})
+    indptr, indices, data = [0], [], []
+    for i in range(n):
+        indices += sorted(rows[i])
+        data += [rows[i][j] for j in sorted(rows[i])]
+        indptr.append(len(indices))
+    return sp.csr_array((np.array(data), np.array(indices), np.array(indptr)), shape=(n, n))
+
+
+def test_lone_entry_reads_the_rows_of_the_uniformized_matrix():
+    # _uniformized's B, row by row: its one nonzero, (col, 0.0) for an
+    # empty row, None for two or more.
+    Q = _row_shapes_q()
+    assert np.count_nonzero(Q.data == 0.0) == 1  # row 7 stores its zero
+    B = numerics._uniformized(Q, 2.0).toarray()
+    arrays = [memoryview(a) for a in (Q.indptr, Q.indices, Q.data)]
+    for i in range(Q.shape[0]):
+        nonzero = np.flatnonzero(B[i])
+        want = (i, 0.0) if nonzero.size == 0 else None
+        if nonzero.size == 1:
+            want = (int(nonzero[0]), float(B[i, nonzero[0]]))
+        assert numerics._lone_entry(*arrays, 0.5, i) == want, i
+
+
+@pytest.mark.parametrize("start", [149, 150, 7, 5, 1])
+def test_row_iterates_off_q_match_dense_steps_through_b(monkeypatch, start):
+    # Scalar steps read off Q's rows, B built only at a row of B with two
+    # nonzeros (row 8 or 5, or never), then dense: every iterate equals the
+    # dense v B^j to the bit.
+    Q = _row_shapes_q()
+    built = []
+    uniformized = numerics._uniformized
+
+    def counted(*args):
+        built.append(None)
+        return uniformized(*args)
+
+    monkeypatch.setattr(numerics, "_uniformized", counted)
+    v = np.zeros(Q.shape[0])
+    v[start] = 1.0
+    Bt = uniformized(Q, 2.0).T
+    for u in itertools.islice(numerics._row_iterates(Q, 2.0, v), 400):
+        got = u
+        if isinstance(u, numerics._Entry):
+            got = np.zeros(v.size)
+            got[u.col] = u.val
+        assert np.array_equal(got, v)
+        v = Bt @ v
+    assert len(built) == (start in (149, 7, 5))
 
 
 def test_expm_steps_a_thin_band_as_sparse_rows(monkeypatch):
