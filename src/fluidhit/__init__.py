@@ -4,11 +4,9 @@ absorbing Markov chains under uniform one-at-a-time scheduling."""
 from .bounds import (
     BoundReport,
     assemble_report,
-    coupon_bound,
     harmonic_number,
     theorem2_asymptotic,
     theorem3_bound,
-    theorem3_uniform_cap,
     theorem4_bound,
     tN_asymptotic,
 )
@@ -25,13 +23,11 @@ from .chain_model import (
 )
 from .examples import (
     NamedExample,
-    erlang_m0,
     gen_classical,
     gen_fig3a,
     gen_fig3b,
     gen_tstage,
     get_example,
-    random_chain,
 )
 from .fluid import (
     CrossingResult,
@@ -50,9 +46,7 @@ from .phase_type import (
     PhaseType,
     SpectralParams,
     discrete_survival,
-    sample_absorption_step,
     spectral_params,
-    stochastic_order_check,
     x_threshold,
 )
 from .simulator import (

@@ -8,9 +8,8 @@ Upper bounds:
 Trend-only values (never asserted as certified bounds):
   theorem2  (1/nu) N log N + (k/nu) N log log N, leading terms only;
   t_N       (1/nu)(log(gamma N) + k log log N - k log nu) when gamma known.
-The multi-collection coupon bound rounds out the module; the reference
-values of the named chains belong to their generators (examples). Natural
-logarithms throughout.
+The reference values of the named chains belong to their generators
+(examples). Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -92,24 +91,9 @@ def theorem3_bound(W, occupancy) -> float:
     return N * total
 
 
-def theorem3_uniform_cap(T, N) -> float:
-    """Coarse corollary T N^2 when every starting W(x_i) is capped by T."""
-    return float(T) * N * N
-
-
 def theorem4_bound(T, N) -> float:
     """T N ln N + 2 N T + 1 under the uniform bound sup_x W(x) <= T."""
     return T * N * math.log(N) + 2.0 * N * T + 1.0
-
-
-def coupon_bound(T, N) -> float:
-    """Bound for collecting T copies of each of N coupons:
-    N ln N + (T-1) N ln ln N + (T+2) N."""
-    if N < 3:
-        raise ValueError("N must be at least 3 for ln ln N > 0")
-    if T < 1:
-        raise ValueError("T must be at least 1")
-    return N * math.log(N) + (T - 1) * N * math.log(math.log(N)) + (T + 2) * N
 
 
 # JSON key -> (BoundReport attribute, provenance, formula). to_json_dict writes

@@ -106,23 +106,6 @@ class _Destinations:
         return cols[pos]
 
 
-def _walk_to_exit(state, rates, draw, exit_column, rng, budget=math.inf):
-    """Steps one chain takes from a transient state until it exits.
-
-    The sojourn in state x is geometric with success rates[x], drawn in one
-    shot; draw(x, u) then picks the next state. rng is a numpy Generator or
-    anything with its random() and geometric(p). Stops early, with a count
-    above budget, as soon as the count passes budget.
-    """
-    steps = 0
-    while state != exit_column:
-        steps += int(rng.geometric(rates[state]))
-        if steps > budget:
-            break
-        state = draw(state, rng.random())
-    return steps
-
-
 @dataclass(frozen=True)
 class SubGenerator:
     """Transient block Q of P - I together with the exit vector Q0.
@@ -423,6 +406,8 @@ def load_chain_spec(source) -> tuple[AbsorbingChain, InitialDistribution]:
         with open(source, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
 
+    if not isinstance(spec, dict):
+        raise ValueError(f"a chain spec must be a JSON object, got {type(spec).__name__}")
     if "states" not in spec:
         raise ValueError('chain spec is missing the "states" field')
     n = spec["states"]
@@ -430,16 +415,27 @@ def load_chain_spec(source) -> tuple[AbsorbingChain, InitialDistribution]:
         raise ValueError(f'"states" must be an integer of at least 2, got {n!r}')
 
     if "P" in spec:
-        matrix = np.asarray(spec["P"], dtype=float)
+        matrix = _numbers(spec["P"], '"P"')
         if matrix.shape != (n, n):
             raise ValueError(f'"P" must be {n}x{n}, got {matrix.shape}')
         chain = validate_chain(matrix)
     elif "P_sparse" in spec:
+        if not isinstance(spec["P_sparse"], list):
+            raise ValueError(f'"P_sparse" must be a list, got {type(spec["P_sparse"]).__name__}')
         rows, cols, vals = [], [], []
         for entry in spec["P_sparse"]:
-            r, cs, ps = entry["row"], entry["cols"], entry["probs"]
-            # A fractional index used to be truncated: 1.9 read as row 1.
-            bad = [i for i in [r, *cs] if not isinstance(i, (int, np.integer))]
+            if not isinstance(entry, dict):
+                raise ValueError(f'"P_sparse" entries must be objects, got {entry!r}')
+            for key, ndim in (("row", 0), ("cols", 1), ("probs", 1)):
+                if key not in entry or np.ndim(entry[key]) != ndim:
+                    kind = "an integer" if ndim == 0 else "a list"
+                    raise ValueError(f'"P_sparse" entry {entry!r}: "{key}" must be {kind}')
+            r, cs = entry["row"], entry["cols"]
+            ps = _numbers(entry["probs"], f'"P_sparse" row {r!r}: "probs"')
+            # Neither a fractional index (1.9 would truncate to row 1) nor a
+            # bool (an int subclass: true would read as row 1) is an index.
+            bad = [i for i in [r, *cs]
+                   if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
             if bad:
                 raise ValueError(
                     f'"P_sparse" row {r!r}: "row" and "cols" must be integers, got {bad[0]!r}'
@@ -448,21 +444,28 @@ def load_chain_spec(source) -> tuple[AbsorbingChain, InitialDistribution]:
                 raise ValueError(f'row {r}: "cols" and "probs" lengths differ')
             rows.extend([r] * len(cs))
             cols.extend(cs)
-            vals.extend(float(p) for p in ps)
-        matrix = sp.csr_array(
-            sp.coo_array((vals, (rows, cols)), shape=(n, n))
-        )
+            vals.extend(ps.tolist())
+        matrix = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
         chain = validate_chain(matrix)
     else:
         raise ValueError('chain spec needs either "P" or "P_sparse"')
 
-    mass0 = float(spec.get("alpha0", 0.0))
-    if not 0.0 <= mass0 <= 1.0:
-        raise ValueError(f'"alpha0" must be finite and within [0, 1], got {mass0}')
+    mass0 = spec.get("alpha0", 0.0)
+    if not isinstance(mass0, (int, float)) or isinstance(mass0, bool) or not 0 <= mass0 <= 1:
+        raise ValueError(f'"alpha0" must be a number within [0, 1], got {mass0!r}')
+    mass0 = float(mass0)
     if "alpha" in spec:
-        alpha = np.asarray(spec["alpha"], dtype=float)
+        alpha = _numbers(spec["alpha"], '"alpha"')
         if alpha.shape != (n - 1,):
             raise ValueError(f'"alpha" must have length {n - 1}')
     else:
         alpha = np.full(n - 1, (1.0 - mass0) / (n - 1))
     return chain, InitialDistribution(alpha=alpha, mass0=mass0)
+
+
+def _numbers(value, field):
+    """value as a float array; a ValueError naming field when it holds no numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field} must hold numbers: {exc}") from None

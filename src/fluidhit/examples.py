@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .bounds import harmonic_number
 from .chain_model import AbsorbingChain, InitialDistribution, validate_chain
-from .errors import ChainValidationError, FluidhitError, SizeTooLarge
+from .errors import FluidhitError, SizeTooLarge
 
 # Deepest countdown tstage:T (T) and fig3a:N,T (N^2 (T-1)) may build.
 COUNTDOWN_CAP = 10**7
@@ -147,25 +147,6 @@ def gen_fig3b(T: float) -> NamedExample:
     )
 
 
-def erlang_m0(T: int, t: float) -> float:
-    """Erlang(T, 1) CDF: 1 - sum_{k<T} exp(-t) t^k / k!, in log space.
-
-    This is the fluid absorbed fraction of the T-stage chain started at T,
-    computed independently of any matrix exponential.
-    """
-    if T < 1:
-        raise ValueError("T must be at least 1")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    log_t = math.log(t)
-    tail = math.fsum(
-        math.exp(-t + k * log_t - math.lgamma(k + 1)) for k in range(T)
-    )
-    return 1.0 - tail
-
-
 def get_example(spec: str) -> NamedExample:
     """Resolve a name string: classical | tstage:T | fig3a:N,T | fig3b:T."""
     name, _, args = spec.partition(":")
@@ -182,26 +163,3 @@ def get_example(spec: str) -> NamedExample:
         f"unknown example {spec!r}; expected classical, tstage:T, fig3a:N,T or fig3b:T"
     )
 
-
-def random_chain(rng, n_transient: int, density: float = 0.7) -> AbsorbingChain:
-    """Seeded random validated chain, for tests.
-
-    Rows are normalized exponential weights over a random support; retries
-    until the transience check passes, falling back to full support.
-    """
-    S = n_transient
-    for attempt in range(60):
-        P = np.zeros((S + 1, S + 1))
-        P[0, 0] = 1.0
-        for i in range(1, S + 1):
-            w = rng.exponential(size=S + 1)
-            if attempt < 50:
-                w *= rng.random(S + 1) < density
-            if w.sum() <= 0:
-                w[int(rng.integers(0, S + 1))] = 1.0
-            P[i] = w / w.sum()
-        try:
-            return validate_chain(P)
-        except ChainValidationError:
-            continue
-    raise RuntimeError("random_chain failed to produce a valid chain")

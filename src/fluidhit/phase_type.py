@@ -9,12 +9,11 @@ greatest real part and k + 1 its algebraic multiplicity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_model import InitialDistribution, SubGenerator, _walk_to_exit
+from .chain_model import InitialDistribution, SubGenerator
 from .errors import DegenerateTail, NonConvergent, ScaleTooSmall
 from .fluid import _crossing, transient_survival
 from .numerics import _SurvivalSeries, dominant_eigen, eigen_spectrum
@@ -194,49 +193,3 @@ def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
         )
     return gamma
 
-
-def stochastic_order_check(qii, N, t_grid) -> bool:
-    """Replay of the geometric-vs-exponential coupling inequality.
-
-    Verifies on the grid that the rescaled geometric sojourn is dominated by
-    the exponential sojourn shifted by one step:
-    P(Geom(-qii/N) >= tN) = (1 + qii/N)^ceil(tN)
-    <= P(Exp(-qii) + 1/N >= t) = min(1, exp(qii (t - 1/N))).
-    Holds at every t >= 0; returning False signals an internal inconsistency.
-    """
-    if qii >= 0:
-        raise ValueError("qii must be negative")
-    if N < -qii:
-        raise ScaleTooSmall(f"N = {N} below -qii = {-qii}")
-    base = 1.0 + qii / N
-    for t in np.asarray(t_grid, dtype=float):
-        if t < 0:
-            raise ValueError("grid times must be nonnegative")
-        lhs = base ** math.ceil(t * N)
-        rhs = min(1.0, math.exp(qii * (t - 1.0 / N)))
-        if lhs > rhs * (1.0 + 1e-12):
-            return False
-    return True
-
-
-def sample_absorption_step(pt: PhaseType, rng) -> int:
-    """One sample of the discrete phase-type variable by chain simulation.
-
-    Walks the chain of transition matrix I + Q/N; the sojourn in each state
-    is geometric with success -Q_ii/N and is drawn in one shot, which leaves
-    the law unchanged. Returns the first step index at which the chain sits
-    in state 0 (0 when the initial draw lands on state 0).
-    """
-    u = rng.random()
-    if u < pt.alpha.mass0:
-        return 0
-    acc = pt.alpha.mass0
-    state = pt.sub.n_transient - 1
-    for i, a in enumerate(pt.alpha.alpha):
-        acc += a
-        if u < acc:
-            state = i
-            break
-
-    rates = -pt.sub.Q.diagonal() / pt.scale
-    return _walk_to_exit(state, rates, pt.sub._jump_chain.draw, pt.sub.n_transient, rng)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import AbsorbingChain, InitialDistribution, _walk_to_exit
+from .chain_model import AbsorbingChain, InitialDistribution
 from .errors import MaxStepsExceeded
 from .fluid import _time_grid
 
@@ -162,6 +162,23 @@ class _Uniforms:
 
 def _replication_rng(seed, rep):
     return np.random.default_rng(np.random.SeedSequence((seed, rep)))
+
+
+def _walk_to_exit(state, rates, draw, exit_column, rng, budget=math.inf):
+    """Steps one chain takes from a transient state until it exits.
+
+    The sojourn in state x is geometric with success rates[x], drawn in one
+    shot; draw(x, u) then picks the next state. rng is a numpy Generator or
+    anything with its random() and geometric(p). Stops early, with a count
+    above budget, as soon as the count passes budget.
+    """
+    steps = 0
+    while state != exit_column:
+        steps += int(rng.geometric(rates[state]))
+        if steps > budget:
+            break
+        state = draw(state, rng.random())
+    return steps
 
 
 class _Poissonized:

@@ -7,6 +7,15 @@ absorption expectations, memoized path recursion for jump counts, a
 scalar root finder for Erlang crossing times, a step-by-step scan for the
 discrete threshold x_N, and a per-event stepper of the occupancy process
 for hitting times and trajectories.
+
+It also holds the routines that only tests read:
+  random_chain            the seeded generator of random validated chains;
+  coupon_bound            the paper's T-copy coupon-collector bound, checked
+                          against theorem2_asymptotic and theorem4_bound;
+  stochastic_order_check  the replay of the geometric-vs-exponential
+                          coupling in the paper's proof (criterion 11);
+  sample_absorption_step  a sampler of the discrete phase-type variable,
+                          checked against discrete_survival.
 """
 
 from __future__ import annotations
@@ -18,10 +27,17 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 from scipy.sparse.csgraph import dijkstra
 
-from fluidhit import AbsorbingChain, OccupancyState, SubGenerator, TrajectorySample
+from fluidhit import (
+    AbsorbingChain,
+    OccupancyState,
+    PhaseType,
+    SubGenerator,
+    TrajectorySample,
+    validate_chain,
+)
 from fluidhit.chain_model import _Destinations
-from fluidhit.errors import MaxStepsExceeded
-from fluidhit.simulator import DEFAULT_MAX_STEPS, _replication_rng, _Uniforms
+from fluidhit.errors import ChainValidationError, MaxStepsExceeded, ScaleTooSmall
+from fluidhit.simulator import DEFAULT_MAX_STEPS, _replication_rng, _Uniforms, _walk_to_exit
 
 
 def sub_generator(Q, Q0=None):
@@ -35,6 +51,29 @@ def sub_generator(Q, Q0=None):
         Q0 = np.maximum(-Q.sum(axis=1), 0.0)
     return SubGenerator(Q=Q, Q0=np.asarray(Q0, dtype=float))
 
+
+def random_chain(rng, n_transient: int, density: float = 0.7) -> AbsorbingChain:
+    """Seeded random validated chain, for tests.
+
+    Rows are normalized exponential weights over a random support; retries
+    until the transience check passes, falling back to full support.
+    """
+    S = n_transient
+    for attempt in range(60):
+        P = np.zeros((S + 1, S + 1))
+        P[0, 0] = 1.0
+        for i in range(1, S + 1):
+            w = rng.exponential(size=S + 1)
+            if attempt < 50:
+                w *= rng.random(S + 1) < density
+            if w.sum() <= 0:
+                w[int(rng.integers(0, S + 1))] = 1.0
+            P[i] = w / w.sum()
+        try:
+            return validate_chain(P)
+        except ChainValidationError:
+            continue
+    raise RuntimeError("random_chain failed to produce a valid chain")
 
 def rk4_absorbed_fraction(P_dense, initial_full, t_grid, h=0.01):
     """Integrate the full-space ODE dm/dt = m (P - I) with fixed-step RK4.
@@ -185,6 +224,39 @@ def erlang_crossing(T, epsilon, hi=1000.0):
     return brentq(lambda t: erlang_survival(T, t) - epsilon, 0.0, hi, xtol=1e-12)
 
 
+def coupon_bound(T, N) -> float:
+    """Bound for collecting T copies of each of N coupons:
+    N ln N + (T-1) N ln ln N + (T+2) N."""
+    if N < 3:
+        raise ValueError("N must be at least 3 for ln ln N > 0")
+    if T < 1:
+        raise ValueError("T must be at least 1")
+    return N * math.log(N) + (T - 1) * N * math.log(math.log(N)) + (T + 2) * N
+
+
+def stochastic_order_check(qii, N, t_grid) -> bool:
+    """Replay of the geometric-vs-exponential coupling inequality.
+
+    Verifies on the grid that the rescaled geometric sojourn is dominated by
+    the exponential sojourn shifted by one step:
+    P(Geom(-qii/N) >= tN) = (1 + qii/N)^ceil(tN)
+    <= P(Exp(-qii) + 1/N >= t) = min(1, exp(qii (t - 1/N))).
+    Holds at every t >= 0; returning False signals an internal inconsistency.
+    """
+    if qii >= 0:
+        raise ValueError("qii must be negative")
+    if N < -qii:
+        raise ScaleTooSmall(f"N = {N} below -qii = {-qii}")
+    base = 1.0 + qii / N
+    for t in np.asarray(t_grid, dtype=float):
+        if t < 0:
+            raise ValueError("grid times must be nonnegative")
+        lhs = base ** math.ceil(t * N)
+        rhs = min(1.0, math.exp(qii * (t - 1.0 / N)))
+        if lhs > rhs * (1.0 + 1e-12):
+            return False
+    return True
+
 def threshold_scan(Q, alpha, N, max_steps):
     """Smallest k <= max_steps with alpha (I + Q/N)^k 1 <= 2/N, one step per k.
 
@@ -211,6 +283,28 @@ def threshold_scan(Q, alpha, N, max_steps):
         v = Bt @ v
     raise AssertionError(f"survival still above 2/N after {max_steps} steps")
 
+
+def sample_absorption_step(pt: PhaseType, rng) -> int:
+    """One sample of the discrete phase-type variable by chain simulation.
+
+    Walks the chain of transition matrix I + Q/N; the sojourn in each state
+    is geometric with success -Q_ii/N and is drawn in one shot, which leaves
+    the law unchanged. Returns the first step index at which the chain sits
+    in state 0 (0 when the initial draw lands on state 0).
+    """
+    u = rng.random()
+    if u < pt.alpha.mass0:
+        return 0
+    acc = pt.alpha.mass0
+    state = pt.sub.n_transient - 1
+    for i, a in enumerate(pt.alpha.alpha):
+        acc += a
+        if u < acc:
+            state = i
+            break
+
+    rates = -pt.sub.Q.diagonal() / pt.scale
+    return _walk_to_exit(state, rates, pt.sub._jump_chain.draw, pt.sub.n_transient, rng)
 
 def empirical_survival(samples, k):
     """Fraction of samples >= k... evaluated with the strict convention

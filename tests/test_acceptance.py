@@ -18,7 +18,6 @@ from fluidhit import (
     discrete_survival,
     dominant_eigen,
     eigen_spectrum,
-    erlang_m0,
     estimate_hitting_time,
     expected_hitting_times,
     fluid_trajectory,
@@ -28,20 +27,21 @@ from fluidhit import (
     gen_tstage,
     harmonic_number,
     mean_jump_count,
-    random_chain,
     simulate_trajectory,
     spectral_params,
-    stochastic_order_check,
     theorem3_bound,
     theorem4_bound,
     x_threshold,
 )
 
 from oracles import (
+    erlang_survival,
     exact_occupancy_mean_hitting,
     ks_two_sample_stat,
+    random_chain,
     rk4_absorbed_fraction,
     stepped_hitting_times,
+    stochastic_order_check,
 )
 
 
@@ -113,7 +113,7 @@ def test_criterion_04_fluid_oracle():
         ex = gen_tstage(T)
         sub = decompose(ex.chain)
         fluid_vals = fluid_trajectory(ex.default_alpha, sub, grid).m0_values
-        erlang_vals = np.array([erlang_m0(T, t) for t in grid])
+        erlang_vals = np.array([1.0 - erlang_survival(T, t) for t in grid])
         full0 = np.zeros(T + 1)
         full0[T] = 1.0
         rk4_vals = rk4_absorbed_fraction(ex.chain.P.toarray(), full0, grid, h=0.004)

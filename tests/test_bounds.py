@@ -13,7 +13,6 @@ from fluidhit import (
     OccupancyState,
     SpectralParams,
     assemble_report,
-    coupon_bound,
     crossing_time,
     decompose,
     expected_hitting_times,
@@ -24,7 +23,6 @@ from fluidhit import (
     spectral_params,
     theorem2_asymptotic,
     theorem3_bound,
-    theorem3_uniform_cap,
     theorem4_bound,
     tN_asymptotic,
     validate_chain,
@@ -32,7 +30,7 @@ from fluidhit import (
 from fluidhit.errors import GammaMissing, InconsistentBounds
 from fluidhit.numerics import DENSE_CAP
 
-from oracles import erlang_crossing, exact_occupancy_mean_hitting
+from oracles import coupon_bound, erlang_crossing, exact_occupancy_mean_hitting
 
 
 def _theorem1(ex, N):
@@ -134,7 +132,6 @@ def test_theorem3_fig3a_cap():
     W = expected_hitting_times(decompose(ex.chain))
     occ = OccupancyState.from_alpha(ex.default_alpha, N)
     assert theorem3_bound(W, occ) == pytest.approx(T * N * N)
-    assert theorem3_uniform_cap(T, N) == T * N * N
 
 
 def test_theorem4_values():

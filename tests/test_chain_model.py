@@ -17,7 +17,6 @@ from fluidhit import (
     mean_jump_count,
     assemble_report,
     chain_spec,
-    random_chain,
     validate_chain,
 )
 from fluidhit.chain_model import ResolventQuantities, _Destinations
@@ -25,7 +24,7 @@ from fluidhit import numerics
 from fluidhit.numerics import DENSE_CAP
 from fluidhit.errors import DimensionTooLarge, NotAbsorbing, NotStochastic, NotTransient
 
-from oracles import brute_jump_counts, sub_generator
+from oracles import brute_jump_counts, random_chain, sub_generator
 
 
 @pytest.mark.parametrize("shape", ["lower", "upper", "ring"])

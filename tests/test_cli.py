@@ -114,6 +114,32 @@ def test_analyze_names_the_field_it_refuses(tmp_path, capsys, spec, field):
     assert field in err
 
 
+_SPARSE_ROW0 = '{"row": 0, "cols": [0], "probs": [1]}'
+
+
+@pytest.mark.parametrize("text, field", [
+    (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"cols": [0], "probs": [1]}}]}}', '"row"'),
+    (f'{{"states": 2, "P_sparse": {_SPARSE_ROW0}}}', '"P_sparse"'),
+    (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"row": 1, "cols": 0, "probs": [1]}}]}}',
+     '"cols"'),
+    (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"row": 1, "cols": [0], "probs": 1.0}}]}}',
+     '"probs"'),
+    ('{"states": 2, "P": [[1, 0], [1, 0]], "alpha0": null}', '"alpha0"'),
+    ("5", "JSON object"),
+    (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"row": true, "cols": [false], '
+     '"probs": [1]}]}', '"P_sparse" row True'),
+], ids=["sparse-row-missing", "sparse-not-a-list", "cols-not-a-list", "probs-not-a-list",
+        "alpha0-null", "not-an-object", "bool-index"])
+def test_analyze_refuses_a_malformed_spec(tmp_path, capsys, text, field):
+    # These used to escape load_chain_spec as KeyError or TypeError, a
+    # traceback with exit 1; a bool index used to load as 0 or 1.
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "analyze", "--chain", str(path), "--N", "10")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert field in err
+
 def test_population_of_one(capsys):
     # The fluid level 1/N is 1: the transient mass starts there, so t_N = 0.
     code, out, _ = run_cli(capsys, "analyze", "--chain", "classical", "--N", "1", "--format", "json")

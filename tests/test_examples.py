@@ -7,7 +7,6 @@ import pytest
 from fluidhit import (
     OccupancyState,
     decompose,
-    erlang_m0,
     expected_hitting_times,
     gen_classical,
     gen_fig3a,
@@ -15,12 +14,13 @@ from fluidhit import (
     gen_tstage,
     get_example,
     harmonic_number,
-    random_chain,
     spectral_params,
     transient_survival,
     validate_chain,
 )
 from fluidhit.errors import FluidhitError, SizeTooLarge
+
+from oracles import erlang_survival, random_chain
 
 
 def test_tstage1_is_classical():
@@ -50,7 +50,7 @@ def test_tstage_fluid_matches_erlang():
         sub = decompose(ex.chain)
         for t in np.geomspace(0.05, 30.0, 12):
             assert 1.0 - transient_survival(ex.default_alpha, sub, t) == pytest.approx(
-                erlang_m0(T, t), abs=1e-8
+                1.0 - erlang_survival(T, t), abs=1e-8
             )
 
 
@@ -139,12 +139,13 @@ def test_classical_exact_mean():
 
 
 def test_erlang_m0_values():
-    assert erlang_m0(1, math.log(2.0)) == pytest.approx(0.5, abs=1e-12)
-    assert erlang_m0(2, 1.0) == pytest.approx(1 - 2 * math.exp(-1), abs=1e-12)
-    assert erlang_m0(2, 1.0) == pytest.approx(0.26424, abs=1e-5)
-    assert erlang_m0(3, 0.0) == 0.0
+    # 1 - erlang_survival is the Erlang(T, 1) CDF, tstage(T)'s fluid absorbed fraction.
+    assert 1 - erlang_survival(1, math.log(2.0)) == pytest.approx(0.5, abs=1e-12)
+    assert 1 - erlang_survival(2, 1.0) == pytest.approx(1 - 2 * math.exp(-1), abs=1e-12)
+    assert 1 - erlang_survival(2, 1.0) == pytest.approx(0.26424, abs=1e-5)
+    assert 1 - erlang_survival(3, 0.0) == 0.0
     # large-t stability
-    assert erlang_m0(4, 600.0) == pytest.approx(1.0)
+    assert 1 - erlang_survival(4, 600.0) == pytest.approx(1.0)
 
 
 def test_get_example_parsing():

@@ -12,14 +12,13 @@ from fluidhit import (
     fluid_trajectory,
     gen_fig3a,
     gen_tstage,
-    random_chain,
     transient_survival,
     validate_chain,
 )
 
 from fluidhit.errors import BracketingFailure
 
-from oracles import erlang_crossing, rk4_absorbed_fraction
+from oracles import erlang_crossing, random_chain, rk4_absorbed_fraction
 
 
 def _classical():

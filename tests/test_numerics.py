@@ -17,13 +17,14 @@ from fluidhit import (
     gen_fig3a,
     gen_fig3b,
     gen_tstage,
-    random_chain,
     solve_linear,
     spectral_params,
     validate_chain,
 )
 from fluidhit import numerics
 from fluidhit.errors import DimensionTooLarge, NonConvergent, SingularMatrix, SlowConvergence
+
+from oracles import random_chain
 
 
 def test_solve_identity():

@@ -16,16 +16,14 @@ from fluidhit import (
     gen_fig3b,
     gen_tstage,
     mean_jump_count,
-    sample_absorption_step,
     spectral_params,
-    stochastic_order_check,
     transient_survival,
     x_threshold,
 )
 from fluidhit import numerics
 from fluidhit.errors import DegenerateTail, NonConvergent, ScaleTooSmall
 
-from oracles import sub_generator, threshold_scan
+from oracles import sample_absorption_step, stochastic_order_check, sub_generator, threshold_scan
 
 
 def _classical_pt(N):

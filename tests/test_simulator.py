@@ -15,8 +15,6 @@ from fluidhit import (
     gen_tstage,
     get_example,
     harmonic_number,
-    random_chain,
-    sample_absorption_step,
     simulate_trajectory,
     validate_chain,
 )
@@ -29,7 +27,9 @@ from oracles import (
     exact_occupancy_absorbed_law,
     exact_occupancy_mean_hitting,
     ks_two_sample_stat,
+    random_chain,
     run_to_absorption,
+    sample_absorption_step,
     step,
     stepped_hitting_times,
     stepped_trajectory,
