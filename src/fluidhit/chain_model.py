@@ -427,8 +427,8 @@ def load_chain_spec(source) -> tuple[AbsorbingChain, InitialDistribution]:
             if not isinstance(entry, dict):
                 raise ValueError(f'"P_sparse" entries must be objects, got {entry!r}')
             for key, ndim in (("row", 0), ("cols", 1), ("probs", 1)):
-                if key not in entry or np.ndim(entry[key]) != ndim:
-                    kind = "an integer" if ndim == 0 else "a list"
+                if key not in entry or _ndim(entry[key]) != ndim:
+                    kind = "an integer" if ndim == 0 else "a flat list"
                     raise ValueError(f'"P_sparse" entry {entry!r}: "{key}" must be {kind}')
             r, cs = entry["row"], entry["cols"]
             ps = _numbers(entry["probs"], f'"P_sparse" row {r!r}: "probs"')
@@ -463,9 +463,21 @@ def load_chain_spec(source) -> tuple[AbsorbingChain, InitialDistribution]:
     return chain, InitialDistribution(alpha=alpha, mass0=mass0)
 
 
+def _ndim(value):
+    """np.ndim(value), or None for lists nested to uneven depths."""
+    try:
+        return np.ndim(value)
+    except ValueError:
+        return None
+
+
 def _numbers(value, field):
     """value as a float array; a ValueError naming field when it holds no numbers."""
     try:
-        return np.asarray(value, dtype=float)
+        numbers = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field} must hold numbers: {exc}") from None
+    # A JSON null converts to NaN; NaN itself is left to the finiteness checks.
+    if np.isnan(numbers).any() and any(x is None for x in np.asarray(value, dtype=object).flat):
+        raise ValueError(f"{field} must hold numbers, got null")
+    return numbers

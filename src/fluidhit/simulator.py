@@ -11,8 +11,13 @@ independently of the others, and absorbs after K_j of its own P-steps at
 time A_j ~ Gamma(K_j, scale N). The K_j come from walking all chains' jump
 chains at once: the sojourn in state x is geometric with success 1 - P_xx,
 and one table lookup per round draws every destination. No Python work is
-done per scheduler step; only the last few unabsorbed chains are walked one
-at a time.
+done per scheduler step; only the last few unabsorbed chains of each run
+are walked one at a time.
+
+Replications share their jump rounds: a batch of them moves in one sweep,
+yet replication r draws only from its own generator, in the order and the
+shapes of a lone run. Its sample thus depends neither on the number of
+runs nor on its batch mates.
 
 For T_N alone: with tau = max_j A_j, given the A_j the picks of chain j in
 (A_j, tau] are independent Poisson counts of mean (tau - A_j) / N, so
@@ -44,12 +49,21 @@ from .fluid import _time_grid
 
 DEFAULT_MAX_STEPS = 10**9
 
-# The Poissonized sampler moves its unabsorbed chains in vectorized jump
-# rounds while more than this many remain, then walks the rest one chain at
-# a time. A round costs about 24 us of numpy calls whatever its size, a
-# scalar jump 1.5-3 us, so below about this many chains the scalar walk is
-# the cheaper way to finish (per-run times are flat from 8 to 24).
+# The Poissonized sampler moves each replication's unabsorbed chains in
+# vectorized jump rounds while more than this many of them remain, then
+# walks the rest one chain at a time. The rule holds per replication inside
+# a shared sweep: a replication leaves the rounds while its batch mates go
+# on. A round costs about 24 us of numpy calls whatever its size, a scalar
+# jump 1.5-3 us, so below about this many chains the scalar walk is the
+# cheaper way to finish (per-run times are flat from 8 to 24).
 _SCALAR_TAIL = 16
+
+# Replications share their jump rounds in batches of about this many
+# unabsorbed chains in all, at least one replication per batch, so a
+# round's fixed numpy cost is paid once per batch and not once per run.
+# Larger batches put several runs of 10^4 chains together, which made
+# them slower and raised the peak memory.
+_BATCH_CHAINS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -186,9 +200,9 @@ class _Poissonized:
 
     Holds what every replication shares: the jump table, the geometric
     success 1 - P_xx per transient state and the start state of each
-    unabsorbed chain. Calling it with a generator returns one sample of
-    T_N, absorption_steps the steps S_m of one run; either returns None
-    when the run's T_N would exceed max_steps.
+    unabsorbed chain. Calling it with a list of generators returns one
+    sample of T_N per generator, absorption_steps the steps S_m of one run;
+    a run whose T_N would exceed max_steps gives None.
     """
 
     def __init__(self, chain, initial: OccupancyState, max_steps):
@@ -212,24 +226,56 @@ class _Poissonized:
         )
         self._max_steps = max_steps
 
-    def _absorptions(self, rng):
-        """(K_j, sum_j K_j, A_j) over the unabsorbed chains, or None once
-        sum_j K_j passes max_steps (T_N >= sum_j K_j, so the run fails)."""
-        states = self._starts
-        chains = np.arange(states.size)
-        jumps = np.zeros(states.size, dtype=np.int64)
-        total = 0
-        while chains.size > _SCALAR_TAIL:
-            u = rng.random((2, chains.size))
+    def _absorptions(self, rngs):
+        """Per generator, (K_j, sum_j K_j, A_j) over the unabsorbed chains,
+        or None once sum_j K_j passes max_steps (T_N >= sum_j K_j, so the
+        run fails).
+
+        The replications share their jump rounds: their chains sit in one
+        array, grouped by replication, and each round draws
+        rngs[r].random((2, c_r)) for the c_r chains of replication r, just
+        as a lone run would. Replication r leaves the sweep once its total
+        passes max_steps or _SCALAR_TAIL or fewer of its chains remain.
+        """
+        n = self._starts.size
+        jumps = np.zeros((len(rngs), n), dtype=np.int64)
+        if n <= _SCALAR_TAIL:
+            every = np.arange(n)
+            return [self._finish(rng, row, 0, every, self._starts) for rng, row in zip(rngs, jumps)]
+        drawn = [None] * len(rngs)
+        totals = np.zeros(len(rngs), dtype=np.int64)
+        live = np.arange(len(rngs))
+        counts = np.full(live.size, n)
+        chains = np.arange(jumps.size)
+        states = np.tile(self._starts, live.size)
+        flat = jumps.reshape(-1)
+        while live.size:
+            u = np.concatenate(
+                [rngs[r].random((2, c)) for r, c in zip(live.tolist(), counts.tolist())], axis=1
+            )
             # Geometric sojourns by inversion, the rule of _Uniforms.geometric.
             sojourns = (np.log(1.0 - u[0]) / self._log_stay[states]).astype(np.int64) + 1
-            jumps[chains] += sojourns
-            total += int(sojourns.sum())
-            if total > self._max_steps:
-                return None
+            flat[chains] += sojourns
+            first = np.cumsum(counts) - counts
+            totals[live] += np.add.reduceat(sojourns, first)
             states = self._table.draw_many(states, u[1])
             alive = states != self._exit
+            left = np.add.reduceat(alive, first, dtype=np.int64)
+            done = (left <= _SCALAR_TAIL) | (totals[live] > self._max_steps)
+            for i in np.flatnonzero(done).tolist():
+                r = int(live[i])
+                if totals[r] <= self._max_steps:
+                    rows = slice(first[i], first[i] + counts[i])
+                    mine = alive[rows]
+                    tail = chains[rows][mine] - r * n, states[rows][mine]
+                    drawn[r] = self._finish(rngs[r], jumps[r], int(totals[r]), *tail)
+            alive &= np.repeat(~done, counts)
             chains, states = chains[alive], states[alive]
+            live, counts = live[~done], left[~done]
+        return drawn
+
+    def _finish(self, rng, jumps, total, chains, states):
+        """One replication's scalar walk of its last chains, then its A_j."""
         if chains.size:
             uniforms = _Uniforms(rng, block=64)
             draw = self._table.draw
@@ -241,25 +287,29 @@ class _Poissonized:
                     return None
                 jumps[j] += k
         if jumps.size > _SCALAR_TAIL:
-            finish = rng.gamma(jumps, self._N)
+            finish = rng.standard_gamma(jumps) * self._N
         else:
             # Below the tail size scalar draws beat the array call's set-up.
             finish = np.array([rng.standard_gamma(k) for k in jumps.tolist()]) * self._N
         return jumps, total, finish
 
-    def __call__(self, rng):
-        drawn = self._absorptions(rng)
-        if drawn is None:
-            return None
-        _, total, finish = drawn
-        tau = float(finish.max(initial=0.0))
-        late = float(np.sum(tau - finish)) + self._absorbed * tau
-        steps = total + int(rng.poisson(late / self._N))
-        return steps if steps <= self._max_steps else None
+    def __call__(self, rngs):
+        """One sample of T_N per generator, None where the run fails."""
+        samples = []
+        for rng, drawn in zip(rngs, self._absorptions(rngs)):
+            if drawn is None:
+                samples.append(None)
+                continue
+            _, total, finish = drawn
+            tau = float(finish.max(initial=0.0))
+            late = float(np.sum(tau - finish)) + self._absorbed * tau
+            steps = total + int(rng.poisson(late / self._N))
+            samples.append(steps if steps <= self._max_steps else None)
+        return samples
 
     def absorption_steps(self, rng):
         """The increasing steps S_m at which one run's unabsorbed chains absorb."""
-        drawn = self._absorptions(rng)
+        (drawn,) = self._absorptions([rng])
         if drawn is None:
             return None
         jumps, total, finish = drawn
@@ -283,15 +333,20 @@ def estimate_hitting_time(
     """Independent replications of the absorption time T_N.
 
     Replication r draws from a generator seeded with the pair (seed, r), so
-    the same arguments always reproduce the same samples. Replications
-    whose absorption step exceeds max_steps are excluded from the
-    statistics and counted in failed_runs.
+    the same arguments always reproduce the same samples. Replications move
+    through shared jump rounds in batches of about _BATCH_CHAINS chains, yet
+    each draws only from its own generator: replication r's sample does not
+    depend on runs. Replications whose absorption step exceeds max_steps
+    are excluded from the statistics and counted in failed_runs.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     sample = _Poissonized(chain, initial, max_steps)
-    drawn = (sample(_replication_rng(seed, rep)) for rep in range(runs))
-    samples = [steps for steps in drawn if steps is not None]
+    batch = max(1, _BATCH_CHAINS // max(sample._starts.size, 1))
+    samples = []
+    for first in range(0, runs, batch):
+        rngs = [_replication_rng(seed, rep) for rep in range(first, min(first + batch, runs))]
+        samples += [steps for steps in sample(rngs) if steps is not None]
     failed = runs - len(samples)
     if not samples:
         raise MaxStepsExceeded(max_steps, initial)

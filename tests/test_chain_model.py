@@ -412,6 +412,27 @@ def test_load_chain_spec_errors():
         load_chain_spec({"states": 1, "P": [[1.0]]})
 
 
+_ROW0 = {"row": 0, "cols": [0], "probs": [1]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"states": 2, "P": [[1, 0], [None, 1]]}, '"P" must hold numbers, got null'),
+    ({"states": 2, "P": [[1, 0], [1, 0]], "alpha": [None]}, '"alpha" must hold numbers, got null'),
+    ({"states": 2, "P_sparse": [_ROW0, {"row": 1, "cols": [0], "probs": [None]}]},
+     '"P_sparse" row 1: "probs" must hold numbers, got null'),
+    ({"states": 2, "P_sparse": [_ROW0, {"row": 1, "cols": [1, [0]], "probs": [0.5, 0.5]}]},
+     '"cols" must be a flat list'),
+    ({"states": 2, "P_sparse": [_ROW0, {"row": 1, "cols": [0, 1], "probs": [0.5, [0.5]]}]},
+     '"probs" must be a flat list'),
+], ids=["null-in-P", "null-in-alpha", "null-in-probs", "ragged-cols", "ragged-probs"])
+def test_load_chain_spec_names_nulls_and_ragged_lists(spec, message):
+    # A null used to load as NaN and fail later as a non-finite entry; a
+    # ragged list failed with numpy's shape message, naming no field.
+    with pytest.raises(ValueError) as exc:
+        load_chain_spec(spec)
+    assert message in str(exc.value)
+
+
 def test_vectorized_destination_draws_match_draw_bit_for_bit():
     # One table, two readers: draw_many must pick the very column draw picks
     # for every (row, u), including u just below 1 and a row whose running

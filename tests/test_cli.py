@@ -128,11 +128,19 @@ _SPARSE_ROW0 = '{"row": 0, "cols": [0], "probs": [1]}'
     ("5", "JSON object"),
     (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"row": true, "cols": [false], '
      '"probs": [1]}]}', '"P_sparse" row True'),
+    ('{"states": 2, "P": [[1, 0], [null, 1]]}', '"P"'),
+    ('{"states": 2, "P": [[1, 0], [1, 0]], "alpha": [null]}', '"alpha"'),
+    (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"row": 1, "cols": [0], "probs": [null]}}]}}',
+     '"probs"'),
+    (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"row": 1, "cols": [1, [0]], '
+     '"probs": [0.5, 0.5]}]}', '"cols"'),
 ], ids=["sparse-row-missing", "sparse-not-a-list", "cols-not-a-list", "probs-not-a-list",
-        "alpha0-null", "not-an-object", "bool-index"])
+        "alpha0-null", "not-an-object", "bool-index", "null-in-P", "null-in-alpha",
+        "null-in-probs", "ragged-cols"])
 def test_analyze_refuses_a_malformed_spec(tmp_path, capsys, text, field):
     # These used to escape load_chain_spec as KeyError or TypeError, a
-    # traceback with exit 1; a bool index used to load as 0 or 1.
+    # traceback with exit 1; a bool index used to load as 0 or 1, a null as
+    # NaN (exit 1, "not finite"), and a ragged list named no field.
     path = tmp_path / "malformed.json"
     path.write_text(text)
     code, _, err = run_cli(capsys, "analyze", "--chain", str(path), "--N", "10")

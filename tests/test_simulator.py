@@ -461,3 +461,95 @@ def test_reference_paths_reproduce_recorded_samples():
         assert (sample.m0_fractions * 6).round().astype(int).tolist() == absorbed
     samples = stepped_hitting_times(chain, initial, 12, seed=3)
     assert samples == [120, 256, 118, 42, 56, 163, 111, 128, 131, 40, 62, 77]
+
+
+def _fork_chain(p=1 / 40, L=10**4):
+    # State 1 forks to a slow state 2 (mean sojourn L) with probability p,
+    # else to the two-step path 3 -> 4 -> 0, so every chain is still
+    # unabsorbed when a slow sojourn is drawn.
+    return validate_chain([
+        [1, 0, 0, 0, 0],
+        [0, 0, p, 1 - p, 0],
+        [1 / L, 0, 1 - 1 / L, 0, 0],
+        [0, 0, 0, 0, 1],
+        [1, 0, 0, 0, 0],
+    ])
+
+
+# Samples recorded when each replication still ran its jump rounds alone;
+# sharing the rounds must leave every draw where it was.
+_PINNED = {
+    "fig3b:3": [
+        28256, 16611, 20882, 18252, 23340, 22865, 16420, 19931, 25859, 22369,
+        25201, 22437, 24291, 21363, 19208, 25203, 21865, 17833, 22749, 26796,
+        21251, 24062, 17224, 21308, 30522, 20432, 23786, 20654, 23220, 21021,
+        26554, 22611, 24667, 18208, 31775, 21086, 20987, 24882, 25451, 20063,
+        32154, 22873, 24946, 24783, 23644, 18335, 19637, 24264, 18611, 20553,
+        20579, 29580, 23230, 21969, 22775, 18877, 16632, 21152, 30004, 16585,
+        22024, 18447, 22150, 19352, 31395, 22288, 22318, 21280, 24279, 16562,
+        20153, 18899, 19322, 24519, 24174, 23379, 23446, 20306, 19616, 16427,
+        20980, 24774, 19884, 23467, 22905, 18267, 27761, 25045, 21793, 17349,
+        17709, 23701, 21467, 18652, 35688, 18199, 30150, 19998, 25218, 17904,
+    ],
+    "random30": [
+        41768, 61311, 35740, 38689, 45005, 38124, 48331, 34677, 48195, 64249,
+        37432, 52041, 35927, 40473, 31325, 61266, 71558, 56191, 47553, 42400,
+        35396, 37511, 48986, 42195, 39734, 30112, 39201, 33205, 49723, 43009,
+        31967, 50066, 42178, 49038, 70094, 29388, 43851, 34487, 49388, 41470,
+    ],
+    "self-loops": [
+        69, 34, 79, 131, 45, 47, 55, 112, 172, 129, 85, 25, 35, 92, 59, 39, 54, 65, 41, 29,
+    ],
+    "fork": [278, 350, 267, 334, 365, 280, 389, 315, 309, 363],
+}
+
+
+def _pinned_case(name):
+    if name == "fig3b:3":
+        ex = get_example(name)
+        return ex.chain, OccupancyState.from_alpha(ex.default_alpha, 1000), 100, 2, {}
+    if name == "random30":
+        uniform = InitialDistribution(alpha=np.full(30, 1 / 30))
+        chain = random_chain(np.random.default_rng(48), 30)
+        return chain, OccupancyState.from_alpha(uniform, 200), 40, 5, {}
+    if name == "self-loops":
+        return _self_loop_chain(), OccupancyState.from_alpha(_SPREAD_ALPHA, 4), 20, 6, {}
+    # A cap of 600 fails the 20 runs with a slow chain, some inside the
+    # vectorized rounds and some at the Poisson finish.
+    return _fork_chain(), OccupancyState.all_in(1, 40), 30, 7, {"max_steps": 600}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_poissonized_samples_are_pinned(name):
+    chain, initial, runs, seed, kwargs = _pinned_case(name)
+    res = estimate_hitting_time(chain, initial, runs, seed, **kwargs)
+    assert list(res.samples) == _PINNED[name]
+    assert res.failed_runs == runs - len(_PINNED[name])
+
+
+def test_trajectory_sample_is_pinned():
+    # A grid at every step k/64 is exact in binary, so the path's change
+    # points are the steps S_m of its 64 absorptions.
+    ex = get_example("tstage:2")
+    N = 64
+    initial = OccupancyState.from_alpha(ex.default_alpha, N)
+    sample = simulate_trajectory(ex.chain, initial, np.arange(20 * N) / N, _replication_rng(8, 0))
+    counts = np.round(sample.m0_fractions * N).astype(int)
+    assert (np.flatnonzero(np.diff(counts)) + 1).tolist() == [
+        20, 22, 23, 31, 33, 34, 37, 40, 44, 45, 46, 48, 51, 53, 54, 55, 56, 59, 61, 62,
+        69, 74, 76, 77, 79, 84, 86, 90, 93, 99, 102, 103, 106, 111, 115, 118, 119, 121,
+        129, 132, 134, 135, 136, 145, 146, 148, 154, 160, 167, 177, 179, 192, 210, 214,
+        216, 231, 252, 307, 309, 318, 321, 336, 348, 356,
+    ]
+
+
+@pytest.mark.parametrize("name,k", [("fig3b:3", 17), ("fig3b:3", 40), ("fork", 11)])
+def test_samples_do_not_depend_on_runs(name, k):
+    # fig3b:3's 1000 chains put 16 replications in a batch, so its first k
+    # runs end inside the second or third of seven batches; the fork's 30
+    # runs share one batch, in which some fail and leave it early.
+    chain, initial, runs, seed, kwargs = _pinned_case(name)
+    full = estimate_hitting_time(chain, initial, runs, seed, **kwargs)
+    head = estimate_hitting_time(chain, initial, k, seed, **kwargs)
+    assert head.samples == full.samples[: len(head.samples)]
+    assert head.failed_runs == k - len(head.samples)
