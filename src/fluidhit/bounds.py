@@ -7,7 +7,7 @@ Upper bounds:
   theorem4  T N log N + 2 N T + 1 when W is uniformly bounded by T.
 Trend-only values (never asserted as certified bounds):
   theorem2  (1/nu) N log N + (k/nu) N log log N, leading terms only;
-  t_N       (1/nu)(log(gamma N) + k log log N - k log nu) when gamma known.
+  t_N       (1/nu)(log(gamma N / nu) + k log log N - k log nu) when gamma known.
 The reference values of the named chains belong to their generators
 (examples). Natural logarithms throughout.
 """
@@ -68,13 +68,17 @@ def theorem2_asymptotic(sp: SpectralParams, N) -> float:
 
 
 def tN_asymptotic(sp: SpectralParams, N) -> float:
-    """(1/nu)(ln(gamma N) + k ln ln N - k ln nu); needs a fitted gamma."""
+    """(1/nu)(ln(gamma N / nu) + k ln ln N - k ln nu); needs a fitted gamma.
+
+    The root of the tail (gamma/nu) t^k e^(-nu t) = 1/N, with ln t at its
+    leading term ln(ln N / nu).
+    """
     if sp.gamma is None:
         raise GammaMissing("tN_asymptotic needs a gamma estimate")
     if N < 3:
         raise ValueError("N must be at least 3 for ln ln N > 0")
     return (
-        math.log(sp.gamma * N)
+        math.log(sp.gamma * N / sp.nu)
         + sp.k * math.log(math.log(N))
         - sp.k * math.log(sp.nu)
     ) / sp.nu
@@ -110,7 +114,7 @@ _JSON_ENTRIES = {
     "tn_asymptotic": (
         "tn_asymptotic",
         "tail asymptotic with fitted gamma (numerical estimate)",
-        "(1/nu)(ln(gamma N) + k ln ln N - k ln nu)",
+        "(1/nu)(ln(gamma N / nu) + k ln ln N - k ln nu)",
     ),
     "exact": ("exact", "closed form", "exact E[T_N]"),
     "t_N": ("t_n", "fluid crossing time", "survival(t) = 1/N"),
@@ -241,7 +245,7 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
         except DegenerateTail as exc:
             notes["gamma"] = f"gamma fit failed: {exc}"
 
-    t_n = crossing_time(alpha, sub, 1.0 / N, nu_hint=nu).time
+    t_n = crossing_time(alpha, sub, 1.0 / N).time
     mean_jumps = mean_jump_count(sub, alpha)
     try:
         max_neg_qinv = ResolventQuantities(sub).max_neg_qinv

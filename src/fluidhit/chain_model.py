@@ -50,11 +50,6 @@ class AbsorbingChain:
     def n_transient(self):
         return self.P.shape[0] - 1
 
-    @cached_property
-    def _sub(self):
-        """decompose(self), shared by every simulated run on this chain."""
-        return decompose(self)
-
 
 class _Destinations:
     """Destination draws from the rows of a CSR matrix of probabilities.
@@ -269,13 +264,14 @@ def _states_reaching_zero(P):
 
 
 def decompose(chain: AbsorbingChain) -> SubGenerator:
-    """Extract the sub-generator: Q = (P - I) on states 1..S, Q0 = P[1:, 0]."""
-    P = chain.P
-    n = chain.n_transient
-    Q = sp.csr_array(P[1:, 1:] - sp.eye(n, format="csr"))
-    Q.eliminate_zeros()
-    Q0 = P[1:, [0]].toarray().ravel()
-    return SubGenerator(Q=Q, Q0=Q0)
+    """The sub-generator Q = (P - I) on states 1..S, Q0 = P[1:, 0], built once
+    per chain: the bounds, the fluid curve and the sampler share it."""
+    if "_sub" not in chain.__dict__:  # a frozen dataclass: cache as cached_property does
+        P = chain.P
+        Q = sp.csr_array(P[1:, 1:] - sp.eye(chain.n_transient, format="csr"))
+        Q.eliminate_zeros()
+        chain.__dict__["_sub"] = SubGenerator(Q=Q, Q0=P[1:, [0]].toarray().ravel())
+    return chain.__dict__["_sub"]
 
 
 def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:

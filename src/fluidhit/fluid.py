@@ -5,6 +5,8 @@ linear ODE whose drift is the full-space generator P - I. The absorbed
 fraction is evaluated through the transient block only:
 m0(t) = 1 - alpha exp(Qt) 1, which is algebraically identical to
 integrating the full ODE and reuses the uniformized exponential action.
+The crossing time t_N (mass 1/N left) comes from one search for every
+caller, limited only by the survival series' term budget.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import numpy as np
 from .chain_model import InitialDistribution, SubGenerator
 from .errors import BracketingFailure
 from .numerics import _SurvivalSeries, expm_action
-
-_DOUBLING_CAP = 1e6
 
 
 def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
@@ -78,7 +78,7 @@ class CrossingResult(NamedTuple):
     already_below: bool
 
 
-def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
+def crossing_time(alpha, sub, epsilon) -> CrossingResult:
     """First time the transient mass drops to epsilon (m0 reaches 1 - epsilon).
 
     Every probe reads one survival series s_j = alpha B^j 1 with
@@ -95,29 +95,29 @@ def crossing_time(alpha, sub, epsilon, nu_hint=None) -> CrossingResult:
         raise ValueError("epsilon must lie in (0, 1]")
     if alpha.transient_mass <= epsilon:
         return CrossingResult(0.0, True)
-    return _crossing(_SurvivalSeries(sub.Q, alpha.alpha), epsilon, nu_hint)
+    return _crossing(_SurvivalSeries(sub.Q, alpha.alpha), epsilon)
 
 
-def _crossing(series, epsilon, nu_hint=None) -> CrossingResult:
+def _crossing(series, epsilon) -> CrossingResult:
     """Root of series.continuous(t) = epsilon for a series starting above epsilon.
 
-    Brackets the level by doubling from 1/nu_hint (or 1), clamped to the
-    smaller of _DOUBLING_CAP and the series' time limit (BracketingFailure
-    when the survival is still above epsilon there), then narrows the
-    bracket by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
-    f(t) = log(S(t) / epsilon), which is nearly linear in t; the survival S
-    is strictly decreasing, so the crossing is unique. An interpolated probe
-    stays tol/2 inside the bracket. A probe falls back to the midpoint when
-    f is -inf at an end (the survival underflowed to 0) or when the bracket
-    failed to halve over the last two probes, so the bracket halves at
-    least every third probe: the worst case is three probes per halving of
-    bisection (about 130 from a doubled bracket), where smooth survivals
-    take about 10 and bisection took 47. Stops at a 1e-13 relative bracket
-    and returns its midpoint, or earlier once both ends read the level to
-    within 1e-14 in log(S / epsilon), a few times the survival's rounding
-    and truncation error: on a plateau of the survival at epsilon every time
-    in between is a crossing to working accuracy, and further probes would
-    only chase rounding noise.
+    Brackets the level by doubling from 1/c (c = max(-Q_ii), the series'
+    rate) up to the series' time limit TERM_BUDGET / c, and raises
+    BracketingFailure only when the survival is still above epsilon there;
+    then narrows the bracket by Illinois regula falsi (Dowell & Jarratt,
+    BIT 11, 1971) on f(t) = log(S(t) / epsilon), which is nearly linear in
+    t; the survival S is strictly decreasing, so the crossing is unique. An
+    interpolated probe stays tol/2 inside the bracket. A probe falls back
+    to the midpoint when f is -inf at an end (the survival underflowed to 0)
+    or when the bracket failed to halve over the last two probes, so the
+    bracket halves at least every third probe: the worst case is three
+    probes per halving of bisection (about 130 from a doubled bracket),
+    where smooth survivals take about 10 and bisection took 47. Stops at a
+    1e-13 relative bracket and returns its midpoint, or earlier once both
+    ends read the level to within 1e-14 in log(S / epsilon), a few times
+    the survival's rounding and truncation error: on a plateau of the
+    survival at epsilon every time in between is a crossing to working
+    accuracy, and further probes would only chase rounding noise.
     """
     def excess(s):
         # log(s / epsilon), not log(s) - log(epsilon): near the root the
@@ -125,13 +125,12 @@ def _crossing(series, epsilon, nu_hint=None) -> CrossingResult:
         return math.log(s / epsilon) if s > 0.0 else -math.inf
 
     t_lo, f_lo = 0.0, excess(series.continuous(0.0))
-    t_max = min(_DOUBLING_CAP, series.time_limit())
-    t_hi = min(1.0 / nu_hint if nu_hint else 1.0, t_max)
+    t_max = series.time_limit()
+    t_hi = min(1.0 / series.c, t_max)
     while (s := series.continuous(t_hi)) > epsilon:
         if t_hi == t_max:
             raise BracketingFailure(
-                f"survival still above {epsilon} at t = {t_hi:.6g}, where the doubling "
-                f"stops (the cap {_DOUBLING_CAP:.0e} or the series' time limit)"
+                f"survival still above {epsilon} at t = {t_hi:.6g}, the series' time limit"
             )
         t_lo, f_lo = t_hi, excess(s)
         t_hi = min(2.0 * t_hi, t_max)

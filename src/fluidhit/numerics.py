@@ -88,8 +88,8 @@ def solve_linear(A, b):
     partial pivoting. Raises DimensionTooLarge, before densifying, for a
     sparse A of more than DENSE_CAP rows that is not triangular, and
     SingularMatrix when a pivot (a diagonal entry, for substitution) falls
-    below 1e-14 * ||A||_inf. Up to two passes of iterative refinement keep
-    the residual within 1e-10 * (1 + ||b||_inf).
+    below 1e-14 * ||A||_inf. Up to two refinement passes run while the
+    residual exceeds 1e-10 * (1 + ||b||_inf), which they need not reach.
     """
     A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -442,15 +442,15 @@ class _SurvivalSeries:
     time). B is built at most once, when a step needs it, and its row
     iterates are stepped only as far as a requested sum needs, one iterate
     alive at a time (see _row_iterates for how each is stepped); only the
-    sums s_j are kept. continuous(t) =
-    v exp(Qt) 1 and discrete(k, N) = v (I + Q/N)^k 1, which needs N >= c so
-    that its binomial weights are probabilities; both weight the s_j over
-    the window of _weights. The number of terms a value needs is about c t
-    or k c / N, however many values are read. B and the iterates are
-    nonnegative, so an s_j of exactly 0 is a zero iterate, and every later
-    sum is 0 as well: from there the sums are padded with zeros, not
-    stepped (a survival that underflows early on a long grid costs no more
-    terms).
+    sums s_j are kept. continuous(t) = v exp(Qt) 1 and discrete(k, N) =
+    v (I + Q/N)^k 1, which needs N >= c so that its binomial weights are
+    probabilities (PhaseType's ScaleTooSmall guards every caller); both
+    weight the s_j over the window of _weights. The number of terms a value
+    needs is about c t or k c / N, however many values are read. B and the
+    iterates are nonnegative, so an s_j of exactly 0 is a zero iterate, and
+    every later sum is 0 as well: from there the sums are padded with
+    zeros, not stepped (a survival that underflows early on a long grid
+    costs no more terms).
     """
 
     def __init__(self, Q, v):
@@ -488,8 +488,6 @@ class _SurvivalSeries:
     def discrete(self, k, N):
         """v (I + Q/N)^k 1, the Binomial(k, c/N)-weighted sum of the s_j."""
         p = self.c / N
-        if p > 1.0:
-            raise ValueError(f"discrete survival needs N >= c, got N = {N}, c = {self.c}")
         if k > self.step_limit(N):
             raise NonConvergent(
                 f"binomial mean k c/N = {k * p:.3g} (k = {k}, N = {N}, c = {self.c:.6g}) "

@@ -167,8 +167,8 @@ def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
             "initial transient mass already below the fit window"
         )
     series = _SurvivalSeries(sub.Q, alpha.alpha)
-    t_hi = _crossing(series, hi_level, nu_hint=nu).time
-    t_lo = _crossing(series, lo_level, nu_hint=nu).time
+    t_hi = _crossing(series, hi_level).time
+    t_lo = _crossing(series, lo_level).time
     ts = np.geomspace(t_hi, t_lo, 5)
     s = transient_survival(alpha, sub, ts)
     log_basis = k * np.log(ts) - nu * ts

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_model import AbsorbingChain, InitialDistribution
+from .chain_model import AbsorbingChain, InitialDistribution, decompose
 from .errors import MaxStepsExceeded
 from .fluid import _time_grid
 
@@ -206,7 +206,7 @@ class _Poissonized:
     """
 
     def __init__(self, chain, initial: OccupancyState, max_steps):
-        sub = chain._sub
+        sub = decompose(chain)
         top = max(initial.counts, default=0)
         if top > sub.n_transient:
             raise ValueError(

@@ -52,6 +52,21 @@ def sub_generator(Q, Q0=None):
     return SubGenerator(Q=Q, Q0=np.asarray(Q0, dtype=float))
 
 
+def constant_exit_matrix(rng, S, exit_prob):
+    """Dense P whose every transient row exits to 0 with exit_prob.
+
+    The rest of each row is spread over all transient states, itself
+    included, by exponential weights, so the survival from any start is
+    exactly exp(-exit_prob t) and every W(x) is 1 / exit_prob.
+    """
+    w = rng.exponential(size=(S, S))
+    P = np.zeros((S + 1, S + 1))
+    P[0, 0] = 1.0
+    P[1:, 0] = exit_prob
+    P[1:, 1:] = (1.0 - exit_prob) * w / w.sum(axis=1, keepdims=True)
+    return P
+
+
 def random_chain(rng, n_transient: int, density: float = 0.7) -> AbsorbingChain:
     """Seeded random validated chain, for tests.
 

@@ -19,7 +19,9 @@ from fluidhit import (
     gen_fig3a,
     gen_fig3b,
     gen_tstage,
+    get_example,
     harmonic_number,
+    load_chain_spec,
     spectral_params,
     theorem2_asymptotic,
     theorem3_bound,
@@ -30,7 +32,12 @@ from fluidhit import (
 from fluidhit.errors import GammaMissing, InconsistentBounds
 from fluidhit.numerics import DENSE_CAP
 
-from oracles import coupon_bound, erlang_crossing, exact_occupancy_mean_hitting
+from oracles import (
+    constant_exit_matrix,
+    coupon_bound,
+    erlang_crossing,
+    exact_occupancy_mean_hitting,
+)
 
 
 def _theorem1(ex, N):
@@ -116,6 +123,52 @@ def test_tn_asymptotic_close_to_exact_crossing():
     N = 10**4
     exact = crossing_time(ex.default_alpha, sub, 1.0 / N).time
     assert tN_asymptotic(sp, N) == pytest.approx(exact, rel=0.05)
+
+
+@pytest.mark.parametrize("T", [3, 10])
+def test_tn_asymptotic_is_the_crossing_of_an_exponential_tail(T):
+    # fig3b(T) survives as exp(-t/T): gamma = nu = 1/T and k = 0, so the
+    # tail (gamma/nu) t^k e^(-nu t) is exact and so is its root T ln N.
+    report = assemble_report(gen_fig3b(T), 100, estimate_gamma=True)
+    assert report.tn_asymptotic == pytest.approx(report.t_n, rel=1e-9, abs=0)
+    assert report.t_n == pytest.approx(T * math.log(100), rel=1e-12, abs=0)
+
+
+def _constant_exit_example(tmp_path, seed):
+    """A JSON chain whose rows all exit with one probability nu, the rest
+    spread with self-loops, so that nu < c = max(1 - P_xx)."""
+    rng = np.random.default_rng(seed)
+    S, exit_prob = int(rng.integers(3, 30)), float(rng.uniform(0.01, 0.5))
+    P = constant_exit_matrix(rng, S, exit_prob)
+    path = tmp_path / f"constant-exit-{seed}.json"
+    path.write_text(json.dumps({"states": S + 1, "P": P.tolist()}))
+    chain, alpha = load_chain_spec(str(path))
+    return NamedExample(name=path.name, chain=chain, default_alpha=alpha), exit_prob
+
+
+def test_report_t_n_is_crossing_time(tmp_path):
+    # The report's t_N is crossing_time's, bit for bit, whatever the
+    # spectral pass found: one search, one bracket.
+    cases = [(get_example(name), N) for name, N in (
+        ("classical", 10**6), ("tstage:3", 1000), ("fig3b:3", 100), ("fig3a:10,2", 10),
+    )]
+    for seed in range(12):
+        ex, nu = _constant_exit_example(tmp_path, seed)
+        assert nu < decompose(ex.chain).max_exit_rate
+        cases.append((ex, 10 + 997 * seed))
+    for ex, N in cases:
+        want = crossing_time(ex.default_alpha, decompose(ex.chain), 1.0 / N).time
+        assert assemble_report(ex, N).t_n == want, ex.name
+
+
+def test_slow_chain_reports_its_crossing():
+    # fig3b(2^20) leaves its one state at rate 2^-20 (1 - fl(1 - 2^-20) is
+    # exact), so t_N = 2^20 ln N lies past 10^6 and takes a few series terms.
+    ex, N = gen_fig3b(2**20), 100
+    report = assemble_report(ex, N, estimate_gamma=True)
+    assert report.t_n == pytest.approx(2**20 * math.log(N), rel=1e-12, abs=0)
+    assert report.gamma == pytest.approx(2.0**-20, rel=1e-9)
+    assert report.tn_asymptotic == pytest.approx(report.t_n, rel=1e-9, abs=0)
 
 
 def test_theorem3_values():

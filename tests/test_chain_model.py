@@ -23,6 +23,7 @@ from fluidhit.chain_model import ResolventQuantities, _Destinations
 from fluidhit import numerics
 from fluidhit.numerics import DENSE_CAP
 from fluidhit.errors import DimensionTooLarge, NotAbsorbing, NotStochastic, NotTransient
+from fluidhit.simulator import OccupancyState, _Poissonized
 
 from oracles import brute_jump_counts, random_chain, sub_generator
 
@@ -98,6 +99,16 @@ def test_decompose_classical():
     sub = decompose(validate_chain([[1, 0], [1, 0]]))
     assert sub.Q.todense() == pytest.approx(np.array([[-1.0]]))
     assert sub.Q0 == pytest.approx([1.0])
+
+
+def test_decompose_is_built_once_per_chain():
+    # The bounds, the fluid curve and the sampler share one SubGenerator.
+    chain = gen_fig3b(3).chain
+    sub = decompose(chain)
+    assert decompose(chain) is sub
+    assert decompose(gen_fig3b(3).chain) is not sub
+    sampler = _Poissonized(chain, OccupancyState.all_in(1, 5), max_steps=100)
+    assert sampler._table is sub._jump_chain
 
 
 def test_decompose_tstage3_structure():

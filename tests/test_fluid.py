@@ -11,6 +11,7 @@ from fluidhit import (
     decompose,
     fluid_trajectory,
     gen_fig3a,
+    gen_fig3b,
     gen_tstage,
     transient_survival,
     validate_chain,
@@ -18,7 +19,7 @@ from fluidhit import (
 
 from fluidhit.errors import BracketingFailure
 
-from oracles import erlang_crossing, random_chain, rk4_absorbed_fraction
+from oracles import constant_exit_matrix, erlang_crossing, random_chain, rk4_absorbed_fraction
 
 
 def _classical():
@@ -83,12 +84,7 @@ def test_crossing_monotone_in_epsilon():
 def _constant_exit_chain(S=8, exit_prob=0.2, seed=61):
     """Dense random chain whose every transient row exits with exit_prob,
     so its survival from any start is exactly exp(-exit_prob t)."""
-    rng = np.random.default_rng(seed)
-    M = rng.exponential(size=(S, S))
-    P = np.zeros((S + 1, S + 1))
-    P[0, 0] = 1.0
-    P[1:, 0] = exit_prob
-    P[1:, 1:] = (1.0 - exit_prob) * M / M.sum(axis=1, keepdims=True)
+    P = constant_exit_matrix(np.random.default_rng(seed), S, exit_prob)
     return InitialDistribution.uniform(S), decompose(validate_chain(P))
 
 
@@ -235,6 +231,23 @@ def test_crossing_reaches_the_term_budget(monkeypatch):
     monkeypatch.setattr(fluidhit.numerics, "TERM_BUDGET", 0.99 * c * want)
     with pytest.raises(BracketingFailure, match="time limit"):
         crossing_time(alpha, sub, 1e-4)
+
+
+def test_crossing_doubles_from_the_mean_sojourn(monkeypatch):
+    # fig3b(2^20) leaves its one state at rate c = 2^-20, so the doubling
+    # starts at 1/c and passes 10^6 on its way to t_N = 2^20 ln 100.
+    ex = gen_fig3b(2**20)
+    alpha, sub = ex.default_alpha, decompose(ex.chain)
+    calls = _record_series(monkeypatch)
+    got = crossing_time(alpha, sub, 1e-2).time
+    assert [t for t, _ in calls[:5]] == [0.0, 2.0**20, 2.0**21, 2.0**22, 2.0**23]
+    assert got == pytest.approx(2**20 * math.log(100), rel=1e-12, abs=0)
+    # A time limit short of 1/c is the first probe, and the only one.
+    calls.clear()
+    monkeypatch.setattr(fluidhit.numerics, "TERM_BUDGET", 0.5)
+    with pytest.raises(BracketingFailure, match="time limit"):
+        crossing_time(alpha, sub, 1e-2)
+    assert [t for t, _ in calls] == [0.0, 2.0**19]
 
 
 def test_trajectory_classical_points():

@@ -24,7 +24,7 @@ from fluidhit import (
 from fluidhit import numerics
 from fluidhit.errors import DimensionTooLarge, NonConvergent, SingularMatrix, SlowConvergence
 
-from oracles import random_chain
+from oracles import constant_exit_matrix, random_chain
 
 
 def test_solve_identity():
@@ -53,6 +53,25 @@ def test_solve_residual_contract():
         assert np.max(np.abs(A @ x - b)) <= 1e-10 * (1 + np.max(np.abs(b)))
         # No refinement pass is needed here: the result is LAPACK's, bit for bit.
         assert np.array_equal(x, numerics.lu_solve(numerics.lu_factor(A), b))
+
+
+def test_solve_refines_twice_on_a_slow_chain(monkeypatch):
+    # Every row exits with probability 1e-6, so W = (-Q)^-1 1 is 1e6 in
+    # every state. The LU solution misses the residual bound, and both
+    # refinement passes run; they are not promised to reach the bound.
+    S = 50
+    sub = decompose(validate_chain(constant_exit_matrix(np.random.default_rng(0), S, 1e-6)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lu_solve(*args)
+
+    lu_solve = numerics.lu_solve
+    monkeypatch.setattr(numerics, "lu_solve", counted)
+    W = solve_linear(sub.Q, -np.ones(S))
+    assert np.max(np.abs(W - 1e6)) <= 1e-9 * 1e6
+    assert len(calls) == 3
 
 
 def _sparse_triangular(rng, n, lower):

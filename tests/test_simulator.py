@@ -157,6 +157,29 @@ def test_estimate_counts_failed_runs():
         )
 
 
+def test_failed_runs_reach_the_json_record():
+    # 50 one-step chains take 50 H_50 = 225 steps on average, so a cap of
+    # 200 fails about half of the runs.
+    chain = get_example("classical").chain
+    res = estimate_hitting_time(chain, OccupancyState.all_in(1, 50), 20, seed=0, max_steps=200)
+    assert res.failed_runs == 11
+    assert res.to_json_dict()["failed_runs"] == 11
+    assert len(res.samples) == 9
+
+
+def test_trajectory_fails_on_the_last_absorption_step():
+    # sum_j K_j = 50 fits a cap of 100, but the picks of absorbed chains
+    # carry the last absorption step past it.
+    chain = get_example("classical").chain
+    initial = OccupancyState.all_in(1, 50)
+    sampler = simulator._Poissonized(chain, initial, 100)
+    ((_, total, _),) = sampler._absorptions([_replication_rng(0, 0)])
+    assert total == 50
+    assert sampler.absorption_steps(_replication_rng(0, 0)) is None
+    with pytest.raises(MaxStepsExceeded):
+        simulate_trajectory(chain, initial, [0.0, 1.0], _replication_rng(0, 0), max_steps=100)
+
+
 def test_skip_off_matches_oracle_exactly():
     # The stepper without skip against the occupancy linear system.
     ex = gen_fig3b(2)
