@@ -18,13 +18,14 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import splu
 
 from .errors import (
     DimensionTooLarge,
     NotAbsorbing,
     NotStochastic,
     NotTransient,
+    SingularMatrix,
     SingularSystem,
 )
 from .numerics import DENSE_CAP, _strong_blocks, _triangular_solver, solve_linear
@@ -117,10 +118,42 @@ class SubGenerator:
     def n_transient(self):
         return self.Q.shape[0]
 
+    @cached_property
+    def exit_rates(self):
+        """d = -diag(Q), read-only: the rate at which each transient state is left."""
+        d = -self.Q.diagonal()
+        d.flags.writeable = False
+        return d
+
     @property
     def max_exit_rate(self):
         """max_i(-Q_ii)."""
-        return float(np.max(-self.Q.diagonal()))
+        return float(np.max(self.exit_rates))
+
+    @cached_property
+    def _solve_q(self):
+        """solve(rhs) giving a new x with Q x = rhs, from one factorization of Q.
+
+        Built on first use and kept as long as the sub-generator, which
+        holds only the factorization, never a result: a triangular Q keeps
+        what numerics._triangular_solver sets up, for a narrow band its
+        (k+1) x n floats (16 MB on the bidiagonal Q of the 10^6-state
+        fig3a(1000, 2)), and any other Q its SuperLU factors. Raises
+        SingularMatrix when a pivot, the diagonal for a triangular Q and
+        |U_ii| otherwise, falls below 1e-14 ||Q||_inf, the floor of
+        solve_linear. A row of Q sums in absolute value to d_i + (d_i - Q0_i),
+        so the norm costs one O(n) pass.
+        """
+        d = self.exit_rates
+        floor = 1e-14 * float(np.max(2.0 * d - self.Q0, initial=0.0))
+        solve = _triangular_solver(self.Q, floor, diag=-d)
+        if solve is None:
+            lu = splu(sp.csc_matrix(self.Q))
+            pivot = float(np.min(np.abs(lu.U.diagonal()), initial=math.inf))
+            if pivot < floor:
+                raise SingularMatrix(f"pivot {pivot:.3e} below threshold {floor:.3e}")
+            solve = lu.solve
+        return solve
 
     @cached_property
     def _jump_chain(self):
@@ -130,7 +163,7 @@ class SubGenerator:
         """
         Q = self.Q
         n = Q.shape[0]
-        d = -Q.diagonal()
+        d = self.exit_rates
         row = np.repeat(np.arange(n), np.diff(Q.indptr))
         off = Q.indices != row
         moves = row[off]
@@ -278,37 +311,28 @@ def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:
     """x with (-Q) x = rhs, for a positive rhs (so x is positive too).
 
     Solved as Q x = -rhs, which rounds to the same x bit for bit (every
-    operation only flips sign) without a negated copy of Q. A triangular Q
-    (every chain whose transient states only count down, as the countdown
-    examples do) is solved by substitution at any size, with no dense
-    matrix: by one LAPACK banded solve when its band is narrow (fig3a's Q
-    is bidiagonal), by spsolve_triangular otherwise (see
-    numerics._triangular_solver). Up to the dense cap Q goes to
-    solve_linear, which densifies and LU-factorizes only a non-triangular
-    one; past it, _solve_sparse keeps it sparse (an LU factorization of the
-    10^6-state fig3a(1000, 2) took 0.67 s, against about 0.06 s for the
-    banded substitution).
+    operation only flips sign) without a negated copy of Q. Up to the dense
+    cap Q goes to solve_linear, which densifies and LU-factorizes only a
+    non-triangular one. Past it, Q stays sparse and is factored once per
+    sub-generator (SubGenerator._solve_q), so every later solve on the same
+    chain reuses the factorization: a triangular Q (every chain whose
+    transient states only count down, as the countdown examples do) by
+    substitution, in one LAPACK banded solve when its band is narrow
+    (fig3a's Q is bidiagonal), and any other Q by SuperLU. On the
+    10^6-state fig3a(1000, 2) the band takes about 40-55 ms to build and
+    each solve about 7-10 ms, against 0.67 s for an LU factorization.
     """
     rhs = -np.asarray(rhs, dtype=float)
     try:
         if sub.n_transient <= DENSE_CAP:
             x = solve_linear(sub.Q, rhs)
         else:
-            x = _solve_sparse(sub.Q, rhs)
-    except Exception as exc:  # pragma: no cover - validated chains never hit this
+            x = sub._solve_q(rhs)
+    except (SingularMatrix, RuntimeError, ValueError) as exc:  # splu: RuntimeError
         raise SingularSystem(f"hitting-time system is singular: {exc}") from exc
     if np.any(~np.isfinite(x)) or np.any(x <= 0):
         raise SingularSystem("hitting-time solve produced nonpositive entries")
     return np.asarray(x, dtype=float)
-
-
-def _solve_sparse(A, rhs):
-    """x with A x = rhs: by substitution for a triangular A, by SuperLU otherwise."""
-    A = sp.csr_array(A, dtype=float)
-    solve = _triangular_solver(A)
-    if solve is None:
-        return spla.spsolve(sp.csc_matrix(A), rhs)
-    return solve(rhs)
 
 
 def expected_hitting_times(sub: SubGenerator) -> np.ndarray:
@@ -342,7 +366,7 @@ def mean_jump_count(sub: SubGenerator, alpha: InitialDistribution) -> float:
     with d = -diag(Q), so this is alpha (-Q)^-1 d: the hitting-time system
     with right-hand side d instead of 1.
     """
-    return float(alpha.alpha @ _solve_neg_q(sub, -sub.Q.diagonal()))
+    return float(alpha.alpha @ _solve_neg_q(sub, sub.exit_rates))
 
 
 def _max_fundamental_entry(sub: SubGenerator) -> float:
@@ -355,7 +379,7 @@ def _max_fundamental_entry(sub: SubGenerator) -> float:
     component has more than DENSE_CAP states.
     """
     blocks = _strong_blocks(sub.Q)
-    best = float(np.max(-1.0 / sub.Q.diagonal()[blocks.singleton], initial=0.0))
+    best = float(np.max(1.0 / sub.exit_rates[blocks.singleton], initial=0.0))
     for start, end in blocks.spans():
         if end - start > DENSE_CAP:
             raise DimensionTooLarge(

@@ -139,8 +139,10 @@ def gen_fig3b(T: float) -> NamedExample:
         raise ValueError("T must be at least 1")
     P = np.array([[1.0, 0.0], [1.0 / T, 1.0 - 1.0 / T]])
     chain = validate_chain(P)
+    # {T:g} keeps six digits; past them the shortest repr names T exactly.
+    short = f"{T:g}"
     return NamedExample(
-        name=f"fig3b:{T:g}",
+        name="fig3b:" + (short if float(short) == T else repr(float(T)).removesuffix(".0")),
         chain=chain,
         default_alpha=InitialDistribution.point(1, 1),
         params={"kind": "fig3b", "T": T},

@@ -126,21 +126,23 @@ def solve_linear(A, b):
     return x
 
 
-def _triangular_solver(A, floor=0.0):
+def _triangular_solver(A, floor=0.0, diag=None):
     """solve(rhs) giving x with A x = rhs by substitution, or None when A is not triangular.
 
     A is a CSR matrix, left unchanged; it is triangular when every stored
     column lies on one side of its row, read off the index arrays in
-    O(nnz). The substitution runs on A scaled by its diagonal, row by row,
-    once, so that its diagonal is one. When the band of a triangular A
-    fits, that is when the (k+1) x n band array of its k off-diagonals
-    holds no more numbers than the 2 nnz of A's data and index arrays, the
-    scaled entries are scattered into that array in Fortran order and each
-    solve is one LAPACK banded solve (dtbtrs) with no scipy sparse work:
-    W on the 10^6-state bidiagonal -Q of fig3a(1000, 2) takes about 0.06 s
-    in all, against 0.11 s through spsolve_triangular, which keeps any
-    wider triangle. Raises SingularMatrix when a diagonal entry is zero or
-    below floor in absolute value.
+    O(nnz). diag, when given, is A's diagonal, which saves a pass over A.
+    The set-up scales A by its diagonal, row by row, once, so that its
+    diagonal is one, and every call of solve reuses it. When the band of a
+    triangular A fits, that is when the (k+1) x n band array of its k
+    off-diagonals holds no more numbers than the 2 nnz of A's data and
+    index arrays, the scaled entries are scattered into that array in
+    Fortran order and each solve is one LAPACK banded solve (dtbtrs) with
+    no scipy sparse work: on the 10^6-state bidiagonal -Q of
+    fig3a(1000, 2) the set-up takes about 40-55 ms and each solve about
+    7-10 ms. A wider triangle is kept sparse for spsolve_triangular.
+    Raises SingularMatrix when a diagonal entry is zero or below floor in
+    absolute value.
     """
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -149,7 +151,8 @@ def _triangular_solver(A, floor=0.0):
     lower = above == 0
     if not (lower or below == 0):
         return None
-    diag = A.diagonal()
+    if diag is None:
+        diag = A.diagonal()
     pivot = float(np.min(np.abs(diag), initial=math.inf))
     if pivot == 0.0 or pivot < floor:
         raise SingularMatrix(
@@ -171,7 +174,8 @@ def _triangular_solver(A, floor=0.0):
     # LAPACK's band layout puts entry (i, j) at row i - j of column j below
     # the diagonal and at row k + i - j above it; in Fortran order that is
     # position (k + 1) j + i - j = k (j - i) + (k + 1) i, plus k above,
-    # computed in place. The diagonal's ones are never read.
+    # computed in place. dtbtrs never reads the diagonal's row of a unit
+    # triangle, so that row keeps A's diagonal and the band is all solve holds.
     offsets *= k
     rows *= k + 1
     offsets += rows
@@ -180,10 +184,12 @@ def _triangular_solver(A, floor=0.0):
     band = np.zeros((k + 1) * n)
     band[offsets] = data
     band = band.reshape((k + 1, n), order="F")
+    scale = band[0 if lower else k]
+    scale[:] = diag
     uplo = b"L" if lower else b"U"
 
     def solve(rhs):
-        b = rhs / diag
+        b = rhs / scale
         x, info = dtbtrs(band, b.reshape(n, -1), uplo=uplo, diag=b"U", overwrite_b=True)
         if info:
             raise ValueError(f"dtbtrs rejected argument {-info}")

@@ -213,7 +213,7 @@ class _Poissonized:
                 f"start state {top} is not a state of the chain (states 0..{sub.n_transient})"
             )
         self._table = sub._jump_chain
-        self._rates = -sub.Q.diagonal()
+        self._rates = sub.exit_rates
         with np.errstate(divide="ignore"):
             # -inf where P_xx = 0, which makes every sojourn there 1 step.
             self._log_stay = np.log1p(-self._rates)

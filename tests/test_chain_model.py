@@ -19,18 +19,41 @@ from fluidhit import (
     chain_spec,
     validate_chain,
 )
+from fluidhit import chain_model
 from fluidhit.chain_model import ResolventQuantities, _Destinations
 from fluidhit import numerics
-from fluidhit.numerics import DENSE_CAP
-from fluidhit.errors import DimensionTooLarge, NotAbsorbing, NotStochastic, NotTransient
+from fluidhit.numerics import DENSE_CAP, _triangular_solver
+from fluidhit.errors import (
+    DimensionTooLarge,
+    NotAbsorbing,
+    NotStochastic,
+    NotTransient,
+    SingularSystem,
+)
 from fluidhit.simulator import OccupancyState, _Poissonized
 
 from oracles import brute_jump_counts, random_chain, sub_generator
 
 
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls in the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("shape", ["lower", "upper", "ring"])
-def test_hitting_times_of_sparse_chains_past_the_dense_cap(shape):
-    # Triangular -Q is solved by substitution, the ring by LU.
+def test_hitting_times_of_sparse_chains_past_the_dense_cap(shape, monkeypatch):
+    # Triangular -Q is solved by substitution, the ring by LU; either way Q
+    # is factored once for all three solves.
+    builds = _count_calls(monkeypatch, chain_model, "_triangular_solver")
+    lus = _count_calls(monkeypatch, chain_model, "splu")
     n = DENSE_CAP + 100
     rng = np.random.default_rng(23)
     exits = rng.uniform(0.5, 2.0, n)
@@ -52,6 +75,81 @@ def test_hitting_times_of_sparse_chains_past_the_dense_cap(shape):
     assert expected_hitting_times(sub) == pytest.approx(want, rel=1e-12, abs=0)
     jumps = alpha.alpha @ spsolve(neg_q, exits)
     assert mean_jump_count(sub, alpha) == pytest.approx(jumps, rel=1e-12, abs=0)
+    assert expected_hitting_times(sub) == pytest.approx(want, rel=1e-12, abs=0)
+    assert (len(builds), len(lus)) == (1, shape == "ring")
+
+
+def test_one_factorization_serves_every_solve_and_report(monkeypatch):
+    # fig3a(60, 2) has 3,601 transient states, past the dense cap, and a
+    # bidiagonal Q. Untied from its population, one chain serves reports at
+    # two N, and the band is built once for all of them.
+    ex = gen_fig3a(60, 2)
+    untied = NamedExample("fig3a-untied", ex.chain, ex.default_alpha)
+    sub = decompose(ex.chain)
+    assert sub.n_transient > DENSE_CAP
+    builds = _count_calls(monkeypatch, chain_model, "_triangular_solver")
+    W = expected_hitting_times(sub)
+    jumps = mean_jump_count(sub, ex.default_alpha)
+    assert np.array_equal(expected_hitting_times(sub), W)
+    reports = [assemble_report(untied, N) for N in (10, 60)]
+    assert len(builds) == 1
+    assert [r.w_max for r in reports] == [float(np.max(W))] * 2
+    assert [r.mean_jumps for r in reports] == [jumps] * 2
+
+
+@pytest.mark.parametrize("shape", ["triangular", "ring"])
+def test_cached_factorization_returns_fresh_arrays(shape):
+    # Mutating a returned W, or the rhs handed in, leaves later solves alone.
+    ex = gen_fig3a(60, 2)
+    P = ex.chain.P
+    if shape == "ring":
+        # State 1 also moves up to state 2, so Q is no longer triangular.
+        P = sp.lil_array(P)
+        P[1, 0] = P[1, 2] = 0.5
+        P = sp.csr_array(P)
+    sub = decompose(validate_chain(P))
+    first = expected_hitting_times(sub)
+    want = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(expected_hitting_times(sub), want)
+    rates = sub.exit_rates.copy()
+    mean_jump_count(sub, ex.default_alpha)
+    assert np.array_equal(sub.exit_rates, rates)
+    with pytest.raises(ValueError):
+        sub.exit_rates[0] = 0.0
+
+
+def test_cached_band_solve_is_bitwise_a_fresh_one():
+    sub = decompose(gen_fig3a(100, 2).chain)
+    fresh = _triangular_solver(sub.Q)(-np.ones(sub.n_transient))
+    assert np.array_equal(expected_hitting_times(sub), fresh)
+    assert np.array_equal(expected_hitting_times(sub), fresh)
+
+
+def _near_singular_countdown(n_transient, triangular):
+    """Countdown n -> n-1 -> ... -> 0 whose top state stays with 1 - 1e-15.
+
+    Unless triangular, state 1 moves up to state 2 with probability 1/2.
+    """
+    n = n_transient
+    rows = [0, *range(1, n), n, n]
+    cols = [0, *range(n - 1), n - 1, n]
+    vals = [1.0] * n + [1e-15, 1.0 - 1e-15]
+    if not triangular:
+        rows, cols, vals = rows + [1], cols + [2], vals + [0.5]
+        vals[1] = 0.5
+    return validate_chain(sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n + 1, n + 1))))
+
+
+@pytest.mark.parametrize("triangular", [True, False])
+@pytest.mark.parametrize("n_transient", [DENSE_CAP, DENSE_CAP + 1])
+def test_one_pivot_floor_on_either_side_of_the_dense_cap(n_transient, triangular):
+    # The top state's pivot, about 1e-15, lies below 1e-14 ||Q||_inf =
+    # 2e-14: the dense LU, the banded substitution and SuperLU all refuse
+    # the system.
+    sub = decompose(_near_singular_countdown(n_transient, triangular))
+    with pytest.raises(SingularSystem, match="below"):
+        expected_hitting_times(sub)
 
 
 def test_validate_classical_collector():

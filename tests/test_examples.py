@@ -161,6 +161,15 @@ def test_get_example_parsing():
         get_example("mystery:1")
 
 
+@pytest.mark.parametrize("T", [3, 2.5, 1048576, 1.1, 1 + 2**-30])
+def test_fig3b_name_resolves_to_the_same_chain(T):
+    # Six significant digits would name 1048576 as 1.04858e+06.
+    name = gen_fig3b(T).name
+    assert get_example(name).params["T"] == T
+    if T in (3, 2.5, 1048576):
+        assert name == f"fig3b:{T}"
+
+
 def test_random_chain_seeded_and_valid():
     rng = np.random.default_rng(123)
     sizes = []
