@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-from scipy.sparse.linalg import splu
 
 from .errors import (
     DimensionTooLarge,
@@ -28,7 +27,7 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .numerics import DENSE_CAP, _strong_blocks, _triangular_solver, solve_linear
+from .numerics import DENSE_CAP, _factor, _strong_blocks, solve_linear
 
 ROW_SUM_TOL = 1e-12
 
@@ -134,26 +133,17 @@ class SubGenerator:
     def _solve_q(self):
         """solve(rhs) giving a new x with Q x = rhs, from one factorization of Q.
 
-        Built on first use and kept as long as the sub-generator, which
-        holds only the factorization, never a result: a triangular Q keeps
-        what numerics._triangular_solver sets up, for a narrow band its
-        (k+1) x n floats (16 MB on the bidiagonal Q of the 10^6-state
-        fig3a(1000, 2)), and any other Q its SuperLU factors. Raises
-        SingularMatrix when a pivot, the diagonal for a triangular Q and
-        |U_ii| otherwise, falls below 1e-14 ||Q||_inf, the floor of
-        solve_linear. A row of Q sums in absolute value to d_i + (d_i - Q0_i),
-        so the norm costs one O(n) pass.
+        Built on first use by numerics._factor and kept as long as the
+        sub-generator, which holds only the factorization, never a result:
+        for a triangular Q what _triangular_solver sets up (for a narrow band
+        its (k+1) x n floats, 16 MB on the bidiagonal Q of the 10^6-state
+        fig3a(1000, 2)), for any other Q past the dense cap its SuperLU
+        factors. The pivot floor is solve_linear's, 1e-14 ||Q||_inf, read in
+        one O(n) pass: a row of Q sums in absolute value to d_i + (d_i - Q0_i).
         """
         d = self.exit_rates
         floor = 1e-14 * float(np.max(2.0 * d - self.Q0, initial=0.0))
-        solve = _triangular_solver(self.Q, floor, diag=-d)
-        if solve is None:
-            lu = splu(sp.csc_matrix(self.Q))
-            pivot = float(np.min(np.abs(lu.U.diagonal()), initial=math.inf))
-            if pivot < floor:
-                raise SingularMatrix(f"pivot {pivot:.3e} below threshold {floor:.3e}")
-            solve = lu.solve
-        return solve
+        return _factor(self.Q, floor, diag=-d)[0]
 
     @cached_property
     def _jump_chain(self):
@@ -311,16 +301,15 @@ def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:
     """x with (-Q) x = rhs, for a positive rhs (so x is positive too).
 
     Solved as Q x = -rhs, which rounds to the same x bit for bit (every
-    operation only flips sign) without a negated copy of Q. Up to the dense
-    cap Q goes to solve_linear, which densifies and LU-factorizes only a
-    non-triangular one. Past it, Q stays sparse and is factored once per
-    sub-generator (SubGenerator._solve_q), so every later solve on the same
-    chain reuses the factorization: a triangular Q (every chain whose
-    transient states only count down, as the countdown examples do) by
-    substitution, in one LAPACK banded solve when its band is narrow
-    (fig3a's Q is bidiagonal), and any other Q by SuperLU. On the
-    10^6-state fig3a(1000, 2) the band takes about 40-55 ms to build and
-    each solve about 7-10 ms, against 0.67 s for an LU factorization.
+    operation only flips sign) without a negated copy of Q. numerics._factor
+    picks the factorization either way. Up to the dense cap Q goes to
+    solve_linear, which factors it afresh and refines the result; past it
+    the factorization is made once per sub-generator (SubGenerator._solve_q)
+    and every later solve on the same chain reuses it, unrefined: a residual
+    on the 10^6-state band of fig3a(1000, 2) costs about as much as the
+    7-10 ms solve. The switch stays at the cap because the benchmark's layer
+    map (perfbench/layers.json) pins solve_linear's calls. A singular Q
+    (SingularMatrix) is reported as SingularSystem.
     """
     rhs = -np.asarray(rhs, dtype=float)
     try:
@@ -328,7 +317,7 @@ def _solve_neg_q(sub: SubGenerator, rhs) -> np.ndarray:
             x = solve_linear(sub.Q, rhs)
         else:
             x = sub._solve_q(rhs)
-    except (SingularMatrix, RuntimeError, ValueError) as exc:  # splu: RuntimeError
+    except SingularMatrix as exc:
         raise SingularSystem(f"hitting-time system is singular: {exc}") from exc
     if np.any(~np.isfinite(x)) or np.any(x <= 0):
         raise SingularSystem("hitting-time solve produced nonpositive entries")

@@ -16,10 +16,10 @@ as on a countdown, never builds the matrix. Both eigenvalue routines
 work on the strongly connected classes of the matrix's support
 (_strong_blocks): the full spectrum is the union of the diagonal blocks'
 spectra, exact on the diagonal for classes of one state, so DENSE_CAP
-bounds the largest class rather than the matrix. A small linear system,
-and any non-triangular one up to DENSE_CAP rows, is solved by a dense LU;
-a larger sparse triangular one by substitution, in one LAPACK banded
-solve when its band is narrow (_triangular_solver).
+bounds the largest class rather than the matrix. One routine, _factor,
+chooses every factorization of a linear system: substitution for a large
+sparse triangle (_triangular_solver), SuperLU for a sparse system past
+DENSE_CAP rows that is not triangular, a dense LU for any other.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import itertools
 import math
 import warnings
 from array import array
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigvals, lu_factor, lu_solve
 from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import (
     DimensionTooLarge,
@@ -81,41 +82,18 @@ def _dense_pays(A):
 def solve_linear(A, b):
     """Solve A x = b for a square A, dense or scipy sparse.
 
-    A sparse A that _dense_pays rejects and that is triangular (every
-    stored column on one side of its row, an O(nnz) test of the index
-    arrays) is solved by substitution, in O(nnz) as well (see
-    _triangular_solver); any other A is densified and LU-factorized with
-    partial pivoting. Raises DimensionTooLarge, before densifying, for a
-    sparse A of more than DENSE_CAP rows that is not triangular, and
-    SingularMatrix when a pivot (a diagonal entry, for substitution) falls
-    below 1e-14 * ||A||_inf. Up to two refinement passes run while the
-    residual exceeds 1e-10 * (1 + ||b||_inf), which they need not reach.
+    A is factored by _factor, with the pivot floor 1e-14 * ||A||_inf; a
+    sparse A past DENSE_CAP rows is never densified. Raises SingularMatrix
+    for a pivot below that floor. Up to two refinement passes run while
+    the residual, taken with A as factored, exceeds 1e-10 * (1 + ||b||_inf),
+    which they need not reach.
     """
     A = sp.csr_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     norm = float(np.max(np.asarray(abs(A).sum(axis=1)), initial=0.0))
-    floor = 1e-14 * norm
-    sparse = sp.issparse(A) and not _dense_pays(A)
-    solve = _triangular_solver(A, floor) if sparse else None
-    if solve is None:
-        if sp.issparse(A) and A.shape[0] > DENSE_CAP:
-            raise DimensionTooLarge(
-                f"refusing to densify a {A.shape[0]}-row sparse system that is not "
-                f"triangular (cap {DENSE_CAP})"
-            )
-        A = A.toarray() if sp.issparse(A) else A
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu, piv = lu_factor(A)
-        pivots = np.abs(np.diag(lu))
-        if norm == 0.0 or np.min(pivots) < floor:
-            raise SingularMatrix(f"pivot {np.min(pivots):.3e} below threshold {floor:.3e}")
-
-        def solve(rhs):
-            return lu_solve((lu, piv), rhs)
-
+    solve, A = _factor(A, 1e-14 * norm)
     x = solve(b)
     tol = 1e-10 * (1.0 + np.max(np.abs(b)))
     for _ in range(2):
@@ -124,6 +102,43 @@ def solve_linear(A, b):
             break
         x = x + solve(r)
     return x
+
+
+def _factor(A, floor, diag=None):
+    """(solve, A'): solve(rhs) gives a new x with A x = rhs; A' is A as factored.
+
+    The one place a factorization is chosen. A CSR A that _dense_pays
+    rejects goes to _triangular_solver when it is triangular (diag, if
+    given, is A's diagonal), else to SuperLU past DENSE_CAP rows; A' is A.
+    Any other A is densified for an LU with partial pivoting, and A' is the
+    dense array. Raises SingularMatrix when a pivot (the diagonal of a
+    triangle, |U_ii| otherwise) is zero or below floor, or when SuperLU
+    finds A exactly singular.
+    """
+    if sp.issparse(A) and not _dense_pays(A):
+        solve = _triangular_solver(A, floor, diag)
+        if solve is not None:
+            return solve, A
+        if A.shape[0] > DENSE_CAP:
+            try:
+                lu = splu(sp.csc_matrix(A))
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise SingularMatrix(f"sparse LU: {exc}") from exc
+            _check_pivot(np.abs(lu.U.diagonal()), floor)
+            return lu.solve, A
+    A = A.toarray() if sp.issparse(A) else A
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu, piv = lu_factor(A)
+    _check_pivot(np.abs(np.diag(lu)), floor)
+    return partial(lu_solve, (lu, piv)), A
+
+
+def _check_pivot(pivots, floor, what="pivot"):
+    """Raise SingularMatrix when the smallest of the pivots is zero or below floor."""
+    pivot = float(np.min(pivots, initial=math.inf))
+    if pivot == 0.0 or pivot < floor:
+        raise SingularMatrix(f"smallest {what} {pivot:.3e} is zero or below {floor:.3e}")
 
 
 def _triangular_solver(A, floor=0.0, diag=None):
@@ -142,7 +157,7 @@ def _triangular_solver(A, floor=0.0, diag=None):
     fig3a(1000, 2) the set-up takes about 40-55 ms and each solve about
     7-10 ms. A wider triangle is kept sparse for spsolve_triangular.
     Raises SingularMatrix when a diagonal entry is zero or below floor in
-    absolute value.
+    absolute value (_check_pivot).
     """
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -153,11 +168,7 @@ def _triangular_solver(A, floor=0.0, diag=None):
         return None
     if diag is None:
         diag = A.diagonal()
-    pivot = float(np.min(np.abs(diag), initial=math.inf))
-    if pivot == 0.0 or pivot < floor:
-        raise SingularMatrix(
-            f"diagonal entry {pivot:.3e} of a triangular matrix is zero or below {floor:.3e}"
-        )
+    _check_pivot(np.abs(diag), floor, "diagonal entry of a triangle")
     data = A.data / diag[rows]
     k = below + above
     if (k + 1) * n > 2 * A.nnz:

@@ -22,8 +22,10 @@ from .numerics import _SurvivalSeries, dominant_eigen, eigen_spectrum
 # counts are no longer distinct floats.
 _GALLOP_CAP = 2**53
 
-# The gamma fit squares t^k e^{-nu t}; past e^(+-350) the square of one
-# point leaves the normal float range.
+# The gamma fit samples the survival between its crossings of the two
+# levels, and squares t^k e^{-nu t}: past e^(+-350) the square of one point
+# leaves the normal float range.
+_FIT_HI_LEVEL, _FIT_LO_LEVEL = 1e-4, 1e-8
 _FIT_LOG_RANGE = 350.0
 
 # An eigenvalue counts as a copy of -nu within _ROOT_TOL ||Q||. eigen_spectrum
@@ -153,7 +155,7 @@ def spectral_params(sub: SubGenerator, estimate_gamma=False, alpha=None) -> Spec
     return SpectralParams(nu=nu, k=k, gamma=gamma)
 
 
-def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
+def _fit_gamma(sub, alpha, nu, k):
     """Least-squares gamma over 5 log-spaced points where survival is tiny.
 
     The points lie between the crossings of 1e-4 and 1e-8, so gamma is an
@@ -162,13 +164,13 @@ def _fit_gamma(sub, alpha, nu, k, hi_level=1e-4, lo_level=1e-8):
     tstage(2) to tstage(5), whose gamma is 1/(T-1)!. Raises DegenerateTail
     when t^k e^{-nu t} or its square leaves the float range there.
     """
-    if alpha.transient_mass <= hi_level:
+    if alpha.transient_mass <= _FIT_HI_LEVEL:
         raise DegenerateTail(
             "initial transient mass already below the fit window"
         )
     series = _SurvivalSeries(sub.Q, alpha.alpha)
-    t_hi = _crossing(series, hi_level).time
-    t_lo = _crossing(series, lo_level).time
+    t_hi = _crossing(series, _FIT_HI_LEVEL).time
+    t_lo = _crossing(series, _FIT_LO_LEVEL).time
     ts = np.geomspace(t_hi, t_lo, 5)
     s = transient_survival(alpha, sub, ts)
     log_basis = k * np.log(ts) - nu * ts

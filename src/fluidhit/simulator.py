@@ -286,12 +286,7 @@ class _Poissonized:
                 if total > self._max_steps:
                     return None
                 jumps[j] += k
-        if jumps.size > _SCALAR_TAIL:
-            finish = rng.standard_gamma(jumps) * self._N
-        else:
-            # Below the tail size scalar draws beat the array call's set-up.
-            finish = np.array([rng.standard_gamma(k) for k in jumps.tolist()]) * self._N
-        return jumps, total, finish
+        return jumps, total, rng.standard_gamma(jumps) * self._N
 
     def __call__(self, rngs):
         """One sample of T_N per generator, None where the run fails."""

@@ -19,7 +19,6 @@ from fluidhit import (
     chain_spec,
     validate_chain,
 )
-from fluidhit import chain_model
 from fluidhit.chain_model import ResolventQuantities, _Destinations
 from fluidhit import numerics
 from fluidhit.numerics import DENSE_CAP, _triangular_solver
@@ -52,8 +51,8 @@ def _count_calls(monkeypatch, module, name):
 def test_hitting_times_of_sparse_chains_past_the_dense_cap(shape, monkeypatch):
     # Triangular -Q is solved by substitution, the ring by LU; either way Q
     # is factored once for all three solves.
-    builds = _count_calls(monkeypatch, chain_model, "_triangular_solver")
-    lus = _count_calls(monkeypatch, chain_model, "splu")
+    builds = _count_calls(monkeypatch, numerics, "_triangular_solver")
+    lus = _count_calls(monkeypatch, numerics, "splu")
     n = DENSE_CAP + 100
     rng = np.random.default_rng(23)
     exits = rng.uniform(0.5, 2.0, n)
@@ -87,7 +86,7 @@ def test_one_factorization_serves_every_solve_and_report(monkeypatch):
     untied = NamedExample("fig3a-untied", ex.chain, ex.default_alpha)
     sub = decompose(ex.chain)
     assert sub.n_transient > DENSE_CAP
-    builds = _count_calls(monkeypatch, chain_model, "_triangular_solver")
+    builds = _count_calls(monkeypatch, numerics, "_triangular_solver")
     W = expected_hitting_times(sub)
     jumps = mean_jump_count(sub, ex.default_alpha)
     assert np.array_equal(expected_hitting_times(sub), W)

@@ -187,17 +187,30 @@ def test_solve_sparse_general_matches_dense():
     assert np.array_equal(solve_linear(A, b), solve_linear(A.toarray(), b))
 
 
+def _cycle(n, weight):
+    """The n x n CSR shift S with S[i, (i+1) % n] = weight."""
+    return sp.csr_array((np.full(n, weight), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+
+
 def test_solve_refuses_to_densify_a_large_sparse_system(monkeypatch):
     # A 2,001-state cycle is sparse and not triangular: a dense LU of it
-    # would grow with the square of the states, so none is made.
+    # would grow with the square of the states, so SuperLU solves it.
     def refuse(*args, **kwargs):
         raise AssertionError("dense LU of a sparse system past the dense cap")
 
     monkeypatch.setattr(numerics, "lu_factor", refuse)
     n = numerics.DENSE_CAP + 1
-    cycle = sp.csr_array((np.full(n, 0.5), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
-    with pytest.raises(DimensionTooLarge, match="2001"):
-        solve_linear(sp.eye(n, format="csr") - cycle, np.ones(n))
+    # Every row of (I - S/2) x = 1 reads x_i - x_{i+1}/2 = 1: x = 2.
+    x = solve_linear(sp.eye(n, format="csr") - _cycle(n, 0.5), np.ones(n))
+    assert np.max(np.abs(x - 2.0)) <= 1e-13
+
+
+def test_solve_exactly_singular_large_sparse_system():
+    # I - S has every row summing to zero; SuperLU's own singular error
+    # comes out as SingularMatrix.
+    n = numerics.DENSE_CAP + 1
+    with pytest.raises(SingularMatrix):
+        solve_linear(sp.eye(n, format="csr") - _cycle(n, 1.0), np.ones(n))
 
 
 def test_expm_scalar_half_life():

@@ -3,7 +3,9 @@
 perfbench/tracing.py wraps fluidhit's public functions and the
 ResolventQuantities.max_neg_qinv property, and perfbench/layers.json names
 the functions a traced run reports. A renamed or removed name breaks the
-traced benchmark run (--trace 1) and nothing else, so it is checked here.
+traced benchmark run (--trace 1) and nothing else, so it is checked here,
+as are the routes the layer map pins: a traced run compares the layers it
+saw called against layers.json.
 """
 
 import importlib
@@ -11,8 +13,13 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import fluidhit
-from fluidhit.chain_model import ResolventQuantities
+from fluidhit import chain_model
+from fluidhit.chain_model import InitialDistribution, ResolventQuantities
+
+from oracles import random_chain
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,3 +66,29 @@ def test_tracer_records_report_spans_and_uninstalls():
             key = (module.__name__, attr)
             if key in before:
                 assert value is before[key], key
+
+
+def test_pinned_solve_linear_routes(monkeypatch):
+    # layers.json has numerics.solve_linear called on the analyze and
+    # simulate workloads, whose chains lie within the dense cap, and never
+    # on kernels, whose hitting times come from a chain past it.
+    calls = []
+    original = chain_model.solve_linear
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chain_model, "solve_linear", counted)
+    fluidhit.bounds.assemble_report(fluidhit.get_example("fig3b:3"), 10)
+    assert calls
+    calls.clear()
+    chain = random_chain(np.random.default_rng(5), 60)
+    example = fluidhit.NamedExample("random60", chain, InitialDistribution.uniform(60))
+    fluidhit.bounds.assemble_report(example, 10)
+    assert calls
+    calls.clear()
+    sub = fluidhit.decompose(fluidhit.gen_fig3a(60, 2).chain)
+    assert sub.n_transient == 3601
+    fluidhit.expected_hitting_times(sub)
+    assert not calls
