@@ -20,14 +20,13 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import (
-    DimensionTooLarge,
     NotAbsorbing,
     NotStochastic,
     NotTransient,
     SingularMatrix,
     SingularSystem,
 )
-from .numerics import DENSE_CAP, _factor, _strong_blocks, solve_linear
+from .numerics import DENSE_CAP, _factor, _max_fundamental_entry, solve_linear
 
 ROW_SUM_TOL = 1e-12
 
@@ -336,8 +335,9 @@ def expected_hitting_times(sub: SubGenerator) -> np.ndarray:
 class ResolventQuantities:
     """max_jk (-Q)^-1_jk of a sub-generator, computed on each access.
 
-    No bound uses it since theorem1 switched to max_x W: the report still
-    carries the value, and perfbench's tracer wraps the max_neg_qinv property.
+    numerics._max_fundamental_entry reads it off Q's strongly connected
+    classes. No bound uses it since theorem1 switched to max_x W: the report
+    still carries the value, and perfbench's tracer wraps max_neg_qinv.
     """
 
     def __init__(self, sub: SubGenerator):
@@ -345,7 +345,7 @@ class ResolventQuantities:
 
     @property
     def max_neg_qinv(self) -> float:
-        return _max_fundamental_entry(self._sub)
+        return _max_fundamental_entry(self._sub.Q)
 
 
 def mean_jump_count(sub: SubGenerator, alpha: InitialDistribution) -> float:
@@ -356,28 +356,6 @@ def mean_jump_count(sub: SubGenerator, alpha: InitialDistribution) -> float:
     with right-hand side d instead of 1.
     """
     return float(alpha.alpha @ _solve_neg_q(sub, sub.exit_rates))
-
-
-def _max_fundamental_entry(sub: SubGenerator) -> float:
-    """max_{j,k} of (-Q)^-1, which is entrywise nonnegative.
-
-    (-Q)^-1_jk = P_j(hit k) (-Q)^-1_kk puts the maximum on the diagonal, and
-    a return to k never leaves k's strongly connected component C, so
-    (-Q)^-1_kk = (-Q_C)^-1_kk. A singleton component contributes 1/(-Q_kk)
-    and any other is inverted densely. Raises DimensionTooLarge when a
-    component has more than DENSE_CAP states.
-    """
-    blocks = _strong_blocks(sub.Q)
-    best = float(np.max(1.0 / sub.exit_rates[blocks.singleton], initial=0.0))
-    for start, end in blocks.spans():
-        if end - start > DENSE_CAP:
-            raise DimensionTooLarge(
-                f"refusing to invert a {end - start}-state strongly connected "
-                f"component densely (cap {DENSE_CAP})"
-            )
-        block = -blocks.inner[start:end, start:end]
-        best = max(best, float(np.max(np.linalg.inv(block.toarray()).diagonal())))
-    return best
 
 
 def chain_spec(chain: AbsorbingChain, alpha: InitialDistribution) -> dict:

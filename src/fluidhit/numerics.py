@@ -4,22 +4,21 @@ All routines act on plain numpy arrays or scipy sparse matrices. Matrices
 with the sub-generator sign pattern (negative diagonal, nonnegative
 off-diagonal, row sums <= 0) get special treatment: the exponential action
 and the survival series are evaluated by uniformization with the one rate
-c = max(-Q_ii), which preserves nonnegativity exactly, their Poisson and
-binomial weights come from one window around the mode (_weights), and the
-dominant eigenvalue is found through the Perron root of the nonnegative
-matrix I + Q/Lambda, where Lambda = 1.05 c keeps the diagonal positive.
-The uniformized matrix is dense for a small chain and sparse otherwise
-(_dense_pays), and its row iterates are stepped as dense vectors, sparse
-rows or single entries, whichever the iterate allows (_row_iterates).
-Single entries are read off Q's rows, so a series that only steps them,
-as on a countdown, never builds the matrix. Both eigenvalue routines
-work on the strongly connected classes of the matrix's support
-(_strong_blocks): the full spectrum is the union of the diagonal blocks'
-spectra, exact on the diagonal for classes of one state, so DENSE_CAP
-bounds the largest class rather than the matrix. One routine, _factor,
-chooses every factorization of a linear system: substitution for a large
-sparse triangle (_triangular_solver), SuperLU for a sparse system past
-DENSE_CAP rows that is not triangular, a dense LU for any other.
+c = max(-Q_ii), which preserves nonnegativity exactly, with Poisson and
+binomial weights from one window around the mode (_weights). The
+uniformized matrix is dense for a small chain and sparse otherwise
+(_dense_pays); its row iterates are stepped as dense vectors, sparse rows or
+single entries read off Q's rows (_row_iterates), so a countdown's series
+never builds it. Only this module works class by class: the dominant
+eigenvalue, the spectrum and the resolvent maximum are read off the
+strongly connected classes of Q's support (_strong_blocks, stored zeros
+ignored), a class of one state exactly from its diagonal entry.
+_Blocks.dense_blocks densifies the others and refuses one past DENSE_CAP
+before it densifies any; I + Q/Lambda, whose Perron root gives the
+dominant eigenvalue, is formed on them only. One routine, _factor, chooses
+every factorization: substitution for a large sparse triangle
+(_triangular_solver), SuperLU for a sparse non-triangular system past
+DENSE_CAP rows, a dense LU for any other.
 """
 
 from __future__ import annotations
@@ -45,15 +44,16 @@ from .errors import (
     SlowConvergence,
 )
 
-# Largest transient state count densified (dense Q, its inverse), and the
-# largest strongly connected class whose spectrum is computed densely. The
-# spectrum's dense work grows with the sum of the class sizes cubed, which
-# this cap does not bound: 50 classes of 1,900 states are 50 dense solves.
+# Largest linear system densified, and the largest strongly connected class
+# densified (its spectrum, its block of the inverse). The dense work over
+# many classes is not bounded: 50 classes of 1,900 states are 50 solves.
 DENSE_CAP = 2000
 
 # Largest Poisson or binomial mean a survival series accepts: the sum takes
 # about that many terms, each a sparse vector-matrix product.
 TERM_BUDGET = 1e7
+# Power iterations dominant_eigen runs before it raises SlowConvergence.
+MAX_POWER_ITERATIONS = 200_000
 
 
 def _dense_pays(A):
@@ -516,67 +516,57 @@ class _SurvivalSeries:
 def eigen_spectrum(A):
     """All eigenvalues of a square A (dense or sparse), by decreasing real part.
 
-    A is block-triangular over the strongly connected classes of its
-    support, so its spectrum is the union of the diagonal blocks' spectra.
-    A class of one state contributes its diagonal entry exactly; the block
-    of each other class goes to LAPACK. The array is real when no
-    eigenvalue has an imaginary part (as np.linalg.eigvals returns it), and
-    equal real parts keep their block order. Raises DimensionTooLarge when
-    one class has more than DENSE_CAP states (use dominant_eigen for the
-    leading eigenvalue then). The dense work grows with the sum of the
-    classes' sizes cubed, which the cap does not bound.
+    A is block-triangular over its strongly connected classes
+    (_strong_blocks), so its spectrum is the union of the diagonal blocks'
+    spectra: a class of one state contributes its diagonal entry exactly,
+    and the dense block of each other class goes to LAPACK. The array is
+    real when no eigenvalue has an imaginary part (as np.linalg.eigvals
+    returns it), and equal real parts keep their block order. Raises
+    DimensionTooLarge when a class has more than DENSE_CAP states (use
+    dominant_eigen for the leading eigenvalue then).
     """
-    A = sp.csr_array(A, dtype=float, copy=True)
-    A.eliminate_zeros()
+    A = sp.csr_array(A, dtype=float)
     blocks = _strong_blocks(A)
-    if blocks.sizes.size and blocks.sizes.max() > DENSE_CAP:
-        raise DimensionTooLarge(
-            f"dense eigensolve capped at {DENSE_CAP} states per strongly connected "
-            f"class (got {blocks.sizes.max()}); use dominant_eigen instead"
-        )
     vals = np.concatenate([
         A.diagonal()[blocks.singleton],
-        *(eigvals(blocks.inner[a:b, a:b].toarray(), overwrite_a=True) for a, b in blocks.spans()),
+        *(eigvals(block, overwrite_a=True) for block in blocks.dense_blocks()),
     ])
     vals = vals if vals.imag.any() else vals.real
     return vals[np.argsort(-vals.real, kind="stable")]
 
 
-def dominant_eigen(Q, max_iter=200000):
+def dominant_eigen(Q):
     """Eigenvalue of Q with the greatest real part, via the Perron root.
 
-    Writes Q = Lambda (B - I) with B = I + Q/Lambda nonnegative; the
-    greatest real part of the spectrum then equals Lambda (rho(B) - 1) with
-    rho(B) the Perron root, which is real. Lambda = 1.05 max(-Q_ii), not the
-    series' c = max(-Q_ii): the slack keeps B's diagonal positive, so each
-    nontrivial strongly connected component of B's support is primitive.
-    rho(B) is the maximum over the components: singletons contribute their
-    diagonal entry exactly, and one power iteration runs on the others at
-    once, on the block-diagonal restriction of B to them, each block scaled
-    by its own maximum. A block's Collatz-Wielandt min and max ratios
-    bracket its root, so their largest values (with the singletons') bracket
-    rho(B); the iteration stops once that bracket is within 1e-10 relative,
-    so -nu is bracketed to within 0.525e-10 max(-Q_ii).
+    Writes Q = Lambda (B - I) with B = I + Q/Lambda nonnegative, so the
+    greatest real part of the spectrum is Lambda (rho(B) - 1), rho(B) the
+    real Perron root. Lambda = 1.05 max(-Q_ii), not the series' c: the slack
+    keeps B's diagonal positive, so B's classes are Q's and each nontrivial
+    one is primitive. rho(B) is the maximum over the classes: a class of one
+    state gives Q_ii (1/Lambda) + 1 exactly (the arithmetic of _uniformized),
+    and B is formed only on the others, by _uniformized, where one power
+    iteration runs on all of them at once, each block scaled by its own
+    maximum. Each block's Collatz-Wielandt min and max ratios bracket its
+    root; the iteration stops once the largest (with the singletons') are
+    within 1e-10 relative, so -nu is bracketed to within 0.525e-10 max(-Q_ii).
 
-    Raises SlowConvergence with the current estimate once max_iter is hit,
-    and NonConvergent when entries of the iterated vector underflow to 0
-    (their ratios are then 0/0 or x/0, and bracket nothing).
+    Raises SlowConvergence with the current estimate after
+    MAX_POWER_ITERATIONS iterations, and NonConvergent when entries of the
+    iterated vector underflow to 0 (their ratios then bracket nothing).
     """
     lam = 1.05 * float(np.max(-Q.diagonal()))
     if lam <= 0.0:
         return 0.0
-    B = sp.csr_array(_uniformized(Q, lam))
-
-    blocks = _strong_blocks(B)
-    rho = float(B.diagonal()[blocks.singleton].max(initial=0.0))
+    blocks = _strong_blocks(Q)
+    rho = float((Q.diagonal()[blocks.singleton] * (1.0 / lam) + 1.0).max(initial=0.0))
     if not blocks.sizes.size:
         return lam * (rho - 1.0)
     starts = np.cumsum(blocks.sizes) - blocks.sizes
     block = np.repeat(np.arange(blocks.sizes.size), blocks.sizes)
-    Bt = sp.csr_array(blocks.inner.T)
+    Bt = sp.csr_array(_uniformized(blocks.inner, lam).T)
     w = np.ones(blocks.states.size)
     est, spread = 1.0, math.inf
-    for iteration in range(max_iter):
+    for iteration in range(MAX_POWER_ITERATIONS):
         wb = Bt @ w
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = wb / w
@@ -593,7 +583,22 @@ def dominant_eigen(Q, max_iter=200000):
         if spread <= 1e-10 * max(est, 1e-300):
             return lam * (est - 1.0)
         w = wb / np.maximum.reduceat(wb, starts)[block]
-    raise SlowConvergence(est, spread, max_iter)
+    raise SlowConvergence(est, spread, MAX_POWER_ITERATIONS)
+
+
+def _max_fundamental_entry(Q):
+    """max_{j,k} of (-Q)^-1 for a sub-generator Q, entrywise nonnegative.
+
+    (-Q)^-1_jk = P_j(hit k) (-Q)^-1_kk puts the maximum on the diagonal, and
+    a return to k never leaves k's class C, so (-Q)^-1_kk = (-Q_C)^-1_kk:
+    1/(-Q_kk) for a class of one state, the dense block's inverse otherwise.
+    Raises DimensionTooLarge when a class has more than DENSE_CAP states.
+    """
+    blocks = _strong_blocks(Q)
+    best = float(np.max(1.0 / -Q.diagonal()[blocks.singleton], initial=0.0))
+    for block in blocks.dense_blocks():
+        best = max(best, float(np.max(np.linalg.inv(-block).diagonal())))
+    return best
 
 
 class _Blocks(NamedTuple):
@@ -604,19 +609,35 @@ class _Blocks(NamedTuple):
     sizes: np.ndarray  # the sizes of their classes, in block order
     inner: sp.csr_array  # A[states][:, states] without the entries between classes
 
-    def spans(self):
-        """(start, stop) of each class's block in inner."""
-        stops = np.cumsum(self.sizes)
-        return zip((stops - self.sizes).tolist(), stops.tolist())
+    def dense_blocks(self):
+        """Each class's block of inner as a dense array, in block order.
+
+        Raises DimensionTooLarge before any block is densified when a class
+        has more than DENSE_CAP states.
+        """
+        largest = int(self.sizes.max(initial=0))
+        if largest > DENSE_CAP:
+            raise DimensionTooLarge(
+                f"a {largest}-state strongly connected class is past the dense cap "
+                f"of {DENSE_CAP} states"
+            )
+        stops = np.cumsum(self.sizes).tolist()
+        return (self.inner[a:b, a:b].toarray() for a, b in zip([0, *stops], stops))
 
 
 def _strong_blocks(A):
-    """Strongly connected classes of a sparse A's support, as diagonal blocks.
+    """Strongly connected classes of the support of A, dense or sparse, as diagonal blocks.
 
-    The states that form a class alone are masked out; the others are
-    stably sorted by class label, so each class is a contiguous block of
-    A[states][:, states], and inner keeps only the entries within a block.
+    Stored zeros are no part of the support (csgraph counts one as an edge,
+    so A is copied without them when it stores one). The states that form a
+    class alone are masked out; the others are stably sorted by class label,
+    so each class is a contiguous block of A[states][:, states], and inner
+    keeps only the entries within a block.
     """
+    A = sp.csr_array(A)
+    if not A.data.all():
+        A = A.copy()
+        A.eliminate_zeros()
     _, labels = connected_components(A, directed=True, connection="strong")
     sizes = np.bincount(labels)
     singleton = sizes[labels] == 1
@@ -624,7 +645,7 @@ def _strong_blocks(A):
     states = states[np.argsort(labels[states], kind="stable")]
     sizes = sizes[sizes > 1]
     block = np.repeat(np.arange(sizes.size), sizes)
-    inner = sp.coo_array(sp.csr_array(A)[states][:, states])
+    inner = sp.coo_array(A[states][:, states])
     same = block[inner.row] == block[inner.col]  # drops the entries between classes
     inner = sp.csr_array((inner.data[same], (inner.row[same], inner.col[same])), shape=inner.shape)
     return _Blocks(singleton, states, sizes, inner)

@@ -9,6 +9,7 @@ from fluidhit import (
     InitialDistribution,
     NamedExample,
     decompose,
+    dominant_eigen,
     expected_hitting_times,
     gen_fig3a,
     gen_fig3b,
@@ -19,7 +20,7 @@ from fluidhit import (
     chain_spec,
     validate_chain,
 )
-from fluidhit.chain_model import ResolventQuantities, _Destinations
+from fluidhit.chain_model import ResolventQuantities, SubGenerator, _Destinations
 from fluidhit import numerics
 from fluidhit.numerics import DENSE_CAP, _triangular_solver
 from fluidhit.errors import (
@@ -412,6 +413,31 @@ def test_resolvent_maximum_of_a_ring_past_the_dense_cap():
     assert report.max_neg_qinv is None
     assert "2100-state" in report.notes["max_neg_qinv"]
     assert "max_neg_qinv" not in report.to_json_dict()
+
+
+def test_stored_zeros_join_no_classes():
+    # Two rings of 1,100 states: each state leaves at rate 1, moving on with
+    # 0.9 and exiting with 0.1. Q also stores zeros from one ring to the
+    # other and back; were they edges, the 2,200 states would form one
+    # class, past the dense cap. Per ring the return probability is 0.9^1100,
+    # so max (-Q)^-1 = 1 / (1 - 0.9^1100), and nu = 0.1.
+    m = 1100
+    i = np.arange(2 * m)
+    rows = np.concatenate([i, i, [0, m]])
+    cols = np.concatenate([i, i // m * m + (i + 1) % m, [m, 0]])
+    vals = np.concatenate([np.full(2 * m, -1.0), np.full(2 * m, 0.9), [0.0, 0.0]])
+    Q = sp.csr_array((vals, (rows, cols)), shape=(2 * m, 2 * m))
+    assert Q.nnz == 4 * m + 2
+    clean = Q.copy()
+    clean.eliminate_zeros()
+    stored, plain = (SubGenerator(Q=A, Q0=np.full(2 * m, 0.1)) for A in (Q, clean))
+    value = ResolventQuantities(stored).max_neg_qinv
+    assert value == ResolventQuantities(plain).max_neg_qinv
+    assert value == pytest.approx(1.0 / (1.0 - 0.9**m), rel=1e-12)
+    nu = -dominant_eigen(Q)
+    assert nu == -dominant_eigen(clean)
+    assert nu == pytest.approx(0.1, rel=1e-12)
+    assert Q.nnz == 4 * m + 2
 
 
 def test_resolvent_maximum_past_the_old_sweep_cap():

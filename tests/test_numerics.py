@@ -884,9 +884,69 @@ def test_dominant_raises_when_the_perron_vector_underflows():
     assert dominant_eigen(small) == pytest.approx(want, rel=0, abs=1e-9)
 
 
-def test_dominant_reports_slow_convergence():
+def test_dominant_reports_slow_convergence(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_POWER_ITERATIONS", 2)
     Q = np.array([[-1.0, 0.5], [0.25, -1.0]])
     with pytest.raises(SlowConvergence) as exc:
-        dominant_eigen(Q, max_iter=2)
+        dominant_eigen(Q)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0.0
+
+
+def test_dominant_forms_the_uniformized_matrix_only_on_nontrivial_classes(monkeypatch):
+    shapes = []
+    original = numerics._uniformized
+
+    def counted(Q, c):
+        shapes.append(Q.shape)
+        return original(Q, c)
+
+    monkeypatch.setattr(numerics, "_uniformized", counted)
+    # fig3a(300, 2): 90,001 states, every class a single state.
+    assert dominant_eigen(decompose(gen_fig3a(300, 2).chain).Q) == pytest.approx(-1.0, abs=1e-12)
+    assert shapes == []
+    # One 3-state cycle (rates 1, leaving at 1.5) feeding two single states:
+    # roots -1.5 + e^(2 pi i k/3), so nu = 0.5.
+    Q = sp.csr_array(np.array([
+        [-1.5, 1.0, 0.0, 0.5, 0.0],
+        [0.0, -1.5, 1.0, 0.0, 0.0],
+        [1.0, 0.0, -1.5, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -2.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0, -3.0],
+    ]))
+    assert dominant_eigen(Q) == pytest.approx(-0.5, abs=1e-10)
+    assert shapes == [(3, 3)]
+
+
+def test_eigen_spectrum_ignores_a_stored_zero(monkeypatch):
+    # Q stores a zero at (0, 1) against the edge 1 -> 0: counted as an edge,
+    # it would join states 0 and 1 into one class.
+    Q = sp.csr_array((np.array([-1.0, 0.0, 0.5, -2.0, 0.3, -3.0]),
+                      (np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 0, 1, 1, 2]))), shape=(3, 3))
+    assert Q.nnz == 6
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK eigvals called on three single-state classes")
+
+    monkeypatch.setattr(numerics, "eigvals", refuse)
+    assert eigen_spectrum(Q).tolist() == [-1.0, -2.0, -3.0]
+    assert Q.nnz == 6  # the caller's matrix keeps its stored zero
+
+
+def test_one_dense_cap_refusal_before_any_block_is_densified(monkeypatch):
+    # 20 two-state cycles and one 2,001-state ring: both class-by-class
+    # routines refuse the ring, with one message, before densifying a cycle.
+    n = numerics.DENSE_CAP + 1
+    ring = sp.csr_array((np.full(n, 0.9), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+    cycle = sp.csr_array(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    Q = sp.block_diag([cycle] * 10 + [ring] + [cycle] * 10, format="csr") - sp.eye(n + 40, format="csr")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was densified before the refusal")
+
+    monkeypatch.setattr(sp.csr_array, "toarray", refuse)
+    message = "a 2001-state strongly connected class is past the dense cap of 2000 states"
+    with pytest.raises(DimensionTooLarge, match=message):
+        eigen_spectrum(Q)
+    with pytest.raises(DimensionTooLarge, match=message):
+        numerics._max_fundamental_entry(Q)

@@ -5,7 +5,8 @@ ResolventQuantities.max_neg_qinv property, and perfbench/layers.json names
 the functions a traced run reports. A renamed or removed name breaks the
 traced benchmark run (--trace 1) and nothing else, so it is checked here,
 as are the routes the layer map pins: a traced run compares the layers it
-saw called against layers.json.
+saw called against layers.json, which test_layer_map_holds checks on
+every row with one untimed pass of each workload.
 """
 
 import importlib
@@ -14,6 +15,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fluidhit
 from fluidhit import chain_model
@@ -24,11 +26,15 @@ from oracles import random_chain
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("perfbench_tracing", "tracing.py")
 
 
 def test_layer_map_names_resolve():
@@ -92,3 +98,32 @@ def test_pinned_solve_linear_routes(monkeypatch):
     assert sub.n_transient == 3601
     fluidhit.expected_hitting_times(sub)
     assert not calls
+
+
+@pytest.mark.parametrize("workload", ["analyze", "kernels", "simulate"])
+def test_layer_map_holds(workload, tmp_path, monkeypatch):
+    # One traced pass, counted as perfbench/run.py's run_traced counts it:
+    # the set-up spans plus the pass's, summed per reported function and per
+    # layer, then checked against every row of layers.json.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracing and workloads
+    run = _load("perfbench_run", "run.py")
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = "setup"
+        ops = workloads.build(workload, 1, tmp_path)
+        for op in ops:
+            tracer.op = op.name
+            op.run()
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals(lambda op: True)
+    metrics = {}
+    for layer in tracing.LAYERS:
+        calls = sum(count for name, (count, _) in totals.items() if name.startswith(layer + "."))
+        metrics[f"{layer}.calls"] = {"value": calls, "unit": "count"}
+    for name in tracing.REPORTED:
+        metrics[f"{name}.calls"] = {"value": totals.get(name, [0, 0.0])[0], "unit": "count"}
+    assert run.layer_map_contradictions(workload, metrics) == []
