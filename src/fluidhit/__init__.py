@@ -4,7 +4,6 @@ absorbing Markov chains under uniform one-at-a-time scheduling."""
 from .bounds import (
     BoundReport,
     assemble_report,
-    harmonic_number,
     theorem2_asymptotic,
     theorem3_bound,
     theorem4_bound,
@@ -28,6 +27,7 @@ from .examples import (
     gen_fig3b,
     gen_tstage,
     get_example,
+    harmonic_number,
 )
 from .fluid import (
     CrossingResult,

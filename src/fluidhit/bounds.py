@@ -8,16 +8,18 @@ Upper bounds:
 Trend-only values (never asserted as certified bounds):
   theorem2  (1/nu) N log N + (k/nu) N log log N, leading terms only;
   t_N       (1/nu)(log(gamma N / nu) + k log log N - k log nu) when gamma known.
-The reference values of the named chains belong to their generators
-(examples). Natural logarithms throughout.
+BoundReport declares each report entry once: its provenance, formula and
+role (certified upper bound, other estimate of E[T_N], parameter, or JSON
+only). The JSON and CSV writers, compare's columns and the consistency
+check read those declarations. The reference values of the named chains
+belong to their generators (examples). Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,29 +37,11 @@ from .errors import (
     NonConvergent,
     SlowConvergence,
 )
+from .examples import NamedExample
 from .fluid import crossing_time
 from .numerics import dominant_eigen
 from .phase_type import SpectralParams, _fit_gamma, spectral_params
 from .simulator import OccupancyState
-
-if TYPE_CHECKING:  # examples imports this module
-    from .examples import NamedExample
-
-EULER_MASCHERONI = 0.5772156649015329
-
-
-@lru_cache(maxsize=None)
-def harmonic_number(n: int) -> float:
-    """H_n by direct summation up to 1e6, by the asymptotic beyond.
-
-    ln n + gamma + 1/(2n) - 1/(12 n^2) errs by at most 1/(120 n^4), far
-    below one rounding of H_n past 1e6.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n <= 10**6:
-        return math.fsum(1.0 / i for i in range(1, n + 1))
-    return math.log(n) + EULER_MASCHERONI + 1.0 / (2 * n) - 1.0 / (12 * n * n)
 
 
 def theorem2_asymptotic(sp: SpectralParams, N) -> float:
@@ -100,103 +84,98 @@ def theorem4_bound(T, N) -> float:
     return T * N * math.log(N) + 2.0 * N * T + 1.0
 
 
-# JSON key -> (BoundReport attribute, provenance, formula). to_json_dict writes
-# one entry per row, and leaves out an entry whose value is None.
-_JSON_ENTRIES = {
-    "theorem1": ("theorem1", "finite-N upper bound", "N (t_N + mean_jumps + 2 max_x W(x))"),
-    "theorem3": ("theorem3", "finite-N upper bound", "N sum_i W(x_i)"),
-    "theorem4": ("theorem4", "finite-N upper bound, T = max W", "T N ln N + 2 N T + 1"),
-    "theorem2_asymptotic": (
-        "theorem2_asymptotic",
-        "leading terms only, O(N) remainder omitted; not a certified bound",
-        "(1/nu) N ln N + (k/nu) N ln ln N",
-    ),
-    "tn_asymptotic": (
-        "tn_asymptotic",
-        "tail asymptotic with fitted gamma (numerical estimate)",
-        "(1/nu)(ln(gamma N / nu) + k ln ln N - k ln nu)",
-    ),
-    "exact": ("exact", "closed form", "exact E[T_N]"),
-    "t_N": ("t_n", "fluid crossing time", "survival(t) = 1/N"),
-    "nu": ("nu", "dominant eigenvalue of Q, negated", "-max Re eig(Q)"),
-    "k": ("k", "multiplicity of -nu minus one", "mult(-nu) - 1"),
-    "gamma": ("gamma", "tail prefactor (numerical estimate)", "fit"),
-    "mean_jumps": ("mean_jumps", "expected jumps before absorption", "alpha (I-R)^-1 1"),
-    "max_neg_qinv": ("max_neg_qinv", "resolvent maximum", "max_jk (-Q)^-1_jk"),
-    "w_max": ("w_max", "uniform hitting-time cap", "max_x W(x)"),
-}
-# CSV column -> BoundReport attribute, where the two names differ.
-_CSV_ATTRS = {"t_N": "t_n", "lower_bound": "lower_value"}
+def _entry(role, provenance, formula):
+    """A report entry: its role, and the provenance and formula of its JSON entry."""
+    return field(metadata={"role": role, "provenance": provenance, "formula": formula})
+
+
+_UPPER = "finite-N upper bound"
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Every applicable bound for one (chain, alpha, N) instance.
 
-    lower_bound is the instance's known lower bound as a (name, value)
-    pair, or None; its JSON key is lower_<name>.
+    Each field declares its role, in CSV column order:
+      instance  instance and N, which name the instance;
+      upper     a certified upper bound (theorem1, theorem3, theorem4);
+      estimate  another value of E[T_N] (exact, theorem2_asymptotic, the
+                lower bound);
+      param     a parameter (t_N, nu, k);
+      None      JSON only (tn_asymptotic, gamma, mean_jumps, max_neg_qinv,
+                w_max).
+    Fields with a role are analyze's CSV columns; upper and estimate are
+    compare's bound columns; upper_bounds() returns the upper fields. An
+    entry's JSON key is its field name, and an entry whose value is None is
+    left out. lower_bound is the instance's known lower bound as a
+    (name, value) pair, or None; its JSON key is lower_<name>, with the name
+    as its formula, and its column holds the value alone.
     """
 
-    instance: str
-    N: int
-    theorem1: float
-    theorem3: float
-    theorem4: float
-    theorem2_asymptotic: float | None
-    tn_asymptotic: float | None
-    lower_bound: tuple[str, float] | None
-    exact: float | None
-    t_n: float
-    nu: float | None
-    k: int | None
-    gamma: float | None
-    mean_jumps: float
-    max_neg_qinv: float | None
-    w_max: float
+    instance: str = field(metadata={"role": "instance"})
+    N: int = field(metadata={"role": "instance"})
+    exact: float | None = _entry("estimate", "closed form", "exact E[T_N]")
+    theorem1: float = _entry("upper", _UPPER, "N (t_N + mean_jumps + 2 max_x W(x))")
+    theorem2_asymptotic: float | None = _entry(
+        "estimate",
+        "leading terms only, O(N) remainder omitted; not a certified bound",
+        "(1/nu) N ln N + (k/nu) N ln ln N",
+    )
+    theorem3: float = _entry("upper", _UPPER, "N sum_i W(x_i)")
+    theorem4: float = _entry("upper", _UPPER + ", T = max W", "T N ln N + 2 N T + 1")
+    lower_bound: tuple[str, float] | None = _entry("estimate", "lower bound", None)
+    t_N: float = _entry("param", "fluid crossing time", "survival(t) = 1/N")
+    nu: float | None = _entry("param", "dominant eigenvalue of Q, negated", "-max Re eig(Q)")
+    k: int | None = _entry("param", "multiplicity of -nu minus one", "mult(-nu) - 1")
+    tn_asymptotic: float | None = _entry(
+        None,
+        "tail asymptotic with fitted gamma (numerical estimate)",
+        "(1/nu)(ln(gamma N / nu) + k ln ln N - k ln nu)",
+    )
+    gamma: float | None = _entry(None, "tail prefactor (numerical estimate)", "fit")
+    mean_jumps: float = _entry(None, "expected jumps before absorption", "alpha (I-R)^-1 1")
+    max_neg_qinv: float | None = _entry(None, "resolvent maximum", "max_jk (-Q)^-1_jk")
+    w_max: float = _entry(None, "uniform hitting-time cap", "max_x W(x)")
     notes: dict = field(default_factory=dict)
 
+    CSV_FIELDS: ClassVar[tuple[str, ...]]  # the fields with a role, set below
+
+    @classmethod
+    def names(cls, *roles):
+        """The fields whose role is one of roles, in column order."""
+        return tuple(f.name for f in fields(cls) if f.metadata.get("role") in roles)
+
     def upper_bounds(self):
-        return [
-            ("theorem1", self.theorem1),
-            ("theorem3", self.theorem3),
-            ("theorem4", self.theorem4),
-        ]
+        return [(name, getattr(self, name)) for name in self.names("upper")]
 
     @property
     def lower_value(self):
         return None if self.lower_bound is None else self.lower_bound[1]
 
+    def column(self, name):
+        """The value of field name in the CSV and compare columns; None when missing."""
+        return self.lower_value if name == "lower_bound" else getattr(self, name)
+
     def to_json_dict(self):
-        entries = dict(_JSON_ENTRIES)
-        if self.lower_bound is not None:
-            name = self.lower_bound[0]
-            entries[f"lower_{name}"] = ("lower_value", "lower bound", name)
         out = {"instance": {"name": self.instance, "N": self.N}}
-        for key, (attr, provenance, formula) in entries.items():
-            value = getattr(self, attr)
-            if value is not None:
-                out[key] = {"value": value, "provenance": provenance, "formula": formula}
+        for f in fields(self):
+            value = self.column(f.name)
+            if "provenance" not in f.metadata or value is None:
+                continue
+            key, formula = f.name, f.metadata["formula"]
+            if f.name == "lower_bound":
+                key, formula = f"lower_{self.lower_bound[0]}", self.lower_bound[0]
+            out[key] = {"value": value, "provenance": f.metadata["provenance"], "formula": formula}
         if self.notes:
             out["notes"] = dict(self.notes)
         return out
 
-    CSV_FIELDS = (
-        "instance",
-        "N",
-        "exact",
-        "theorem1",
-        "theorem2_asymptotic",
-        "theorem3",
-        "theorem4",
-        "lower_bound",
-        "t_N",
-        "nu",
-        "k",
-    )
-
     def to_csv_row(self):
-        vals = (getattr(self, _CSV_ATTRS.get(column, column)) for column in self.CSV_FIELDS)
-        return ["" if v is None else str(v) for v in vals]
+        """The values of CSV_FIELDS, None where an entry is missing."""
+        return [self.column(name) for name in self.CSV_FIELDS]
+
+
+BoundReport.CSV_FIELDS = BoundReport.names("instance", "upper", "estimate", "param")
 
 
 def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundReport:
@@ -245,7 +224,7 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
         except DegenerateTail as exc:
             notes["gamma"] = f"gamma fit failed: {exc}"
 
-    t_n = crossing_time(alpha, sub, 1.0 / N).time
+    t_N = crossing_time(alpha, sub, 1.0 / N).time
     mean_jumps = mean_jump_count(sub, alpha)
     try:
         max_neg_qinv = ResolventQuantities(sub).max_neg_qinv
@@ -257,7 +236,7 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
     # resolvent term is the row-sum norm of (-Q)^-1, max_x W(x), not the
     # largest entry: the mass surviving the threshold step is weighted by
     # whole rows, and the entrywise constant fails on fig3a.
-    theorem1 = N * (t_n + mean_jumps + 2.0 * w_max)
+    theorem1 = N * (t_N + mean_jumps + 2.0 * w_max)
     # The occupancy that simulate and compare run, so the bound covers it.
     theorem3 = theorem3_bound(W, OccupancyState.from_alpha(alpha, N))
     theorem4 = theorem4_bound(w_max, N)
@@ -277,7 +256,7 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
         tn_asymptotic=tn_asym,
         lower_bound=None if lower is None else (example.params["kind"], lower),
         exact=example.exact_mean(N),
-        t_n=t_n,
+        t_N=t_N,
         nu=nu,
         k=k,
         gamma=gamma,

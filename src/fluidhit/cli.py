@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -106,6 +107,12 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The one parser main reuses; build_parser() makes a new one."""
+    return build_parser()
+
+
 def _is_named(source):
     head = source.partition(":")[0]
     return head in _NAMED_PREFIXES and not os.path.exists(source)
@@ -131,6 +138,15 @@ def _json_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _csv_text(header, rows):
+    """header and rows as CSV text; a None cell is left empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(["" if v is None else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def cmd_validate(cfg) -> int:
     example = _resolve_example(cfg.chain_source)
     print(f"OK: {example.chain.size} states, absorbing state 0")
@@ -142,11 +158,7 @@ def cmd_analyze(cfg) -> int:
     example.check_population(cfg.N)
     report = bounds_mod.assemble_report(example, cfg.N, cfg.estimate_gamma)
     if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(report.CSV_FIELDS)
-        writer.writerow(report.to_csv_row())
-        _emit(buf.getvalue(), cfg.output_path)
+        _emit(_csv_text(report.CSV_FIELDS, [report.to_csv_row()]), cfg.output_path)
     else:
         _emit(_json_dumps(report.to_json_dict()), cfg.output_path)
     return 0
@@ -166,10 +178,11 @@ def cmd_simulate(cfg) -> int:
     return 0
 
 
+_BOUND_COLUMNS = bounds_mod.BoundReport.names("upper", "estimate")
+
 COMPARE_HEADER = (
     "name", "N", "runs", "seed", "sim_mean", "sim_stderr", "sim_ci95",
-    "exact", "theorem1", "theorem2_asymptotic", "theorem3", "theorem4",
-    "lower_bound", "within_bands",
+    *_BOUND_COLUMNS, "within_bands",
 )
 
 
@@ -196,19 +209,13 @@ def cmd_compare(cfg) -> int:
         rows.append([
             report.instance, N, cfg.runs, cfg.seed,
             result.mean, result.stderr, result.ci95,
-            report.exact, report.theorem1, report.theorem2_asymptotic,
-            report.theorem3, report.theorem4, report.lower_value, ok,
+            *(report.column(name) for name in _BOUND_COLUMNS), ok,
         ])
     if cfg.output_format == "json":
         payload = [dict(zip(COMPARE_HEADER, row)) for row in rows]
         _emit(_json_dumps(payload), cfg.output_path)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(COMPARE_HEADER)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
-        _emit(buf.getvalue(), cfg.output_path)
+        _emit(_csv_text(COMPARE_HEADER, rows), cfg.output_path)
     if violations:
         print(
             f"bound bands violated at N in {violations}", file=sys.stderr
@@ -231,32 +238,29 @@ def cmd_trajectory(cfg) -> int:
     fluid = fluid_trajectory(alpha, sub, grid)
     level = 1.0 - 1.0 / cfg.N
 
-    fluid_buf = io.StringIO()
-    writer = csv.writer(fluid_buf)
-    writer.writerow(("t", "fluid_m0", "level"))
-    for t, m0 in zip(fluid.time_grid, fluid.m0_values):
-        writer.writerow((t, m0, level))
+    fluid_csv = _csv_text(
+        ("t", "fluid_m0", "level"),
+        ((t, m0, level) for t, m0 in zip(fluid.time_grid, fluid.m0_values)),
+    )
 
-    sim_buf = io.StringIO()
-    writer = csv.writer(sim_buf)
-    writer.writerow(("run", "t", "fraction_absorbed"))
     initial = OccupancyState.from_alpha(alpha, cfg.N)
-    for run in range(cfg.samples):
-        sample = simulate_trajectory(chain, initial, grid, _replication_rng(cfg.seed, run))
-        for t, frac in zip(sample.rescaled_times, sample.m0_fractions):
-            writer.writerow((run, t, frac))
+    samples = (
+        (run, simulate_trajectory(chain, initial, grid, _replication_rng(cfg.seed, run)))
+        for run in range(cfg.samples)
+    )
+    sim_csv = _csv_text(
+        ("run", "t", "fraction_absorbed"),
+        ((run, t, frac) for run, s in samples for t, frac in zip(s.rescaled_times, s.m0_fractions)),
+    )
 
     if cfg.output_path:
         base = cfg.output_path
         if base.endswith(".csv"):
             base = base[: -len(".csv")]
-        _emit(fluid_buf.getvalue(), base + ".fluid.csv")
-        _emit(sim_buf.getvalue(), base + ".samples.csv")
+        _emit(fluid_csv, base + ".fluid.csv")
+        _emit(sim_csv, base + ".samples.csv")
     else:
-        sys.stdout.write("# fluid\n")
-        sys.stdout.write(fluid_buf.getvalue())
-        sys.stdout.write("# samples\n")
-        sys.stdout.write(sim_buf.getvalue())
+        sys.stdout.write("# fluid\n" + fluid_csv + "# samples\n" + sim_csv)
     return 0
 
 
@@ -280,8 +284,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ChainValidationError as exc:

@@ -130,8 +130,8 @@ def test_tn_asymptotic_is_the_crossing_of_an_exponential_tail(T):
     # fig3b(T) survives as exp(-t/T): gamma = nu = 1/T and k = 0, so the
     # tail (gamma/nu) t^k e^(-nu t) is exact and so is its root T ln N.
     report = assemble_report(gen_fig3b(T), 100, estimate_gamma=True)
-    assert report.tn_asymptotic == pytest.approx(report.t_n, rel=1e-9, abs=0)
-    assert report.t_n == pytest.approx(T * math.log(100), rel=1e-12, abs=0)
+    assert report.tn_asymptotic == pytest.approx(report.t_N, rel=1e-9, abs=0)
+    assert report.t_N == pytest.approx(T * math.log(100), rel=1e-12, abs=0)
 
 
 def _constant_exit_example(tmp_path, seed):
@@ -158,7 +158,7 @@ def test_report_t_n_is_crossing_time(tmp_path):
         cases.append((ex, 10 + 997 * seed))
     for ex, N in cases:
         want = crossing_time(ex.default_alpha, decompose(ex.chain), 1.0 / N).time
-        assert assemble_report(ex, N).t_n == want, ex.name
+        assert assemble_report(ex, N).t_N == want, ex.name
 
 
 def test_slow_chain_reports_its_crossing():
@@ -166,9 +166,9 @@ def test_slow_chain_reports_its_crossing():
     # exact), so t_N = 2^20 ln N lies past 10^6 and takes a few series terms.
     ex, N = gen_fig3b(2**20), 100
     report = assemble_report(ex, N, estimate_gamma=True)
-    assert report.t_n == pytest.approx(2**20 * math.log(N), rel=1e-12, abs=0)
+    assert report.t_N == pytest.approx(2**20 * math.log(N), rel=1e-12, abs=0)
     assert report.gamma == pytest.approx(2.0**-20, rel=1e-9)
-    assert report.tn_asymptotic == pytest.approx(report.t_n, rel=1e-9, abs=0)
+    assert report.tn_asymptotic == pytest.approx(report.t_N, rel=1e-9, abs=0)
 
 
 def test_theorem3_values():
@@ -255,7 +255,7 @@ def test_assemble_report_classical():
     assert report.nu == pytest.approx(1.0)
     assert report.k == 0
     assert report.gamma == pytest.approx(1.0, rel=0.05)
-    assert report.tn_asymptotic == pytest.approx(report.t_n, rel=0.05)
+    assert report.tn_asymptotic == pytest.approx(report.t_N, rel=0.05)
 
 
 def test_assemble_report_fig3a():
@@ -342,7 +342,7 @@ def test_assemble_report_survives_a_failed_perron_iteration():
         assert skipped in report.notes["spectral"] and "underflow" in report.notes["spectral"]
         assert [name for name, _ in report.upper_bounds()] == ["theorem1", "theorem3", "theorem4"]
         assert all(math.isfinite(value) and value > 0 for _, value in report.upper_bounds())
-        assert report.t_n == crossing_time(alpha, decompose(chain), 1.0 / 50).time
+        assert report.t_N == crossing_time(alpha, decompose(chain), 1.0 / 50).time
 
 
 def test_assemble_report_reads_k_past_the_dense_cap_from_singleton_classes():
@@ -378,3 +378,49 @@ def test_report_csv_row_shape():
     report = assemble_report(ex, 10)
     row = report.to_csv_row()
     assert len(row) == len(report.CSV_FIELDS)
+
+
+_UPPER = "finite-N upper bound"
+# JSON key -> (provenance, formula) of every entry the two reports below carry.
+_REPORT_SCHEMA = {
+    "exact": ("closed form", "exact E[T_N]"),
+    "theorem1": (_UPPER, "N (t_N + mean_jumps + 2 max_x W(x))"),
+    "theorem2_asymptotic": (
+        "leading terms only, O(N) remainder omitted; not a certified bound",
+        "(1/nu) N ln N + (k/nu) N ln ln N",
+    ),
+    "theorem3": (_UPPER, "N sum_i W(x_i)"),
+    "theorem4": (_UPPER + ", T = max W", "T N ln N + 2 N T + 1"),
+    "lower_fig3a": ("lower bound", "fig3a"),
+    "t_N": ("fluid crossing time", "survival(t) = 1/N"),
+    "nu": ("dominant eigenvalue of Q, negated", "-max Re eig(Q)"),
+    "k": ("multiplicity of -nu minus one", "mult(-nu) - 1"),
+    "tn_asymptotic": (
+        "tail asymptotic with fitted gamma (numerical estimate)",
+        "(1/nu)(ln(gamma N / nu) + k ln ln N - k ln nu)",
+    ),
+    "gamma": ("tail prefactor (numerical estimate)", "fit"),
+    "mean_jumps": ("expected jumps before absorption", "alpha (I-R)^-1 1"),
+    "max_neg_qinv": ("resolvent maximum", "max_jk (-Q)^-1_jk"),
+    "w_max": ("uniform hitting-time cap", "max_x W(x)"),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, N, estimate_gamma, absent",
+    [
+        ("fig3b:3", 100, True, {"lower_fig3a"}),
+        ("fig3a:10,2", 10, False, {"exact", "tn_asymptotic", "gamma"}),
+    ],
+)
+def test_report_schema_is_pinned(spec, N, estimate_gamma, absent):
+    payload = assemble_report(get_example(spec), N, estimate_gamma).to_json_dict()
+    assert payload.pop("instance") == {"name": spec, "N": N}
+    assert "notes" not in payload
+    assert {key: (entry["provenance"], entry["formula"]) for key, entry in payload.items()} == {
+        key: pair for key, pair in _REPORT_SCHEMA.items() if key not in absent
+    }
+    assert fluidhit.BoundReport.CSV_FIELDS == (
+        "instance", "N", "exact", "theorem1", "theorem2_asymptotic", "theorem3",
+        "theorem4", "lower_bound", "t_N", "nu", "k",
+    )

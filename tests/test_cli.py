@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import fluidhit.cli
 import fluidhit.numerics
-from fluidhit import get_example, harmonic_number, load_chain_spec
-from fluidhit.cli import _COMMAND_FLAGS, build_parser, main
+from fluidhit import BoundReport, get_example, harmonic_number, load_chain_spec
+from fluidhit.cli import _COMMAND_FLAGS, COMPARE_HEADER, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -512,3 +513,33 @@ def test_trajectory_refuses_a_huge_finite_grid_at_once():
     )
     assert done.returncode == 1
     assert "term budget" in done.stderr
+
+
+def test_readme_column_lists_match_the_outputs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Output | Columns |\n|---|---|\n", 1)[1]
+    listed = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        output, columns = (cell.strip(" `") for cell in row.strip("|").split("|"))
+        listed[output] = tuple(columns.split(","))
+    assert listed == {
+        "analyze --format csv": BoundReport.CSV_FIELDS,
+        "compare": COMPARE_HEADER,
+    }
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(fluidhit.cli, "build_parser", counting_build)
+    fluidhit.cli._parser.cache_clear()
+    assert run_cli(capsys, "validate", "--chain", "classical")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--chain", "classical", "--N", "0"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, "gen", "--chain", "classical")[0] == 0
+    assert len(built) == 1
