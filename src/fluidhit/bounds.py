@@ -1,23 +1,18 @@
 """Hitting-time bounds for the N-chain system, assembled into one report.
 
-Upper bounds:
-  theorem1  N (t_N + mean jumps + 2 max_x W(x)), valid at every finite N
-            because it uses the exact fluid crossing time (assemble_report);
-  theorem3  N sum_i W(x_i), with the coarse corollary T N^2 for W <= T;
-  theorem4  T N log N + 2 N T + 1 when W is uniformly bounded by T.
-Trend-only values (never asserted as certified bounds):
-  theorem2  (1/nu) N log N + (k/nu) N log log N, leading terms only;
-  t_N       (1/nu)(log(gamma N / nu) + k log log N - k log nu) when gamma known.
-BoundReport declares each report entry once: its provenance, formula and
-role (certified upper bound, other estimate of E[T_N], parameter, or JSON
-only). The JSON and CSV writers, compare's columns and the consistency
-check read those declarations. The reference values of the named chains
-belong to their generators (examples). Natural logarithms throughout.
+BoundReport declares each report entry once, as a field with its
+provenance, formula and role: a certified upper or lower bound on E[T_N],
+another estimate of it, a parameter, or a JSON-only entry. The JSON and
+CSV writers, compare's columns and bands, and the consistency check read
+those declarations; the certified ones through BoundReport.bracket(). The
+reference values of the named chains belong to their generators
+(examples). Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
@@ -97,19 +92,15 @@ class BoundReport:
     """Every applicable bound for one (chain, alpha, N) instance.
 
     Each field declares its role, in CSV column order:
-      instance  instance and N, which name the instance;
-      upper     a certified upper bound (theorem1, theorem3, theorem4);
-      estimate  another value of E[T_N] (exact, theorem2_asymptotic, the
-                lower bound);
-      param     a parameter (t_N, nu, k);
-      None      JSON only (tn_asymptotic, gamma, mean_jumps, max_neg_qinv,
-                w_max).
-    Fields with a role are analyze's CSV columns; upper and estimate are
-    compare's bound columns; upper_bounds() returns the upper fields. An
-    entry's JSON key is its field name, and an entry whose value is None is
-    left out. lower_bound is the instance's known lower bound as a
-    (name, value) pair, or None; its JSON key is lower_<name>, with the name
-    as its formula, and its column holds the value alone.
+      instance  names the instance;
+      upper     a certified upper bound on E[T_N];
+      lower     a certified lower bound on E[T_N], None where none is known;
+      estimate  another value of E[T_N], not certified;
+      param     a parameter of the fluid limit or the spectrum;
+      None      a JSON-only entry.
+    Fields with a role are analyze's CSV columns; upper, estimate and lower
+    are compare's bound columns. A field's name is its JSON key and its
+    column, and an entry whose value is None is left out.
     """
 
     instance: str = field(metadata={"role": "instance"})
@@ -123,7 +114,7 @@ class BoundReport:
     )
     theorem3: float = _entry("upper", _UPPER, "N sum_i W(x_i)")
     theorem4: float = _entry("upper", _UPPER + ", T = max W", "T N ln N + 2 N T + 1")
-    lower_bound: tuple[str, float] | None = _entry("estimate", "lower bound", None)
+    lower_fig3a: float | None = _entry("lower", "lower bound", "N^3 (T-1) (1 - (1 - 1/N^2)^N)")
     t_N: float = _entry("param", "fluid crossing time", "survival(t) = 1/N")
     nu: float | None = _entry("param", "dominant eigenvalue of Q, negated", "-max Re eig(Q)")
     k: int | None = _entry("param", "multiplicity of -nu minus one", "mult(-nu) - 1")
@@ -145,37 +136,40 @@ class BoundReport:
         """The fields whose role is one of roles, in column order."""
         return tuple(f.name for f in fields(cls) if f.metadata.get("role") in roles)
 
-    def upper_bounds(self):
-        return [(name, getattr(self, name)) for name in self.names("upper")]
+    def bracket(self):
+        """The certified range of E[T_N] as (lower, upper), each a (name, value) pair.
 
-    @property
-    def lower_value(self):
-        return None if self.lower_bound is None else self.lower_bound[1]
+        lower is the largest lower bound, None when none is known; upper is
+        the smallest upper bound.
+        """
 
-    def column(self, name):
-        """The value of field name in the CSV and compare columns; None when missing."""
-        return self.lower_value if name == "lower_bound" else getattr(self, name)
+        def known(role):
+            pairs = ((name, getattr(self, name)) for name in self.names(role))
+            return [pair for pair in pairs if pair[1] is not None]
+
+        value = operator.itemgetter(1)
+        return max(known("lower"), key=value, default=None), min(known("upper"), key=value)
 
     def to_json_dict(self):
         out = {"instance": {"name": self.instance, "N": self.N}}
         for f in fields(self):
-            value = self.column(f.name)
-            if "provenance" not in f.metadata or value is None:
-                continue
-            key, formula = f.name, f.metadata["formula"]
-            if f.name == "lower_bound":
-                key, formula = f"lower_{self.lower_bound[0]}", self.lower_bound[0]
-            out[key] = {"value": value, "provenance": f.metadata["provenance"], "formula": formula}
+            value = getattr(self, f.name)
+            if "provenance" in f.metadata and value is not None:
+                out[f.name] = {
+                    "value": value,
+                    "provenance": f.metadata["provenance"],
+                    "formula": f.metadata["formula"],
+                }
         if self.notes:
             out["notes"] = dict(self.notes)
         return out
 
     def to_csv_row(self):
         """The values of CSV_FIELDS, None where an entry is missing."""
-        return [self.column(name) for name in self.CSV_FIELDS]
+        return [getattr(self, name) for name in self.CSV_FIELDS]
 
 
-BoundReport.CSV_FIELDS = BoundReport.names("instance", "upper", "estimate", "param")
+BoundReport.CSV_FIELDS = BoundReport.names("instance", "upper", "lower", "estimate", "param")
 
 
 def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundReport:
@@ -191,11 +185,10 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
     past the dense cap also leaves max_neg_qinv out, with
     notes["max_neg_qinv"] saying why.
 
-    Raises InconsistentBounds if the lower bound exceeds any certified
-    upper bound or the exact value.
+    Raises InconsistentBounds if the bracket is empty or leaves out the
+    exact value.
     """
     alpha = example.default_alpha
-    lower = example.lower_bound(N)
     sub = decompose(example.chain)
     W = expected_hitting_times(sub)
     notes = {}
@@ -254,7 +247,7 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
         theorem4=theorem4,
         theorem2_asymptotic=theorem2,
         tn_asymptotic=tn_asym,
-        lower_bound=None if lower is None else (example.params["kind"], lower),
+        lower_fig3a=example.lower_bound(N),
         exact=example.exact_mean(N),
         t_N=t_N,
         nu=nu,
@@ -270,21 +263,14 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
 
 
 def _assert_consistency(report: BoundReport):
-    uppers = report.upper_bounds()
-    if report.lower_bound is not None:
-        lname, lval = report.lower_bound
-        for uname, uval in uppers:
-            if lval > uval:
-                raise InconsistentBounds(
-                    f"lower bound {lname} = {lval} exceeds {uname} = {uval}"
-                )
+    lower, (uname, uval) = report.bracket()
+    if lower is not None:
+        lname, lval = lower
+        if lval > uval:
+            raise InconsistentBounds(f"lower bound {lname} = {lval} exceeds {uname} = {uval}")
         if report.exact is not None and lval > report.exact * (1 + 1e-12):
             raise InconsistentBounds(
                 f"lower bound {lname} = {lval} exceeds exact value {report.exact}"
             )
-    if report.exact is not None:
-        for uname, uval in uppers:
-            if report.exact > uval * (1 + 1e-12):
-                raise InconsistentBounds(
-                    f"exact value {report.exact} exceeds {uname} = {uval}"
-                )
+    if report.exact is not None and report.exact > uval * (1 + 1e-12):
+        raise InconsistentBounds(f"exact value {report.exact} exceeds {uname} = {uval}")

@@ -72,19 +72,17 @@ _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--format": dict(dest="output_format", choices=("csv", "json")),
     "--out": dict(dest="output_path"),
-    "--N-list": dict(dest="n_list", type=_parse_n_list),
+    "--N-list": dict(dest="n_list", type=_parse_n_list, default=[100]),
     "--samples": dict(type=_positive_int, default=1),
     "--grid": dict(type=_parse_grid, help="trajectory grid as tmax:steps"),
     "--estimate-gamma": dict(action="store_true"),
 }
 
-_REPORT_FLAGS = ("--N", "--format", "--out", "--estimate-gamma")
-
 _COMMAND_FLAGS = {
     "validate": (),
-    "analyze": _REPORT_FLAGS,
+    "analyze": ("--N", "--format", "--out", "--estimate-gamma"),
     "simulate": ("--N", "--runs", "--seed", "--out"),
-    "compare": _REPORT_FLAGS + ("--N-list", "--runs", "--seed"),
+    "compare": ("--N-list", "--runs", "--seed", "--format", "--out", "--estimate-gamma"),
     "trajectory": ("--N", "--samples", "--grid", "--seed", "--out"),
     "gen": ("--out",),
 }
@@ -98,7 +96,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, flags in _COMMAND_FLAGS.items():
-        p = sub.add_parser(command)
+        # No prefix matching: compare would read --N as its --N-list.
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--chain", required=True, dest="chain_source",
                        help="path to a chain JSON file or a named example "
                             "(classical, tstage:T, fig3a:N,T, fig3b:T)")
@@ -178,7 +177,7 @@ def cmd_simulate(cfg) -> int:
     return 0
 
 
-_BOUND_COLUMNS = bounds_mod.BoundReport.names("upper", "estimate")
+_BOUND_COLUMNS = bounds_mod.BoundReport.names("upper", "lower", "estimate")
 
 COMPARE_HEADER = (
     "name", "N", "runs", "seed", "sim_mean", "sim_stderr", "sim_ci95",
@@ -187,11 +186,10 @@ COMPARE_HEADER = (
 
 
 def cmd_compare(cfg) -> int:
-    n_values = cfg.n_list or [cfg.N]
     rows = []
     violations = []
     example = _resolve_example(cfg.chain_source)
-    for N in n_values:
+    for N in cfg.n_list:
         example = example.for_population(N)
         report = bounds_mod.assemble_report(example, N, cfg.estimate_gamma)
         initial = OccupancyState.from_alpha(example.default_alpha, N)
@@ -201,15 +199,15 @@ def cmd_compare(cfg) -> int:
         ok = None
         if result.stderr is not None:
             band = 3.0 * result.stderr
-            ok = not any(upper < result.mean - band for _, upper in report.upper_bounds())
-            lower = report.lower_value
-            ok = ok and not (lower is not None and lower > result.mean + band)
+            lower, (_, upper) = report.bracket()
+            ok = not (upper < result.mean - band
+                      or lower is not None and lower[1] > result.mean + band)
             if not ok:
                 violations.append(N)
         rows.append([
             report.instance, N, cfg.runs, cfg.seed,
             result.mean, result.stderr, result.ci95,
-            *(report.column(name) for name in _BOUND_COLUMNS), ok,
+            *(getattr(report, name) for name in _BOUND_COLUMNS), ok,
         ])
     if cfg.output_format == "json":
         payload = [dict(zip(COMPARE_HEADER, row)) for row in rows]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -264,7 +265,7 @@ def test_assemble_report_fig3a():
     report = assemble_report(ex, N)
     assert report.exact is None
     assert report.theorem3 == pytest.approx(200.0)
-    assert report.lower_bound == ("fig3a", pytest.approx(95.62, abs=0.01))
+    assert report.lower_fig3a == pytest.approx(95.62, abs=0.01)
     assert report.w_max == pytest.approx(100.0)
 
 
@@ -340,8 +341,9 @@ def test_assemble_report_survives_a_failed_perron_iteration():
         report = assemble_report(NamedExample("chain", chain, alpha), 50)
         assert (report.nu, report.k, report.theorem2_asymptotic) == (None, None, None)
         assert skipped in report.notes["spectral"] and "underflow" in report.notes["spectral"]
-        assert [name for name, _ in report.upper_bounds()] == ["theorem1", "theorem3", "theorem4"]
-        assert all(math.isfinite(value) and value > 0 for _, value in report.upper_bounds())
+        uppers = [getattr(report, name) for name in report.names("upper")]
+        assert report.names("upper") == ("theorem1", "theorem3", "theorem4")
+        assert all(math.isfinite(value) and value > 0 for value in uppers)
         assert report.t_N == crossing_time(alpha, decompose(chain), 1.0 / 50).time
 
 
@@ -361,6 +363,25 @@ def test_assemble_report_consistency_violation():
         # A fig3a lower bound claimed for the classical chain: 9.6e8 at N = 10.
         bogus = {"kind": "fig3a", "population": 10, "T": 10**7}
         assemble_report(NamedExample(ex.name, ex.chain, ex.default_alpha, bogus), 10)
+
+
+def test_assemble_report_refuses_an_exact_value_above_an_upper_bound():
+    ex = gen_tstage(1)
+    # fig3b's closed form with T = 10^9 claimed for the classical chain: 2.9e10
+    # at N = 10, far above every upper bound (the smallest, theorem4, is 44).
+    bogus = {"kind": "fig3b", "T": 10**9}
+    exact = 10 * 10**9 * harmonic_number(10)
+    with pytest.raises(InconsistentBounds, match=re.escape(f"exact value {exact} exceeds")):
+        assemble_report(NamedExample(ex.name, ex.chain, ex.default_alpha, bogus), 10)
+
+
+def test_assemble_report_refuses_a_lower_bound_above_the_exact_value(monkeypatch):
+    # fig3a:10,2's lower bound 95.62 against a claimed exact mean of 1.
+    monkeypatch.setattr(NamedExample, "exact_mean", lambda self, N: 1.0)
+    ex = gen_fig3a(10, 2)
+    lower = ex.lower_bound(10)
+    with pytest.raises(InconsistentBounds, match=re.escape(f"= {lower} exceeds exact value 1.0")):
+        assemble_report(ex, 10)
 
 
 def test_report_json_round_trip():
@@ -391,7 +412,7 @@ _REPORT_SCHEMA = {
     ),
     "theorem3": (_UPPER, "N sum_i W(x_i)"),
     "theorem4": (_UPPER + ", T = max W", "T N ln N + 2 N T + 1"),
-    "lower_fig3a": ("lower bound", "fig3a"),
+    "lower_fig3a": ("lower bound", "N^3 (T-1) (1 - (1 - 1/N^2)^N)"),
     "t_N": ("fluid crossing time", "survival(t) = 1/N"),
     "nu": ("dominant eigenvalue of Q, negated", "-max Re eig(Q)"),
     "k": ("multiplicity of -nu minus one", "mult(-nu) - 1"),
@@ -422,5 +443,5 @@ def test_report_schema_is_pinned(spec, N, estimate_gamma, absent):
     }
     assert fluidhit.BoundReport.CSV_FIELDS == (
         "instance", "N", "exact", "theorem1", "theorem2_asymptotic", "theorem3",
-        "theorem4", "lower_bound", "t_N", "nu", "k",
+        "theorem4", "lower_fig3a", "t_N", "nu", "k",
     )

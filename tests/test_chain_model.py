@@ -179,6 +179,17 @@ def test_validate_entry_out_of_range():
         validate_chain([[1, 0], [1.5, -0.5]])
 
 
+@pytest.mark.parametrize("P, message", [
+    ([[1, 0, 0], [1, 0, 0]], "square matrix"),
+    ([[1.0]], "at least two states"),
+], ids=["not-square", "one-state"])
+def test_validate_refuses_a_malformed_shape(P, message):
+    # A JSON spec's own shape checks come first, so only a library call
+    # reaches these refusals.
+    with pytest.raises(ValueError, match=message):
+        validate_chain(P)
+
+
 def test_validate_clamps_rounding_within_tolerance():
     eps = 1e-13
     chain = validate_chain([[1 + eps, 0], [1, -eps]])

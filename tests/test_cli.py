@@ -14,6 +14,7 @@ import fluidhit.cli
 import fluidhit.numerics
 from fluidhit import BoundReport, get_example, harmonic_number, load_chain_spec
 from fluidhit.cli import _COMMAND_FLAGS, COMPARE_HEADER, build_parser, main
+from fluidhit.simulator import SimulationResult
 
 
 def run_cli(capsys, *argv):
@@ -135,9 +136,19 @@ _SPARSE_ROW0 = '{"row": 0, "cols": [0], "probs": [1]}'
      '"probs"'),
     (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"row": 1, "cols": [1, [0]], '
      '"probs": [0.5, 0.5]}]}', '"cols"'),
+    (f'{{{_P3}}}', '"states"'),
+    ('{"states": 3, "P": [[1, 0], [1, 0]]}', '"P" must be 3x3'),
+    (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, 5]}}', '"P_sparse" entries'),
+    (f'{{"states": 2, "P_sparse": [{_SPARSE_ROW0}, {{"row": 1, "cols": [0, 1], "probs": [1]}}]}}',
+     '"cols" and "probs"'),
+    (f'{{"states": 3, {_P3}, "alpha": [1]}}', '"alpha" must have length 2'),
+    ('{"states": 2, "P": [[1, 0], ["one", 0]]}', '"P" must hold numbers'),
+    (f'{{"states": 3, {_P3}, "alpha": [-0.5, 1.5]}}', "alpha entries"),
 ], ids=["sparse-row-missing", "sparse-not-a-list", "cols-not-a-list", "probs-not-a-list",
         "alpha0-null", "not-an-object", "bool-index", "null-in-P", "null-in-alpha",
-        "null-in-probs", "ragged-cols"])
+        "null-in-probs", "ragged-cols", "states-missing", "P-shape",
+        "sparse-entry-not-an-object", "cols-probs-lengths", "alpha-length",
+        "P-not-numbers", "alpha-negative"])
 def test_analyze_refuses_a_malformed_spec(tmp_path, capsys, text, field):
     # These used to escape load_chain_spec as KeyError or TypeError, a
     # traceback with exit 1; a bool index used to load as 0 or 1, a null as
@@ -148,6 +159,19 @@ def test_analyze_refuses_a_malformed_spec(tmp_path, capsys, text, field):
     assert code == 2
     assert err.startswith("error: ")
     assert field in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("compare", "--N-list", "10,x"), "--N-list"),
+    (("compare", "--N-list", "10,0"), "--N-list"),
+    (("trajectory", "--grid", "x:10"), "--grid"),
+], ids=["N-list-not-integers", "N-list-zero", "grid-not-a-number"])
+def test_cli_refuses_a_malformed_flag_value(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--chain", "classical"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: bad" in capsys.readouterr().err
+
 
 def test_population_of_one(capsys):
     # The fluid level 1/N is 1: the transient mass starts there, so t_N = 0.
@@ -259,8 +283,8 @@ _COMMAND_ARGS = {
     "gen": (("--out", "x"), ("--seed", "1")),
     "analyze": (_REPORT_ARGS, ("--k-override", "2")),
     "simulate": (("--N", "10", "--runs", "2", "--seed", "3", "--out", "x"), ("--format", "csv")),
-    "compare": (_REPORT_ARGS + ("--N-list", "10,20", "--runs", "2", "--seed", "3"),
-                ("--samples", "2")),
+    "compare": (("--N-list", "10,20", "--runs", "2", "--seed", "3", "--format", "json",
+                 "--out", "x", "--estimate-gamma"), ("--N", "10")),
     "trajectory": (("--N", "10", "--samples", "2", "--grid", "5:10", "--seed", "3",
                     "--out", "x"), ("--runs", "2")),
 }
@@ -284,8 +308,7 @@ def test_readme_flag_table_matches_the_parser():
     listed = {}
     for row in table.split("\n\n", 1)[0].splitlines():
         command, flags = (cell.strip(" `") for cell in row.strip("|").split("|"))
-        inherited = listed["analyze"] if flags.startswith("analyze's") else ()
-        listed[command] = inherited + tuple(re.findall(r"--[\w-]+", flags))
+        listed[command] = tuple(re.findall(r"--[\w-]+", flags))
     assert listed == _COMMAND_FLAGS
 
 
@@ -316,7 +339,7 @@ def test_compare_header_and_trend(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == (
         "name,N,runs,seed,sim_mean,sim_stderr,sim_ci95,exact,theorem1,"
-        "theorem2_asymptotic,theorem3,theorem4,lower_bound,within_bands"
+        "theorem2_asymptotic,theorem3,theorem4,lower_fig3a,within_bands"
     )
     assert len(lines) == 3
     row10 = lines[1].split(",")
@@ -350,6 +373,26 @@ def test_compare_fig3a_regenerates_per_population(capsys):
     names = [row[0] for row in rows[1:]]
     assert names == ["fig3a:10,2", "fig3a:20,2"]
     assert all(row[-1] == "True" for row in rows[1:])
+
+
+@pytest.mark.parametrize("chain, mean", [("classical", 1e9), ("fig3a:10,2", 1.0)],
+                         ids=["above-the-upper-bounds", "below-the-lower-bound"])
+def test_compare_reports_a_mean_outside_the_bands(capsys, monkeypatch, chain, mean):
+    # A simulated mean of 1e9 +- 1 lies far above classical's upper bounds
+    # (the smallest, theorem4, is 44 at N = 10), and 1 +- 1 far below
+    # fig3a:10,2's lower bound 95.62.
+    def fixed_mean(chain, initial, runs, seed):
+        return SimulationResult(samples=(), mean=mean, stderr=1.0, ci95=1.96, runs=runs, seed=seed)
+
+    monkeypatch.setattr(fluidhit.cli, "estimate_hitting_time", fixed_mean)
+    code, out, err = run_cli(
+        capsys, "compare", "--chain", chain, "--N-list", "10", "--runs", "50",
+        "--seed", "1", "--format", "json",
+    )
+    assert code == 1
+    assert err == "bound bands violated at N in [10]\n"
+    (row,) = json.loads(out)
+    assert (row["sim_mean"], row["within_bands"]) == (mean, False)
 
 
 def test_compare_single_run_has_no_band_to_violate(capsys):
