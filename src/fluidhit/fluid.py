@@ -29,7 +29,8 @@ def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     result is then the array of survivals. expm_action carries alpha to
     the first time t_0, and every point is read off one survival series of
     that vector (numerics._SurvivalSeries) at t_i - t_0: one B = I + Q/c,
-    about c (max(t) - t_0) series terms in all, and one Poisson window per
+    at most about c (max(t) - t_0) series terms in all (fewer once the
+    series settles into its geometric tail), and one Poisson window per
     point, with c = max(-Q_ii). Each value truncates at most 1e-15 of the
     mass.
     """
@@ -40,7 +41,7 @@ def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     grid = _time_grid(t)
     if not grid.size:
         return np.empty(0)
-    series = _SurvivalSeries(sub.Q, expm_action(sub.Q, alpha.alpha, grid[0]))
+    series = _SurvivalSeries(sub, expm_action(sub.Q, alpha.alpha, grid[0]))
     return np.array([series.continuous(ti - grid[0]) for ti in grid])
 
 
@@ -86,7 +87,7 @@ def crossing_time(alpha, sub, epsilon) -> CrossingResult:
     at most once (not at all on a sparse countdown started from one
     state), and a probe at t weights the s_j by Poisson(c t)
     probabilities, stepping the row iterate only past the terms earlier
-    probes already summed.
+    probes already summed, and not at all past a certified geometric tail.
     Returns (0, already_below=True) when the mass already starts at or
     below epsilon, as it always does at epsilon = 1. For the level of the
     hitting-time theorems call with epsilon = 1/N.
@@ -95,7 +96,7 @@ def crossing_time(alpha, sub, epsilon) -> CrossingResult:
         raise ValueError("epsilon must lie in (0, 1]")
     if alpha.transient_mass <= epsilon:
         return CrossingResult(0.0, True)
-    return _crossing(_SurvivalSeries(sub.Q, alpha.alpha), epsilon)
+    return _crossing(_SurvivalSeries(sub, alpha.alpha), epsilon)
 
 
 def _crossing(series, epsilon) -> CrossingResult:

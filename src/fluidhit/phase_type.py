@@ -65,7 +65,7 @@ def discrete_survival(pt: PhaseType, k) -> float:
     """P(X >= k) = alpha (I + Q/N)^k 1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _SurvivalSeries(pt.sub.Q, pt.alpha.alpha).discrete(int(k), pt.scale)
+    return _SurvivalSeries(pt.sub, pt.alpha.alpha).discrete(int(k), pt.scale)
 
 
 def x_threshold(pt: PhaseType) -> int:
@@ -75,13 +75,14 @@ def x_threshold(pt: PhaseType) -> int:
     brackets the threshold and an integer bisection closes the bracket. All
     evaluations read one survival series (numerics._SurvivalSeries with
     c = max(-Q_ii)): the survival at k is the Binomial(k, c/N)-weighted sum
-    of s_j = alpha B^j 1, so the row iterate is stepped about 2 k c/N times
-    in all, not k times. The gallop is clamped to the smaller of 2^53 and
-    the series' step limit, and raises NonConvergent when the survival is
-    still above 2/N there.
+    of s_j = alpha B^j 1, so the row iterate is stepped at most about
+    2 k c/N times in all, not k times, and only a few dozen once the
+    series settles into its geometric tail. The gallop is clamped to the
+    smaller of 2^53 and the series' step limit, and raises NonConvergent
+    when the survival is still above 2/N there.
     """
     target = 2.0 / pt.scale
-    series = _SurvivalSeries(pt.sub.Q, pt.alpha.alpha)
+    series = _SurvivalSeries(pt.sub, pt.alpha.alpha)
 
     def above(k):
         return series.discrete(k, pt.scale) > target
@@ -168,7 +169,7 @@ def _fit_gamma(sub, alpha, nu, k):
         raise DegenerateTail(
             "initial transient mass already below the fit window"
         )
-    series = _SurvivalSeries(sub.Q, alpha.alpha)
+    series = _SurvivalSeries(sub, alpha.alpha)
     t_hi = _crossing(series, _FIT_HI_LEVEL).time
     t_lo = _crossing(series, _FIT_LO_LEVEL).time
     ts = np.geomspace(t_hi, t_lo, 5)

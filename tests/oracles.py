@@ -4,12 +4,14 @@ Each routine computes a reference value along a path disjoint from the
 library implementation it checks: a fixed-step Runge-Kutta integrator for
 the fluid ODE, a full enumeration of the occupancy Markov chain for exact
 absorption expectations, memoized path recursion for jump counts, a
-scalar root finder for Erlang crossing times, a step-by-step scan for the
-discrete threshold x_N, and a per-event stepper of the occupancy process
-for hitting times and trajectories.
+scalar root finder for Erlang crossing times, a bisection on
+scipy.linalg.expm for the crossing times of other chains (expm_crossing), a
+step-by-step scan for the discrete threshold x_N, and a per-event stepper of
+the occupancy process for hitting times and trajectories.
 
 It also holds the routines that only tests read:
   random_chain            the seeded generator of random validated chains;
+  rare_exit_matrix        a seeded stiff chain, whose exits are rare;
   coupon_bound            the paper's T-copy coupon-collector bound, checked
                           against theorem2_asymptotic and theorem4_bound;
   stochastic_order_check  the replay of the geometric-vs-exponential
@@ -24,6 +26,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.sparse.csgraph import dijkstra
 
@@ -65,6 +68,45 @@ def constant_exit_matrix(rng, S, exit_prob):
     P[1:, 0] = exit_prob
     P[1:, 1:] = (1.0 - exit_prob) * w / w.sum(axis=1, keepdims=True)
     return P
+
+
+def rare_exit_matrix(rng, S, low, high):
+    """Dense P whose transient rows exit to 0 with probabilities uniform in [low, high].
+
+    The rest of each row is spread over all transient states, itself
+    included, by exponential weights: a stiff chain, whose survival decays
+    at a rate between low and high while c = max(-Q_ii) is near 1.
+    """
+    exits = rng.uniform(low, high, size=S)
+    w = rng.exponential(size=(S, S))
+    P = np.zeros((S + 1, S + 1))
+    P[0, 0] = 1.0
+    P[1:, 0] = exits
+    P[1:, 1:] = (1.0 - exits)[:, None] * w / w.sum(axis=1, keepdims=True)
+    return P
+
+
+def expm_crossing(Q, alpha, epsilon):
+    """First t with alpha expm(Q t) 1 <= epsilon, by bisection on scipy.linalg.expm.
+
+    Q is dense. The bracket doubles from t = 1 and is halved until it is
+    within 1e-13 relative; returns its upper end.
+    """
+    ones = np.ones(Q.shape[0])
+
+    def survival(t):
+        return float(alpha @ expm(Q * t) @ ones)
+
+    lo, hi = 0.0, 1.0
+    while survival(hi) > epsilon:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if survival(mid) > epsilon:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def random_chain(rng, n_transient: int, density: float = 0.7) -> AbsorbingChain:

@@ -59,6 +59,13 @@ def test_harmonic_number():
     )
 
 
+@pytest.mark.parametrize("n", [10**3 + 1, 10**4, 10**5, 10**6])
+def test_harmonic_number_asymptotic_within_two_ulp(n):
+    # Past 10^3 the asymptotic series stands in for the direct sum.
+    direct = math.fsum(1.0 / i for i in range(1, n + 1))
+    assert abs(harmonic_number(n) - direct) <= 2 * math.ulp(direct)
+
+
 def test_theorem1_classical():
     ex = gen_tstage(1)
     value = _theorem1(ex, 100)

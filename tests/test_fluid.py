@@ -13,13 +13,22 @@ from fluidhit import (
     gen_fig3a,
     gen_fig3b,
     gen_tstage,
+    get_example,
+    spectral_params,
     transient_survival,
     validate_chain,
 )
-
 from fluidhit.errors import BracketingFailure
+from fluidhit.fluid import _crossing
 
-from oracles import constant_exit_matrix, erlang_crossing, random_chain, rk4_absorbed_fraction
+from oracles import (
+    constant_exit_matrix,
+    erlang_crossing,
+    expm_crossing,
+    random_chain,
+    rare_exit_matrix,
+    rk4_absorbed_fraction,
+)
 
 
 def _classical():
@@ -171,7 +180,7 @@ def test_countdown_crossing_builds_no_uniformized_matrix(monkeypatch, build, eps
 
     monkeypatch.setattr(fluidhit.numerics, "_uniformized", refuse)
     t = crossing_time(alpha, sub, epsilon).time
-    series = fluidhit.numerics._SurvivalSeries(sub.Q, alpha.alpha)
+    series = fluidhit.numerics._SurvivalSeries(sub, alpha.alpha)
     series.continuous(t)  # steps the sums the crossing's last probe read
     monkeypatch.undo()
     Bt = uniformized(sub.Q, series.c).T
@@ -187,13 +196,15 @@ def test_tstage_crossing_reads_the_exact_sums(monkeypatch, T):
     # From the top of tstage(T), B = I + Q moves all the mass one state
     # down a step: s_j = 1 for j < T and 0 from T on, exactly. B stores
     # T - 1 entries, on both sides of the 20,000 where scalar steps once
-    # began; t is the one those sums give, to the bit.
+    # began; t is the one those sums give, to the bit. The exact sums come
+    # as the one-entry rows the countdown is stepped as (a dense vector
+    # would be checked for a geometric tail).
     alpha, sub = _named_start(gen_tstage(T))
     got = crossing_time(alpha, sub, 1e-2).time
 
     def exact_sums(Q, c, v):
         for j in itertools.count():
-            yield np.array([1.0 if j < T else 0.0])
+            yield fluidhit.numerics._Entry(0, 1.0 if j < T else 0.0)
 
     monkeypatch.setattr(fluidhit.numerics, "_row_iterates", exact_sums)
     assert got == crossing_time(alpha, sub, 1e-2).time
@@ -248,6 +259,134 @@ def test_crossing_doubles_from_the_mean_sojourn(monkeypatch):
     with pytest.raises(BracketingFailure, match="time limit"):
         crossing_time(alpha, sub, 1e-2)
     assert [t for t, _ in calls] == [0.0, 2.0**19]
+
+
+def _count_terms(monkeypatch):
+    """A list that grows by one for each row iterate stepped from here on."""
+    terms = []
+    iterates = fluidhit.numerics._row_iterates
+
+    def counted(*args):
+        for u in iterates(*args):
+            terms.append(None)
+            yield u
+
+    monkeypatch.setattr(fluidhit.numerics, "_row_iterates", counted)
+    return terms
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("classical", 6.9077552789819645),
+        ("tstage:3", 11.228872242412383),
+        ("fig3b:3", 20.7232658369459),
+        ("fig3a:40,2", 7.8879593365997485),
+        ("fig3a:100,2", 7.013015789639539),
+        ("tstage:20000", 20439.876216629942),
+    ],
+)
+def test_named_crossings_keep_their_bits(spec, want):
+    # No named chain's series takes a geometric tail: a one-state B is 0,
+    # tstage(3)'s is nilpotent, and the countdowns step single entries.
+    # The values are those of the series stepped to the end of every window.
+    ex = get_example(spec)
+    assert crossing_time(ex.default_alpha, decompose(ex.chain), 1e-3).time == want
+
+
+def _double_root_chain():
+    """1 -> 2 -> exit, each left at rate 1/2, and a third state left at rate 1.
+
+    c = 1 keeps B's diagonal 1/2 on states 1 and 2, and -1/2 is a double
+    eigenvalue (k = 1): the ratio of state 2's entries is 1/2 + O(1/j).
+    """
+    P = np.zeros((4, 4))
+    P[0, 0] = P[3, 0] = 1.0
+    P[1, 1] = P[1, 2] = P[2, 2] = P[2, 0] = 0.5
+    return InitialDistribution.uniform(3), decompose(validate_chain(P))
+
+
+def _periodic_ring():
+    """Five states, each moving on with 0.9 and exiting with 0.1: B = 0.9 S, S a cyclic shift.
+
+    From a start that is not uniform the ratios 0.9 u_{i-1} / u_i cycle forever.
+    """
+    P = np.zeros((6, 6))
+    P[0, 0] = 1.0
+    for i in range(1, 6):
+        P[i, 0], P[i, i % 5 + 1] = 0.1, 0.9
+    return InitialDistribution(np.array([0.1, 0.3, 0.2, 0.25, 0.15])), decompose(validate_chain(P))
+
+
+@pytest.mark.parametrize(
+    "build, k, terms_before, t_before",
+    [(_double_root_chain, 1, 138, 40.86516590688186), (_periodic_ring, 0, 394, 184.2068074395191)],
+    ids=["k=1", "periodic-ring"],
+)
+def test_unsettled_ratios_step_every_term(monkeypatch, build, k, terms_before, t_before):
+    # Both are stepped as dense vectors whose ratios never settle, so the
+    # series steps as many terms as before the geometric tail, to the same t.
+    alpha, sub = build()
+    assert spectral_params(sub).k == k
+    terms = _count_terms(monkeypatch)
+    assert crossing_time(alpha, sub, 1e-8).time == t_before
+    assert len(terms) == terms_before
+
+
+@pytest.mark.parametrize(
+    "S, density, seed, want",
+    [
+        (1000, 0.05, 6, 6767.656742235584),
+        (2000, 0.05, 6, 8589.92106524317),
+        (2000, 0.7, 5, 9348.999970424167),
+    ],
+)
+def test_stiff_crossing_takes_a_geometric_tail(monkeypatch, S, density, seed, want):
+    # Exits are rare (nu/c = 4.9e-4 on the density-0.7 chain), so the
+    # crossing at 1e-2 took c t = 6,800 to 9,350 terms and up to 17,412
+    # stepped; want is that value. The left iterate settles within a few
+    # dozen terms and the geometric tail fills the rest.
+    sub = decompose(random_chain(np.random.default_rng(seed), S, density))
+    terms = _count_terms(monkeypatch)
+    got = crossing_time(InitialDistribution.uniform(S), sub, 1e-2).time
+    assert len(terms) <= 100
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+class _PinnedRatio:
+    """A survival series read with its geometric tail at one fixed ratio."""
+
+    def __init__(self, series, ratio):
+        self.series, self.ratio, self.c = series, ratio, series.c
+
+    def time_limit(self):
+        return self.series.time_limit()
+
+    def continuous(self, t):
+        weights = fluidhit.numerics._weights(rate=self.c, t=t)
+        return self.series._weighted(*weights, ratio=self.ratio)
+
+
+def test_stiff_crossing_matches_expm_inside_its_bracket():
+    # 200 states exiting with probabilities in [1e-5, 1e-4]: c t_N is about
+    # 86,000 terms. The tail's ends lo and hi bound every later sum, so the
+    # crossings read at lo and at hi bracket the crossing read at their
+    # midpoint; an expm bisection lands within 1e-10 of it. The series
+    # steps on until the ratios' spread stops falling: at its first spread
+    # below TAIL_SPREAD, 7e-15, the bracket would be 1.3e-10 wide.
+    rng = np.random.default_rng(83)
+    sub = decompose(validate_chain(rare_exit_matrix(rng, 200, 1e-5, 1e-4)))
+    alpha = InitialDistribution(rng.dirichlet(np.ones(200)))
+    series = fluidhit.numerics._SurvivalSeries(sub, alpha.alpha)
+    t = _crossing(series, 1e-2).time
+    assert t == crossing_time(alpha, sub, 1e-2).time
+    tail = series.tail
+    assert tail is not None and len(series._sums) <= 100
+    assert 0.0 < tail.hi - tail.lo <= fluidhit.numerics.TAIL_SPREAD * tail.hi
+    t_lo, t_hi = (_crossing(_PinnedRatio(series, r), 1e-2).time for r in (tail.lo, tail.hi))
+    # The certified bracket is narrower than the 1e-10 perfbench reads t_N to.
+    assert t_lo <= t <= t_hi <= t_lo + 1e-10 * t
+    assert t == pytest.approx(expm_crossing(sub.Q.toarray(), alpha.alpha, 1e-2), rel=1e-10, abs=0)
 
 
 def test_trajectory_classical_points():

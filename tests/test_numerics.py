@@ -511,7 +511,7 @@ def test_series_continuous_matches_expm_multiply():
     rng = np.random.default_rng(71)
     for _ in range(50):
         sub, v = _random_series_case(rng)
-        series = numerics._SurvivalSeries(sub.Q, v)
+        series = numerics._SurvivalSeries(sub, v)
         ones = np.ones(v.size)
         # Out of order: later reads reuse and extend the terms of earlier ones.
         for t in rng.permutation([0.0, 0.3, 2.0, 9.0, 40.0]):
@@ -525,7 +525,7 @@ def test_series_discrete_matches_dense_powers():
     for _ in range(50):
         sub, v = _random_series_case(rng)
         c = float(np.max(-sub.Q.diagonal()))
-        series = numerics._SurvivalSeries(sub.Q, v)
+        series = numerics._SurvivalSeries(sub, v)
         for N in (c, c * rng.uniform(1.0, 1.05), c * 1.05 * (1 - 1e-12), 3.0 * c, 1e3 * c):
             step = np.eye(v.size) + sub.Q.toarray() / N
             for k in (0, 1, 6, 50, 400):
@@ -534,7 +534,9 @@ def test_series_discrete_matches_dense_powers():
 
 
 def test_series_refuses_means_past_the_term_budget():
-    series = numerics._SurvivalSeries(np.array([[-1.0]]), np.array([1.0]))
+    # One state left at rate 1: Q = [[-1]].
+    sub = decompose(validate_chain(np.array([[1.0, 0.0], [1.0, 0.0]])))
+    series = numerics._SurvivalSeries(sub, np.array([1.0]))
     with pytest.raises(NonConvergent, match="budget"):
         series.continuous(1e8)
     with pytest.raises(NonConvergent, match="budget"):

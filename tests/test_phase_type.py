@@ -18,12 +18,19 @@ from fluidhit import (
     mean_jump_count,
     spectral_params,
     transient_survival,
+    validate_chain,
     x_threshold,
 )
 from fluidhit import numerics
 from fluidhit.errors import DegenerateTail, NonConvergent, ScaleTooSmall
 
-from oracles import sample_absorption_step, stochastic_order_check, sub_generator, threshold_scan
+from oracles import (
+    rare_exit_matrix,
+    sample_absorption_step,
+    stochastic_order_check,
+    sub_generator,
+    threshold_scan,
+)
 
 
 def _classical_pt(N):
@@ -102,6 +109,34 @@ def test_x_threshold_matches_oracle_scan(build, N):
     assert x == threshold_scan(sub.Q, ex.default_alpha.alpha, N, 2 * x + 10)
     if ex.name == "tstage:20" and N == 10**4:
         assert x == 397_669
+
+
+def test_x_threshold_on_a_stiff_chain_matches_matrix_powers(monkeypatch):
+    # 8 states exiting with probabilities in [1e-5, 1e-4]: x_N is 235,390
+    # steps of I + Q/N, whose binomial weights reach 26,630 terms of the
+    # series. It takes a geometric tail after 39, and x_N is still the
+    # smallest k whose matrix power brings the survival to 2/N.
+    rng = np.random.default_rng(89)
+    sub = decompose(validate_chain(rare_exit_matrix(rng, 8, 1e-5, 1e-4)))
+    alpha = InitialDistribution(rng.dirichlet(np.ones(8)))
+    N = 10
+    terms = []
+    iterates = numerics._row_iterates
+
+    def counted(*args):
+        for u in iterates(*args):
+            terms.append(None)
+            yield u
+
+    monkeypatch.setattr(numerics, "_row_iterates", counted)
+    x = x_threshold(PhaseType.discrete(alpha, sub, N))
+    assert len(terms) <= 100
+    step = np.eye(8) + sub.Q.toarray() / N
+
+    def survival(k):
+        return float(alpha.alpha @ np.linalg.matrix_power(step, k) @ np.ones(8))
+
+    assert survival(x) <= 2.0 / N < survival(x - 1)
 
 
 def test_x_threshold_gallop_cap_raises_typed_error():
