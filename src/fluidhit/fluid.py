@@ -29,10 +29,12 @@ def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     result is then the array of survivals. expm_action carries alpha to
     the first time t_0, and every point is read off one survival series of
     that vector (numerics._SurvivalSeries) at t_i - t_0: one B = I + Q/c,
-    at most about c (max(t) - t_0) series terms in all (fewer once the
-    series settles into its geometric tail), and one Poisson window per
-    point, with c = max(-Q_ii). Each value truncates at most 1e-15 of the
-    mass.
+    with c = max(-Q_ii), and at most about c (max(t) - t_0) series terms in
+    all (fewer once the series settles into its geometric tail). The
+    Poisson windows are built in batches, each batch by one call as the
+    rows of one array of at most numerics.WINDOW_ENTRIES entries, and a
+    window too wide to share a call is built alone, as a lone time's is.
+    Each value truncates at most 1e-15 of the mass.
     """
     if np.ndim(t) == 0:
         if t < 0:
@@ -42,7 +44,7 @@ def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     if not grid.size:
         return np.empty(0)
     series = _SurvivalSeries(sub, expm_action(sub.Q, alpha.alpha, grid[0]))
-    return np.array([series.continuous(ti - grid[0]) for ti in grid])
+    return series.continuous(grid - grid[0])
 
 
 @dataclass(frozen=True)

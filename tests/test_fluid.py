@@ -1,5 +1,8 @@
 import itertools
 import math
+import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +470,119 @@ def test_survival_grid_from_a_later_start():
     per_point = [transient_survival(ex.default_alpha, sub, t) for t in grid]
     got = transient_survival(ex.default_alpha, sub, grid)
     assert got == pytest.approx(per_point, rel=1e-12, abs=0)
+
+
+def _rare_exit_start(seed):
+    """50 states exiting with probabilities in [1e-3, 1e-2] from a random start."""
+    rng = np.random.default_rng(seed)
+    sub = decompose(validate_chain(rare_exit_matrix(rng, 50, 1e-3, 1e-2)))
+    return InitialDistribution(rng.dirichlet(np.ones(50))), sub
+
+
+def _random_start(seed):
+    return InitialDistribution.uniform(30), decompose(random_chain(np.random.default_rng(seed), 30))
+
+
+_GRID_CASES = {
+    # B = I + Q is nilpotent: the sums are padded with zeros past s_3.
+    "tstage:3": (lambda: _named_start(gen_tstage(3)), np.linspace(0.0, 20.0, 401)),
+    # A countdown stepped as single entries.
+    "fig3a:40,2": (lambda: _named_start(gen_fig3a(40, 2)), np.linspace(0.0, 400.0, 201)),
+    "random": (lambda: _random_start(41), np.linspace(0.0, 50.0, 201)),
+    # The series settles into its geometric tail after a few dozen terms,
+    # and the later windows, still narrow enough to share a call, read it.
+    "rare-exit": (lambda: _rare_exit_start(83), np.linspace(0.0, 1500.0, 151)),
+    # exp(-t) underflows to 0 and the windows are wide: each is read alone.
+    "classical": (_classical, [0.0, 2.5e5, 5e5, 1e6]),
+    "repeated": (
+        lambda: _named_start(gen_tstage(3)),
+        [0.0, 0.0, 1e-300, 1e-300, 0.5, 0.5, 2.0, 2.0, 2.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GRID_CASES))
+def test_grid_reads_match_per_point_reads(name):
+    # A grid is read in batches of windows built by one _weights call and
+    # weighted against one gather of the sums; each value stays within
+    # 2e-15 of the series read at that one point, and 0 where that is 0.
+    build, grid = _GRID_CASES[name]
+    alpha, sub = build()
+    grid = np.asarray(grid, dtype=float)
+    series = fluidhit.numerics._SurvivalSeries(sub, alpha.alpha)
+    got = series.continuous(grid)
+    one = fluidhit.numerics._SurvivalSeries(sub, alpha.alpha)
+    want = np.array([one.continuous(t) for t in grid])
+    assert np.all(np.abs(got - want) <= 2e-15 * want)
+    assert np.array_equal(got, transient_survival(alpha, sub, grid))
+    if name == "rare-exit":
+        c = series.c
+        assert series.tail is not None and len(series._sums) < c * grid[-1]
+        assert len(list(fluidhit.numerics._batches(c * grid))) < grid.size // 10
+
+
+def test_trajectory_builds_its_windows_in_one_call(monkeypatch):
+    # The 401 windows of perfbench's tstage:3 curve, each a few dozen
+    # weights, are built by one _weights call, not one per point.
+    ex = gen_tstage(3)
+    calls = []
+    weights = fluidhit.numerics._weights
+
+    def counted(**kwargs):
+        calls.append(kwargs)
+        return weights(**kwargs)
+
+    monkeypatch.setattr(fluidhit.numerics, "_weights", counted)
+    fluid_trajectory(ex.default_alpha, decompose(ex.chain), np.linspace(0.0, 20.0, 401))
+    assert len(calls) == 1 and np.size(calls[0]["t"]) == 401
+
+
+def _ci_rare_exit_start():
+    """tier1.yml's 300-state chain: every state exits with 1e-5 and spreads the
+    rest over 10 seeded states; uniform start, survival exactly e^(-t/10^5)."""
+    n, p = 300, 1e-5
+    rng = random.Random(11)
+    P = np.zeros((n + 1, n + 1))
+    P[0, 0] = 1.0
+    for i in range(1, n + 1):
+        cols = rng.sample(range(1, n + 1), 10)
+        w = [rng.random() for _ in range(10)]
+        P[i, 0] = p
+        P[i, cols] = [(1 - p) * x / sum(w) for x in w]
+    return InitialDistribution.uniform(n), decompose(validate_chain(P))
+
+
+def test_wide_grid_windows_cost_what_per_point_reads_do():
+    # Windows about 34,000 wide (c t up to 4.6e5) are built one per call,
+    # as a point read alone builds them: batched, their arrays would take
+    # hundreds of MiB and more time. One batch of windows stays within
+    # WINDOW_ENTRIES, so the memory peak stays near the per-point reads'
+    # 1.2 MiB, and the time near theirs (best of five, alternating).
+    alpha, sub = _ci_rare_exit_start()
+    t_N = crossing_time(alpha, sub, 1e-2).time
+    assert t_N == pytest.approx(1e5 * math.log(100), rel=1e-9)
+    grid = np.linspace(0.0, t_N + 2.0, 201)
+    tracemalloc.start()
+    try:
+        got = transient_survival(alpha, sub, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1.2 + 4.0) * 2**20
+    assert got == pytest.approx(np.exp(-grid / 1e5), rel=1e-9, abs=0)
+
+    def per_point():
+        series = fluidhit.numerics._SurvivalSeries(sub, alpha.alpha)
+        return [series.continuous(t) for t in grid]
+
+    reads = {"grid": lambda: transient_survival(alpha, sub, grid), "points": per_point}
+    best = dict.fromkeys(reads, math.inf)
+    for _ in range(5):
+        for name, read in reads.items():
+            start = time.perf_counter()
+            read()
+            best[name] = min(best[name], time.perf_counter() - start)
+    assert best["grid"] <= 1.1 * best["points"]
 
 
 def test_survival_grid_stops_at_the_first_zero_sum(monkeypatch):

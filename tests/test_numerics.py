@@ -562,6 +562,21 @@ def _law(mu=None, k=None, p=None):
         lambda j, x: (k - j) * x / (j + 1)), (lambda j, x: j / ((k - j + 1) * x))
 
 
+def _windows(law, laws):
+    """The law's window (j0, w) from its own _weights call and, for a Poisson
+    law, its row of one batched call over every Poisson mean in laws (the row
+    checked to hold zeros past its window)."""
+    windows = [_law(**law)[0]]
+    if "k" not in law:
+        means = [other["mu"] for other in laws if "k" not in other]
+        j0, rows, ends = numerics._weights(rate=1.0, t=np.array(means))
+        i = means.index(law["mu"])
+        size = int(ends[i] - j0[i])
+        assert not rows[i, size:].any()
+        windows.append((int(j0[i]), rows[i, :size]))
+    return windows
+
+
 def _check_window(got, want, below, above):
     """got against the reference weights of its window, and the reference
     masses left out below and above it (all relative to the law's total)."""
@@ -573,69 +588,75 @@ def _check_window(got, want, below, above):
     assert below <= _TINY and above <= _TOL
 
 
-@pytest.mark.parametrize(
-    "law",
-    [{"mu": mu} for mu in (1e-6, 0.3, 1.0, 5.5, 21.0, 33.7)]
-    + [{"k": k, "p": p} for k, p in ((0, 0.4), (1, 0.5), (7, 0.3), (20, 0.05), (45, 0.5), (60, 0.9))],
-)
+_RATIONAL_LAWS = [{"mu": mu} for mu in (1e-6, 0.3, 1.0, 5.5, 21.0, 33.7)] + [
+    {"k": k, "p": p} for k, p in ((0, 0.4), (1, 0.5), (7, 0.3), (20, 0.05), (45, 0.5), (60, 0.9))
+]
+
+
+@pytest.mark.parametrize("law", _RATIONAL_LAWS)
 def test_weights_match_exact_rational_weights(law):
     # The float parameter is a rational number; the law's weights relative to
     # the mode are then exact Fractions over the whole support (for Poisson,
-    # far enough past the window that the rest is below 1e-100).
-    (j0, w), mode, up, down = _law(**law)
+    # far enough past the window that the rest is below 1e-100). A Poisson
+    # law's row of one batched call over every mean meets the same bounds.
+    _, mode, up, down = _law(**law)
     x = Fraction(law["mu"]) if "k" not in law else Fraction(law["p"]) / (1 - Fraction(law["p"]))
-    last = law["k"] if "k" in law else j0 + w.size + 200
-    rel = {mode: Fraction(1)}
-    for j in range(mode, last):
-        rel[j + 1] = rel[j] * up(j, x)
-    for j in range(mode, 0, -1):
-        rel[j - 1] = rel[j] * down(j, x)
-    total = sum(rel.values())
-    window = [rel[j] for j in range(j0, j0 + w.size)]
-    kept = sum(window)
-    want = np.array([float(v / kept) for v in window])
-    below = float(sum(rel[j] for j in range(j0)) / total)
-    above = float(sum(rel[j] for j in range(j0 + w.size, last + 1)) / total)
-    _check_window((j0, w), want, below, above)
+    for j0, w in _windows(law, _RATIONAL_LAWS):
+        last = law["k"] if "k" in law else j0 + w.size + 200
+        rel = {mode: Fraction(1)}
+        for j in range(mode, last):
+            rel[j + 1] = rel[j] * up(j, x)
+        for j in range(mode, 0, -1):
+            rel[j - 1] = rel[j] * down(j, x)
+        total = sum(rel.values())
+        window = [rel[j] for j in range(j0, j0 + w.size)]
+        kept = sum(window)
+        want = np.array([float(v / kept) for v in window])
+        below = float(sum(rel[j] for j in range(j0)) / total)
+        above = float(sum(rel[j] for j in range(j0 + w.size, last + 1)) / total)
+        _check_window((j0, w), want, below, above)
 
 
-@pytest.mark.parametrize(
-    "law",
-    [{"mu": mu} for mu in (700.0, 1e4, 1e5, 1e6)]
-    + [{"k": k, "p": p} for k, p in ((4 * 10**5, 0.3), (10**6, 0.999), (10**7, 1e-4), (10**7, 0.5))],
-)
+_DECIMAL_LAWS = [{"mu": mu} for mu in (700.0, 1e4, 1e5, 1e6)] + [
+    {"k": k, "p": p} for k, p in ((4 * 10**5, 0.3), (10**6, 0.999), (10**7, 1e-4), (10**7, 0.5))
+]
+
+
+@pytest.mark.parametrize("law", _DECIMAL_LAWS)
 def test_weights_match_decimal_recurrence(law):
     # The same ratios from the mode in 40-digit decimal, outward until the
     # terms no longer change the masses left out at 40 digits. The binomial
     # odds are the float p / (1 - p) of the kernel: its rounding moves a
     # weight x terms from the mode by about x ulps, 2e-13 relative at
-    # Binomial(4e5, 0.3)'s 1e-10 weights.
-    (j0, w), mode, up, down = _law(**law)
-    end = j0 + w.size - 1
-    with localcontext() as ctx:
-        ctx.prec = 40
-        x = Decimal(law["mu"]) if "k" not in law else Decimal(law["p"] / (1 - law["p"]))
-        masses = []
-        for step, ratio, stop in ((1, up, law.get("k", math.inf)), (-1, down, 0)):
-            window, outside, rel, j = [], Decimal(0), Decimal(1), mode
-            while True:
-                if j0 <= j <= end:
-                    window.append(rel)
-                else:
-                    outside += rel
-                    if rel <= outside * Decimal("1e-40"):
+    # Binomial(4e5, 0.3)'s 1e-10 weights. A Poisson law's row of one batched
+    # call over every mean meets the same bounds.
+    _, mode, up, down = _law(**law)
+    for j0, w in _windows(law, _DECIMAL_LAWS):
+        end = j0 + w.size - 1
+        with localcontext() as ctx:
+            ctx.prec = 40
+            x = Decimal(law["mu"]) if "k" not in law else Decimal(law["p"] / (1 - law["p"]))
+            masses = []
+            for step, ratio, stop in ((1, up, law.get("k", math.inf)), (-1, down, 0)):
+                window, outside, rel, j = [], Decimal(0), Decimal(1), mode
+                while True:
+                    if j0 <= j <= end:
+                        window.append(rel)
+                    else:
+                        outside += rel
+                        if rel <= outside * Decimal("1e-40"):
+                            break
+                    if j == stop:
                         break
-                if j == stop:
-                    break
-                rel *= ratio(j, x)
-                j += step
-            masses.append((window, outside))
-        (up_w, above), (down_w, below) = masses
-        window = down_w[:0:-1] + up_w
-        kept = sum(window)
-        want = np.array([float(v / kept) for v in window])
-        total = kept + above + below
-        _check_window((j0, w), want, float(below / total), float(above / total))
+                    rel *= ratio(j, x)
+                    j += step
+                masses.append((window, outside))
+            (up_w, above), (down_w, below) = masses
+            window = down_w[:0:-1] + up_w
+            kept = sum(window)
+            want = np.array([float(v / kept) for v in window])
+            total = kept + above + below
+            _check_window((j0, w), want, float(below / total), float(above / total))
 
 
 def test_weights_upper_cut_is_the_first_certified_term():
