@@ -25,26 +25,24 @@ from .numerics import _SurvivalSeries, expm_action
 def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     """alpha exp(Qt) 1: transient mass remaining at time t.
 
-    t may also be a finite, nonnegative, nondecreasing array of times; the
-    result is then the array of survivals. expm_action carries alpha to
-    the first time t_0, and every point is read off one survival series of
-    that vector (numerics._SurvivalSeries) at t_i - t_0: one B = I + Q/c,
-    with c = max(-Q_ii), and at most about c (max(t) - t_0) series terms in
-    all (fewer once the series settles into its geometric tail). The
-    Poisson windows are built in batches, each batch by one call as the
-    rows of one array of at most numerics.WINDOW_ENTRIES entries, and a
-    window too wide to share a call is built alone, as a lone time's is.
-    Each value truncates at most 1e-15 of the mass.
+    t is a float, read as the one-point grid [t] and returned as a float,
+    or a finite, nonnegative, nondecreasing array of times, returned as the
+    array of survivals. expm_action carries alpha to the first time t_0,
+    and every point is read off one survival series of that vector
+    (numerics._SurvivalSeries) at t_i - t_0: one B = I + Q/c, with
+    c = max(-Q_ii), and at most about c (max(t) - t_0) series terms in all
+    (fewer once the series settles into its geometric tail); a lone t is
+    the series' first sum. The Poisson windows are built in batches, each
+    by one call as the rows of one array of at most
+    numerics.WINDOW_ENTRIES entries. Each value truncates at most 1e-15 of
+    the mass.
     """
-    if np.ndim(t) == 0:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        return float(np.sum(expm_action(sub.Q, alpha.alpha, t)))
-    grid = _time_grid(t)
+    grid = _time_grid(np.atleast_1d(t))
     if not grid.size:
         return np.empty(0)
     series = _SurvivalSeries(sub, expm_action(sub.Q, alpha.alpha, grid[0]))
-    return series.continuous(grid - grid[0])
+    survival = series.continuous(grid - grid[0])
+    return survival if np.ndim(t) else float(survival[0])
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ with the sub-generator sign pattern (negative diagonal, nonnegative
 off-diagonal, row sums <= 0) get special treatment: the exponential action
 and the survival series are evaluated by uniformization with the one rate
 c = max(-Q_ii), which preserves nonnegativity exactly, with Poisson and
-binomial weights from one window around the mode (_weights). A grid of
-times reads one series, its Poisson windows built in batches of at most
-WINDOW_ENTRIES entries as rows of one array (_batches), each batch
-weighted against one gather of the sums; a window read alone is the
-one-row case of the same kernel, to the bit. The
+binomial weights from one window around the mode. Every read goes through
+one kernel: _weights builds windows as the rows of one array (a lone time
+and a binomial law are one row), and _SurvivalSeries._weighted weights a
+call's rows against one gather of the sums. A grid of times reads one
+series, its windows built in batches of at most WINDOW_ENTRIES entries
+(_batches). The
 uniformized matrix is dense for a small chain and sparse otherwise
 (_dense_pays); its row iterates are stepped as dense vectors, sparse rows or
 single entries read off Q's rows (_row_iterates), so a countdown's series
@@ -379,119 +380,118 @@ def _start_spans(sd):
 
 
 def _weights(*, rate=None, t=None, k=None, p=None):
-    """Poisson(rate t) or Binomial(k, p) weights as (j0, w), w[i] the weight of j0 + i.
+    """Poisson(rate t_i) or Binomial(k, p) windows as the rows of (j0, w, ends).
 
-    From the mode, whose weight is set to 1, the weights are built outward
-    by cumprod of their exact ratios (for Poisson(mu): mu/(j+1) up, j/mu
-    down) and divided by their sum. Away from the mode the ratios r fall,
-    so the mass beyond a weight w is at most w r / (1 - r) (Fox & Glynn,
-    CACM 31, 1988). Above the mode the window stops where that bound is
-    within 1e-15 of the total; below it, where it is within the smallest
-    normal float, as the terms s_j these weights sum grow towards j = 0 (a
-    survival of 1e-300 at c t = 690 lies wholly below the mode). The window
-    starts 38 standard deviations below the mode and 12 above it and
-    doubles until both cuts fall inside: products of subnormal floats, far
-    past a cut, are slow. Raises NonConvergent when t exceeds
+    t is a nondecreasing 1-D float array, one row per time (a lone time is
+    an array of one); a binomial law is one row. w[i, m] is the weight of
+    j0[i] + m, ends[i] - j0[i] is the length of row i's window, and w[i] is
+    zero past it (_batches says how many rows one call should take). From
+    the mode, whose weight is set to 1, the weights are built outward by
+    cumprod of their exact ratios (for Poisson(mu): mu/(j+1) up, j/mu down)
+    and divided by their sum. Away from the mode the ratios r fall, so the
+    mass beyond a weight w is at most w r / (1 - r) (Fox & Glynn, CACM 31,
+    1988). Above the mode a window stops where that bound is within 1e-15
+    of the total; below it, where it is within the smallest normal float,
+    as the terms s_j these weights sum grow towards j = 0 (a survival of
+    1e-300 at c t = 690 lies wholly below the mode). Every row is built
+    over the sides of the widest, the last: they start 38 of its standard
+    deviations below its mode and 12 above it and double until every row's
+    two cuts fall inside, as products of subnormal floats, far past a cut,
+    are slow. A row is summed over the width of its call's widest window,
+    so a row built among wider ones may differ in the last bits from the
+    same window built alone. Raises NonConvergent when a time exceeds
     TERM_BUDGET / rate: the sum takes about rate t terms.
-
-    t may also be a nondecreasing 1-D float array: every window is then
-    built at once, as a row of one array, and (j0, w, ends) comes back, j0
-    and ends arrays with ends[i] - j0[i] the length of row i, w zero past
-    it (_batches says how many rows one call should take). Every row runs the
-    arithmetic of a lone t over the sides of the widest row, the last, and
-    is cut and normalized as a lone window is. A lone t is the one-row
-    case, its sums over exactly its own sides and window, so it gets its
-    window to the bit; a row of a wider array, summed over more entries,
-    may differ from that in the last bits.
     """
-    batch = isinstance(t, np.ndarray)
     if k is None:
-        top = float(t[-1]) if batch else t  # the largest time
-        if top > TERM_BUDGET / rate:
-            t = float(t[np.argmax(t > TERM_BUDGET / rate)]) if batch else t  # the first past it
+        if t[-1] > TERM_BUDGET / rate:
+            first = float(t[np.argmax(t > TERM_BUDGET / rate)])
             raise NonConvergent(
-                f"Poisson mean Lambda t = {rate * t:.3g} (t = {t:.6g}, Lambda = {rate:.6g}) "
+                f"Poisson mean Lambda t = {rate * first:.3g} (t = {first:.6g}, Lambda = {rate:.6g}) "
                 f"exceeds the series term budget {TERM_BUDGET:.0e}"
             )
         mu = rate * t
-        if batch:
-            # A row of mean 0, the one weight 1 at j = 0, is built at the
-            # largest mean (or 1) and replaced.
-            live = mu > 0.0
-            mu = np.where(live, mu, mu[-1] if mu[-1] > 0.0 else 1.0)[:, None]
-            mode, top_mode, top_sd = np.floor(mu), math.floor(mu[-1, 0]), math.sqrt(mu[-1, 0])
-        elif mu == 0.0:
-            return 0, np.ones(1)
-        else:
-            mode = top_mode = math.floor(mu)
-            top_sd = math.sqrt(mu)
-        end = math.inf
+        # Means of 0 lead the nondecreasing means. Such a row is the one
+        # weight 1 at j = 0, built at the largest mean and replaced.
+        dead = 0 if mu[0] > 0.0 else int(np.searchsorted(mu, 0.0, side="right"))
+        if dead == mu.size:
+            return np.zeros(dead, np.int64), np.ones((dead, 1)), np.ones(dead, np.int64)
+        top = float(mu[-1])
+        if dead:
+            mu[:dead] = top
+        mu = mu[:, None]
+        mode, top_mode, end, top_sd = np.floor(mu), math.floor(top), math.inf, math.sqrt(top)
 
-        def up(j):
-            return mu / (j + 1)
+        def down(j, out):  # from the weight of j to that of j - 1
+            return np.divide(j, mu, out)
 
-        def down(j):
-            return j / mu
+        def up(j1, out):  # from the weight of j1 - 1 to that of j1
+            return np.divide(mu, j1, out)
     else:
         if p == 0.0 or p == 1.0:
-            return (k if p == 1.0 else 0), np.ones(1)
+            j0 = np.array([k if p == 1.0 else 0])
+            return j0, np.ones((1, 1)), j0 + 1
         odds = p / (1.0 - p)
-        mode = top_mode = min(k, math.floor((k + 1) * p))
-        end, top_sd = k, math.sqrt(k * p * (1.0 - p))
+        dead, top_mode, end = 0, min(k, math.floor((k + 1) * p)), k
+        mode, top_sd = np.full((1, 1), float(top_mode)), math.sqrt(k * p * (1.0 - p))
 
-        def up(j):
-            return (k - j) / (j + 1) * odds
+        def down(j, out):
+            return np.divide(j, (k - j + 1) * odds, out)
 
-        def down(j):
-            return j / ((k - j + 1) * odds)
+        def up(j1, out):
+            return np.multiply((k - (j1 - 1)) / j1, odds, out)
 
-    # Every row gets the sides of the widest, the last: a narrower row's
-    # sides reach further than its own, below j = 0 as zeros.
+    rows = len(mode)
     below, above = _start_spans(top_sd)
-    # The support's ends stop a side too: there r = 0.
-    tols = (np.finfo(float).tiny, 1e-15)
     while True:
-        # Float indices: exact below 2^53, and no int64 overflow for a huge k.
-        span = min(below, top_mode)
-        if batch:
-            j_down = np.maximum(mode - np.arange(span + 1, dtype=float), 0.0)
-        else:
-            j_down = np.arange(mode, mode - span - 1, -1, dtype=float)
-        j_up = mode + np.arange(min(above, end - top_mode) + 1, dtype=float)
-        sides = []
-        for j, ratio in ((j_down, down), (j_up, up)):
-            r = ratio(j)  # r[..., i] leads from the weight of j[..., i] to the next one out
-            w = np.empty_like(r)
-            w[..., 0] = 1.0
-            np.cumprod(r[..., :-1], axis=-1, out=w[..., 1:])
-            sides.append((w, r))
-        (down_w, _), (up_w, _) = sides
-        total = down_w.sum(axis=-1, keepdims=batch) + up_w.sum(axis=-1, keepdims=batch) - 1.0
-        cuts = []
-        for (w, r), side_tol in zip(sides, tols):
-            room = 1.0 - r
-            room *= side_tol * total  # in place: a broadcast product into a new array is slower
-            cuts.append(w * r <= room)
-        if (cuts[0].any(axis=-1) & cuts[1].any(axis=-1)).all():
+        nd, nu = min(below, top_mode) + 1, min(above, end - top_mode) + 1
+        # Column c of a row is j = mode - nd + c, its mode at column nd, and
+        # j1 holds j + 1 (floats: exact below 2^53, and no int64 overflow for
+        # a huge k). r[:, c] leads to the weight at column c from the one
+        # next to it towards the mode (r = 1 at the mode itself), and w is
+        # the cumprod outward from the mode. The outermost weights, columns
+        # 0 and nd + nu, are the next ones past the sides. A row of a smaller
+        # mode steps below j = 0, where its r is 0 and then negative: its
+        # weights there are zeros, outside its window. w has room past the
+        # up side for the gather.
+        j1 = mode + np.arange(1.0 - nd, nu + 1.0)
+        r, w = np.ones((rows, nd + nu + 1)), np.zeros((rows, 2 * nd + nu))
+        down(j1[:, :nd], r[:, :nd])
+        up(j1[:, nd:], r[:, nd + 1 :])
+        upper = w[:, nd : nd + nu + 1]
+        # Positional arguments: keywords cost a microsecond a call here.
+        np.multiply.accumulate(r[:, nd::-1], 1, None, w[:, nd::-1])
+        np.multiply.accumulate(r[:, nd:], 1, None, upper)
+        total = np.add.reduce(w[:, 1 : nd + nu], 1)[:, None]
+        room = np.subtract(1.0, r, r)  # in place, as are the products
+        room[:, :nd] *= 2.0**-1022 * total  # the smallest normal float
+        room[:, nd + 1 :] *= 1e-15 * total
+        cuts = w[:, : nd + nu + 1] <= room
+        # Outward w r falls and 1 - r grows, so a side stays cut once cut
+        # (the support's ends cut it too, as r = 0 there; the mode, where
+        # room is 0, never is): every row holds both cuts when its
+        # outermost columns are cut.
+        if np.count_nonzero(cuts[:, :: nd + nu]) == 2 * rows:
             break
         below, above = 2 * below, 2 * above
-    lo, hi = (cut.argmax(axis=-1) for cut in cuts)
-    if not batch:
-        w = np.concatenate((down_w[lo:0:-1], up_w[: hi + 1]))
-        return int(mode - lo), w / w.sum()
-    # Both sides in one row, every row's mode at column down_w.shape[1] - 1,
-    # and wide enough that each row's window is one slice of it.
-    size = np.where(live, lo + hi + 1, 1)
-    start = down_w.shape[1] - 1 - lo
-    width = int(size.max())
-    both = np.zeros((lo.size, max(down_w.shape[1] + up_w.shape[1] - 1, int(start.max()) + width)))
-    both[:, : down_w.shape[1]] = down_w[:, ::-1]
-    both[:, down_w.shape[1] : down_w.shape[1] + up_w.shape[1] - 1] = up_w[:, 1:]
-    w = np.lib.stride_tricks.sliding_window_view(both, width, axis=1)[np.arange(lo.size), start]
-    w[np.arange(width) >= size[:, None]] = 0.0  # past the row's own window
-    w[~live] = np.arange(width) == 0
-    w /= w.sum(axis=1, keepdims=True)
-    j0 = np.where(live, mode[:, 0] - lo, 0.0).astype(np.int64)
+    lo = cuts[:, nd - 1 :: -1].argmax(1)
+    past = cuts[:, nd:]
+    np.putmask(upper, past, 0.0)  # zeros past each row's upper cut
+    size = lo + past.argmax(1)  # the upper cut, counted from the mode, is hi + 1
+    width = max(size.tolist())  # a numpy reduction's set-up outweighs a list of rows
+    # Row i's window starts at column nd - lo[i]. windows[i, l] is the stretch
+    # of row i of the widest window's width from column nd - l (what
+    # sliding_window_view gives, without its Python set-up), so the gather
+    # copies whole rows: indexing single columns costs ten times as much on
+    # a batch of 400 rows.
+    step, col = w.strides
+    windows = np.ndarray((rows, nd + 1, width), float, w, nd * col, (step, -col, col))
+    w = windows[np.arange(rows), lo]
+    j0 = (mode[:, 0] - lo).astype(np.int64)
+    if dead:
+        w[:dead] = 0.0
+        w[:dead, 0] = 1.0
+        j0[:dead], size[:dead] = 0, 1
+    w /= np.add.reduce(w, 1)[:, None]
     return j0, w, j0 + size
 
 
@@ -501,12 +501,24 @@ def _batches(mu):
     A row's width is that of the two sides _weights starts from. Rows no
     wider than WINDOW_ENTRIES / 32 share a call while the rows times the
     last (widest) row's width stay within WINDOW_ENTRIES; a wider row is
-    built alone. A shared call saves each row the fixed cost of a call,
-    about 30 us, but costs more per entry than a row built alone: on a
-    2-vCPU x86-64 host, four rows 500 wide took 0.10 ms shared against
-    0.15 ms alone, four 2,000 wide 0.19 against 0.22 ms, four 8,000 wide
-    0.53 against 0.53 ms, and eight 8,000 wide 2.3 against 1.1 ms.
+    built alone, as a lone mean is. A shared call saves each row the fixed
+    cost of a call, about 30 us, but costs more per entry than a row built
+    alone: on a 2-vCPU x86-64 host, four rows 500 wide took 0.06 ms shared
+    against 0.14 ms alone, four 2,000 wide 0.12 against 0.19 ms, four
+    8,000 wide 0.72 against 0.45 ms, and eight 8,000 wide 1.4 against
+    0.85 ms.
     """
+    # Where the rule takes every row at once, a lone mean or narrow means
+    # that fit under the widest, the slice comes without arrays.
+    if mu.size == 1:
+        yield slice(0, 1)
+        return
+    if mu.size:
+        below, above = _start_spans(math.sqrt(mu[-1]))
+        widest = min(below, math.floor(mu[-1])) + above + 2
+        if widest <= WINDOW_ENTRIES // 32 and mu.size * widest <= WINDOW_ENTRIES:
+            yield slice(0, mu.size)
+            return
     below, above = _start_spans(np.sqrt(mu))
     width = np.minimum(below, np.floor(mu)) + above + 2
     narrow = int(np.searchsorted(width, WINDOW_ENTRIES // 32, side="right"))
@@ -543,10 +555,10 @@ def expm_action(Q, v, t):
     if c <= 0.0:
         return v.copy()  # exp(Qt) = I for the zero generator
 
-    j0, weights = _weights(rate=c, t=t)
+    j0, weights, _ = _weights(rate=c, t=np.array([t]))  # one row, as wide as its window
     acc = np.zeros(v.shape[0])
-    iterates = itertools.islice(_row_iterates(Q, c, v), j0, None)
-    for w, u in zip(weights, iterates):
+    iterates = itertools.islice(_row_iterates(Q, c, v), int(j0[0]), None)
+    for w, u in zip(weights[0], iterates):
         if isinstance(u, _Entry):
             acc[u.col] += w * u.val
         elif isinstance(u, _SparseRow):
@@ -575,14 +587,15 @@ class _SurvivalSeries:
     only the sums s_j are kept. continuous(t) = v exp(Qt) 1 and
     discrete(k, N) = v (I + Q/N)^k 1, which needs N >= c so that its
     binomial weights are probabilities (PhaseType's ScaleTooSmall guards
-    every caller); both weight the s_j over the window of _weights. The
-    number of terms a value needs is at most about c t or k c / N, however
-    many values are read. continuous also takes a nondecreasing array of
-    times: the windows of a batch (_batches) come from one _weights call,
-    the series is stepped once to the end of the last, and every row is
-    weighted against one gather of the sums (_weighted_rows), each value
-    within a few ulps of the same time read alone; a batch of one row is
-    read as a lone time is. B and the iterates are nonnegative, so an s_j of
+    every caller); both weight the s_j over rows of _weights through
+    _weighted, a lone time and a binomial law being one row. The number of
+    terms a value needs is at most about c t or k c / N, however many
+    values are read. A grid of times is read in the batches of _batches:
+    one _weights call each, the series stepped once to the end of the
+    last window, and every row weighted against one gather of the sums,
+    each value within a few ulps of the same time read alone (its window
+    is summed over the batch's widest). B and the iterates are
+    nonnegative, so an s_j of
     exactly 0 is a zero iterate, and every later sum is 0 as well: from
     there the sums are padded with zeros, not stepped (a survival that
     underflows early on a long grid costs no more terms).
@@ -613,7 +626,7 @@ class _SurvivalSeries:
         v = np.asarray(v, dtype=float)
         self._sums = array("d", [v.sum()])
         self._iterates = _row_iterates(sub.Q, self.c, v)
-        self._last = next(self._iterates)  # v itself, already summed
+        self._last = None  # the last iterate; v itself, already summed, once stepping starts
         self._spread = math.inf  # the relative spread at the last check
         self._due = 1  # the step of the next check
         self.tail = None
@@ -650,6 +663,8 @@ class _SurvivalSeries:
         if self.tail is None and len(sums) < stop:
             # Local names: a countdown steps each term in well under 1 us.
             iterates, append, dense = self._iterates, sums.append, np.ndarray
+            if self._last is None:
+                self._last = next(iterates)  # B is built no sooner than a step needs it
             with np.errstate(divide="ignore", invalid="ignore"):
                 while len(sums) < stop:
                     if sums[-1] == 0.0:
@@ -661,42 +676,24 @@ class _SurvivalSeries:
                         break
         return min(len(sums), stop)
 
-    def _weighted(self, j0, weights, ratio=None):
-        """sum_i weights[i] s_{j0+i}, stepping the iterates as far as needed.
-
-        Past a certified tail the sums are s_J ratio^(j-J), ratio the
-        midpoint of the tail's [lo, hi] when None.
-        """
-        stop = j0 + weights.size
-        known = self._stepped(stop)
-        sums = self._sums
-        n = max(known - j0, 0)  # the weights of stepped sums
-        # The view is released on return; a live one would block append.
-        head = float(weights[:n] @ np.frombuffer(sums, count=known)[j0:])
-        if known == stop:
-            return head
-        J = known - 1
-        if ratio is None:
-            ratio = 0.5 * (self.tail.lo + self.tail.hi)
-        powers = np.power(ratio, np.arange(j0 + n - J, stop - J, dtype=float))
-        return head + sums[J] * float(weights[n:] @ powers)
-
-    def _weighted_rows(self, j0, weights, ends):
-        """The sums of _weighted for every row of weights: j0[i] and ends[i] bound row i.
+    def _weighted(self, j0, weights, ends, ratio=None):
+        """sum_m weights[i, m] s_{j0[i]+m} for every row i, stepping the iterates as far as needed.
 
         The series is stepped once, to the last end, and every row is
-        weighted against one gather of the sums; past a certified tail the
-        gather reads s_J r^(j-J), r the tail's midpoint ratio.
+        weighted against one gather of the sums. Past a certified tail the
+        gather reads s_J ratio^(j-J), ratio the midpoint of the tail's
+        [lo, hi] when None.
         """
-        stop = int(ends.max())
+        stop = max(ends.tolist())  # cheaper than a numpy reduction over few rows
         known = self._stepped(stop)
-        at = np.minimum(j0[:, None] + np.arange(weights.shape[1]), stop - 1)
+        at = j0[:, None] + np.arange(weights.shape[1])
         sums = np.frombuffer(self._sums, count=known)
-        terms = sums[np.minimum(at, known - 1)]
+        terms = sums.take(at, mode="clip")  # past the row's end its weights are 0
         if known < stop:
             J = known - 1
             past = at > J
-            ratio = 0.5 * (self.tail.lo + self.tail.hi)
+            if ratio is None:
+                ratio = 0.5 * (self.tail.lo + self.tail.hi)
             terms[past] = sums[J] * np.power(ratio, (at[past] - J).astype(float))
         return (weights[:, None, :] @ terms[:, :, None])[:, 0, 0]
 
@@ -711,23 +708,19 @@ class _SurvivalSeries:
     def continuous(self, t):
         """v exp(Qt) 1, the Poisson(ct)-weighted sum of the s_j.
 
-        t may also be a nondecreasing 1-D array of float times, read in the
-        batches of _batches: one _weights call and one _weighted_rows
-        gather each, a batch of one row read as a lone t is.
+        t is a float, read as a one-point grid and answered with a float,
+        or a nondecreasing 1-D array of finite, nonnegative times, read in
+        the batches of _batches: one _weights call and one _weighted gather
+        each. Raises ValueError when the first time is negative or the last
+        is not finite.
         """
-        if not isinstance(t, np.ndarray):
-            if not (math.isfinite(t) and t >= 0):
-                raise ValueError(f"t must be finite and nonnegative, got {t}")
-            return self._weighted(*_weights(rate=self.c, t=t))
-        if not (np.isfinite(t).all() and (t[:1] >= 0).all() and (np.diff(t) >= 0).all()):
-            raise ValueError("times must be finite, nonnegative and nondecreasing")
-        out = np.empty(t.size)
-        for rows in _batches(self.c * t):
-            if rows.stop - rows.start == 1:
-                out[rows] = self.continuous(float(t[rows.start]))
-            else:
-                out[rows] = self._weighted_rows(*_weights(rate=self.c, t=t[rows]))
-        return out
+        times = np.array(t, float, ndmin=1)
+        if times.size and not (times[0] >= 0.0 and times[-1] < math.inf):
+            raise ValueError(f"times must be finite and nonnegative, got {t}")
+        out = np.empty(times.size)
+        for rows in _batches(self.c * times):
+            out[rows] = self._weighted(*_weights(rate=self.c, t=times[rows]))
+        return out if isinstance(t, np.ndarray) else float(out[0])
 
     def discrete(self, k, N):
         """v (I + Q/N)^k 1, the Binomial(k, c/N)-weighted sum of the s_j."""
@@ -737,7 +730,7 @@ class _SurvivalSeries:
                 f"binomial mean k c/N = {k * p:.3g} (k = {k}, N = {N}, c = {self.c:.6g}) "
                 f"exceeds the series term budget {TERM_BUDGET:.0e}"
             )
-        return self._weighted(*_weights(k=k, p=p))
+        return float(self._weighted(*_weights(k=k, p=p))[0])
 
 
 def eigen_spectrum(A):

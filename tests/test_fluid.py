@@ -366,8 +366,8 @@ class _PinnedRatio:
         return self.series.time_limit()
 
     def continuous(self, t):
-        weights = fluidhit.numerics._weights(rate=self.c, t=t)
-        return self.series._weighted(*weights, ratio=self.ratio)
+        weights = fluidhit.numerics._weights(rate=self.c, t=np.array([t]))
+        return self.series._weighted(*weights, ratio=self.ratio)[0]
 
 
 def test_stiff_crossing_matches_expm_inside_its_bracket():
@@ -390,6 +390,25 @@ def test_stiff_crossing_matches_expm_inside_its_bracket():
     # The certified bracket is narrower than the 1e-10 perfbench reads t_N to.
     assert t_lo <= t <= t_hi <= t_lo + 1e-10 * t
     assert t == pytest.approx(expm_crossing(sub.Q.toarray(), alpha.alpha, 1e-2), rel=1e-10, abs=0)
+
+
+def test_geometric_tail_brackets_the_decay_rate():
+    # Every certified tail's ratio bracket [lo, hi] gives a bracket
+    # [c (1 - hi), c (1 - lo)] for the decay rate nu of the start's own
+    # survival. On seeded random chains it lies within dominant_eigen's
+    # stated tolerance, 0.525e-10 c, of -dominant_eigen(Q) (measured: within
+    # 2.0e-11 c); it need not contain that value.
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        S, density = int(rng.integers(5, 301)), float(rng.uniform(0.05, 1.0))
+        sub = decompose(random_chain(rng, S, density))
+        series = fluidhit.numerics._SurvivalSeries(sub, InitialDistribution.uniform(S).alpha)
+        _crossing(series, 1e-12)
+        tail, c = series.tail, series.c
+        assert tail is not None, f"seed {seed}: no tail"
+        nu = -fluidhit.numerics.dominant_eigen(sub.Q)
+        far = max(abs(c * (1.0 - tail.hi) - nu), abs(c * (1.0 - tail.lo) - nu))
+        assert far <= 0.525e-10 * c, f"seed {seed}: {far / c:.3g} c from nu"
 
 
 def test_trajectory_classical_points():
@@ -453,7 +472,7 @@ def test_trajectory_steps_one_series_across_the_grid(monkeypatch):
         traj = fluid_trajectory(alpha, sub, grid)
         monkeypatch.undo()
         c = sub.max_exit_rate
-        j0, window = fluidhit.numerics._weights(rate=c, t=grid[-1])
+        [j0], [window], _ = fluidhit.numerics._weights(rate=c, t=grid[-1:])
         assert len(built) == 1 and len(expm_calls) <= 1
         if stop is None:
             assert c * grid[-1] <= len(terms) <= j0 + window.size
@@ -515,6 +534,11 @@ def test_grid_reads_match_per_point_reads(name):
     want = np.array([one.continuous(t) for t in grid])
     assert np.all(np.abs(got - want) <= 2e-15 * want)
     assert np.array_equal(got, transient_survival(alpha, sub, grid))
+    # A lone time is the one-row case of the same read: each point read
+    # alone, off the series or by transient_survival, is its one-point grid.
+    for t, lone in zip(grid, want):
+        assert lone == one.continuous(np.array([t]))[0]
+        assert transient_survival(alpha, sub, t) == transient_survival(alpha, sub, [t])[0]
     if name == "rare-exit":
         c = series.c
         assert series.tail is not None and len(series._sums) < c * grid[-1]

@@ -552,13 +552,19 @@ _TOL = 1e-15
 _TINY = np.finfo(float).tiny
 
 
+def _lone(rows):
+    """The window (j0, w) of a _weights call that built one row."""
+    [j0], [w], _ = rows
+    return int(j0), w
+
+
 def _law(mu=None, k=None, p=None):
     """(weights, mode, up, down) of Poisson(mu) or Binomial(k, p), the ratios
     as functions of Fraction or Decimal arguments."""
     if k is None:
-        return numerics._weights(rate=1.0, t=mu), math.floor(mu), (
+        return _lone(numerics._weights(rate=1.0, t=np.array([mu]))), math.floor(mu), (
             lambda j, x: x / (j + 1)), (lambda j, x: j / x)
-    return numerics._weights(k=k, p=p), min(k, math.floor((k + 1) * p)), (
+    return _lone(numerics._weights(k=k, p=p)), min(k, math.floor((k + 1) * p)), (
         lambda j, x: (k - j) * x / (j + 1)), (lambda j, x: j / ((k - j + 1) * x))
 
 
@@ -663,19 +669,19 @@ def test_weights_upper_cut_is_the_first_certified_term():
     # The upper cut is the first n > mu - 1 with w_n mu / (n + 1 - mu) <= tol
     # (Fox & Glynn's bound on the Poisson mass past n).
     for mu in (32.2, 738.0, 1e5):
-        j0, w = numerics._weights(rate=1.0, t=mu)
+        j0, w = _lone(numerics._weights(rate=1.0, t=np.array([mu])))
         n = j0 + w.size - 1
         assert w[-1] * mu / (n + 1 - mu) <= _TOL < w[-2] * mu / (n - mu)
-    j0, w = numerics._weights(rate=1.0, t=1e5)
+    j0, w = _lone(numerics._weights(rate=1.0, t=np.array([1e5])))
     assert j0 + w.size == 102_523  # the term count README quotes
 
 
 def test_weights_of_degenerate_laws():
-    assert [(j0, w.tolist()) for j0, w in (
-        numerics._weights(rate=1.0, t=1e-320 * 1e-10),
+    assert [(j0, w.tolist()) for j0, w in map(_lone, (
+        numerics._weights(rate=1.0, t=np.array([1e-320 * 1e-10])),
         numerics._weights(k=9, p=0.0),
         numerics._weights(k=9, p=1.0),
-    )] == [(0, [1.0]), (0, [1.0]), (9, [1.0])]
+    ))] == [(0, [1.0]), (0, [1.0]), (9, [1.0])]
 
 
 def test_eigen_tstage3_triple_eigenvalue():
