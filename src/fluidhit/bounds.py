@@ -183,7 +183,9 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
     comes from the Perron iteration alone; when the Perron iteration fails,
     nu and k are both skipped. notes["spectral"] records each skip. A class
     past the dense cap also leaves max_neg_qinv out, with
-    notes["max_neg_qinv"] saying why.
+    notes["max_neg_qinv"] saying why. The spectrum, the Perron root and
+    max_neg_qinv all read the strongly connected classes that the chain's
+    SubGenerator keeps, so the classes are found once per chain.
 
     Raises InconsistentBounds if the bracket is empty or leaves out the
     exact value.
@@ -205,7 +207,7 @@ def assemble_report(example: NamedExample, N, estimate_gamma=False) -> BoundRepo
         # route on the sparse matrix.
         notes["spectral"] = f"multiplicity skipped: {exc}"
         try:
-            nu = -dominant_eigen(sub.Q)
+            nu = -dominant_eigen(sub)
         except (NonConvergent, SlowConvergence) as exc:
             notes["spectral"] += f"; nu skipped: {exc}"
     except (NonConvergent, SlowConvergence) as exc:

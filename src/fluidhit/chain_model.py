@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .numerics import DENSE_CAP, _factor, _max_fundamental_entry, solve_linear
+from .numerics import DENSE_CAP, _factor, _max_fundamental_entry, _strong_blocks, solve_linear
 
 ROW_SUM_TOL = 1e-12
 
@@ -143,6 +143,20 @@ class SubGenerator:
         d = self.exit_rates
         floor = 1e-14 * float(np.max(2.0 * d - self.Q0, initial=0.0))
         return _factor(self.Q, floor, diag=-d)[0]
+
+    @cached_property
+    def _classes(self):
+        """The strongly connected classes of Q's support (numerics._Blocks), found once.
+
+        numerics._strong_blocks, stored zeros ignored, run on first use.
+        eigen_spectrum, dominant_eigen and the resolvent maximum read them
+        when given the sub-generator, so a report, and every report on the
+        same chain, makes one pass. Its arrays are read-only.
+        """
+        blocks = _strong_blocks(self.Q)
+        for a in (blocks.singleton, blocks.states, blocks.sizes):
+            a.flags.writeable = False
+        return blocks
 
     @cached_property
     def _jump_chain(self):
@@ -335,9 +349,11 @@ def expected_hitting_times(sub: SubGenerator) -> np.ndarray:
 class ResolventQuantities:
     """max_jk (-Q)^-1_jk of a sub-generator, computed on each access.
 
-    numerics._max_fundamental_entry reads it off Q's strongly connected
-    classes. No bound uses it since theorem1 switched to max_x W: the report
-    still carries the value, and perfbench's tracer wraps max_neg_qinv.
+    numerics._max_fundamental_entry reads it off the strongly connected
+    classes the sub-generator keeps (SubGenerator._classes), the ones the
+    spectrum and the Perron root read. No bound uses it since theorem1
+    switched to max_x W: the report still carries the value, and
+    perfbench's tracer wraps max_neg_qinv.
     """
 
     def __init__(self, sub: SubGenerator):
@@ -345,7 +361,7 @@ class ResolventQuantities:
 
     @property
     def max_neg_qinv(self) -> float:
-        return _max_fundamental_entry(self._sub.Q)
+        return _max_fundamental_entry(self._sub)
 
 
 def mean_jump_count(sub: SubGenerator, alpha: InitialDistribution) -> float:

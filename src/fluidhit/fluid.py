@@ -125,7 +125,7 @@ def _crossing(series, epsilon) -> CrossingResult:
         # difference of two logs cancels to 0 and the interpolation stalls.
         return math.log(s / epsilon) if s > 0.0 else -math.inf
 
-    t_lo, f_lo = 0.0, excess(series.continuous(0.0))
+    t_lo, f_lo = 0.0, excess(series._sums[0])  # S(0), the series' first sum
     t_max = series.time_limit()
     t_hi = min(1.0 / series.c, t_max)
     while (s := series.continuous(t_hi)) > epsilon:

@@ -24,13 +24,16 @@ the countdowns' single-entry and sparse-row steps are stepped as before,
 to the bit. Only this module works class by class: the dominant
 eigenvalue, the spectrum and the resolvent maximum are read off the
 strongly connected classes of Q's support (_strong_blocks, stored zeros
-ignored), a class of one state exactly from its diagonal entry.
-_Blocks.dense_blocks densifies the others and refuses one past DENSE_CAP
-before it densifies any; I + Q/Lambda, whose Perron root gives the
-dominant eigenvalue, is formed on them only. One routine, _factor, chooses
-every factorization: substitution for a large sparse triangle
-(_triangular_solver), SuperLU for a sparse non-triangular system past
-DENSE_CAP rows, a dense LU for any other.
+ignored), a class of one state exactly from its diagonal entry. Given a
+SubGenerator instead of a matrix, the three read the classes it keeps
+(SubGenerator._classes) and the diagonal of its exit rates, so a report
+finds the classes once. _Blocks.dense_blocks densifies the classes of
+more than one state and refuses one past DENSE_CAP before it densifies
+any; I + Q/Lambda, whose Perron root gives the dominant eigenvalue, is
+formed on them only. One routine, _factor, chooses every factorization:
+substitution for a large sparse triangle (_triangular_solver), SuperLU
+for a sparse non-triangular system past DENSE_CAP rows, a dense LU for
+any other.
 """
 
 from __future__ import annotations
@@ -733,22 +736,36 @@ class _SurvivalSeries:
         return float(self._weighted(*_weights(k=k, p=p))[0])
 
 
+def _diagonal_and_classes(A):
+    """(diagonal, _Blocks) of a square matrix A, or of the Q of a SubGenerator A.
+
+    A SubGenerator (what has exit_rates) gives -exit_rates, Q's diagonal to
+    the bit, and the classes it keeps (SubGenerator._classes); a matrix,
+    dense or sparse, the diagonal of its float CSR form and a fresh
+    _strong_blocks pass.
+    """
+    if hasattr(A, "exit_rates"):
+        return -A.exit_rates, A._classes
+    A = sp.csr_array(A, dtype=float)
+    return A.diagonal(), _strong_blocks(A)
+
+
 def eigen_spectrum(A):
     """All eigenvalues of a square A (dense or sparse), by decreasing real part.
 
     A is block-triangular over its strongly connected classes
     (_strong_blocks), so its spectrum is the union of the diagonal blocks'
     spectra: a class of one state contributes its diagonal entry exactly,
-    and the dense block of each other class goes to LAPACK. The array is
+    and the dense block of each other class goes to LAPACK. A may be a
+    SubGenerator, whose Q is read with the classes it keeps. The array is
     real when no eigenvalue has an imaginary part (as np.linalg.eigvals
     returns it), and equal real parts keep their block order. Raises
     DimensionTooLarge when a class has more than DENSE_CAP states (use
     dominant_eigen for the leading eigenvalue then).
     """
-    A = sp.csr_array(A, dtype=float)
-    blocks = _strong_blocks(A)
+    diag, blocks = _diagonal_and_classes(A)
     vals = np.concatenate([
-        A.diagonal()[blocks.singleton],
+        diag[blocks.singleton],
         *(eigvals(block, overwrite_a=True) for block in blocks.dense_blocks()),
     ])
     vals = vals if vals.imag.any() else vals.real
@@ -769,16 +786,16 @@ def dominant_eigen(Q):
     maximum. Each block's Collatz-Wielandt min and max ratios bracket its
     root; the iteration stops once the largest (with the singletons') are
     within 1e-10 relative, so -nu is bracketed to within 0.525e-10 max(-Q_ii).
+    Q may be a SubGenerator, read with the classes it keeps.
 
     Raises SlowConvergence with the current estimate after
     MAX_POWER_ITERATIONS iterations, and NonConvergent when entries of the
     iterated vector underflow to 0 (their ratios then bracket nothing).
     """
-    diag = Q.diagonal()
+    diag, blocks = _diagonal_and_classes(Q)
     lam = 1.05 * float(np.max(-diag))
     if lam <= 0.0:
         return 0.0
-    blocks = _strong_blocks(Q)
     rho = float((diag[blocks.singleton] * (1.0 / lam) + 1.0).max(initial=0.0))
     if not blocks.sizes.size:
         return lam * (rho - 1.0)
@@ -813,10 +830,11 @@ def _max_fundamental_entry(Q):
     (-Q)^-1_jk = P_j(hit k) (-Q)^-1_kk puts the maximum on the diagonal, and
     a return to k never leaves k's class C, so (-Q)^-1_kk = (-Q_C)^-1_kk:
     1/(-Q_kk) for a class of one state, the dense block's inverse otherwise.
-    Raises DimensionTooLarge when a class has more than DENSE_CAP states.
+    Q may be a SubGenerator, read with the classes it keeps. Raises
+    DimensionTooLarge when a class has more than DENSE_CAP states.
     """
-    blocks = _strong_blocks(Q)
-    best = float(np.max(1.0 / -Q.diagonal()[blocks.singleton], initial=0.0))
+    diag, blocks = _diagonal_and_classes(Q)
+    best = float(np.max(1.0 / -diag[blocks.singleton], initial=0.0))
     for block in blocks.dense_blocks():
         best = max(best, float(np.max(np.linalg.inv(-block).diagonal())))
     return best
@@ -828,7 +846,9 @@ class _Blocks(NamedTuple):
     singleton: np.ndarray  # mask of the states that form a class alone
     states: np.ndarray  # the other states, grouped by class
     sizes: np.ndarray  # the sizes of their classes, in block order
-    inner: sp.csr_array  # A[states][:, states] without the entries between classes
+    # A[states][:, states] without the entries between classes; None when
+    # every class is a single state.
+    inner: sp.csr_array | None
 
     def dense_blocks(self):
         """Each class's block of inner as a dense array, in block order.
@@ -853,13 +873,18 @@ def _strong_blocks(A):
     so A is copied without them when it stores one). The states that form a
     class alone are masked out; the others are stably sorted by class label,
     so each class is a contiguous block of A[states][:, states], and inner
-    keeps only the entries within a block.
+    keeps only the entries within a block. When every class is a single
+    state (a triangular A, as on every countdown chain) the pass ends at
+    the labels, with no block to gather.
     """
     A = sp.csr_array(A)
     if not A.data.all():
         A = A.copy()
         A.eliminate_zeros()
-    _, labels = connected_components(A, directed=True, connection="strong")
+    count, labels = connected_components(A, directed=True, connection="strong")
+    if count == A.shape[0]:
+        empty = np.empty(0, np.intp)
+        return _Blocks(np.ones(count, bool), empty, empty.copy(), None)
     sizes = np.bincount(labels)
     singleton = sizes[labels] == 1
     states = np.flatnonzero(~singleton)

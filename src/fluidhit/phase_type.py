@@ -136,15 +136,17 @@ def spectral_params(sub: SubGenerator, estimate_gamma=False, alpha=None) -> Spec
     1e-10 max(||Q||_inf, 1) of -nu, and k = 0 when none is. eigen_spectrum
     works on the sparse Q class by class: a strongly connected class of one
     state gives its diagonal entry exactly, and DimensionTooLarge is raised
-    only when one class has more than DENSE_CAP states.
+    only when one class has more than DENSE_CAP states. Both are given sub
+    itself and read the classes it keeps (SubGenerator._classes), found
+    once.
 
     Raises DegenerateTail when a requested gamma fit finds no usable overlap
     between alpha and the dominant eigenspace.
     """
     # The spectrum first: a strongly connected class past the dense cap
     # raises DimensionTooLarge before the Perron iteration for nu has run.
-    spectrum = eigen_spectrum(sub.Q)
-    nu = -dominant_eigen(sub.Q)
+    spectrum = eigen_spectrum(sub)
+    nu = -dominant_eigen(sub)
     tol = _ROOT_TOL * max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
     k = max(int(np.count_nonzero(np.abs(spectrum + nu) <= tol)) - 1, 0)
 

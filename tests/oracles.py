@@ -17,7 +17,8 @@ It also holds the routines that only tests read:
   stochastic_order_check  the replay of the geometric-vs-exponential
                           coupling in the paper's proof (criterion 11);
   sample_absorption_step  a sampler of the discrete phase-type variable,
-                          checked against discrete_survival.
+                          checked against discrete_survival;
+  count_strong_blocks     a counter of the strong-components passes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.sparse.csgraph import dijkstra
 
+import fluidhit.chain_model
+import fluidhit.numerics
 from fluidhit import (
     AbsorbingChain,
     OccupancyState,
@@ -53,6 +56,21 @@ def sub_generator(Q, Q0=None):
     if Q0 is None:
         Q0 = np.maximum(-Q.sum(axis=1), 0.0)
     return SubGenerator(Q=Q, Q0=np.asarray(Q0, dtype=float))
+
+
+def count_strong_blocks(monkeypatch):
+    """A list that gets the shape of each matrix numerics._strong_blocks is
+    run on from here on, whichever module calls it."""
+    calls = []
+    strong_blocks = fluidhit.numerics._strong_blocks
+
+    def counted(A):
+        calls.append(A.shape)
+        return strong_blocks(A)
+
+    monkeypatch.setattr(fluidhit.numerics, "_strong_blocks", counted)
+    monkeypatch.setattr(fluidhit.chain_model, "_strong_blocks", counted)
+    return calls
 
 
 def constant_exit_matrix(rng, S, exit_prob):

@@ -8,12 +8,14 @@ import pytest
 import scipy.sparse as sp
 
 import fluidhit
+import fluidhit.cli
 from fluidhit import (
     InitialDistribution,
     NamedExample,
     OccupancyState,
     SpectralParams,
     assemble_report,
+    chain_spec,
     crossing_time,
     decompose,
     expected_hitting_times,
@@ -37,7 +39,9 @@ from oracles import (
     constant_exit_matrix,
     coupon_bound,
     erlang_crossing,
+    count_strong_blocks,
     exact_occupancy_mean_hitting,
+    random_chain,
 )
 
 
@@ -337,6 +341,36 @@ def test_assemble_report_computes_the_spectrum_once(monkeypatch):
     assert "gamma" in report.notes and report.gamma is None
     assert (report.nu, report.k) == (pytest.approx(0.5), 0)
     assert calls == {"dominant_eigen": 1, "eigen_spectrum": 1}
+
+
+@pytest.mark.parametrize("estimate_gamma", [False, True])
+@pytest.mark.parametrize("source", ["tstage:3", "fig3a:40,2", "random"])
+def test_assemble_report_finds_the_classes_once(monkeypatch, tmp_path, source, estimate_gamma):
+    # The spectrum, the Perron root and max_neg_qinv read one set of classes.
+    if source == "random":
+        path = tmp_path / "random.json"
+        chain = random_chain(np.random.default_rng(30), 25, density=0.05)
+        path.write_text(json.dumps(chain_spec(chain, InitialDistribution.uniform(25))))
+        example = NamedExample(str(path), *load_chain_spec(str(path)))
+    else:
+        example = get_example(source)
+    calls = count_strong_blocks(monkeypatch)
+    report = assemble_report(example, 40, estimate_gamma)
+    assert None not in (report.nu, report.k, report.max_neg_qinv)
+    assert len(calls) == 1
+    if source == "random":  # classes of 2, 9 and 2 states, and 12 alone
+        assert decompose(example.chain)._classes.sizes.tolist() == [2, 9, 2]
+
+
+def test_compare_finds_the_classes_once_for_all_populations(monkeypatch, capsys):
+    # fig3b:3 is not tied to a population: the three reports share its chain,
+    # and with it the classes its SubGenerator keeps.
+    calls = count_strong_blocks(monkeypatch)
+    argv = ["compare", "--chain", "fig3b:3", "--N-list", "10,100,1000", "--runs", "20",
+            "--seed", "2", "--format", "json"]
+    assert fluidhit.cli.main(argv) == 0
+    assert [row["N"] for row in json.loads(capsys.readouterr().out)] == [10, 100, 1000]
+    assert calls == [(1, 1)]
 
 
 def test_assemble_report_survives_a_failed_perron_iteration():

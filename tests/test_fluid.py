@@ -141,14 +141,40 @@ def test_crossing_needs_few_survival_evaluations(monkeypatch, build, epsilon):
     alpha, sub = build()
     calls = _record_series(monkeypatch)
     crossing_time(alpha, sub, epsilon)
-    # t = 0 reads s_0 = alpha 1, no sum. Without a hint the doubling probes
-    # 1, 2, 4, ... and no later probe can be the next power of two, which
-    # lies outside the bracket.
-    probes = [t for t, _ in calls if t > 0.0]
+    # S(0) is the series' first sum, read without a probe. Without a hint
+    # the doubling probes 1, 2, 4, ... and no later probe can be the next
+    # power of two, which lies outside the bracket.
+    probes = [t for t, _ in calls]
     doubling = 0
     while doubling < len(probes) and probes[doubling] == 2.0**doubling:
         doubling += 1
     assert len(probes) - doubling <= 20
+
+
+@pytest.mark.parametrize(
+    "build, epsilon",
+    [case[1:] for case in _PROBE_CASES],
+    ids=[f"{case[0]}-{case[2]:g}" for case in _PROBE_CASES],
+)
+def test_crossing_reads_the_start_off_the_first_sum(monkeypatch, build, epsilon):
+    # S(0) is s_0 = alpha 1, which a read at t = 0 returns to the bit, so the
+    # crossing is the same; every _weights call is one probe's, at t > 0.
+    alpha, sub = build()
+    series = fluidhit.numerics._SurvivalSeries(sub, alpha.alpha)
+    assert series.continuous(0.0) == series._sums[0]
+    calls = _record_series(monkeypatch)
+    built = []
+    weights = fluidhit.numerics._weights
+
+    def counted(**kwargs):
+        built.append(kwargs["t"].tolist())
+        return weights(**kwargs)
+
+    monkeypatch.setattr(fluidhit.numerics, "_weights", counted)
+    crossing_time(alpha, sub, epsilon)
+    probes = [t for t, _ in calls]
+    assert probes and min(probes) > 0.0
+    assert built == [[t] for t in probes]
 
 
 def test_crossing_builds_the_uniformized_matrix_once(monkeypatch):
@@ -254,14 +280,15 @@ def test_crossing_doubles_from_the_mean_sojourn(monkeypatch):
     alpha, sub = ex.default_alpha, decompose(ex.chain)
     calls = _record_series(monkeypatch)
     got = crossing_time(alpha, sub, 1e-2).time
-    assert [t for t, _ in calls[:5]] == [0.0, 2.0**20, 2.0**21, 2.0**22, 2.0**23]
+    # S(0) is the series' first sum, no probe: the first probe is 1/c.
+    assert [t for t, _ in calls[:4]] == [2.0**20, 2.0**21, 2.0**22, 2.0**23]
     assert got == pytest.approx(2**20 * math.log(100), rel=1e-12, abs=0)
     # A time limit short of 1/c is the first probe, and the only one.
     calls.clear()
     monkeypatch.setattr(fluidhit.numerics, "TERM_BUDGET", 0.5)
     with pytest.raises(BracketingFailure, match="time limit"):
         crossing_time(alpha, sub, 1e-2)
-    assert [t for t, _ in calls] == [0.0, 2.0**19]
+    assert [t for t, _ in calls] == [2.0**19]
 
 
 def _count_terms(monkeypatch):
@@ -361,6 +388,7 @@ class _PinnedRatio:
 
     def __init__(self, series, ratio):
         self.series, self.ratio, self.c = series, ratio, series.c
+        self._sums = series._sums  # _crossing reads S(0) as the first sum
 
     def time_limit(self):
         return self.series.time_limit()

@@ -22,9 +22,10 @@ from fluidhit import (
     validate_chain,
 )
 from fluidhit import numerics
+from fluidhit.chain_model import ResolventQuantities
 from fluidhit.errors import DimensionTooLarge, NonConvergent, SingularMatrix, SlowConvergence
 
-from oracles import constant_exit_matrix, random_chain
+from oracles import constant_exit_matrix, count_strong_blocks, random_chain, sub_generator
 
 
 def test_solve_identity():
@@ -979,3 +980,89 @@ def test_one_dense_cap_refusal_before_any_block_is_densified(monkeypatch):
         eigen_spectrum(Q)
     with pytest.raises(DimensionTooLarge, match=message):
         numerics._max_fundamental_entry(Q)
+
+
+def _stored_zero_subs():
+    # Each Q stores a zero at (0, 1) against the edge 1 -> 0: counted as an
+    # edge, it would join state 0 to state 1's class.
+    rows, cols = np.array([0, 0, 1, 1, 1, 2, 2]), np.array([0, 1, 0, 1, 2, 1, 2])
+    alone = [-1.0, 0.0, 0.5, -2.0, 0.0, 0.3, -3.0]  # (1, 2) a stored zero too
+    pair = [-1.0, 0.0, 0.5, -2.0, 1.0, 0.3, -3.0]  # states 1 and 2 a class
+    return [sub_generator(sp.csr_array((d, (rows, cols)), shape=(3, 3))) for d in (alone, pair)]
+
+
+def _class_sweep_subs():
+    """Seeded random chains with no, one and two classes of more than one
+    state, chains with stored zeros, and chains of single-state classes only."""
+    rng = np.random.default_rng(34)
+    subs = [
+        decompose(random_chain(rng, int(rng.integers(2, 40)), density))
+        for density in (0.02, 0.05, 0.1, 0.3, 0.7)
+        for _ in range(4)
+    ]
+    subs += _stored_zero_subs()
+    subs += [decompose(ex.chain) for ex in (gen_tstage(4), gen_fig3a(6, 2), gen_fig3b(3))]
+    return subs
+
+
+def test_a_sub_generator_gives_the_matrix_results_to_the_bit(monkeypatch):
+    subs = _class_sweep_subs()
+    sizes = [sub._classes.sizes.tolist() for sub in subs]
+    assert {len(s) for s in sizes[:20]} == {0, 1, 2}  # chains with none, one and two classes
+    assert sizes[-5:] == [[], [2], [], [], []]
+    calls = count_strong_blocks(monkeypatch)
+    for sub in subs:
+        kept = eigen_spectrum(sub), dominant_eigen(sub), numerics._max_fundamental_entry(sub)
+        fresh = (
+            eigen_spectrum(sub.Q), dominant_eigen(sub.Q), numerics._max_fundamental_entry(sub.Q)
+        )
+        assert kept[0].dtype == fresh[0].dtype and kept[0].tobytes() == fresh[0].tobytes()
+        assert kept[1:] == fresh[1:]
+        assert ResolventQuantities(sub).max_neg_qinv == fresh[2]
+    # The sub-generators kept the classes found above; a matrix gets a fresh
+    # pass on each of its three calls.
+    assert len(calls) == 3 * len(subs)
+
+
+def test_the_classes_are_found_once_per_sub_generator(monkeypatch):
+    sub = decompose(random_chain(np.random.default_rng(7), 30, 0.1))
+    calls = count_strong_blocks(monkeypatch)
+    for _ in range(2):
+        eigen_spectrum(sub), dominant_eigen(sub), numerics._max_fundamental_entry(sub)
+        spectral_params(sub)
+    assert calls == [(30, 30)]
+    blocks = sub._classes
+    assert not (blocks.singleton.flags.writeable or blocks.states.flags.writeable)
+
+
+def test_single_state_classes_gather_no_block(monkeypatch):
+    # fig3a(6, 2)'s Q is triangular: the pass ends at the labels.
+    Q = decompose(gen_fig3a(6, 2).chain).Q
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was gathered from single-state classes")
+
+    monkeypatch.setattr(sp, "coo_array", refuse)
+    blocks = numerics._strong_blocks(Q)
+    assert blocks.singleton.all() and blocks.singleton.size == 37
+    assert (blocks.states.size, blocks.sizes.size, blocks.inner) == (0, 0, None)
+    assert list(blocks.dense_blocks()) == []
+
+
+def test_a_sub_generator_past_the_dense_cap_is_refused_from_one_pass(monkeypatch):
+    # One ring of DENSE_CAP + 1 states, each moving on with 0.99 and exiting
+    # with 0.01: the spectrum and the resolvent maximum refuse its class,
+    # naming it, and the Perron iteration still gives nu = 0.01.
+    n = numerics.DENSE_CAP + 1
+    ring = sp.csr_array((np.full(n, 0.99), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+    sub = sub_generator(ring - sp.eye(n, format="csr"))
+    calls = count_strong_blocks(monkeypatch)
+    message = f"a {n}-state strongly connected class is past the dense cap of 2000 states"
+    with pytest.raises(DimensionTooLarge, match=message):
+        eigen_spectrum(sub)
+    with pytest.raises(DimensionTooLarge, match=message):
+        ResolventQuantities(sub).max_neg_qinv
+    with pytest.raises(DimensionTooLarge, match=message):
+        spectral_params(sub)
+    assert dominant_eigen(sub) == pytest.approx(-0.01, rel=1e-9)
+    assert calls == [(n, n)]
