@@ -123,10 +123,19 @@ class SubGenerator:
         d.flags.writeable = False
         return d
 
-    @property
+    @cached_property
     def max_exit_rate(self):
-        """max_i(-Q_ii)."""
+        """max_i(-Q_ii), found once."""
         return float(np.max(self.exit_rates))
+
+    @cached_property
+    def _norm_inf(self):
+        """||Q||_inf, found once in one O(n) pass.
+
+        A row of Q sums in absolute value to d_i + (d_i - Q0_i). The pivot
+        floor of _solve_q and the root tolerance of spectral_params read it.
+        """
+        return float(np.max(2.0 * self.exit_rates - self.Q0, initial=0.0))
 
     @cached_property
     def _solve_q(self):
@@ -137,12 +146,9 @@ class SubGenerator:
         for a triangular Q what _triangular_solver sets up (for a narrow band
         its (k+1) x n floats, 16 MB on the bidiagonal Q of the 10^6-state
         fig3a(1000, 2)), for any other Q past the dense cap its SuperLU
-        factors. The pivot floor is solve_linear's, 1e-14 ||Q||_inf, read in
-        one O(n) pass: a row of Q sums in absolute value to d_i + (d_i - Q0_i).
+        factors. The pivot floor is solve_linear's, 1e-14 ||Q||_inf.
         """
-        d = self.exit_rates
-        floor = 1e-14 * float(np.max(2.0 * d - self.Q0, initial=0.0))
-        return _factor(self.Q, floor, diag=-d)[0]
+        return _factor(self.Q, 1e-14 * self._norm_inf, diag=-self.exit_rates)[0]
 
     @cached_property
     def _classes(self):

@@ -34,8 +34,11 @@ def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     (fewer once the series settles into its geometric tail); a lone t is
     the series' first sum. The Poisson windows are built in batches, each
     by one call as the rows of one array of at most
-    numerics.WINDOW_ENTRIES entries. Each value truncates at most 1e-15 of
-    the mass.
+    numerics.WINDOW_ENTRIES entries. The carry and the series step one
+    walk each (numerics._row_iterates), which ends at its first zero
+    iterate: a read far past the end of a nilpotent B, such as a
+    countdown's, takes at most n + 1 steps for n transient states, scalar
+    or grid. Each value truncates at most 1e-15 of the mass.
     """
     grid = _time_grid(np.atleast_1d(t))
     if not grid.size:
@@ -94,9 +97,10 @@ def crossing_time(alpha, sub, epsilon) -> CrossingResult:
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    if alpha.transient_mass <= epsilon:
+    series = _SurvivalSeries(sub, alpha.alpha)
+    if series._sums[0] <= epsilon:  # S(0), the initial transient mass
         return CrossingResult(0.0, True)
-    return _crossing(_SurvivalSeries(sub, alpha.alpha), epsilon)
+    return _crossing(series, epsilon)
 
 
 def _crossing(series, epsilon) -> CrossingResult:

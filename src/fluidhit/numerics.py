@@ -10,11 +10,13 @@ one kernel: _weights builds windows as the rows of one array (a lone time
 and a binomial law are one row), and _SurvivalSeries._weighted weights a
 call's rows against one gather of the sums. A grid of times reads one
 series, its windows built in batches of at most WINDOW_ENTRIES entries
-(_batches). The
-uniformized matrix is dense for a small chain and sparse otherwise
-(_dense_pays); its row iterates are stepped as dense vectors, sparse rows or
-single entries read off Q's rows (_row_iterates), so a countdown's series
-never builds it. A survival series (_SurvivalSeries) stops stepping once
+(_batches). The uniformized matrix is dense for a small chain and sparse
+otherwise (_dense_pays). One walker, _row_iterates, steps its row iterates
+for expm_action and the survival series alike: as dense vectors, sparse
+rows or single entries read off Q's rows (a lone row of B is read only by
+_lone_entry), so a countdown's series never builds B, and it ends at the
+first zero iterate, as every later one is zero. A survival series
+(_SurvivalSeries) stops stepping once
 two consecutive dense iterates u and u B share a support and the ratios
 (u B)_i / u_i lie in [r_lo, r_hi] with r_hi - r_lo <= TAIL_SPREAD r_hi,
 their rounding floor reached: by Collatz-Wielandt every later sum s_{J+m}
@@ -290,14 +292,20 @@ class _SparseRow(NamedTuple):
 def _lone_entry(indptr, indices, data, inv, col):
     """(j, b): the one nonzero b, at column j, of row col of B = I + Q/c, or None.
 
-    The row is read off the CSR arrays of Q with the arithmetic of
-    _uniformized, q * inv (inv = 1/c) for each stored q plus 1.0 on the
-    diagonal, stored or not, with zeros dropped. An empty row gives
-    (col, 0.0): its iterate is the zero vector. None when the row holds two
-    or more nonzeros.
+    The one reader of a lone row of B. The row is read off the CSR arrays
+    of Q with the arithmetic of _uniformized, q * inv (inv = 1/c) for each
+    stored q plus 1.0 on the diagonal, stored or not, with zeros dropped.
+    A countdown row, one stored entry and then the diagonal, which cancels
+    in B, is tested first, as every step of a countdown reads one. An
+    empty row gives b = 0.0, its iterate the zero vector (j = col, but for
+    a countdown row that stores a zero). None when the row holds two or
+    more nonzeros.
     """
+    k = indptr[col]
+    if indptr[col + 1] - k == 2 and indices[k + 1] == col and data[k + 1] * inv == -1.0:
+        return indices[k], data[k] * inv
     nonzeros, diagonal, j, b = 0, False, col, 0.0
-    for k in range(indptr[col], indptr[col + 1]):
+    for k in range(k, indptr[col + 1]):
         q = data[k] * inv
         if indices[k] == col:
             q += 1.0
@@ -310,66 +318,61 @@ def _lone_entry(indptr, indices, data, inv, col):
 
 
 def _row_iterates(Q, c, v):
-    """Yield the row iterates v, vB, vB^2, ... of B = I + Q/c without end.
+    """Yield the row iterates v, vB, vB^2, ... of B = I + Q/c up to the first zero one.
 
-    B is built by _uniformized the first time a step needs it. When B
-    would be sparse (_dense_pays(Q) false), a v with at most 1/8 of its
-    entries nonzero is stepped as a _SparseRow. While that row has one
-    nonzero and B's row at its column at most one (_lone_entry), the next
-    iterate is one product, read as Python scalars off Q's index arrays and
-    yielded as an _Entry, with no B at all: under 1 us a step against
-    50 us for a _SparseRow step, with the same value to the bit. A
-    countdown such as fig3a's or tstage's, started from one state, is
-    stepped that way to the end. At the first wider row B is built; if it
-    stores more than 20,000 entries the row is stepped as a _SparseRow
-    until more than 1/4 of it is filled (the countdown chains touch a thin
-    band of states), and densely from there, or at once otherwise: a dense
-    step costs about nnz(B), a sparse-row step about 50 us on any B, and
-    the two tie near 20,000 entries. Dense iterates are B^T u with B^T
-    taken once: u @ B on scipy sparse B transposes every product.
+    Every iterate after a zero one is zero: the walk ends right after it
+    yields an _Entry of value 0, an empty _SparseRow or a dense vector with
+    no nonzero, and a reader takes its end as zeros from there on. B is built by _uniformized the first time
+    a step needs it. When B would be sparse (_dense_pays(Q) false), a v
+    with at most 1/8 of its entries nonzero, its support found in one
+    pass, is stepped as a _SparseRow. While that row has one nonzero and
+    B's row at its column at most one (_lone_entry), the next iterate is
+    one product, read as Python scalars off Q's index arrays and yielded
+    as an _Entry, with no B at all: under 1 us a step against 50 us for a
+    _SparseRow step, with the same value to the bit. A countdown such as
+    fig3a's or tstage's, started from one state, is stepped that way to
+    the end. At the first wider row B is built; if it stores more than
+    20,000 entries the row is stepped as a _SparseRow until more than 1/4
+    of it is filled (the countdown chains touch a thin band of states),
+    and densely from there, or at once otherwise: a dense step costs about
+    nnz(B), a sparse-row step about 50 us on any B, and the two tie near
+    20,000 entries. Dense iterates are B^T u with B^T taken once: u @ B on
+    scipy sparse B transposes every product.
     """
     n = v.shape[0]
     B = None
-    if not _dense_pays(Q) and np.count_nonzero(v) <= n // 8:
+    if not _dense_pays(Q) and (cols := np.flatnonzero(v != 0.0)).size <= n // 8:
         Q = sp.csr_array(Q)
         # Memoryviews index to Python ints and floats, faster than numpy scalars.
         indptr, indices, data = (memoryview(a) for a in (Q.indptr, Q.indices, Q.data))
         inv = 1.0 / c
-        cols = np.flatnonzero(v)
         u = _SparseRow(cols, v[cols])
         while u.cols.size <= n // 4:
             if u.cols.size == 1:
                 col, val = int(u.cols[0]), float(u.vals[0])
-                while True:
-                    k = indptr[col]
-                    # A countdown row, checked inline: Q stores an entry
-                    # left of the diagonal, and the diagonal cancels in B.
-                    if (
-                        indptr[col + 1] - k == 2
-                        and indices[k + 1] == col
-                        and data[k + 1] * inv == -1.0
-                    ):
-                        j, b = indices[k], data[k] * inv
-                    elif (lone := _lone_entry(indptr, indices, data, inv, col)) is not None:
-                        j, b = lone
-                    else:
-                        break
+                while (lone := _lone_entry(indptr, indices, data, inv, col)) is not None:
                     # tuple.__new__ skips the Python frame of the NamedTuple
                     # constructor, which cost about as much as the step.
                     yield tuple.__new__(_Entry, (col, val))
-                    col, val = j, val * b
+                    if val == 0.0:
+                        return
+                    col, val = lone[0], val * lone[1]
                 u = _SparseRow(np.array([col]), np.array([val]))
             if B is None:
                 B = _uniformized(Q, c)
                 if B.nnz <= 20_000:
                     break
             yield u
+            if not u.cols.size:
+                return
             u = u.step(B)
         v = np.zeros(n)
         v[u.cols] = u.vals
     Bt = (_uniformized(Q, c) if B is None else B).T
     while True:
         yield v
+        if not v.any():
+            return
         v = Bt @ v
 
 
@@ -541,9 +544,12 @@ def expm_action(Q, v, t):
 
     With c = max(-Q_ii), exp(Qt) = sum_n Pois(n; c t) (I + Q/c)^n. Every
     term is nonnegative, so the result is nonnegative entrywise. The sum
-    runs over the window of _weights, skipping the iterates below it; the
-    mass left out above it is at most 1e-15, so the truncation error is at
-    most 1e-15 ||v||_1.
+    runs over the window of _weights, skipping the iterates below it, and
+    ends with the walk of _row_iterates at its first zero iterate: the
+    terms after it are zeros (a scalar survival read far past a nilpotent
+    chain's end steps no more than its n + 1 iterates). The mass left out
+    above the window is at most 1e-15, so the truncation error is at most
+    1e-15 ||v||_1.
 
     Raises NonConvergent if c t exceeds TERM_BUDGET, and ValueError for a
     negative or non-finite t (the window never closes at inf or nan).
@@ -597,11 +603,10 @@ class _SurvivalSeries:
     one _weights call each, the series stepped once to the end of the
     last window, and every row weighted against one gather of the sums,
     each value within a few ulps of the same time read alone (its window
-    is summed over the batch's widest). B and the iterates are
-    nonnegative, so an s_j of
-    exactly 0 is a zero iterate, and every later sum is 0 as well: from
-    there the sums are padded with zeros, not stepped (a survival that
-    underflows early on a long grid costs no more terms).
+    is summed over the batch's widest). The walk ends at its first zero
+    iterate (_row_iterates), and the series reads that end as a geometric
+    tail of ratio 0: a survival that underflows early on a long grid costs
+    no more terms.
 
     A dense iterate u_J = u_{J-1} B is compared with u_{J-1}. When the two
     share a support and the ratios (u_J)_i / (u_{J-1})_i lie in [lo, hi],
@@ -660,7 +665,8 @@ class _SurvivalSeries:
         """How many of s_0 .. s_{stop-1} are stepped sums, once stepped as far as needed.
 
         All of them, unless a certified tail (found now or before) ends the
-        stepped sums short of stop.
+        stepped sums short of stop. The end of the walk at a zero iterate
+        is the tail of ratio 0: every later sum is 0.
         """
         sums = self._sums
         if self.tail is None and len(sums) < stop:
@@ -669,14 +675,13 @@ class _SurvivalSeries:
             if self._last is None:
                 self._last = next(iterates)  # B is built no sooner than a step needs it
             with np.errstate(divide="ignore", invalid="ignore"):
-                while len(sums) < stop:
-                    if sums[-1] == 0.0:
-                        sums.frombytes(bytes(8 * (stop - len(sums))))  # 0.0 is all zero bytes
-                        break
-                    u = next(iterates)
+                for u in iterates:
                     append(float(u.sum()))
-                    if type(u) is dense and self._settles(u):
+                    if type(u) is dense and self._settles(u) or len(sums) == stop:
                         break
+                else:
+                    self.tail = _GeometricTail(0.0, 0.0)
+                    self._iterates = self._last = None
         return min(len(sums), stop)
 
     def _weighted(self, j0, weights, ends, ratio=None):
@@ -685,14 +690,15 @@ class _SurvivalSeries:
         The series is stepped once, to the last end, and every row is
         weighted against one gather of the sums. Past a certified tail the
         gather reads s_J ratio^(j-J), ratio the midpoint of the tail's
-        [lo, hi] when None.
+        [lo, hi] when None. Past the zero tail of a walk's end the clipped
+        gather already reads s_J = 0, with no pass over the terms.
         """
         stop = max(ends.tolist())  # cheaper than a numpy reduction over few rows
         known = self._stepped(stop)
         at = j0[:, None] + np.arange(weights.shape[1])
         sums = np.frombuffer(self._sums, count=known)
         terms = sums.take(at, mode="clip")  # past the row's end its weights are 0
-        if known < stop:
+        if known < stop and self.tail.hi > 0.0:
             J = known - 1
             past = at > J
             if ratio is None:

@@ -138,7 +138,7 @@ def spectral_params(sub: SubGenerator, estimate_gamma=False, alpha=None) -> Spec
     state gives its diagonal entry exactly, and DimensionTooLarge is raised
     only when one class has more than DENSE_CAP states. Both are given sub
     itself and read the classes it keeps (SubGenerator._classes), found
-    once.
+    once, as ||Q||_inf is (SubGenerator._norm_inf).
 
     Raises DegenerateTail when a requested gamma fit finds no usable overlap
     between alpha and the dominant eigenspace.
@@ -147,7 +147,7 @@ def spectral_params(sub: SubGenerator, estimate_gamma=False, alpha=None) -> Spec
     # raises DimensionTooLarge before the Perron iteration for nu has run.
     spectrum = eigen_spectrum(sub)
     nu = -dominant_eigen(sub)
-    tol = _ROOT_TOL * max(float(np.max(np.asarray(abs(sub.Q).sum(axis=1)))), 1.0)
+    tol = _ROOT_TOL * max(sub._norm_inf, 1.0)
     k = max(int(np.count_nonzero(np.abs(spectrum + nu) <= tol)) - 1, 0)
 
     gamma = None
@@ -167,11 +167,11 @@ def _fit_gamma(sub, alpha, nu, k):
     tstage(2) to tstage(5), whose gamma is 1/(T-1)!. Raises DegenerateTail
     when t^k e^{-nu t} or its square leaves the float range there.
     """
-    if alpha.transient_mass <= _FIT_HI_LEVEL:
+    series = _SurvivalSeries(sub, alpha.alpha)
+    if series._sums[0] <= _FIT_HI_LEVEL:  # S(0), the initial transient mass
         raise DegenerateTail(
             "initial transient mass already below the fit window"
         )
-    series = _SurvivalSeries(sub, alpha.alpha)
     t_hi = _crossing(series, _FIT_HI_LEVEL).time
     t_lo = _crossing(series, _FIT_LO_LEVEL).time
     ts = np.geomspace(t_hi, t_lo, 5)

@@ -639,9 +639,17 @@ def test_wide_grid_windows_cost_what_per_point_reads_do():
 
 def test_survival_grid_stops_at_the_first_zero_sum(monkeypatch):
     # exp(-t) underflows to exactly 0, and B = I + Q/c = 0 on the
-    # classical chain: s_1 = 0, so the series pads instead of stepping
-    # about 10^6 terms to the last point.
+    # classical chain: s_1 = 0, so the walk ends there instead of stepping
+    # about 10^6 terms to the last point, and no zero sums are kept.
     alpha, sub = _classical()
+    grid = [0.0, 2.5e5, 5e5, 1e6]
+    tracemalloc.start()
+    try:
+        transient_survival(alpha, sub, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
     terms = []
     iterates = fluidhit.numerics._row_iterates
 
@@ -651,9 +659,18 @@ def test_survival_grid_stops_at_the_first_zero_sum(monkeypatch):
             yield u
 
     monkeypatch.setattr(fluidhit.numerics, "_row_iterates", counted)
-    got = transient_survival(alpha, sub, [0.0, 2.5e5, 5e5, 1e6])
+    got = transient_survival(alpha, sub, grid)
     assert got.tolist() == [1.0, 0.0, 0.0, 0.0]
     assert len(terms) == 2  # alpha and alpha B
+    # A lone time is carried by expm_action, whose walk ends at the same
+    # zero iterate: n + 1 iterates at most on a nilpotent B, and the one
+    # zero start of the series, not c t of them.
+    for name in ("classical", "tstage:3", "fig3b:3", "fig3a:40,2"):
+        ex = get_example(name)
+        sub = decompose(ex.chain)
+        terms.clear()
+        assert transient_survival(ex.default_alpha, sub, 1e6) == 0.0
+        assert len(terms) <= sub.n_transient + 2, name
 
 
 def test_deep_countdown_crossing_on_scalar_steps():

@@ -442,7 +442,8 @@ def test_lone_entry_reads_the_rows_of_the_uniformized_matrix():
 def test_row_iterates_off_q_match_dense_steps_through_b(monkeypatch, start):
     # Scalar steps read off Q's rows, B built only at a row of B with two
     # nonzeros (row 8 or 5, or never), then dense: every iterate equals the
-    # dense v B^j to the bit.
+    # dense v B^j to the bit. The walk ends right after its first zero
+    # iterate, which only start 1 reaches (an _Entry of value 0).
     Q = _row_shapes_q()
     built = []
     uniformized = numerics._uniformized
@@ -455,14 +456,34 @@ def test_row_iterates_off_q_match_dense_steps_through_b(monkeypatch, start):
     v = np.zeros(Q.shape[0])
     v[start] = 1.0
     Bt = uniformized(Q, 2.0).T
-    for u in itertools.islice(numerics._row_iterates(Q, 2.0, v), 400):
+    first_zero = None
+    for j, u in enumerate(itertools.islice(numerics._row_iterates(Q, 2.0, v), 400)):
         got = u
         if isinstance(u, numerics._Entry):
             got = np.zeros(v.size)
             got[u.col] = u.val
         assert np.array_equal(got, v)
+        if first_zero is None and not v.any():
+            first_zero = j
         v = Bt @ v
     assert len(built) == (start in (149, 7, 5))
+    assert j == (399 if first_zero is None else first_zero)
+    assert (first_zero is not None) == (start == 1)
+    # The other two kinds of zero end: a fan (state i >= 2 moves to i - 1 or
+    # i - 2, states 0 and 1 exit) whose B stores past 20,000 entries, stepped
+    # as _SparseRows from state 40 to the empty row, and a dense countdown.
+    n = 15_000
+    i = np.arange(2, n)
+    rows, cols = np.concatenate([np.arange(n), i, i]), np.concatenate([np.arange(n), i - 1, i - 2])
+    vals = np.concatenate([np.full(n, -1.0), np.full(2 * (n - 2), 0.5)])
+    fan = sp.csr_array((vals, (rows, cols)), shape=(n, n))
+    countdown = np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+    for Q, start, kind, length in ((fan, 40, numerics._SparseRow, 41), (countdown, 2, np.ndarray, 4)):
+        v = np.zeros(Q.shape[0])
+        v[start] = 1.0
+        walk = list(itertools.islice(numerics._row_iterates(Q, 1.0, v), 400))
+        assert len(walk) == length and all(type(u) is kind for u in walk)
+        assert walk[-1].sum() == 0.0 and all(u.sum() > 0.0 for u in walk[:-1])
 
 
 def test_expm_steps_a_thin_band_as_sparse_rows(monkeypatch):
