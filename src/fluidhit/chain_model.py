@@ -207,10 +207,6 @@ class InitialDistribution:
             # Named as a JSON chain spec names them: mass0 is "alpha0" there.
             raise ValueError(f'sum("alpha") + "alpha0" = {total}, expected 1')
 
-    @property
-    def transient_mass(self):
-        return float(self.alpha.sum())
-
     @classmethod
     def point(cls, state, n_transient):
         """All mass on a single state (state 0 means mass0 = 1)."""

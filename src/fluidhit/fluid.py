@@ -34,18 +34,20 @@ def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     (fewer once the series settles into its geometric tail); a lone t is
     the series' first sum. The Poisson windows are built in batches, each
     by one call as the rows of one array of at most
-    numerics.WINDOW_ENTRIES entries. The carry and the series step one
-    walk each (numerics._row_iterates), which ends at its first zero
-    iterate: a read far past the end of a nilpotent B, such as a
-    countdown's, takes at most n + 1 steps for n transient states, scalar
-    or grid. Each value truncates at most 1e-15 of the mass.
+    numerics.WINDOW_ENTRIES entries, and only for the rows whose windows
+    reach the series' last stepped sum: every later row reads the closed
+    form of the known tail, 0 past a walk's end, with no window. The carry
+    and the series step one walk each (numerics._row_iterates), which ends
+    at its first zero iterate: a read far past the end of a nilpotent B,
+    such as a countdown's, takes at most n + 1 steps for n transient
+    states, scalar or grid. Each value truncates at most 1e-15 of the
+    mass.
     """
     grid = _time_grid(np.atleast_1d(t))
     if not grid.size:
         return np.empty(0)
     series = _SurvivalSeries(sub, expm_action(sub.Q, alpha.alpha, grid[0]))
-    survival = series.continuous(grid - grid[0])
-    return survival if np.ndim(t) else float(survival[0])
+    return series.continuous(grid - grid[0] if np.ndim(t) else 0.0)
 
 
 @dataclass(frozen=True)

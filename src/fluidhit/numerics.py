@@ -10,7 +10,9 @@ one kernel: _weights builds windows as the rows of one array (a lone time
 and a binomial law are one row), and _SurvivalSeries._weighted weights a
 call's rows against one gather of the sums. A grid of times reads one
 series, its windows built in batches of at most WINDOW_ENTRIES entries
-(_batches). The uniformized matrix is dense for a small chain and sparse
+(_batches), except past the series' known tail: a Poisson window that
+starts past the last stepped sum is never built, as the tail's closed form
+gives its value. The uniformized matrix is dense for a small chain and sparse
 otherwise (_dense_pays). One walker, _row_iterates, steps its row iterates
 for expm_action and the survival series alike: as dense vectors, sparse
 rows or single entries read off Q's rows (a lone row of B is read only by
@@ -20,7 +22,7 @@ first zero iterate, as every later one is zero. A survival series
 two consecutive dense iterates u and u B share a support and the ratios
 (u B)_i / u_i lie in [r_lo, r_hi] with r_hi - r_lo <= TAIL_SPREAD r_hi,
 their rounding floor reached: by Collatz-Wielandt every later sum s_{J+m}
-then lies in [s_J r_lo^m, s_J r_hi^m], and the windows read it at the
+then lies in [s_J r_lo^m, s_J r_hi^m], and the reads take it at the
 midpoint ratio. Chains whose ratios never settle (k > 0, a periodic B) and
 the countdowns' single-entry and sparse-row steps are stepped as before,
 to the bit. Only this module works class by class: the dominant
@@ -44,6 +46,7 @@ import itertools
 import math
 import warnings
 from array import array
+from bisect import bisect_right
 from functools import partial
 from typing import NamedTuple
 
@@ -385,6 +388,18 @@ def _start_spans(sd):
     return 32 + ceil(38.0 * sd), 32 + ceil(12.0 * sd)
 
 
+def _reach(mu):
+    """The lowest j whose term a Poisson(mu) window of _weights can weigh, for a float mu.
+
+    mu's mode less the below of _start_spans: the window's down cut falls
+    inside that first span at every mean from 1e-6 to 1e7, built alone or
+    among wider rows, so no doubling moves it lower. Negative up to
+    mu = 1,508; past mu = 361 a larger mean's reach is never more than 1
+    lower.
+    """
+    return math.floor(mu) - _start_spans(math.sqrt(mu))[0]
+
+
 def _weights(*, rate=None, t=None, k=None, p=None):
     """Poisson(rate t_i) or Binomial(k, p) windows as the rows of (j0, w, ends).
 
@@ -504,39 +519,31 @@ def _weights(*, rate=None, t=None, k=None, p=None):
 def _batches(mu):
     """Slices of the nondecreasing Poisson means mu, one per _weights call.
 
-    A row's width is that of the two sides _weights starts from. Rows no
-    wider than WINDOW_ENTRIES / 32 share a call while the rows times the
-    last (widest) row's width stay within WINDOW_ENTRIES; a wider row is
-    built alone, as a lone mean is. A shared call saves each row the fixed
-    cost of a call, about 30 us, but costs more per entry than a row built
-    alone: on a 2-vCPU x86-64 host, four rows 500 wide took 0.06 ms shared
-    against 0.14 ms alone, four 2,000 wide 0.12 against 0.19 ms, four
-    8,000 wide 0.72 against 0.45 ms, and eight 8,000 wide 1.4 against
-    0.85 ms.
+    A row's width is that of the two sides _weights starts from, and
+    consecutive rows share a call while the rows times the last (widest)
+    row's width stay within WINDOW_ENTRIES; a row wider than that is built
+    alone, as a lone mean is. Each scan reads at most WINDOW_ENTRIES over
+    its first row's width of rows, no more than one past the previous
+    call's rows, so a grid of m rows is cut in O(m). A shared call saves
+    each row the fixed cost of a call, about 30 us, but wide rows cost
+    more per entry shared (on a 2-vCPU x86-64 host, four rows near mean
+    10^5, about 16,000 wide, take 1.8 ms in one call against 1.0 ms built
+    alone). Only grids on series that never settle share such rows: a
+    window wholly past a known tail is not built at all, and a grid finds
+    its tail before it builds any (_SurvivalSeries.continuous).
     """
-    # Where the rule takes every row at once, a lone mean or narrow means
-    # that fit under the widest, the slice comes without arrays.
-    if mu.size == 1:
-        yield slice(0, 1)
+    if mu.size <= 1:  # a lone mean (or none), without arrays
+        yield from [slice(0, 1)] * mu.size
         return
-    if mu.size:
-        below, above = _start_spans(math.sqrt(mu[-1]))
-        widest = min(below, math.floor(mu[-1])) + above + 2
-        if widest <= WINDOW_ENTRIES // 32 and mu.size * widest <= WINDOW_ENTRIES:
-            yield slice(0, mu.size)
-            return
     below, above = _start_spans(np.sqrt(mu))
     width = np.minimum(below, np.floor(mu)) + above + 2
-    narrow = int(np.searchsorted(width, WINDOW_ENTRIES // 32, side="right"))
-    start = 0
-    while start < narrow:
-        most = min(int(WINDOW_ENTRIES // width[start]), narrow - start)
-        fits = np.arange(1, most + 1) * width[start : start + most] <= WINDOW_ENTRIES
-        stop = start + max(int(np.count_nonzero(fits)), 1)
+    stop = 0
+    while stop < mu.size:
+        # The first k rows of head share the call while k times the k-th
+        # row's width is within WINDOW_ENTRIES (the widths do not fall).
+        start, head = stop, width[stop : stop + int(WINDOW_ENTRIES // width[stop])]
+        stop += max(int(np.count_nonzero(np.arange(1, head.size + 1) * head <= WINDOW_ENTRIES)), 1)
         yield slice(start, stop)
-        start = stop
-    for start in range(narrow, mu.size):
-        yield slice(start, start + 1)
 
 
 def expm_action(Q, v, t):
@@ -606,7 +613,13 @@ class _SurvivalSeries:
     is summed over the batch's widest). The walk ends at its first zero
     iterate (_row_iterates), and the series reads that end as a geometric
     tail of ratio 0: a survival that underflows early on a long grid costs
-    no more terms.
+    no more terms. A Poisson read whose window would start past the last
+    stepped sum s_J of a known tail builds none: it is the closed form
+    s_J r^-J e^(-c t (1 - r)) of the Poisson generating function
+    (_past_tail), 0 at a walk's zero end, so a grid to any time within
+    the term budget costs its tail's J steps and the windows of its rows
+    below (continuous steps a grid's series as far as its last row reaches
+    before it builds any window).
 
     A dense iterate u_J = u_{J-1} B is compared with u_{J-1}. When the two
     share a support and the ratios (u_J)_i / (u_{J-1})_i lie in [lo, hi],
@@ -618,8 +631,8 @@ class _SurvivalSeries:
     would widen by 1e-13 a term over the 10^5 terms of a stiff crossing.
     The sums up to s_J are the stepped ones to the bit; a window reaching
     past J weights s_J r^(j-J) there, r the midpoint of [lo, hi] (or the
-    ratio given to _weighted: lo and hi give the ends of the certified
-    bracket). The certificate holds for the stepped iterates, which carry
+    ratio given to _weighted or _past_tail: lo and hi give the ends of the
+    certified bracket). The certificate holds for the stepped iterates, which carry
     the rounding of every product as before. On a chain with rare exits
     it cuts the c t terms of a crossing to a few dozen: 17,412 to 15 on a
     2,000-state random chain. The checks thin out, one at step J due
@@ -706,6 +719,23 @@ class _SurvivalSeries:
             terms[past] = sums[J] * np.power(ratio, (at[past] - J).astype(float))
         return (weights[:, None, :] @ terms[:, :, None])[:, 0, 0]
 
+    def _past_tail(self, mu, ratio=None):
+        """sum_j Pois(j; mu_i) s_J r^(j-J) = s_J r^-J e^(-mu_i (1 - r)) for every mean mu_i.
+
+        The Poisson generating function E[r^X] = e^(-mu (1 - r)) in closed
+        form, taken in logs, over the known tail of ratio r: the midpoint of
+        its [lo, hi] when ratio is None, lo and hi giving the ends of the
+        certified bracket. A window wholly past J weighs the same terms
+        from its first on. The closed form adds the tail model's terms
+        below it, whose Poisson mass is below the window's down cut: they
+        count only where r lies so far below 1 that mu (1 - r) exceeds
+        about 30 sqrt(mu), at a mean past 1,508, and the value underflows
+        either way. At a walk's zero end s_J = 0.
+        """
+        J, s = len(self._sums) - 1, self._sums[-1]
+        r = 0.5 * (self.tail.lo + self.tail.hi) if ratio is None else ratio
+        return np.exp(math.log(s) - J * math.log(r) - mu * (1.0 - r)) if s else np.zeros(mu.size)
+
     def time_limit(self):
         """Largest t that continuous accepts: c t within TERM_BUDGET."""
         return TERM_BUDGET / self.c
@@ -718,17 +748,38 @@ class _SurvivalSeries:
         """v exp(Qt) 1, the Poisson(ct)-weighted sum of the s_j.
 
         t is a float, read as a one-point grid and answered with a float,
-        or a nondecreasing 1-D array of finite, nonnegative times, read in
-        the batches of _batches: one _weights call and one _weighted gather
-        each. Raises ValueError when the first time is negative or the last
-        is not finite.
+        or a nondecreasing 1-D array of finite, nonnegative times. The rows
+        whose windows reach s_J or below are read in the batches of
+        _batches, one _weights call and one _weighted gather each; the rest
+        (every row, once the first does) read the tail's closed form
+        (_past_tail), with no window. A grid of two or more times steps its
+        series as far as its last row's _reach first, a cost its windows
+        would pay anyway, so that a tail found on the way spares every row
+        past it; a lone time steps only as far as its window needs. Raises
+        ValueError when the first time is negative or the last is not
+        finite, and NonConvergent (from _weights, settled series or not)
+        when a time exceeds time_limit().
         """
         times = np.array(t, float, ndmin=1)
         if times.size and not (times[0] >= 0.0 and times[-1] < math.inf):
             raise ValueError(f"times must be finite and nonnegative, got {t}")
-        out = np.empty(times.size)
-        for rows in _batches(self.c * times):
+        # split is the first row whose _reach lies past s_J, a row whose
+        # window would start past the stepped sums. Later rows reach s_J
+        # at least (a larger mean's reach is at most 1 lower), so their
+        # windows would weigh the tail's terms alone: they read the closed
+        # form. A grid past the term budget reads every row by windows, and
+        # _weights refuses the first batch that holds a time past it.
+        mu = self.c * times
+        within = times.size and times[-1] <= self.time_limit()
+        if within and mu.size > 1:
+            self._stepped(_reach(mu[-1]) + 1)
+        known = within and self.tail is not None
+        split = bisect_right(mu, len(self._sums) - 1, key=_reach) if known else mu.size
+        out = np.empty(mu.size)
+        for rows in _batches(mu[:split]):
             out[rows] = self._weighted(*_weights(rate=self.c, t=times[rows]))
+        if split < mu.size:
+            out[split:] = self._past_tail(mu[split:])
         return out if isinstance(t, np.ndarray) else float(out[0])
 
     def discrete(self, k, N):

@@ -475,7 +475,7 @@ def test_initial_distribution_validation():
     with pytest.raises(ValueError):
         InitialDistribution(alpha=np.array([0.5, 0.2]))  # sums to 0.7
     d = InitialDistribution(alpha=np.array([0.25, 0.25]), mass0=0.5)
-    assert d.transient_mass == pytest.approx(0.5)
+    assert d.alpha.sum() == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from fluidhit import (
     transient_survival,
     validate_chain,
 )
-from fluidhit.errors import BracketingFailure
+from fluidhit.errors import BracketingFailure, NonConvergent
 from fluidhit.fluid import _crossing
 
 from oracles import (
@@ -539,7 +539,8 @@ _GRID_CASES = {
     # The series settles into its geometric tail after a few dozen terms,
     # and the later windows, still narrow enough to share a call, read it.
     "rare-exit": (lambda: _rare_exit_start(83), np.linspace(0.0, 1500.0, 151)),
-    # exp(-t) underflows to 0 and the windows are wide: each is read alone.
+    # exp(-t) underflows to 0 and B = 0: past t = 0 every row reads the
+    # zero tail of the walk's end, with no window.
     "classical": (_classical, [0.0, 2.5e5, 5e5, 1e6]),
     "repeated": (
         lambda: _named_start(gen_tstage(3)),
@@ -605,11 +606,12 @@ def _ci_rare_exit_start():
 
 
 def test_wide_grid_windows_cost_what_per_point_reads_do():
-    # Windows about 34,000 wide (c t up to 4.6e5) are built one per call,
-    # as a point read alone builds them: batched, their arrays would take
-    # hundreds of MiB and more time. One batch of windows stays within
-    # WINDOW_ENTRIES, so the memory peak stays near the per-point reads'
-    # 1.2 MiB, and the time near theirs (best of five, alternating).
+    # Windows would be about 34,000 wide (c t up to 4.6e5). The grid's
+    # series finds its tail before it builds any, so only the t = 0 row
+    # builds one and the rest read the closed form, where per-point reads
+    # build a window until a read settles the series. The memory peak
+    # stays near the per-point reads' 1.2 MiB, and the time within theirs
+    # (best of five, alternating).
     alpha, sub = _ci_rare_exit_start()
     t_N = crossing_time(alpha, sub, 1e-2).time
     assert t_N == pytest.approx(1e5 * math.log(100), rel=1e-9)
@@ -635,6 +637,93 @@ def test_wide_grid_windows_cost_what_per_point_reads_do():
             read()
             best[name] = min(best[name], time.perf_counter() - start)
     assert best["grid"] <= 1.1 * best["points"]
+
+
+_PAST_TAIL_GRIDS = {
+    # The series settles within a few dozen terms; the survival is e^(-t/10^5).
+    "rare-exit": (_ci_rare_exit_start, np.linspace(0.0, 1e6, 201)),
+    # The walk ends at s_1 = 0 (B = 0), and the survival is e^(-t/3).
+    "fig3b:3": (lambda: _named_start(gen_fig3b(3)), np.linspace(0.0, 3e6, 201)),
+    # The walk ends at s_3 = 0 (B^3 = 0).
+    "tstage:3": (lambda: _named_start(gen_tstage(3)), np.linspace(0.0, 2e6, 201)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAST_TAIL_GRIDS))
+def test_grid_past_a_known_tail_builds_no_window(monkeypatch, name):
+    # The series is stepped to the last row's reach before any window is
+    # built, and finds its tail (or its walk's end) within a few dozen
+    # terms: only the t = 0 row, whose window reaches below s_J, is built;
+    # every later row reads the closed form s_J r^-J e^(-c t (1 - r)).
+    alpha, sub = _PAST_TAIL_GRIDS[name][0]()
+    grid = _PAST_TAIL_GRIDS[name][1]
+    rows = []
+    weights = fluidhit.numerics._weights
+
+    def counted(**kwargs):
+        rows.append(np.size(kwargs["t"]))
+        return weights(**kwargs)
+
+    monkeypatch.setattr(fluidhit.numerics, "_weights", counted)
+    got = transient_survival(alpha, sub, grid)
+    assert sum(rows) == 1
+    if name == "rare-exit":
+        assert got == pytest.approx(np.exp(-grid / 1e5), rel=1e-9, abs=0)
+    elif name == "fig3b:3":
+        assert np.max(np.abs(got - np.exp(-grid / 3.0))) <= 1e-12
+    else:
+        assert got[0] == 1.0 and not got[1:].any()
+
+
+def test_closed_form_tail_matches_the_window_and_its_bracket():
+    # Settled series of seeded random chains, read at means whose windows
+    # lie wholly past J over a factor of four. The closed form and the
+    # window weigh the same geometric tail: they agree within 1e-14 where
+    # c t (1 - r) <= 30 (the one rounding of that product costs about as
+    # many ulps). At the bracket's ends lo and hi they agree too, and
+    # bracket both reads at the midpoint.
+    numerics = fluidhit.numerics
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        S, density = int(rng.integers(150, 301)), float(rng.uniform(0.05, 1.0))
+        sub = decompose(random_chain(rng, S, density))
+        series = numerics._SurvivalSeries(sub, InitialDistribution.uniform(S).alpha)
+        _crossing(series, 1e-12)
+        tail, J, c = series.tail, len(series._sums) - 1, series.c
+        assert tail is not None, f"seed {seed}: no tail"
+        first = 1.0
+        while numerics._reach(first) <= J:
+            first += 1.0
+        t = first * np.geomspace(1.0, 4.0, 25) / c
+        t = t[c * t * (1.0 - tail.lo) <= 30.0]
+        assert t.size >= 10, f"seed {seed}"
+        window = numerics._weights(rate=c, t=t)
+        assert np.all(window[0] > J)
+        reads = {}
+        for ratio in (tail.lo, None, tail.hi):
+            closed = series._past_tail(c * t, ratio)  # the means _weights reads
+            windowed = series._weighted(*window, ratio=ratio)
+            assert np.max(np.abs(closed / windowed - 1.0)) <= 1e-14, f"seed {seed}, {ratio}"
+            reads[ratio] = closed, windowed
+        lo, hi = reads[tail.lo][0], reads[tail.hi][0]
+        for read in reads[None]:
+            assert np.all(lo <= read) and np.all(read <= hi), f"seed {seed}"
+
+
+def test_reads_past_the_term_budget_are_refused_settled_or_not():
+    # A time with c t past TERM_BUDGET is refused whether or not the series
+    # has settled: the closed form would answer it, but the refusal stands.
+    alpha, sub = _ci_rare_exit_start()
+    series = fluidhit.numerics._SurvivalSeries(sub, alpha.alpha)
+    past = 1.5 * series.time_limit()
+    for settled in (False, True):
+        assert (series.tail is not None) == settled
+        with pytest.raises(NonConvergent, match="budget"):
+            series.continuous(past)
+        with pytest.raises(NonConvergent, match="budget"):
+            series.continuous(np.array([0.0, past]))
+        series.continuous(np.linspace(0.0, 1e6, 5))  # settles the series
+    assert series.continuous(1e6) == pytest.approx(math.exp(-10.0), rel=1e-9)
 
 
 def test_survival_grid_stops_at_the_first_zero_sum(monkeypatch):

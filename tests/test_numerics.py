@@ -698,6 +698,22 @@ def test_weights_upper_cut_is_the_first_certified_term():
     assert j0 + w.size == 102_523  # the term count README quotes
 
 
+def test_weights_down_cut_lies_within_its_first_span():
+    # A series reads a window wholly past its last stepped sum J when the
+    # window's _reach, its mode less _start_spans' below, lies past J. No
+    # window may start lower: on means from 1e-6 to 1e7 (the term budget),
+    # built alone, five to a call and beside far wider rows (which double
+    # the sides a narrow row is built over), j0 never falls below it.
+    means = np.geomspace(1e-6, 1e7, 131)
+    calls = [means[i : i + 1] for i in range(means.size)]
+    calls += [means[i : i + 5] for i in range(0, means.size, 3)]
+    calls += [np.array([top / 100, top / 10, top / 2, top]) for top in (1e3, 1e5, 1e7)]
+    for t in calls:
+        j0, _, _ = numerics._weights(rate=1.0, t=t)
+        reach = [numerics._reach(mu) for mu in t.tolist()]
+        assert all(j >= lowest for j, lowest in zip(j0.tolist(), reach)), t
+
+
 def test_weights_of_degenerate_laws():
     assert [(j0, w.tolist()) for j0, w in map(_lone, (
         numerics._weights(rate=1.0, t=np.array([1e-320 * 1e-10])),
