@@ -35,8 +35,9 @@ def transient_survival(alpha: InitialDistribution, sub: SubGenerator, t):
     the series' first sum. The Poisson windows are built in batches, each
     by one call as the rows of one array of at most
     numerics.WINDOW_ENTRIES entries, and only for the rows whose windows
-    reach the series' last stepped sum: every later row reads the closed
-    form of the known tail, 0 past a walk's end, with no window. The carry
+    reach the series' last stepped sum or whose tilted mean c t r does not
+    pass it: every later row reads the closed form of the known tail, 0
+    past a walk's end, with no window. The carry
     and the series step one walk each (numerics._row_iterates), which ends
     at its first zero iterate: a read far past the end of a nilpotent B,
     such as a countdown's, takes at most n + 1 steps for n transient

@@ -11,8 +11,9 @@ and a binomial law are one row), and _SurvivalSeries._weighted weights a
 call's rows against one gather of the sums. A grid of times reads one
 series, its windows built in batches of at most WINDOW_ENTRIES entries
 (_batches), except past the series' known tail: a Poisson window that
-starts past the last stepped sum is never built, as the tail's closed form
-gives its value. The uniformized matrix is dense for a small chain and sparse
+would start past the last stepped sum, at a mean whose tilted mean lies
+past it too, is never built, as the tail's closed form gives its value.
+The uniformized matrix is dense for a small chain and sparse
 otherwise (_dense_pays). One walker, _row_iterates, steps its row iterates
 for expm_action and the survival series alike: as dense vectors, sparse
 rows or single entries read off Q's rows (a lone row of B is read only by
@@ -528,9 +529,10 @@ def _batches(mu):
     each row the fixed cost of a call, about 30 us, but wide rows cost
     more per entry shared (on a 2-vCPU x86-64 host, four rows near mean
     10^5, about 16,000 wide, take 1.8 ms in one call against 1.0 ms built
-    alone). Only grids on series that never settle share such rows: a
-    window wholly past a known tail is not built at all, and a grid finds
-    its tail before it builds any (_SurvivalSeries.continuous).
+    alone). Grids on series that never settle share such rows: past a
+    known tail a window is built only where the tilted mean lags behind
+    it, and a grid finds its tail before it builds any
+    (_SurvivalSeries.continuous).
     """
     if mu.size <= 1:  # a lone mean (or none), without arrays
         yield from [slice(0, 1)] * mu.size
@@ -614,12 +616,12 @@ class _SurvivalSeries:
     iterate (_row_iterates), and the series reads that end as a geometric
     tail of ratio 0: a survival that underflows early on a long grid costs
     no more terms. A Poisson read whose window would start past the last
-    stepped sum s_J of a known tail builds none: it is the closed form
-    s_J r^-J e^(-c t (1 - r)) of the Poisson generating function
-    (_past_tail), 0 at a walk's zero end, so a grid to any time within
-    the term budget costs its tail's J steps and the windows of its rows
-    below (continuous steps a grid's series as far as its last row reaches
-    before it builds any window).
+    stepped sum s_J of a known tail, and whose tilted mean c t r lies past
+    J too, builds none: it is the closed form s_J r^-J e^(-c t (1 - r))
+    of the Poisson generating function (_past_tail), 0 at a walk's zero
+    end, so a grid to any time within the term budget costs its tail's J
+    steps and the windows of its rows below (continuous steps a read's
+    series as far as its last row reaches before it builds any window).
 
     A dense iterate u_J = u_{J-1} B is compared with u_{J-1}. When the two
     share a support and the ratios (u_J)_i / (u_{J-1})_i lie in [lo, hi],
@@ -723,14 +725,17 @@ class _SurvivalSeries:
         """sum_j Pois(j; mu_i) s_J r^(j-J) = s_J r^-J e^(-mu_i (1 - r)) for every mean mu_i.
 
         The Poisson generating function E[r^X] = e^(-mu (1 - r)) in closed
-        form, taken in logs, over the known tail of ratio r: the midpoint of
+        form, taken in logs, over the tail model of ratio r: the midpoint of
         its [lo, hi] when ratio is None, lo and hi giving the ends of the
-        certified bracket. A window wholly past J weighs the same terms
-        from its first on. The closed form adds the tail model's terms
-        below it, whose Poisson mass is below the window's down cut: they
-        count only where r lies so far below 1 that mu (1 - r) exceeds
-        about 30 sqrt(mu), at a mean past 1,508, and the value underflows
-        either way. At a walk's zero end s_J = 0.
+        certified bracket. At a walk's zero end s_J = 0. A window whose
+        reach lies past J weighs the model's terms from its first on and
+        leaves out less than 2^-1022 s_J below its down cut. The closed
+        form also sums the model below J, s_J r^(j-J) for j < J, which
+        need not bound the true s_j: those terms weigh at most
+        J Pois(J; mu) s_J < J e^-722 s_J where the tilted mean mu r lies
+        past J, but without bound where it does not (on a line of states
+        into a fast exit, r = 1e-4, they made a survival of 5.7e91), so
+        continuous reads only means past both.
         """
         J, s = len(self._sums) - 1, self._sums[-1]
         r = 0.5 * (self.tail.lo + self.tail.hi) if ratio is None else ratio
@@ -748,14 +753,15 @@ class _SurvivalSeries:
         """v exp(Qt) 1, the Poisson(ct)-weighted sum of the s_j.
 
         t is a float, read as a one-point grid and answered with a float,
-        or a nondecreasing 1-D array of finite, nonnegative times. The rows
-        whose windows reach s_J or below are read in the batches of
-        _batches, one _weights call and one _weighted gather each; the rest
-        (every row, once the first does) read the tail's closed form
-        (_past_tail), with no window. A grid of two or more times steps its
-        series as far as its last row's _reach first, a cost its windows
-        would pay anyway, so that a tail found on the way spares every row
-        past it; a lone time steps only as far as its window needs. Raises
+        or a nondecreasing 1-D array of finite, nonnegative times. Every
+        read first steps its series as far as its last row's _reach, a cost
+        its windows would pay anyway, so that a tail found on the way spares
+        every row past it, and the path a row takes depends on its mean and
+        the chain alone, not on earlier reads. Rows whose windows would
+        reach s_J or below, or whose tilted mean c t r lies at or below J,
+        are read in the batches of _batches, one _weights call and one
+        _weighted gather each; the rest (every row, once the first does)
+        read the tail's closed form (_past_tail), with no window. Raises
         ValueError when the first time is negative or the last is not
         finite, and NonConvergent (from _weights, settled series or not)
         when a time exceeds time_limit().
@@ -763,18 +769,20 @@ class _SurvivalSeries:
         times = np.array(t, float, ndmin=1)
         if times.size and not (times[0] >= 0.0 and times[-1] < math.inf):
             raise ValueError(f"times must be finite and nonnegative, got {t}")
-        # split is the first row whose _reach lies past s_J, a row whose
-        # window would start past the stepped sums. Later rows reach s_J
-        # at least (a larger mean's reach is at most 1 lower), so their
-        # windows would weigh the tail's terms alone: they read the closed
-        # form. A grid past the term budget reads every row by windows, and
+        # split is the first row whose _reach and tilted mean m r both lie
+        # past J: its window would weigh the tail's terms alone, and the
+        # closed form's terms below J weigh under J e^-722 s_J. Later rows
+        # pass both (a larger mean's reach is at most 1 lower), so they
+        # read the closed form. At a zero end every row past the reach
+        # reads 0, whatever its tilt, so r = 1 leaves the reach to decide.
+        # A grid past the term budget reads every row by windows, and
         # _weights refuses the first batch that holds a time past it.
-        mu = self.c * times
-        within = times.size and times[-1] <= self.time_limit()
-        if within and mu.size > 1:
-            self._stepped(_reach(mu[-1]) + 1)
-        known = within and self.tail is not None
-        split = bisect_right(mu, len(self._sums) - 1, key=_reach) if known else mu.size
+        mu, split = self.c * times, times.size
+        if times.size and times[-1] <= self.time_limit():
+            reach = _reach(mu[-1])
+            if self._stepped(reach + 1) <= reach:  # a known tail ends the sums short of it
+                J, r = len(self._sums) - 1, 0.5 * (self.tail.lo + self.tail.hi) if self._sums[-1] else 1.0
+                split = bisect_right(mu, J, key=lambda m: min(_reach(m), m * r))
         out = np.empty(mu.size)
         for rows in _batches(mu[:split]):
             out[rows] = self._weighted(*_weights(rate=self.c, t=times[rows]))

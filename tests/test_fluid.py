@@ -158,23 +158,34 @@ def test_crossing_needs_few_survival_evaluations(monkeypatch, build, epsilon):
 )
 def test_crossing_reads_the_start_off_the_first_sum(monkeypatch, build, epsilon):
     # S(0) is s_0 = alpha 1, which a read at t = 0 returns to the bit, so the
-    # crossing is the same; every _weights call is one probe's, at t > 0.
+    # crossing is the same. Every _weights call is one probe's, at t > 0: a
+    # probe builds one window, unless it lies past the series' known tail
+    # (its _reach and, but at a walk's zero end, its tilted mean c t r past
+    # J), where it builds none. Each probe read alone on a fresh series
+    # gives the same bits: a read depends on its time and the chain, not on
+    # what was read before.
+    numerics = fluidhit.numerics
     alpha, sub = build()
-    series = fluidhit.numerics._SurvivalSeries(sub, alpha.alpha)
+    series = numerics._SurvivalSeries(sub, alpha.alpha)
     assert series.continuous(0.0) == series._sums[0]
     calls = _record_series(monkeypatch)
     built = []
-    weights = fluidhit.numerics._weights
+    weights = numerics._weights
 
     def counted(**kwargs):
         built.append(kwargs["t"].tolist())
         return weights(**kwargs)
 
-    monkeypatch.setattr(fluidhit.numerics, "_weights", counted)
+    monkeypatch.setattr(numerics, "_weights", counted)
     crossing_time(alpha, sub, epsilon)
-    probes = [t for t, _ in calls]
+    probes, values, windows = [t for t, _ in calls], [v for _, v in calls], list(built)
     assert probes and min(probes) > 0.0
-    assert built == [[t] for t in probes]
+    series.continuous(max(probes))  # steps as far as the deepest probe did
+    J, c, tail = len(series._sums) - 1, series.c, series.tail
+    r = 1.0 if tail is None or not series._sums[-1] else 0.5 * (tail.lo + tail.hi)
+    past = [tail is not None and min(numerics._reach(c * t), c * t * r) > J for t in probes]
+    assert windows == [[t] for t, skip in zip(probes, past) if not skip]
+    assert [numerics._SurvivalSeries(sub, alpha.alpha).continuous(t) for t in probes] == values
 
 
 def test_crossing_builds_the_uniformized_matrix_once(monkeypatch):
@@ -675,39 +686,78 @@ def test_grid_past_a_known_tail_builds_no_window(monkeypatch, name):
         assert got[0] == 1.0 and not got[1:].any()
 
 
-def test_closed_form_tail_matches_the_window_and_its_bracket():
-    # Settled series of seeded random chains, read at means whose windows
-    # lie wholly past J over a factor of four. The closed form and the
-    # window weigh the same geometric tail: they agree within 1e-14 where
-    # c t (1 - r) <= 30 (the one rounding of that product costs about as
-    # many ulps). At the bracket's ends lo and hi they agree too, and
-    # bracket both reads at the midpoint.
+def _line_into_fast_exit(K, r):
+    """K states stepping on at rate 1 in a line into one that exits at rate
+    1 - r, from a uniform start: the sums fall slower than r^j until the
+    line empties, and settle at ratio r only then, so s_J r^(j-J) far
+    exceeds s_j for j < J."""
+    P = np.zeros((K + 2, K + 2))
+    P[0, 0] = 1.0
+    for i in range(1, K + 1):
+        P[i, i + 1] = 1.0
+    P[K + 1, 0], P[K + 1, K + 1] = 1.0 - r, r
+    return InitialDistribution.uniform(K + 1), decompose(validate_chain(P))
+
+
+def _windowed(series, t, ratio=None):
+    """The series read at times t through _weights windows alone, batch by batch."""
     numerics = fluidhit.numerics
-    for seed in range(12):
-        rng = np.random.default_rng(seed)
-        S, density = int(rng.integers(150, 301)), float(rng.uniform(0.05, 1.0))
-        sub = decompose(random_chain(rng, S, density))
-        series = numerics._SurvivalSeries(sub, InitialDistribution.uniform(S).alpha)
+    return np.concatenate([
+        series._weighted(*numerics._weights(rate=series.c, t=t[rows]), ratio=ratio)
+        for rows in numerics._batches(series.c * t)
+    ])
+
+
+def test_closed_form_tail_matches_the_window_and_its_bracket():
+    # Settled series of seeded random chains, read over a factor of four
+    # from the first mean whose window lies wholly past J, and of two lines
+    # into a fast exit, read from there to 4 J / r, where the tilted mean
+    # c t r passes J. continuous reads the closed form where both lie past
+    # J and windows elsewhere. Every read agrees with the windows over the
+    # same tail within 1e-14 relative per 30 of the exponent c t (1 - r)
+    # (its rounding costs about as many ulps), or within the windows' own
+    # down cut, 2^-1022 s_J. On the random chains the closed form at the
+    # bracket's ends lo and hi agrees with the windows at those ratios
+    # too, and brackets both reads at the midpoint.
+    numerics = fluidhit.numerics
+
+    def agree(got, window, t, ratio, what):
+        x = series.c * t * (1.0 - ratio)
+        err = np.abs(got - window) - 1e-14 * np.maximum(1.0, x / 30.0) * window
+        assert np.all(err <= 2.0**-1022 * series._sums[-1]), what
+
+    chains = [(f"seed {seed}", seed) for seed in range(12)] + [
+        ("line 250, r = 1e-4", _line_into_fast_exit(250, 1e-4)),
+        ("line 1000, r = 0.9", _line_into_fast_exit(1000, 0.9)),
+    ]
+    for name, chain in chains:
+        if isinstance(chain, int):
+            rng = np.random.default_rng(chain)
+            S, density = int(rng.integers(150, 301)), float(rng.uniform(0.05, 1.0))
+            alpha, sub = InitialDistribution.uniform(S), decompose(random_chain(rng, S, density))
+        else:
+            alpha, sub = chain
+        series = numerics._SurvivalSeries(sub, alpha.alpha)
         _crossing(series, 1e-12)
         tail, J, c = series.tail, len(series._sums) - 1, series.c
-        assert tail is not None, f"seed {seed}: no tail"
+        assert tail is not None and series._sums[-1] > 0.0, f"{name}: no tail"
+        r = 0.5 * (tail.lo + tail.hi)
         first = 1.0
         while numerics._reach(first) <= J:
             first += 1.0
-        t = first * np.geomspace(1.0, 4.0, 25) / c
-        t = t[c * t * (1.0 - tail.lo) <= 30.0]
-        assert t.size >= 10, f"seed {seed}"
-        window = numerics._weights(rate=c, t=t)
-        assert np.all(window[0] > J)
+        last = 4.0 * first if isinstance(chain, int) else min(4.0 * J / r, numerics.TERM_BUDGET)
+        t = np.geomspace(first, last, 25) / c
+        assert numerics._weights(rate=c, t=t[:1])[0][0] > J
+        agree(series.continuous(t), _windowed(series, t), t, r, name)
+        if not isinstance(chain, int):
+            continue
         reads = {}
         for ratio in (tail.lo, None, tail.hi):
             closed = series._past_tail(c * t, ratio)  # the means _weights reads
-            windowed = series._weighted(*window, ratio=ratio)
-            assert np.max(np.abs(closed / windowed - 1.0)) <= 1e-14, f"seed {seed}, {ratio}"
-            reads[ratio] = closed, windowed
-        lo, hi = reads[tail.lo][0], reads[tail.hi][0]
-        for read in reads[None]:
-            assert np.all(lo <= read) and np.all(read <= hi), f"seed {seed}"
+            agree(closed, _windowed(series, t, ratio), t, r if ratio is None else ratio, f"{name}, {ratio}")
+            reads[ratio] = closed
+        for read in (reads[None], _windowed(series, t)):
+            assert np.all(reads[tail.lo] <= read) and np.all(read <= reads[tail.hi]), name
 
 
 def test_reads_past_the_term_budget_are_refused_settled_or_not():
